@@ -102,7 +102,7 @@ double rebuild_gbps(std::size_t qd, const std::vector<std::byte>& image) {
         a.fail_disk(1);
         a.replace_disk(1);
         const std::uint32_t disks[] = {1};
-        const rebuild_result res = rebuild_disks(a, disks, nullptr);
+        const rebuild_result res = rebuild_disks(a, disks);
         if (!res.success) std::abort();
         best = std::max(best, res.throughput_gbps());
     }

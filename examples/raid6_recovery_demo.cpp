@@ -1,14 +1,13 @@
 // RAID-6 array lifecycle demo on the simulator: build a 10-disk array,
 // serve I/O, kill two disks mid-flight, keep serving degraded reads, then
-// rebuild onto replacements with a thread pool — the end-to-end story the
-// paper's decoding throughput numbers (Figs. 12-13) feed into.
+// rebuild onto replacements — the end-to-end story the paper's decoding
+// throughput numbers (Figs. 12-13) feed into.
 #include <cstdio>
 #include <vector>
 
 #include "liberation/raid/array.hpp"
 #include "liberation/raid/rebuild.hpp"
 #include "liberation/util/rng.hpp"
-#include "liberation/util/thread_pool.hpp"
 #include "liberation/util/timer.hpp"
 
 int main() {
@@ -63,20 +62,18 @@ int main() {
     std::memcpy(image.data() + 12345, hot.data(), hot.size());
     std::printf("degraded write of %zu KB OK\n", hot.size() >> 10);
 
-    // Replace both disks and rebuild in parallel.
+    // Replace both disks and rebuild them in one pass.
     array.replace_disk(3);
     array.replace_disk(7);
-    util::thread_pool pool;
     const std::uint32_t replaced[] = {3, 7};
-    const auto result = rebuild_disks(array, replaced, &pool);
+    const auto result = rebuild_disks(array, replaced);
     if (!result.success) {
         std::printf("REBUILD FAILED\n");
         return 1;
     }
-    std::printf("\nrebuilt %zu strips (%zu stripes) in %.3f s — %.2f GB/s "
-                "across %zu threads\n",
+    std::printf("\nrebuilt %zu strips (%zu stripes) in %.3f s — %.2f GB/s\n",
                 result.columns_rebuilt, result.stripes_rebuilt,
-                result.seconds, result.throughput_gbps(), pool.size());
+                result.seconds, result.throughput_gbps());
 
     // Prove the array is fully healthy: pristine reads, no degraded paths.
     const auto degraded_before = array.stats().degraded_stripe_reads;

@@ -360,7 +360,7 @@ void raid6_array::note_io(std::uint32_t d, io_kind kind, const io_result& r) {
     }
     if (health_.record(d, kind, r.status, r.transient_seen)) {
         // Threshold crossed: the disk is too sick to trust. Fail it now
-        // (atomic; this may run on a rebuild pool thread) and let the next
+        // (atomic; this may run on an aio worker thread) and let the next
         // foreground operation promote a spare.
         disks_[d]->fail();
         stats_.disks_tripped.fetch_add(1, std::memory_order_relaxed);
@@ -707,7 +707,7 @@ std::size_t raid6_array::service_background_rebuild(std::size_t max_stripes) {
         // (raid_rebuild_window_ns) records inside rebuild_stripe_range, so
         // operator-driven rebuilds feed the same family.
         obs::timed_span span(obs_, nullptr, "raid.rebuild_batch", "rebuild");
-        res = rebuild_stripe_range(*this, group, first, last, nullptr);
+        res = rebuild_stripe_range(*this, group, first, last);
     }
     std::size_t processed = 0;
     if (powered_) {
@@ -1021,7 +1021,8 @@ raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
     return rec;
 }
 
-bool raid6_array::journal_mark(std::size_t stripe, std::uint64_t cols) {
+bool raid6_array::journal_mark(std::size_t stripe, std::uint64_t cols,
+                               bool persist) {
     // A dead host issues no writes that could tear anything.
     if (!powered_) return true;
     if (!journal_.mark(stripe, cols)) {
@@ -1036,16 +1037,16 @@ bool raid6_array::journal_mark(std::size_t stripe, std::uint64_t cols) {
                                             obs_.now_ns(), 0, stripe);
     // On-disk analogue of the NVRAM flush: the entry must be durable on
     // the other members before any data write of this stripe is issued.
-    persist_intent();
+    if (persist) persist_intent();
     return true;
 }
 
-void raid6_array::journal_clear(std::size_t stripe) {
+void raid6_array::journal_clear(std::size_t stripe, bool persist) {
     // A dead host cannot clear its NVRAM word — the whole point.
     if (powered_) {
         journal_.clear(stripe);
         gauge_journal_->set(static_cast<std::int64_t>(journal_.size()));
-        persist_intent();
+        if (persist) persist_intent();
     }
 }
 
@@ -1085,18 +1086,11 @@ void raid6_array::persist_intent() {
 void raid6_array::persist_checksums(std::uint32_t disk, std::size_t offset,
                                     std::size_t len) {
     if (!store_ || !store_->meta_slot(disk) || !store_->slot_ok(disk)) return;
-    persist::superblock& img = store_->image(disk);
-    const std::span<const std::uint32_t> crcs = regions_[disk].checksums();
-    if (img.crcs.size() != crcs.size()) {
-        img.crcs.assign(crcs.begin(), crcs.end());
-    } else {
-        const std::size_t b0 = offset / integrity_block_;
-        const std::size_t b1 =
-            (offset + len + integrity_block_ - 1) / integrity_block_;
-        std::copy(crcs.begin() + static_cast<std::ptrdiff_t>(b0),
-                  crcs.begin() + static_cast<std::ptrdiff_t>(b1),
-                  img.crcs.begin() + static_cast<std::ptrdiff_t>(b0));
-    }
+    const std::size_t b0 = offset / integrity_block_;
+    const std::size_t b1 =
+        (offset + len + integrity_block_ - 1) / integrity_block_;
+    store_->update_crcs(disk, b0,
+                        regions_[disk].checksums().subspan(b0, b1 - b0));
     (void)store_->persist(disk);
 }
 
@@ -1168,12 +1162,11 @@ bool raid6_array::unmount() {
     bool ok = true;
     for (std::uint32_t s = 0; s < map_.n(); ++s) {
         if (!store_->meta_slot(s) || !store_->slot_ok(s)) continue;
-        persist::superblock& img = store_->image(s);
         // Wholesale checksum refresh: scrub/read-repair may have updated
-        // words without a disk_write hook firing.
-        const std::span<const std::uint32_t> crcs = regions_[s].checksums();
-        img.crcs.assign(crcs.begin(), crcs.end());
-        img.clean = clean;
+        // words without a disk_write hook firing (only the pages whose
+        // words differ are written).
+        store_->update_crcs(s, 0, regions_[s].checksums());
+        store_->image(s).clean = clean;
         if (!store_->persist(s)) ok = false;
     }
     if (!store_->flush_all()) ok = false;
@@ -1600,13 +1593,24 @@ bool raid6_array::write_full_stripes(std::size_t first, std::size_t count,
                     : 0;
             window = std::min(window, std::max<std::size_t>(1, free_slots));
         }
+        // Group commit: every intent entry of the window reaches the store
+        // in one persist before anything is staged or submitted, and the
+        // clears in one persist after the drain — the persisted state at
+        // the op's boundaries is the per-stripe protocol's, and no intent
+        // persist overlaps the column writes (whose checksum persists may
+        // run on aio workers).
         std::size_t submitted = 0;
-        for (std::size_t i = 0; i < window; ++i) {
-            const std::size_t s = first + done + i;
-            if (!journal_mark(s, intent_log::all_columns)) {
+        while (submitted < window) {
+            if (!journal_mark(first + done + submitted,
+                              intent_log::all_columns, /*persist=*/false)) {
                 mark_failed = true;
                 break;
             }
+            ++submitted;
+        }
+        if (submitted > 0 && powered_) persist_intent();
+        for (std::size_t i = 0; i < submitted; ++i) {
+            const std::size_t s = first + done + i;
             stats_.full_stripe_writes.fetch_add(1, std::memory_order_relaxed);
             const std::span<std::byte* const> cols =
                 writer.stage(i, in.data() + (done + i) * sds);
@@ -1619,16 +1623,16 @@ bool raid6_array::write_full_stripes(std::size_t first, std::size_t count,
             code_.encode_crc(v, integrity_block_, writer.column_crcs(i, k),
                              writer.column_crcs(i, k + 1));
             writer.submit_columns(s, i, cols, k, n);
-            ++submitted;
         }
         writer.drain();
         // Store results are ignored just like the synchronous path: failed
         // disks miss the update and the stripe stays decodable while <= 2
         // columns are down. The journal entry is cleared only once every
         // column of the stripe has been given to the backend.
-        if (powered_) {
+        if (powered_ && submitted > 0) {
             for (std::size_t i = 0; i < submitted; ++i)
-                journal_clear(first + done + i);
+                journal_clear(first + done + i, /*persist=*/false);
+            persist_intent();
         }
         if (!powered_) return true;
         done += submitted;

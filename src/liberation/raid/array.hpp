@@ -123,8 +123,8 @@ struct array_config {
 };
 
 /// Copyable snapshot of the array's operation counters. The live counters
-/// are atomic (pooled rebuild/resilver workers increment them concurrently
-/// with the foreground path); stats() takes a relaxed snapshot.
+/// are atomic (aio worker threads increment them concurrently with the
+/// foreground path); stats() takes a relaxed snapshot.
 struct array_stats {
     std::uint64_t full_stripe_writes = 0;
     std::uint64_t small_writes = 0;
@@ -586,9 +586,12 @@ private:
     void service_events();
 
     /// Journal a stripe with its target-column mask; false (and a loud
-    /// write failure for the caller) when the log is at capacity.
-    [[nodiscard]] bool journal_mark(std::size_t stripe, std::uint64_t cols);
-    void journal_clear(std::size_t stripe);
+    /// write failure for the caller) when the log is at capacity. With
+    /// `persist` off the caller group-commits with one persist_intent()
+    /// before any data write of the stripe is issued.
+    [[nodiscard]] bool journal_mark(std::size_t stripe, std::uint64_t cols,
+                                    bool persist = true);
+    void journal_clear(std::size_t stripe, bool persist = true);
 
     // ---- persistence hooks (no-ops while store_ is null) ---------------
 
@@ -598,8 +601,9 @@ private:
     /// Mirror medium mutations of slot `d` into the store's data area.
     void attach_media_sink(std::uint32_t d);
     /// Replicate the intent log into every metadata slot and persist.
-    /// Fires on every journal mark/clear — the on-disk analogue of
-    /// flushing the NVRAM word before data I/O is issued.
+    /// Fires on every journal mark/clear (once per window on the pipelined
+    /// full-stripe path) — the on-disk analogue of flushing the NVRAM word
+    /// before data I/O is issued.
     void persist_intent();
     /// Persist the checksum words covering a write of `len` bytes at
     /// `offset` on slot `disk` into that slot's own superblock. Runs even

@@ -108,6 +108,20 @@ mounted_array mounter::mount(const mount_options& opts) {
 
     std::vector<disk_probe> probes = probe_dir(opts.store.dir);
 
+    // A member written by another on-disk format is not garbage to kick
+    // and re-initialize: refuse by name, before anything is opened.
+    for (const disk_probe& p : probes) {
+        if (p.format_version != 0 && p.format_version != superblock_version) {
+            rep.error = p.path + ": on-disk format version " +
+                        std::to_string(p.format_version) +
+                        ", this build reads version " +
+                        std::to_string(superblock_version) +
+                        " — refusing to mount";
+            note_mount_refused(rep);
+            return out;
+        }
+    }
+
     // ---- elect the authority superblock -------------------------------
     std::map<std::uint64_t, std::uint32_t> votes;
     for (const disk_probe& p : probes) {
@@ -169,6 +183,13 @@ mounted_array mounter::mount(const mount_options& opts) {
     acfg.io_workers = opts.io_workers;
     acfg.obs_virtual_time = opts.obs_virtual_time;
     auto a = std::make_unique<raid6_array>(acfg);
+    const member_layout& layout = probes[auth_idx].header.layout;
+    if (auth->crcs.size() != a->regions_[0].checksums().size()) {
+        rep.error = "authority superblock's checksum table does not match "
+                    "its geometry";
+        note_mount_refused(rep);
+        return out;
+    }
 
     // ---- classify every slot -------------------------------------------
     enum class disposition : std::uint8_t {
@@ -203,7 +224,20 @@ mounted_array mounter::mount(const mount_options& opts) {
         const bool file_usable =
             p != nullptr && p->file_present && p->header_ok && p->sb &&
             p->sb->array_uuid == uuid && p->sb->geometry_matches(*auth) &&
-            p->sb->crcs.size() == fresh_crcs.size();
+            p->sb->crcs.size() == fresh_crcs.size() &&
+            p->header.layout == layout;
+        if (file_usable) {
+            // The file's own persist state: the next persist continues
+            // its seq and copy-on-write page table, and its checksum
+            // table describes the bytes in its data area.
+            img.seq = p->sb->seq;
+            img.crcs = p->sb->crcs;
+            img.pages = p->sb->pages;
+        } else {
+            // Fresh or foreign: a fresh slot's table is written whole at
+            // attach, a foreign one is never written at all.
+            img.pages.assign(table_page_count(fresh_crcs.size()), {});
+        }
         const bool foreign_file =
             p != nullptr && p->file_present &&
             ((p->header_ok && p->header.array_uuid != uuid) ||
@@ -226,7 +260,7 @@ mounted_array mounter::mount(const mount_options& opts) {
             ++failed_total;
             if (!file_usable) fresh_slots.push_back(s);
         } else if (!file_usable) {
-            // Missing file, unreadable header, or both shadow slots torn:
+            // Missing file, unreadable header, or both superblocks invalid:
             // re-initialize blank and rebuild the member from parity.
             dispo[s] = disposition::kicked;
             fresh_slots.push_back(s);
@@ -237,14 +271,10 @@ mounted_array mounter::mount(const mount_options& opts) {
             // restored; its data cannot be trusted. Kick it to a rebuild
             // target (the file's framing is fine, only data is rebuilt).
             dispo[s] = disposition::kicked;
-            img.seq = p->sb->seq;
-            img.crcs = p->sb->crcs;  // describes the (stale) bytes on disk
             ++rep.stale_kicked;
             ++kicked_total;
         } else {
-            img.seq = p->sb->seq;
             img.disk_id = p->sb->disk_id;
-            img.crcs = p->sb->crcs;
             if (static_cast<slot_state>(auth->slot_states[s] &
                                         ~slot_state_slow_bit) ==
                     slot_state::rebuilding &&
@@ -269,7 +299,7 @@ mounted_array mounter::mount(const mount_options& opts) {
     // ---- open the store and load the surviving data --------------------
     std::unique_ptr<store> st =
         store::attach(opts.store, std::move(images), a->map_.disk_capacity(),
-                      probes[auth_idx].header.slot_bytes, fresh_slots);
+                      layout, fresh_slots);
     if (!st) {
         rep.error = "could not initialize backing files";
         note_mount_refused(rep);
@@ -289,7 +319,13 @@ mounted_array mounter::mount(const mount_options& opts) {
             (dispo[s] == disposition::kicked &&
              std::find(fresh_slots.begin(), fresh_slots.end(), s) ==
                  fresh_slots.end());
-        if (!load) continue;
+        if (!load) {
+            // The member's checksum region stays fresh, and its image
+            // follows it: pages of a failed member's file that still
+            // describe its old bytes are rewritten by the next persist.
+            st->update_crcs(s, 0, a->regions_[s].checksums());
+            continue;
+        }
         if (st->read_data(s, 0, disk_image)) {
             a->disks_[s]->poke(0, disk_image);
         }

@@ -1,13 +1,15 @@
 // Mount / create entry points for persistent RAID-6 arrays.
 //
 // create_array() formats a fresh store (one backing file per disk, file
-// header + A/B superblock slots + data area) and returns a live array
-// wired to it. mount_array() reassembles an array from whatever the
-// directory holds, md-style:
+// header + A/B cores + two checksum-table copies + data area) and returns
+// a live array wired to it. mount_array() reassembles an array from
+// whatever the directory holds, md-style:
 //
-//   1. *Probe* every disk file read-only: decode the write-once header
-//      and both superblock shadow slots (a torn slot fails its CRC and
-//      the other slot is used).
+//   1. *Probe* every disk file read-only: decode the write-once header,
+//      both cores and the checksum pages each references (a torn core or
+//      page invalidates that superblock and the other one is used). A
+//      header of another on-disk format version refuses the mount,
+//      naming the version found and the one this build reads.
 //   2. *Elect an authority*: among the decodable superblocks, the
 //      majority array-UUID wins, and within it the copy with the highest
 //      (events, seq) — the member that saw the most recent membership
@@ -17,8 +19,8 @@
 //      to assemble:
 //        - foreign UUID or mismatched geometry -> the slot is failed and
 //          its file is left alone (it belongs to some other array);
-//        - missing file, unreadable header, or both superblock slots
-//          torn -> the disk is re-initialized blank and *kicked* to a
+//        - missing file, unreadable header, or both superblocks
+//          invalid -> the disk is re-initialized blank and *kicked* to a
 //          rebuild target (stale_disks_kicked);
 //        - events more than one epoch behind the authority -> the data
 //          cannot be trusted (an old copy was restored); kicked likewise;

@@ -1,6 +1,9 @@
 #include "liberation/raid/persist/store.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <system_error>
 
@@ -24,6 +27,27 @@ bool read_at(std::FILE* f, std::size_t offset, std::span<std::byte> out) {
     return std::fread(out.data(), 1, out.size(), f) == out.size();
 }
 
+/// Decode one core slot and load the checksum pages it references; a core
+/// is valid only when every referenced page matches its recorded CRC.
+std::optional<superblock> read_superblock(std::FILE* f,
+                                          const member_layout& layout,
+                                          std::uint64_t core_slot,
+                                          std::vector<std::byte>& buf) {
+    buf.resize(layout.core_bytes);
+    if (!read_at(f, layout.core_offset(core_slot), buf)) return std::nullopt;
+    std::optional<superblock> sb = decode_core(buf);
+    if (!sb || sb->pages.size() != layout.table_pages) return std::nullopt;
+    buf.resize(table_page_size);
+    for (std::size_t pg = 0; pg < sb->pages.size(); ++pg) {
+        const table_page_ref& ref = sb->pages[pg];
+        if (!read_at(f, layout.page_offset(ref.copy, pg), buf) ||
+            !decode_page(buf, ref.crc, pg, sb->crcs)) {
+            return std::nullopt;
+        }
+    }
+    return sb;
+}
+
 }  // namespace
 
 std::string store::disk_path(const std::string& dir, std::uint32_t slot) {
@@ -35,6 +59,7 @@ std::string store::disk_path(const std::string& dir, std::uint32_t slot) {
 std::vector<disk_probe> probe_dir(const std::string& dir) {
     std::vector<disk_probe> probes;
     std::size_t last_present = 0;
+    std::vector<std::byte> buf;
     for (std::uint32_t slot = 0; slot < probe_scan_limit; ++slot) {
         disk_probe p;
         p.path = store::disk_path(dir, slot);
@@ -43,21 +68,18 @@ std::vector<disk_probe> probe_dir(const std::string& dir) {
             p.file_present = true;
             std::vector<std::byte> hdr(file_header_size);
             if (read_at(f, 0, hdr)) {
+                p.format_version = header_version(hdr).value_or(0);
                 if (auto h = decode_header(hdr)) {
                     p.header_ok = true;
                     p.header = *h;
                 }
             }
             if (p.header_ok) {
-                // Decode both shadow slots; keep the valid one with the
-                // larger seq, count the rest as torn.
-                std::vector<std::byte> raw(p.header.slot_bytes);
-                for (int s = 0; s < 2; ++s) {
-                    const std::size_t off =
-                        file_header_size +
-                        static_cast<std::size_t>(s) * p.header.slot_bytes;
-                    std::optional<superblock> sb;
-                    if (read_at(f, off, raw)) sb = decode(raw);
+                // Validate both cores (with their pages); keep the valid
+                // one with the larger seq, count the rest as torn.
+                for (std::uint64_t s = 0; s < 2; ++s) {
+                    std::optional<superblock> sb =
+                        read_superblock(f, p.header.layout, s, buf);
                     if (!sb) {
                         ++p.bad_slots;
                     } else if (!p.sb || sb->seq > p.sb->seq) {
@@ -75,17 +97,27 @@ std::vector<disk_probe> probe_dir(const std::string& dir) {
 }
 
 store::store(store_config cfg, std::vector<superblock> images,
-             std::uint64_t slot_bytes, std::size_t disk_capacity)
-    : cfg_(std::move(cfg)), slot_bytes_(slot_bytes),
-      uuid_(images.empty() ? 0 : images.front().array_uuid),
-      images_(std::move(images)) {
+             const member_layout& layout, std::size_t disk_capacity)
+    : cfg_(std::move(cfg)), layout_(layout),
+      uuid_(images.empty() ? 0 : images.front().array_uuid) {
     std::vector<std::string> paths;
-    paths.reserve(images_.size());
-    for (std::uint32_t s = 0; s < images_.size(); ++s) {
+    paths.reserve(images.size());
+    slots_.resize(images.size());
+    for (std::uint32_t s = 0; s < images.size(); ++s) {
         paths.push_back(disk_path(cfg_.dir, s));
+        slot_meta& m = slots_[s];
+        m.image = std::move(images[s]);
+        LIBERATION_EXPECTS(m.image.pages.size() == layout_.table_pages);
+        m.persisted = m.image.pages;
+        m.dirty.assign((layout_.table_pages + 63) / 64, 0);
+        m.core_buf.resize(core_size(
+            static_cast<std::uint32_t>(m.image.slot_states.size()),
+            m.image.intent_capacity, m.image.crcs.size()));
+        LIBERATION_EXPECTS(m.core_buf.size() <= layout_.core_bytes);
+        m.page_buf.resize(table_page_size);
     }
     aio::file_backend_config bc;
-    bc.data_offset = file_header_size + 2 * slot_bytes_;
+    bc.data_offset = layout_.data_offset();
     bc.direct_io = cfg_.direct_io;
     bc.sync_data = cfg_.sync_data;
     backend_ = std::make_unique<aio::file_backend>(std::move(paths),
@@ -93,20 +125,33 @@ store::store(store_config cfg, std::vector<superblock> images,
 }
 
 bool store::init_slot_file(std::uint32_t slot) {
-    superblock& sb = images_[slot];
+    slot_meta& m = slots_[slot];
+    superblock& sb = m.image;
     file_header h;
     h.array_uuid = sb.array_uuid;
     h.slot = slot;
-    h.slot_bytes = slot_bytes_;
-    h.data_offset = file_header_size + 2 * slot_bytes_;
+    h.layout = layout_;
     if (!backend_->pwrite_raw(slot, 0, encode_header(h))) return false;
-    // Prime both shadow slots so the first regular persist (which
-    // overwrites one of them) always leaves a valid fallback copy.
-    const std::vector<std::byte> blob = encode(sb);
-    LIBERATION_EXPECTS(blob.size() <= slot_bytes_);
-    if (!backend_->pwrite_raw(slot, file_header_size, blob)) return false;
-    if (!backend_->pwrite_raw(slot, file_header_size + slot_bytes_, blob)) {
-        return false;
+    // Both table copies get every page, so the file is fully allocated
+    // from the start and either copy can serve as the next write target.
+    for (std::size_t pg = 0; pg < layout_.table_pages; ++pg) {
+        sb.pages[pg] = {0, encode_page(sb.crcs, pg, m.page_buf)};
+        for (std::uint8_t copy = 0; copy < 2; ++copy) {
+            if (!backend_->pwrite_raw(slot, layout_.page_offset(copy, pg),
+                                      m.page_buf)) {
+                return false;
+            }
+        }
+    }
+    m.persisted = sb.pages;
+    std::fill(m.dirty.begin(), m.dirty.end(), 0);
+    // Prime both cores so the first regular persist (which overwrites
+    // one of them) always leaves a valid fallback copy.
+    encode_core(sb, m.core_buf);
+    for (std::uint64_t c = 0; c < 2; ++c) {
+        if (!backend_->pwrite_raw(slot, layout_.core_offset(c), m.core_buf)) {
+            return false;
+        }
     }
     if (cfg_.sync_meta && !backend_->flush(slot)) return false;
     return true;
@@ -122,12 +167,15 @@ std::unique_ptr<store> store::format(const store_config& cfg,
     std::error_code ec;
     std::filesystem::create_directories(cfg.dir, ec);
     const superblock& first = images.front();
-    const std::uint64_t slot_bytes = round_up(
-        encoded_size(static_cast<std::uint32_t>(first.slot_states.size()),
-                     first.intent_capacity, first.crcs.size()),
+    member_layout layout;
+    layout.core_bytes = round_up(
+        core_size(static_cast<std::uint32_t>(first.slot_states.size()),
+                  first.intent_capacity, first.crcs.size()),
         slot_align);
+    layout.table_pages = table_page_count(first.crcs.size());
+    for (superblock& img : images) img.pages.resize(layout.table_pages);
     std::unique_ptr<store> st(
-        new store(cfg, std::move(images), slot_bytes, disk_capacity));
+        new store(cfg, std::move(images), layout, disk_capacity));
     for (std::uint32_t s = 0; s < st->slot_count(); ++s) {
         if (!st->backend_->ok(s) || !st->init_slot_file(s)) return nullptr;
     }
@@ -136,11 +184,11 @@ std::unique_ptr<store> store::format(const store_config& cfg,
 
 std::unique_ptr<store> store::attach(
     const store_config& cfg, std::vector<superblock> images,
-    std::size_t disk_capacity, std::uint64_t slot_bytes,
+    std::size_t disk_capacity, const member_layout& layout,
     const std::vector<std::uint32_t>& fresh_slots) {
     LIBERATION_EXPECTS(!images.empty());
     std::unique_ptr<store> st(
-        new store(cfg, std::move(images), slot_bytes, disk_capacity));
+        new store(cfg, std::move(images), layout, disk_capacity));
     for (std::uint32_t s : fresh_slots) {
         if (!st->backend_->ok(s) || !st->init_slot_file(s)) return nullptr;
     }
@@ -153,17 +201,71 @@ bool store::reinit_slot(std::uint32_t slot) {
     return true;
 }
 
+void store::update_crcs(std::uint32_t slot, std::size_t first,
+                        std::span<const std::uint32_t> words) {
+    slot_meta& m = slots_[slot];
+    std::vector<std::uint32_t>& crcs = m.image.crcs;
+    LIBERATION_EXPECTS(first + words.size() <= crcs.size());
+    std::size_t done = 0;
+    while (done < words.size()) {
+        // One table page at a time: compare, and copy + mark on change.
+        const std::size_t at = first + done;
+        const std::size_t page = at / table_page_words;
+        const std::size_t n = std::min(words.size() - done,
+                                       (page + 1) * table_page_words - at);
+        if (std::memcmp(crcs.data() + at, words.data() + done, n * 4) != 0) {
+            std::memcpy(crcs.data() + at, words.data() + done, n * 4);
+            m.dirty[page / 64] |= std::uint64_t{1} << (page % 64);
+        }
+        done += n;
+    }
+}
+
 bool store::persist(std::uint32_t slot) {
     if (!backend_->ok(slot)) return false;
-    superblock& sb = images_[slot];
+    slot_meta& m = slots_[slot];
+    superblock& sb = m.image;
     ++sb.seq;
-    const std::vector<std::byte> blob = encode(sb);
-    LIBERATION_EXPECTS(blob.size() <= slot_bytes_);
-    const std::size_t off =
-        file_header_size + static_cast<std::size_t>(sb.seq % 2) * slot_bytes_;
-    if (!backend_->pwrite_raw(slot, off, blob)) return false;
-    if (cfg_.sync_meta && !backend_->flush(slot)) return false;
-    return true;
+    // Dirty pages go to the copy the last persisted core does not
+    // reference, so that core and every page it names stay intact until
+    // the new core has landed.
+    bool ok = true;
+    for (std::size_t w = 0; ok && w < m.dirty.size(); ++w) {
+        for (std::uint64_t bits = m.dirty[w]; bits != 0; bits &= bits - 1) {
+            const std::size_t pg =
+                w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+            const auto copy =
+                static_cast<std::uint8_t>(m.persisted[pg].copy ^ 1);
+            sb.pages[pg] = {copy, encode_page(sb.crcs, pg, m.page_buf)};
+            if (!backend_->pwrite_raw(slot, layout_.page_offset(copy, pg),
+                                      m.page_buf)) {
+                ok = false;
+                break;
+            }
+        }
+    }
+    if (ok) {
+        encode_core(sb, m.core_buf);
+        ok = backend_->pwrite_raw(slot, layout_.core_offset(sb.seq % 2),
+                                  m.core_buf);
+    }
+    if (ok && cfg_.sync_meta) ok = backend_->flush(slot);
+    // Commit (the new core names the new copies) or roll back (the next
+    // persist redoes the same pages against the same persisted core).
+    for (std::size_t w = 0; w < m.dirty.size(); ++w) {
+        for (std::uint64_t bits = m.dirty[w]; bits != 0; bits &= bits - 1) {
+            const std::size_t pg =
+                w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+            if (ok) {
+                m.persisted[pg] = sb.pages[pg];
+            } else {
+                sb.pages[pg] = m.persisted[pg];
+            }
+        }
+        if (ok) m.dirty[w] = 0;
+    }
+    if (!ok) --sb.seq;
+    return ok;
 }
 
 bool store::read_data(std::uint32_t slot, std::size_t offset,

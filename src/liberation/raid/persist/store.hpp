@@ -1,21 +1,34 @@
 // Persistence store: the backing files of one RAID-6 array.
 //
 // A `store` owns one file per disk slot (`<dir>/disk-NN.img`), each framed
-// as [file header][superblock slot A][superblock slot B][data area] (see
-// superblock.hpp), and a `file_backend` that executes all I/O against
+// as [file header][core A][core B][table copy A][table copy B][data area]
+// (see superblock.hpp), and a `file_backend` that executes all I/O against
 // them. The array keeps its authoritative state in memory exactly as
 // before; the store holds one mutable superblock *image* per slot, and the
-// array's persistence hooks edit the relevant images and call persist(),
-// which bumps the image's seq, re-encodes it, and shadow-writes the
-// alternate A/B slot.
+// array's persistence hooks edit the relevant images and call persist().
+//
+// persist() costs what changed, not the whole superblock: checksum words
+// enter an image through update_crcs(), which marks the 4 KiB table pages
+// whose words actually changed. persist() bumps the image's seq, writes
+// each dirty page into the table copy the last persisted core does not
+// reference, then encodes the core into the slot's presized buffer and
+// writes it to core slot `seq % 2`. Every piece of that state — image,
+// dirty bits, encode buffers — belongs to one slot, so persists of
+// different slots may run concurrently (aio workers persist checksums of
+// the disks they write); one slot must not be persisted from two threads
+// at once.
 //
 // Fsync ordering (machine-crash durability, `store_config::sync_meta`):
-// a superblock is fdatasync'd immediately after its slot write, so a
-// record-ahead intent entry is durable before the data writes it covers
-// are issued — the same ordering the in-memory array maintains against
-// simulated power loss. With sync_meta off, writes still survive process
-// kills (the kernel owns the page cache), which is what the chaos
-// campaign's kill-and-remount phases exercise. See docs/PERSISTENCE.md.
+// one fdatasync after the core write. The core records the CRC of every
+// page it references, so pages and core may reach the medium in any
+// order: a core whose pages did not all land fails validation and mount
+// falls back to the previous core, whose pages this persist never
+// touched. A record-ahead intent entry is therefore durable before the
+// data writes it covers are issued — the same ordering the in-memory
+// array maintains against simulated power loss. With sync_meta off,
+// writes still survive process kills (the kernel owns the page cache),
+// which is what the chaos campaign's kill-and-remount phases exercise.
+// See docs/PERSISTENCE.md.
 #pragma once
 
 #include <cstddef>
@@ -37,14 +50,20 @@ struct store_config {
 };
 
 /// What probe found in one slot's backing file, before any geometry is
-/// known: header, both superblock slots, and how they decoded.
+/// known: header, both superblocks (core + pages), and how they decoded.
 struct disk_probe {
     std::string path;
     bool file_present = false;
+    /// Format version the file header claims (0: no header magic). A
+    /// value other than superblock_version is a file this build cannot
+    /// read; mount refuses it by name instead of re-initializing it.
+    std::uint32_t format_version = 0;
     bool header_ok = false;     ///< file header decoded and sane
     file_header header;
-    int bad_slots = 0;          ///< A/B slots that failed to decode (0..2)
-    std::optional<superblock> sb;  ///< the valid slot with the larger seq
+    int bad_slots = 0;          ///< cores invalid or with torn pages (0..2)
+    /// The valid superblock with the larger seq, checksum table loaded
+    /// from the pages its core references.
+    std::optional<superblock> sb;
 };
 
 /// Read-only scan of a store directory (plain stdio — never creates or
@@ -60,31 +79,32 @@ public:
                                                std::uint32_t slot);
 
     /// Create fresh backing files for every slot: write-once file header,
-    /// then both superblock slots primed with the given image (so even the
-    /// very first shadow write has a valid fallback). All images must
-    /// share table dimensions — the common worst case fixes the slot size.
+    /// both checksum-table copies, then both cores primed with the given
+    /// image (so even the very first persist has a valid fallback). All
+    /// images must share table dimensions — they fix the layout.
     /// Returns nullptr if any file cannot be created or written.
     static std::unique_ptr<store> format(const store_config& cfg,
                                          std::vector<superblock> images,
                                          std::size_t disk_capacity);
 
-    /// Reopen existing files. `images` holds the per-slot in-memory state
-    /// the mounter decided on (decoded, or fabricated for kicked disks);
-    /// slots listed in `fresh_slots` get their header and both superblock
-    /// slots rewritten from scratch (missing or unreadable files being
-    /// re-initialized as blank rebuild targets). Returns nullptr when a
-    /// fresh slot cannot be initialized.
+    /// Reopen existing files laid out as `layout`. `images` holds the
+    /// per-slot in-memory state the mounter decided on: decoded (checksum
+    /// table and page table as the file's valid core describes them), or
+    /// fabricated for kicked disks; slots listed in `fresh_slots` get
+    /// their header, table copies and cores rewritten from scratch
+    /// (missing or unreadable files being re-initialized as blank rebuild
+    /// targets). Returns nullptr when a fresh slot cannot be initialized.
     static std::unique_ptr<store> attach(
         const store_config& cfg, std::vector<superblock> images,
-        std::size_t disk_capacity, std::uint64_t slot_bytes,
+        std::size_t disk_capacity, const member_layout& layout,
         const std::vector<std::uint32_t>& fresh_slots);
 
     [[nodiscard]] std::size_t slot_count() const noexcept {
-        return images_.size();
+        return slots_.size();
     }
     [[nodiscard]] std::uint64_t uuid() const noexcept { return uuid_; }
-    [[nodiscard]] std::uint64_t slot_bytes() const noexcept {
-        return slot_bytes_;
+    [[nodiscard]] const member_layout& layout() const noexcept {
+        return layout_;
     }
     [[nodiscard]] bool slot_ok(std::uint32_t slot) const noexcept {
         return backend_->ok(slot);
@@ -101,22 +121,31 @@ public:
     void exclude_meta_slot(std::uint32_t slot) noexcept {
         meta_mask_ &= ~(std::uint64_t{1} << slot);
     }
-    /// Reclaim a slot for this array: rewrite its file header and both
-    /// superblock slots from the current image and re-enable metadata
+    /// Reclaim a slot for this array: rewrite its file header, table
+    /// copies and cores from the current image and re-enable metadata
     /// updates for it.
     bool reinit_slot(std::uint32_t slot);
 
     /// The mutable in-memory superblock image for a slot. The array's
-    /// hooks edit images, then persist() the ones they touched.
+    /// hooks edit images, then persist() the ones they touched. Checksum
+    /// words change only through update_crcs(), which tracks the pages
+    /// persist() must write.
     [[nodiscard]] superblock& image(std::uint32_t slot) {
-        return images_[slot];
+        return slots_[slot].image;
     }
     [[nodiscard]] const superblock& image(std::uint32_t slot) const {
-        return images_[slot];
+        return slots_[slot].image;
     }
 
-    /// Bump the image's seq and shadow-write it to the alternate A/B slot
-    /// (fdatasync'd when sync_meta). False when the slot's file is gone.
+    /// Set checksum words [first, first + words.size()) of a slot's image,
+    /// marking dirty every table page whose words actually change.
+    void update_crcs(std::uint32_t slot, std::size_t first,
+                     std::span<const std::uint32_t> words);
+
+    /// Bump the image's seq, write its dirty table pages copy-on-write,
+    /// then its core to core slot `seq % 2` (one fdatasync when
+    /// sync_meta). False when the slot's file is gone or a write fails;
+    /// the image then still owes the same pages to the next persist.
     bool persist(std::uint32_t slot);
 
     // ---- data plane (offsets relative to the data area) ----------------
@@ -130,17 +159,30 @@ public:
     [[nodiscard]] const store_config& config() const noexcept { return cfg_; }
 
 private:
-    store(store_config cfg, std::vector<superblock> images,
-          std::uint64_t slot_bytes, std::size_t disk_capacity);
+    /// Everything persist() touches for one slot; nothing is shared
+    /// across slots.
+    struct slot_meta {
+        superblock image;
+        /// Page table of the last persisted core: the copies a persist
+        /// must not overwrite, and what a failed persist rolls back to.
+        std::vector<table_page_ref> persisted;
+        std::vector<std::uint64_t> dirty;  ///< one bit per table page
+        std::vector<std::byte> core_buf;   ///< presized core encoding
+        std::vector<std::byte> page_buf;   ///< one table page
+    };
 
-    /// Write the file header and both superblock slots of one file.
+    store(store_config cfg, std::vector<superblock> images,
+          const member_layout& layout, std::size_t disk_capacity);
+
+    /// Write the file header, both table copies and both cores of one
+    /// file from its image.
     bool init_slot_file(std::uint32_t slot);
 
     store_config cfg_;
-    std::uint64_t slot_bytes_;
+    member_layout layout_;
     std::uint64_t uuid_;
     std::uint64_t meta_mask_ = ~std::uint64_t{0};
-    std::vector<superblock> images_;
+    std::vector<slot_meta> slots_;
     std::unique_ptr<aio::file_backend> backend_;
 };
 

@@ -1,5 +1,8 @@
 #include "liberation/raid/persist/superblock.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 #include "liberation/integrity/crc32c.hpp"
 #include "liberation/util/assert.hpp"
 
@@ -10,20 +13,36 @@ namespace {
 // Explicit little-endian (de)serialization: byte-order independent and
 // free of alignment assumptions, so an image travels between hosts.
 
-void put_u8(std::vector<std::byte>& out, std::uint8_t v) {
-    out.push_back(static_cast<std::byte>(v));
-}
+/// Sequential writer over a presized buffer (the caller sized it with
+/// core_size(), so no bounds checks on the hot path).
+struct writer {
+    std::byte* p;
 
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-        out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
+    void u8(std::uint8_t v) { *p++ = static_cast<std::byte>(v); }
+    void u32(std::uint32_t v) {
+        for (int i = 0; i < 4; ++i) {
+            p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
+        }
+        p += 4;
     }
-}
+    void u64(std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
+        }
+        p += 8;
+    }
+    void zeros(std::size_t n) {
+        std::memset(p, 0, n);
+        p += n;
+    }
+};
 
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-        out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
+std::uint32_t load_u32(const std::byte* p) {
+    std::uint32_t v = 0;
+    for (std::size_t i = 0; i < 4; ++i) {
+        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
     }
+    return v;
 }
 
 /// Bounds-checked sequential reader; any overrun poisons the parse.
@@ -38,10 +57,7 @@ struct reader {
     }
     std::uint32_t u32() {
         if (pos + 4 > raw.size()) { ok = false; return 0; }
-        std::uint32_t v = 0;
-        for (std::size_t i = 0; i < 4; ++i) {
-            v |= static_cast<std::uint32_t>(raw[pos + i]) << (8 * i);
-        }
+        const std::uint32_t v = load_u32(raw.data() + pos);
         pos += 4;
         return v;
     }
@@ -70,68 +86,69 @@ constexpr std::uint32_t flag_clean = 1u << 0;
 // that a CRC-colliding garbage blob cannot drive pathological allocation.
 constexpr std::uint32_t max_slots = 64;
 constexpr std::uint32_t max_intent_capacity = 1u << 20;
-constexpr std::size_t max_crc_count = std::size_t{1} << 32;
+constexpr std::uint64_t max_core_bytes = std::uint64_t{64} << 20;
+constexpr std::uint64_t max_table_pages =
+    table_page_count(std::size_t{1} << 32);
 
 }  // namespace
 
-std::size_t encoded_size(std::uint32_t slots, std::uint32_t intent_capacity,
-                         std::size_t crc_count) noexcept {
+std::size_t core_size(std::uint32_t slots, std::uint32_t intent_capacity,
+                      std::size_t crc_count) noexcept {
     return fixed_fields_size +
            std::size_t{slots} * (1 + 8) +       // slot_states + watermarks
            std::size_t{intent_capacity} * 24 +  // stripe, columns, seq
-           crc_count * 4 +                      // checksum table
+           table_page_count(crc_count) * (1 + 4) +  // page copies + CRCs
            4;                                   // trailing CRC32C
 }
 
-std::vector<std::byte> encode(const superblock& sb) {
-    LIBERATION_EXPECTS(sb.slot_states.size() == sb.watermarks.size());
+void encode_core(const superblock& sb, std::span<std::byte> out) {
+    const auto slots = static_cast<std::uint32_t>(sb.slot_states.size());
+    const std::size_t size = core_size(slots, sb.intent_capacity,
+                                       sb.crcs.size());
+    LIBERATION_EXPECTS(sb.watermarks.size() == slots);
     LIBERATION_EXPECTS(sb.intents.size() <= sb.intent_capacity);
-    std::vector<std::byte> out;
-    out.reserve(encoded_size(static_cast<std::uint32_t>(sb.slot_states.size()),
-                             sb.intent_capacity, sb.crcs.size()));
+    LIBERATION_EXPECTS(sb.pages.size() == table_page_count(sb.crcs.size()));
+    LIBERATION_EXPECTS(out.size() >= size);
 
-    put_u64(out, superblock_magic);
-    put_u32(out, superblock_version);
-    put_u32(out, sb.clean ? flag_clean : 0);
-    put_u64(out, sb.seq);
-    put_u64(out, sb.array_uuid);
-    put_u64(out, sb.events);
-    put_u32(out, sb.slot);
-    put_u32(out, sb.disk_id);
-    put_u32(out, sb.k);
-    put_u32(out, sb.p);
-    put_u64(out, sb.element_size);
-    put_u64(out, sb.stripes);
-    put_u64(out, sb.sector_size);
-    put_u32(out, sb.layout);
-    put_u32(out, sb.spares_available);
-    put_u32(out, sb.next_disk_id);
-    put_u32(out, sb.intent_capacity);
-    put_u32(out, static_cast<std::uint32_t>(sb.slot_states.size()));
-    put_u32(out, static_cast<std::uint32_t>(sb.intents.size()));
-    put_u32(out, static_cast<std::uint32_t>(sb.crcs.size()));
+    writer w{out.data()};
+    w.u64(superblock_magic);
+    w.u32(superblock_version);
+    w.u32(sb.clean ? flag_clean : 0);
+    w.u64(sb.seq);
+    w.u64(sb.array_uuid);
+    w.u64(sb.events);
+    w.u32(sb.slot);
+    w.u32(sb.disk_id);
+    w.u32(sb.k);
+    w.u32(sb.p);
+    w.u64(sb.element_size);
+    w.u64(sb.stripes);
+    w.u64(sb.sector_size);
+    w.u32(sb.layout);
+    w.u32(sb.spares_available);
+    w.u32(sb.next_disk_id);
+    w.u32(sb.intent_capacity);
+    w.u32(slots);
+    w.u32(static_cast<std::uint32_t>(sb.intents.size()));
+    w.u32(static_cast<std::uint32_t>(sb.crcs.size()));
 
-    for (std::uint8_t st : sb.slot_states) put_u8(out, st);
-    for (std::uint64_t wm : sb.watermarks) put_u64(out, wm);
+    for (std::uint8_t st : sb.slot_states) w.u8(st);
+    for (std::uint64_t wm : sb.watermarks) w.u64(wm);
     for (const superblock::intent_entry& e : sb.intents) {
-        put_u64(out, e.stripe);
-        put_u64(out, e.columns);
-        put_u64(out, e.seq);
+        w.u64(e.stripe);
+        w.u64(e.columns);
+        w.u64(e.seq);
     }
     // Pad the unused intent slots so the encoded size — and with it the
     // on-disk slot framing — never depends on log occupancy.
-    for (std::size_t i = sb.intents.size(); i < sb.intent_capacity; ++i) {
-        put_u64(out, 0);
-        put_u64(out, 0);
-        put_u64(out, 0);
-    }
-    for (std::uint32_t crc : sb.crcs) put_u32(out, crc);
+    w.zeros((sb.intent_capacity - sb.intents.size()) * 24);
+    for (const table_page_ref& pg : sb.pages) w.u8(pg.copy);
+    for (const table_page_ref& pg : sb.pages) w.u32(pg.crc);
 
-    put_u32(out, integrity::crc32c(out.data(), out.size()));
-    return out;
+    w.u32(integrity::crc32c(out.data(), size - 4));
 }
 
-std::optional<superblock> decode(std::span<const std::byte> raw) {
+std::optional<superblock> decode_core(std::span<const std::byte> raw) {
     reader r{raw};
     if (r.u64() != superblock_magic) return std::nullopt;
     if (r.u32() != superblock_version) return std::nullopt;
@@ -158,22 +175,18 @@ std::optional<superblock> decode(std::span<const std::byte> raw) {
     const std::uint32_t crc_count = r.u32();
     if (!r.ok) return std::nullopt;
     if (slots > max_slots || sb.intent_capacity > max_intent_capacity ||
-        intent_count > sb.intent_capacity || crc_count > max_crc_count) {
+        intent_count > sb.intent_capacity) {
         return std::nullopt;
     }
-    const std::size_t want = encoded_size(slots, sb.intent_capacity, crc_count);
+    const std::size_t want = core_size(slots, sb.intent_capacity, crc_count);
     if (raw.size() < want) return std::nullopt;
 
     // Validate the trailing CRC over exactly the encoded extent before
     // trusting any table contents (the slot buffer may be larger).
-    const std::uint32_t stored = [&] {
-        std::uint32_t v = 0;
-        for (std::size_t i = 0; i < 4; ++i) {
-            v |= static_cast<std::uint32_t>(raw[want - 4 + i]) << (8 * i);
-        }
-        return v;
-    }();
-    if (integrity::crc32c(raw.data(), want - 4) != stored) return std::nullopt;
+    if (integrity::crc32c(raw.data(), want - 4) !=
+        load_u32(raw.data() + want - 4)) {
+        return std::nullopt;
+    }
 
     sb.slot_states.resize(slots);
     for (std::uint32_t i = 0; i < slots; ++i) sb.slot_states[i] = r.u8();
@@ -186,8 +199,9 @@ std::optional<superblock> decode(std::span<const std::byte> raw) {
         sb.intents[i].seq = r.u64();
     }
     r.pos += (sb.intent_capacity - intent_count) * 24;  // skip padding slots
-    sb.crcs.resize(crc_count);
-    for (std::uint32_t i = 0; i < crc_count; ++i) sb.crcs[i] = r.u32();
+    sb.pages.resize(table_page_count(crc_count));
+    for (table_page_ref& pg : sb.pages) pg.copy = r.u8();
+    for (table_page_ref& pg : sb.pages) pg.crc = r.u32();
     if (!r.ok) return std::nullopt;
 
     for (std::uint8_t st : sb.slot_states) {
@@ -196,21 +210,64 @@ std::optional<superblock> decode(std::span<const std::byte> raw) {
             return std::nullopt;
         }
     }
+    for (const table_page_ref& pg : sb.pages) {
+        if (pg.copy > 1) return std::nullopt;
+    }
+    sb.crcs.resize(crc_count);
     return sb;
 }
 
+std::uint32_t encode_page(std::span<const std::uint32_t> crcs,
+                          std::size_t page, std::span<std::byte> out) {
+    LIBERATION_EXPECTS(out.size() >= table_page_size);
+    const std::size_t first = page * table_page_words;
+    LIBERATION_EXPECTS(first < crcs.size());
+    const std::size_t words =
+        std::min(table_page_words, crcs.size() - first);
+    writer w{out.data()};
+    for (std::size_t i = 0; i < words; ++i) w.u32(crcs[first + i]);
+    w.zeros((table_page_words - words) * 4);
+    return integrity::crc32c(out.data(), table_page_size);
+}
+
+bool decode_page(std::span<const std::byte> raw, std::uint32_t expected_crc,
+                 std::size_t page, std::span<std::uint32_t> crcs) {
+    if (raw.size() < table_page_size) return false;
+    if (integrity::crc32c(raw.data(), table_page_size) != expected_crc) {
+        return false;
+    }
+    const std::size_t first = page * table_page_words;
+    if (first >= crcs.size()) return false;
+    const std::size_t words =
+        std::min(table_page_words, crcs.size() - first);
+    for (std::size_t i = 0; i < words; ++i) {
+        crcs[first + i] = load_u32(raw.data() + 4 * i);
+    }
+    return true;
+}
+
 std::vector<std::byte> encode_header(const file_header& h) {
-    std::vector<std::byte> out;
-    out.reserve(file_header_size);
-    put_u64(out, file_header_magic);
-    put_u32(out, superblock_version);
-    put_u64(out, h.array_uuid);
-    put_u32(out, h.slot);
-    put_u64(out, h.slot_bytes);
-    put_u64(out, h.data_offset);
-    put_u32(out, integrity::crc32c(out.data(), out.size()));
-    out.resize(file_header_size);  // zero-pad to the full header block
+    // Zero-padded to the full header block.
+    std::vector<std::byte> out(file_header_size);
+    writer w{out.data()};
+    w.u64(file_header_magic);
+    w.u32(superblock_version);
+    w.u64(h.array_uuid);
+    w.u32(h.slot);
+    w.u64(h.layout.core_bytes);
+    w.u64(h.layout.table_pages);
+    w.u64(h.layout.data_offset());
+    const auto payload = static_cast<std::size_t>(w.p - out.data());
+    w.u32(integrity::crc32c(out.data(), payload));
     return out;
+}
+
+std::optional<std::uint32_t> header_version(std::span<const std::byte> raw) {
+    reader r{raw};
+    if (r.u64() != file_header_magic) return std::nullopt;
+    const std::uint32_t version = r.u32();
+    if (!r.ok) return std::nullopt;
+    return version;
 }
 
 std::optional<file_header> decode_header(std::span<const std::byte> raw) {
@@ -220,14 +277,17 @@ std::optional<file_header> decode_header(std::span<const std::byte> raw) {
     file_header h;
     h.array_uuid = r.u64();
     h.slot = r.u32();
-    h.slot_bytes = r.u64();
-    h.data_offset = r.u64();
+    h.layout.core_bytes = r.u64();
+    h.layout.table_pages = r.u64();
+    const std::uint64_t data_offset = r.u64();
     const std::size_t payload = r.pos;
     const std::uint32_t stored = r.u32();
     if (!r.ok) return std::nullopt;
     if (integrity::crc32c(raw.data(), payload) != stored) return std::nullopt;
-    if (h.slot_bytes == 0 ||
-        h.data_offset < file_header_size + 2 * h.slot_bytes) {
+    if (h.layout.core_bytes == 0 || h.layout.core_bytes % 4096 != 0 ||
+        h.layout.core_bytes > max_core_bytes ||
+        h.layout.table_pages > max_table_pages ||
+        data_offset != h.layout.data_offset()) {
         return std::nullopt;
     }
     return h;

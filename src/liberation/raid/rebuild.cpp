@@ -1,7 +1,6 @@
 #include "liberation/raid/rebuild.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <vector>
 
@@ -14,8 +13,7 @@ namespace liberation::raid {
 
 rebuild_result rebuild_stripe_range(raid6_array& array,
                                     std::span<const std::uint32_t> replaced_disks,
-                                    std::size_t first, std::size_t last,
-                                    util::thread_pool* pool) {
+                                    std::size_t first, std::size_t last) {
     LIBERATION_EXPECTS(!replaced_disks.empty() && replaced_disks.size() <= 2);
     LIBERATION_EXPECTS(first <= last && last <= array.map().stripes());
     rebuild_result result;
@@ -27,18 +25,15 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
         &array.obs().metrics().get_histogram("raid_rebuild_window_ns"),
         "rebuild.window", "rebuild");
 
-    std::atomic<std::size_t> rebuilt{0};
-    std::atomic<std::size_t> columns{0};
-    std::atomic<std::uint64_t> bytes{0};
-    std::atomic<std::size_t> failed{0};
-    std::atomic<std::size_t> first_failed{rebuild_result::npos};
-
     const auto note_failure = [&](std::size_t s) {
-        failed.fetch_add(1, std::memory_order_relaxed);
-        std::size_t cur = first_failed.load(std::memory_order_relaxed);
-        while (s < cur && !first_failed.compare_exchange_weak(
-                              cur, s, std::memory_order_relaxed)) {
-        }
+        ++result.stripes_failed;
+        result.first_failed_stripe = std::min(result.first_failed_stripe, s);
+    };
+    const auto note_rebuilt = [&](std::size_t cols) {
+        ++result.stripes_rebuilt;
+        result.columns_rebuilt += cols;
+        result.bytes_written +=
+            static_cast<std::uint64_t>(cols) * array.map().strip_size();
     };
 
     // Which codeword columns live on the replaced disks in this stripe?
@@ -90,11 +85,7 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
             note_failure(s);
             return;
         }
-        rebuilt.fetch_add(1, std::memory_order_relaxed);
-        columns.fetch_add(erased.size(), std::memory_order_relaxed);
-        bytes.fetch_add(static_cast<std::uint64_t>(erased.size()) *
-                            array.map().strip_size(),
-                        std::memory_order_relaxed);
+        note_rebuilt(erased.size());
     };
 
     // Shared commit tail of the verified rebuild: reconstructed targets
@@ -133,11 +124,7 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
             note_failure(s);
             return;
         }
-        rebuilt.fetch_add(1, std::memory_order_relaxed);
-        columns.fetch_add(commit.size(), std::memory_order_relaxed);
-        bytes.fetch_add(
-            static_cast<std::uint64_t>(commit.size()) * array.map().strip_size(),
-            std::memory_order_relaxed);
+        note_rebuilt(commit.size());
     };
 
     // Verified rebuild: checksum-suspect survivors are demoted to
@@ -158,10 +145,7 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
         commit_recovered(s, buf.view(), rec);
     };
 
-    if (pool != nullptr) {
-        pool->parallel_for(last - first,
-                           [&](std::size_t i) { rebuild_stripe(first + i); });
-    } else if (array.io_queue_depth() > 1) {
+    if (array.io_queue_depth() > 1) {
         // Pipelined rebuild slice: batched multi-stripe reads through the
         // submission queue (one merged transfer per surviving disk per
         // window), long-lived slot buffers instead of a fresh
@@ -200,29 +184,22 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
         for (std::size_t s = first; s < last; ++s) rebuild_stripe(s);
     }
 
-    result.stripes_rebuilt = rebuilt.load();
-    result.columns_rebuilt = columns.load();
-    result.bytes_written = bytes.load();
-    result.stripes_failed = failed.load();
-    result.first_failed_stripe = first_failed.load();
     result.seconds = timer.seconds();
     result.success = result.stripes_failed == 0;
     return result;
 }
 
 rebuild_result rebuild_disks(raid6_array& array,
-                             std::span<const std::uint32_t> replaced_disks,
-                             util::thread_pool* pool) {
+                             std::span<const std::uint32_t> replaced_disks) {
     return rebuild_stripe_range(array, replaced_disks, 0,
-                                array.map().stripes(), pool);
+                                array.map().stripes());
 }
 
-rebuild_result fail_replace_rebuild(raid6_array& array, std::uint32_t disk,
-                                    util::thread_pool* pool) {
+rebuild_result fail_replace_rebuild(raid6_array& array, std::uint32_t disk) {
     array.fail_disk(disk);
     array.replace_disk(disk);
     const std::uint32_t disks[] = {disk};
-    return rebuild_disks(array, disks, pool);
+    return rebuild_disks(array, disks);
 }
 
 rebuild_result rebuild_single_disk_hybrid(raid6_array& array,

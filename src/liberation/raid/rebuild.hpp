@@ -1,5 +1,8 @@
 // Rebuild engine: reconstructs the contents of replaced disks stripe by
-// stripe (optionally in parallel), using the optimal Liberation decoder.
+// stripe, using the optimal Liberation decoder. At io_queue_depth > 1 the
+// surviving columns are window-prefetched through the array's aio
+// stripe_loader (with aio workers, if the array has them); at depth 1
+// each stripe is loaded synchronously.
 //
 // This is where decoding throughput (paper Figs. 12-13) translates into an
 // operational metric: rebuild time under one- and two-disk failures.
@@ -9,7 +12,6 @@
 #include <limits>
 
 #include "liberation/raid/array.hpp"
-#include "liberation/util/thread_pool.hpp"
 
 namespace liberation::raid {
 
@@ -35,24 +37,21 @@ struct rebuild_result {
 };
 
 /// Rebuild every stripe column residing on the given (already replaced)
-/// disks. `pool` may be null for single-threaded rebuild. Stripes with more
-/// than two unavailable columns are counted in `stripes_failed` (success =
-/// false) but the rest of the disk is still rebuilt.
+/// disks. Stripes with more than two unavailable columns are counted in
+/// `stripes_failed` (success = false) but the rest of the disk is still
+/// rebuilt.
 rebuild_result rebuild_disks(raid6_array& array,
-                             std::span<const std::uint32_t> replaced_disks,
-                             util::thread_pool* pool = nullptr);
+                             std::span<const std::uint32_t> replaced_disks);
 
 /// Rebuild only stripes [first, last) — the incremental unit behind the
 /// array's background hot-spare rebuild, which interleaves batches of
 /// stripes with foreground I/O (md's recovery window).
 rebuild_result rebuild_stripe_range(raid6_array& array,
                                     std::span<const std::uint32_t> replaced_disks,
-                                    std::size_t first, std::size_t last,
-                                    util::thread_pool* pool = nullptr);
+                                    std::size_t first, std::size_t last);
 
 /// Convenience: fail + replace + rebuild one disk.
-rebuild_result fail_replace_rebuild(raid6_array& array, std::uint32_t disk,
-                                    util::thread_pool* pool = nullptr);
+rebuild_result fail_replace_rebuild(raid6_array& array, std::uint32_t disk);
 
 /// I/O-optimal single-disk rebuild: reads only the elements named by the
 /// hybrid row/anti-diagonal plan (core/hybrid_rebuild.hpp) instead of the

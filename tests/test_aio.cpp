@@ -348,7 +348,7 @@ TEST(AioArray, PipelinedRebuildMatchesSynchronousRebuild) {
         a.fail_disk(2);
         a.replace_disk(2);
         const std::uint32_t disks[] = {2};
-        const rebuild_result res = rebuild_disks(a, disks, nullptr);
+        const rebuild_result res = rebuild_disks(a, disks);
         EXPECT_TRUE(res.success);
         EXPECT_EQ(res.stripes_rebuilt, a.map().stripes());
         std::vector<std::byte> out(a.capacity());
@@ -369,7 +369,7 @@ TEST(AioArray, PipelinedRebuildCoalescesReads) {
     a.fail_disk(1);
     a.replace_disk(1);
     const std::uint32_t disks[] = {1};
-    ASSERT_TRUE(rebuild_disks(a, disks, nullptr).success);
+    ASSERT_TRUE(rebuild_disks(a, disks).success);
     EXPECT_GT(a.stats().aio_merges, merges_before);
     EXPECT_GT(a.stats().aio_batches, 0u);
 }

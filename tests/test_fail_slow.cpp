@@ -437,7 +437,7 @@ TEST(HedgedRace, DegradedReadVsConcurrentSecondTrip) {
         a.replace_disk(3);
         targets.push_back(3);
     }
-    const rebuild_result res = rebuild_disks(a, targets, nullptr);
+    const rebuild_result res = rebuild_disks(a, targets);
     EXPECT_TRUE(res.success);
     std::vector<std::byte> out(a.capacity());
     ASSERT_TRUE(a.read(0, out));

@@ -1,12 +1,14 @@
 // Persistence layer: file-backed disks, versioned CRC-protected
-// superblocks with A/B shadow slots, mount/unmount, intent-log replay
-// across a process kill, and the crash-point matrix — a deliberately
-// damaged store must either heal (torn slot falls back to its shadow,
-// an unreadable member is kicked to a rebuild target) or degrade loudly
-// (refuse to assemble past the two-erasure budget), never silently
-// assemble corrupt state.
+// superblocks (A/B cores + copy-on-write checksum pages), mount/unmount,
+// intent-log replay across a process kill, and the crash-point matrix —
+// a deliberately damaged store must either heal (a torn core or page
+// falls back to the previous superblock, an unreadable member is kicked
+// to a rebuild target) or degrade loudly (refuse to assemble past the
+// two-erasure budget, or a file of another format version), never
+// silently assemble corrupt state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -14,10 +16,12 @@
 #include <vector>
 
 #include "liberation/aio/file_backend.hpp"
+#include "liberation/integrity/crc32c.hpp"
 #include "liberation/raid/intent_log.hpp"
 #include "liberation/raid/persist/mount.hpp"
 #include "liberation/raid/scrubber.hpp"
 #include "liberation/util/rng.hpp"
+#include "liberation/util/thread_pool.hpp"
 
 namespace {
 
@@ -76,9 +80,10 @@ std::vector<std::byte> slurp(const std::string& path) {
     return out;
 }
 
-mount_options options_for(const std::string& dir) {
+mount_options options_for(const std::string& dir, bool sync_meta = false) {
     mount_options mo;
     mo.store.dir = dir;
+    mo.store.sync_meta = sync_meta;
     mo.io_queue_depth = 1;
     return mo;
 }
@@ -108,33 +113,89 @@ superblock sample_superblock() {
 }
 
 // ---------------------------------------------------------------------
-// Superblock codec
+// Superblock codec: core + checksum-table pages
 // ---------------------------------------------------------------------
 
-TEST(Superblock, EncodeDecodeRoundtrip) {
-    const superblock sb = sample_superblock();
-    const std::vector<std::byte> blob = encode(sb);
-    EXPECT_EQ(blob.size(),
-              encoded_size(static_cast<std::uint32_t>(sb.slot_states.size()),
-                           sb.intent_capacity, sb.crcs.size()));
+/// The on-disk pieces of one superblock: its core and one copy of each
+/// table page (the page table records each page's CRC, copy A).
+struct encoded_superblock {
+    std::vector<std::byte> core;
+    std::vector<std::vector<std::byte>> pages;
+};
 
-    const auto back = decode(blob);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->seq, sb.seq);
-    EXPECT_EQ(back->array_uuid, sb.array_uuid);
-    EXPECT_EQ(back->events, sb.events);
-    EXPECT_EQ(back->clean, sb.clean);
-    EXPECT_EQ(back->slot, sb.slot);
-    EXPECT_EQ(back->disk_id, sb.disk_id);
-    EXPECT_TRUE(back->geometry_matches(sb));
-    EXPECT_EQ(back->slot_states, sb.slot_states);
-    EXPECT_EQ(back->watermarks, sb.watermarks);
-    EXPECT_EQ(back->crcs, sb.crcs);
-    ASSERT_EQ(back->intents.size(), sb.intents.size());
-    for (std::size_t i = 0; i < sb.intents.size(); ++i) {
-        EXPECT_EQ(back->intents[i].stripe, sb.intents[i].stripe);
-        EXPECT_EQ(back->intents[i].columns, sb.intents[i].columns);
-        EXPECT_EQ(back->intents[i].seq, sb.intents[i].seq);
+encoded_superblock encode_all(superblock& sb) {
+    encoded_superblock out;
+    sb.pages.assign(table_page_count(sb.crcs.size()), {});
+    for (std::size_t pg = 0; pg < sb.pages.size(); ++pg) {
+        out.pages.emplace_back(table_page_size);
+        sb.pages[pg].crc = encode_page(sb.crcs, pg, out.pages.back());
+    }
+    out.core.resize(core_size(static_cast<std::uint32_t>(sb.slot_states.size()),
+                              sb.intent_capacity, sb.crcs.size()));
+    encode_core(sb, out.core);
+    return out;
+}
+
+/// decode_core + decode_page of every referenced page; nullopt when any
+/// piece fails validation (as a mount would reject the superblock).
+std::optional<superblock> decode_all(const encoded_superblock& e) {
+    std::optional<superblock> sb = decode_core(e.core);
+    if (!sb || sb->pages.size() != e.pages.size()) return std::nullopt;
+    for (std::size_t pg = 0; pg < e.pages.size(); ++pg) {
+        if (!decode_page(e.pages[pg], sb->pages[pg].crc, pg, sb->crcs)) {
+            return std::nullopt;
+        }
+    }
+    return sb;
+}
+
+TEST(Superblock, EncodeDecodeRoundtrip) {
+    // The sample's 8-word table (one partial page), and 2500 words: two
+    // full pages and a 452-word tail, zero-padded on disk.
+    std::vector<std::uint32_t> big(2500);
+    util::xoshiro256 rng(11);
+    for (std::uint32_t& w : big) w = static_cast<std::uint32_t>(rng());
+    for (const std::vector<std::uint32_t>& table :
+         {sample_superblock().crcs, big}) {
+        SCOPED_TRACE(table.size());
+        superblock sb = sample_superblock();
+        sb.crcs = table;
+        const encoded_superblock e = encode_all(sb);
+        EXPECT_EQ(e.core.size(),
+                  core_size(static_cast<std::uint32_t>(sb.slot_states.size()),
+                            sb.intent_capacity, sb.crcs.size()));
+        ASSERT_EQ(e.pages.size(), table_page_count(table.size()));
+        const std::vector<std::byte>& last = e.pages.back();
+        const std::size_t tail_words = table.size() % table_page_words;
+        EXPECT_TRUE(std::all_of(last.begin() + tail_words * 4, last.end(),
+                                [](std::byte b) { return b == std::byte{0}; }));
+
+        // The checksum table travels through the pages, not the core.
+        const auto core_only = decode_core(e.core);
+        ASSERT_TRUE(core_only.has_value());
+        EXPECT_EQ(core_only->crcs,
+                  std::vector<std::uint32_t>(sb.crcs.size(), 0));
+        EXPECT_EQ(core_only->pages, sb.pages);
+
+        const auto back = decode_all(e);
+        ASSERT_TRUE(back.has_value());
+        EXPECT_EQ(back->seq, sb.seq);
+        EXPECT_EQ(back->array_uuid, sb.array_uuid);
+        EXPECT_EQ(back->events, sb.events);
+        EXPECT_EQ(back->clean, sb.clean);
+        EXPECT_EQ(back->slot, sb.slot);
+        EXPECT_EQ(back->disk_id, sb.disk_id);
+        EXPECT_TRUE(back->geometry_matches(sb));
+        EXPECT_EQ(back->slot_states, sb.slot_states);
+        EXPECT_EQ(back->watermarks, sb.watermarks);
+        EXPECT_EQ(back->crcs, sb.crcs);
+        EXPECT_EQ(back->pages, sb.pages);
+        ASSERT_EQ(back->intents.size(), sb.intents.size());
+        for (std::size_t i = 0; i < sb.intents.size(); ++i) {
+            EXPECT_EQ(back->intents[i].stripe, sb.intents[i].stripe);
+            EXPECT_EQ(back->intents[i].columns, sb.intents[i].columns);
+            EXPECT_EQ(back->intents[i].seq, sb.intents[i].seq);
+        }
     }
 }
 
@@ -143,40 +204,55 @@ TEST(Superblock, EncodedSizeIndependentOfIntentOccupancy) {
     // log must not change the encoded extent (unused slots are padding).
     superblock sb = sample_superblock();
     sb.intents.clear();
-    const std::size_t empty = encode(sb).size();
+    const std::size_t empty = encode_all(sb).core.size();
     sb.intents = {{1, 1, 1}, {2, 2, 2}, {3, 3, 3}};
-    EXPECT_EQ(encode(sb).size(), empty);
+    const encoded_superblock full = encode_all(sb);
+    EXPECT_EQ(full.core.size(), empty);
+    const auto back = decode_all(full);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->intents.size(), 3u);
 }
 
 TEST(Superblock, TornSlotFailsItsCrc) {
-    const superblock sb = sample_superblock();
-    std::vector<std::byte> blob = encode(sb);
-    ASSERT_TRUE(decode(blob).has_value());
+    superblock sb = sample_superblock();
+    const encoded_superblock e = encode_all(sb);
+    ASSERT_TRUE(decode_all(e).has_value());
     for (const std::size_t at :
-         {std::size_t{0}, blob.size() / 2, blob.size() - 1}) {
-        std::vector<std::byte> torn = blob;
-        torn[at] ^= std::byte{0x01};
-        EXPECT_FALSE(decode(torn).has_value()) << "flip at " << at;
+         {std::size_t{0}, e.core.size() / 2, e.core.size() - 1}) {
+        encoded_superblock torn = e;
+        torn.core[at] ^= std::byte{0x01};
+        EXPECT_FALSE(decode_core(torn.core).has_value()) << "flip at " << at;
     }
     // Truncation is torn too.
-    std::vector<std::byte> shorter(blob.begin(), blob.end() - 1);
-    EXPECT_FALSE(decode(shorter).has_value());
+    std::vector<std::byte> shorter(e.core.begin(), e.core.end() - 1);
+    EXPECT_FALSE(decode_core(shorter).has_value());
+    // A torn page fails the CRC its core recorded: the core is intact,
+    // the superblock as a whole is not.
+    for (const std::size_t at : {std::size_t{0}, table_page_size - 1}) {
+        encoded_superblock torn = e;
+        torn.pages[0][at] ^= std::byte{0x01};
+        EXPECT_TRUE(decode_core(torn.core).has_value());
+        EXPECT_FALSE(decode_all(torn).has_value()) << "page flip at " << at;
+    }
 }
 
 TEST(Superblock, FileHeaderRoundtripAndTearDetection) {
     file_header h;
     h.array_uuid = 0x1234;
     h.slot = 3;
-    h.slot_bytes = 4096;
-    h.data_offset = file_header_size + 2 * 4096;
+    h.layout.core_bytes = 4096;
+    h.layout.table_pages = 7;
     std::vector<std::byte> blob = encode_header(h);
     EXPECT_EQ(blob.size(), file_header_size);
+    EXPECT_EQ(header_version(blob), superblock_version);
     const auto back = decode_header(blob);
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(back->array_uuid, h.array_uuid);
     EXPECT_EQ(back->slot, h.slot);
-    EXPECT_EQ(back->slot_bytes, h.slot_bytes);
-    EXPECT_EQ(back->data_offset, h.data_offset);
+    EXPECT_EQ(back->layout.core_bytes, h.layout.core_bytes);
+    EXPECT_EQ(back->layout.table_pages, h.layout.table_pages);
+    EXPECT_EQ(back->layout.data_offset(),
+              file_header_size + 2 * 4096 + 2 * 7 * table_page_size);
     blob[9] ^= std::byte{0x80};
     EXPECT_FALSE(decode_header(blob).has_value());
 }
@@ -368,6 +444,37 @@ TEST(Persistence, UncleanCrashReplaysIntentLog) {
     EXPECT_TRUE(m.array->unmount());
 }
 
+TEST(Persistence, WorkerPoolPipelinedWritesPersistEveryChecksum) {
+    // With aio workers, the disks' checksum persists run on worker
+    // threads, several slots at once, while the window's group-committed
+    // intent persists stay on the host thread before and after it.
+    const std::string dir = fresh_dir("workers");
+    util::thread_pool pool(2);
+    array_config cfg = small_config();
+    cfg.io_queue_depth = 8;
+    cfg.io_workers = &pool;
+    store_config scfg;
+    scfg.dir = dir;
+    auto a = create_array(cfg, scfg, 0xFEED);
+    ASSERT_NE(a, nullptr);
+    const std::vector<std::byte> data = pattern_bytes(a->capacity(), 31);
+    ASSERT_TRUE(a->write(0, data));
+    a.reset();  // kill: only the per-write persists reached the files
+
+    mount_options mo = options_for(dir);
+    mo.io_queue_depth = 8;
+    mo.io_workers = &pool;
+    mounted_array m = mount_array(mo);
+    ASSERT_TRUE(m.report.ok) << m.report.error;
+    EXPECT_EQ(m.report.torn_superblock_slots, 0u);
+    EXPECT_EQ(m.report.intent_entries, 0u);
+    std::vector<std::byte> back(m.array->capacity());
+    ASSERT_TRUE(m.array->read(0, back));
+    EXPECT_EQ(back, data);
+    EXPECT_EQ(m.array->stats().checksum_mismatches, 0u);
+    EXPECT_TRUE(m.array->unmount());
+}
+
 TEST(Persistence, RestoredJournalPreservesReplayOrder) {
     const std::string dir = fresh_dir("replay-order");
     array_config cfg = small_config();
@@ -414,21 +521,44 @@ TEST(Persistence, RestoredJournalPreservesReplayOrder) {
 
 class CrashPointMatrix : public ::testing::Test {
 protected:
-    void make_store(const std::string& dir) {
+    /// Create a store holding data_ and keep the array live in `live_`
+    /// (destroying it without unmount is a process kill).
+    void open_live(const std::string& dir, bool sync_meta = false,
+                   const array_config& cfg = small_config()) {
         dir_ = dir;
-        array_config cfg = small_config();
         store_config scfg;
         scfg.dir = dir_;
-        auto a = create_array(cfg, scfg, 0xFEED);
-        ASSERT_NE(a, nullptr);
-        data_ = pattern_bytes(a->capacity(), 6);
-        ASSERT_TRUE(a->write(0, data_));
-        ASSERT_TRUE(a->unmount());
+        scfg.sync_meta = sync_meta;
+        live_ = create_array(cfg, scfg, 0xFEED);
+        ASSERT_NE(live_, nullptr);
+        data_ = pattern_bytes(live_->capacity(), 6);
+        ASSERT_TRUE(live_->write(0, data_));
+        layout_ = live_->persistence()->layout();
+        slot_bytes_ = layout_.core_bytes;
+        data_offset_ = layout_.data_offset();
+    }
+
+    void make_store(const std::string& dir, bool sync_meta = false) {
+        open_live(dir, sync_meta);
+        ASSERT_TRUE(live_->unmount());
+        live_.reset();
         const auto probes = probe_dir(dir_);
         ASSERT_EQ(probes.size(), 6u);
         ASSERT_TRUE(probes[0].header_ok);
-        slot_bytes_ = probes[0].header.slot_bytes;
-        data_offset_ = probes[0].header.data_offset;
+        EXPECT_EQ(probes[0].header.layout.data_offset(), data_offset_);
+    }
+
+    /// Mount, read everything back through the verified read path, and
+    /// unmount: no byte differs and no read needed its checksum repaired.
+    void expect_verified_remount(bool sync_meta, std::uint32_t torn_slots) {
+        mounted_array m = mount_array(options_for(dir_, sync_meta));
+        ASSERT_TRUE(m.report.ok) << m.report.error;
+        EXPECT_EQ(m.report.torn_superblock_slots, torn_slots);
+        EXPECT_EQ(m.report.unreadable, 0u);
+        EXPECT_EQ(m.report.disks_online, 6u);
+        expect_data_intact(*m.array);
+        EXPECT_EQ(m.array->stats().checksum_mismatches, 0u);
+        EXPECT_TRUE(m.array->unmount());
     }
 
     void expect_data_intact(raid6_array& a) {
@@ -443,6 +573,8 @@ protected:
 
     std::string dir_;
     std::vector<std::byte> data_;
+    std::unique_ptr<raid6_array> live_;
+    member_layout layout_;
     std::uint64_t slot_bytes_ = 0;
     std::uint64_t data_offset_ = 0;
 };
@@ -534,6 +666,171 @@ TEST_F(CrashPointMatrix, MidStripeTornDataIsDetectedAndHealed) {
     EXPECT_EQ(s.uncorrectable, 0u);
     expect_data_intact(*m.array);
     EXPECT_TRUE(m.array->unmount());
+}
+
+// ---- copy-on-write checksum pages ------------------------------------
+
+TEST_F(CrashPointMatrix, TornPageOfNewestCoreFallsBackToPreviousCore) {
+    for (const bool sync : {false, true}) {
+        SCOPED_TRACE(sync ? "sync_meta" : "no sync_meta");
+        open_live(fresh_dir(sync ? "torn-page-sync" : "torn-page"), sync);
+        store* st = live_->persistence();
+        // One persist that rewrites a table page of disk 1: the newest
+        // core references the fresh copy, the previous core the old copy.
+        // The fresh copy carries a wrong word, so a mount that used it
+        // would fail verification on the block it covers.
+        const std::uint32_t bogus = ~st->image(1).crcs[3];
+        st->update_crcs(1, 3, {&bogus, 1});
+        ASSERT_TRUE(st->persist(1));
+        const table_page_ref fresh = st->image(1).pages[0];
+        live_.reset();  // kill before anything else lands
+
+        // The page write tore; the core that names it landed.
+        flip_bytes(disk(1), layout_.page_offset(fresh.copy, 0) + 12, 16);
+        expect_verified_remount(sync, 1);
+    }
+}
+
+TEST_F(CrashPointMatrix, PageOfBothCoresTornKicksDiskToRebuild) {
+    for (const bool sync : {false, true}) {
+        SCOPED_TRACE(sync ? "sync_meta" : "no sync_meta");
+        make_store(fresh_dir(sync ? "torn-shared-page-sync"
+                                  : "torn-shared-page"),
+                   sync);
+        // The clean-unmount persists rewrote no page, so both cores
+        // reference the same copy: tearing it invalidates both.
+        const auto probes = probe_dir(dir_);
+        ASSERT_TRUE(probes[2].sb.has_value());
+        const table_page_ref ref = probes[2].sb->pages[0];
+        flip_bytes(disk(2), layout_.page_offset(ref.copy, 0) + 40, 8);
+
+        mounted_array m = mount_array(options_for(dir_, sync));
+        ASSERT_TRUE(m.report.ok) << m.report.error;
+        EXPECT_EQ(m.report.torn_superblock_slots, 2u);
+        EXPECT_EQ(m.report.unreadable, 1u);
+        EXPECT_EQ(m.array->stats().stale_disks_kicked, 1u);
+        m.array->drain_background_rebuild();
+        expect_data_intact(*m.array);
+        EXPECT_TRUE(m.array->unmount());
+        expect_verified_remount(sync, 0);
+    }
+}
+
+TEST_F(CrashPointMatrix, PersistWithoutChecksumChangeWritesOnlyTheCore) {
+    for (const bool sync : {false, true}) {
+        SCOPED_TRACE(sync ? "sync_meta" : "no sync_meta");
+        open_live(fresh_dir(sync ? "core-only-sync" : "core-only"), sync);
+        store* st = live_->persistence();
+        const std::vector<std::byte> before = slurp(disk(4));
+        // Re-installing the words already there changes nothing.
+        const std::vector<std::uint32_t> same = st->image(4).crcs;
+        st->update_crcs(4, 0, same);
+        ASSERT_TRUE(st->persist(4));
+        const std::vector<std::byte> after = slurp(disk(4));
+        ASSERT_EQ(before.size(), after.size());
+
+        const std::uint64_t core = layout_.core_offset(st->image(4).seq % 2);
+        std::size_t changed = 0;
+        for (std::size_t i = 0; i < before.size(); ++i) {
+            if (before[i] == after[i]) continue;
+            ++changed;
+            EXPECT_TRUE(i >= core && i < core + layout_.core_bytes)
+                << "byte " << i << " outside core slot at " << core;
+        }
+        EXPECT_GT(changed, 0u);  // the core itself (seq) did change
+        live_.reset();
+        expect_verified_remount(sync, 0);
+    }
+}
+
+TEST_F(CrashPointMatrix, SmallWriteChangesOneTablePagePerWrittenDisk) {
+    // 1000 stripes of 5 x 512 B elements: 5000 checksum words, five
+    // table pages per disk, the last one partial (904 words) — the
+    // remount below round-trips it through the files.
+    array_config cfg = small_config();
+    cfg.stripes = 1000;
+    for (const bool sync : {false, true}) {
+        SCOPED_TRACE(sync ? "sync_meta" : "no sync_meta");
+        open_live(fresh_dir(sync ? "one-page-sync" : "one-page"), sync, cfg);
+        ASSERT_EQ(layout_.table_pages, 5u);
+        const std::uint32_t n = live_->map().n();
+        std::vector<std::vector<std::byte>> before;
+        for (std::uint32_t d = 0; d < n; ++d) before.push_back(slurp(disk(d)));
+
+        // 4 KiB at the start of stripe 300: its strips (blocks 1500..1504
+        // of every disk) sit inside table page 1.
+        const std::vector<std::byte> update = pattern_bytes(4096, 77);
+        const std::size_t addr = 300 * live_->map().stripe_data_size();
+        ASSERT_TRUE(live_->write(addr, update));
+        std::copy(update.begin(), update.end(),
+                  data_.begin() + static_cast<std::ptrdiff_t>(addr));
+
+        std::uint32_t disks_written = 0;
+        for (std::uint32_t d = 0; d < n; ++d) {
+            const std::vector<std::byte> after = slurp(disk(d));
+            ASSERT_EQ(after.size(), before[d].size());
+            const bool data_changed = !std::equal(
+                after.begin() + static_cast<std::ptrdiff_t>(data_offset_),
+                after.end(),
+                before[d].begin() + static_cast<std::ptrdiff_t>(data_offset_));
+            std::uint32_t pages_changed = 0;
+            for (std::uint64_t pg = 0; pg < layout_.table_pages; ++pg) {
+                bool changed = false;
+                for (std::uint8_t copy = 0; copy < 2; ++copy) {
+                    const auto off = static_cast<std::ptrdiff_t>(
+                        layout_.page_offset(copy, pg));
+                    changed |= !std::equal(
+                        after.begin() + off,
+                        after.begin() + off + table_page_size,
+                        before[d].begin() + off);
+                }
+                pages_changed += changed ? 1 : 0;
+            }
+            EXPECT_EQ(pages_changed, data_changed ? 1u : 0u) << "disk " << d;
+            disks_written += data_changed ? 1 : 0;
+        }
+        EXPECT_GE(disks_written, 3u);  // data plus both parities
+        live_.reset();
+        expect_verified_remount(sync, 0);
+    }
+}
+
+TEST_F(CrashPointMatrix, OtherFormatVersionIsRefusedByName) {
+    make_store(fresh_dir("v1-files"));
+    // Rewrite every header in the v1 framing: magic, version 1, UUID,
+    // slot, slot size, data offset, CRC32C.
+    for (std::uint32_t d = 0; d < 6; ++d) {
+        std::vector<std::byte> hdr(file_header_size);
+        std::size_t at = 0;
+        const auto put = [&](std::uint64_t v, int bytes) {
+            for (int i = 0; i < bytes; ++i) {
+                hdr[at++] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
+            }
+        };
+        put(file_header_magic, 8);
+        put(1, 4);
+        put(0xFEED, 8);
+        put(d, 4);
+        put(32768, 8);
+        put(file_header_size + 2 * 32768, 8);
+        put(integrity::crc32c(hdr.data(), at), 4);
+        std::FILE* f = std::fopen(disk(d).c_str(), "r+b");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(std::fwrite(hdr.data(), 1, hdr.size(), f), hdr.size());
+        std::fclose(f);
+    }
+    const std::vector<std::byte> file_before = slurp(disk(0));
+    mounted_array m = mount_array(options_for(dir_));
+    EXPECT_FALSE(m.report.ok);
+    EXPECT_EQ(m.array, nullptr);
+    EXPECT_NE(m.report.error.find("on-disk format version 1"),
+              std::string::npos)
+        << m.report.error;
+    EXPECT_NE(m.report.error.find("this build reads version 2"),
+              std::string::npos)
+        << m.report.error;
+    EXPECT_EQ(m.report.unreadable, 0u);  // nothing kicked or re-initialized
+    EXPECT_EQ(slurp(disk(0)), file_before);
 }
 
 // ---------------------------------------------------------------------
