@@ -1,10 +1,12 @@
 // Async I/O pipeline bench: full-stripe write and rebuild throughput of
-// the RAID-6 simulator at increasing submission-queue depth. qd=1 is the
-// synchronous baseline (one request at a time, per-stripe buffers); the
-// pipelined paths batch all k+2 column I/Os per stripe, reuse long-lived
-// window buffers, coalesce adjacent reads per disk, and skip reads of
-// rebuild-target columns. Results are byte-identical across depths — the
-// speedup column is the operational win of the submission-queue engine.
+// the RAID-6 simulator at increasing submission-queue depth. Every depth
+// runs the same stripe engines (aio stripe_writer / stripe_loader); the
+// depth is their window. qd=1 is a window of one stripe: each request
+// executes as it is submitted and no reads coalesce. Deeper windows
+// batch all k+2 column I/Os of several stripes and coalesce adjacent
+// reads per disk. Every depth reuses long-lived window buffers and skips
+// reads of rebuild-target columns. Results are byte-identical across
+// depths — the speedup column is what the window buys.
 //
 // Each section runs the geometry its path is sensitive to: full-stripe
 // writes are bandwidth-bound, so large elements expose the zero-copy and

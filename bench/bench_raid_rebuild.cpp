@@ -42,9 +42,9 @@ int main() {
         raid6_array a(config(k));
         fill(a);
 
-        // Single-disk rebuild (serial).
+        // Single-disk rebuild.
         auto r1 = fail_replace_rebuild(a, 1);
-        // Double-disk rebuild (serial).
+        // Double-disk rebuild.
         a.fail_disk(0);
         a.fail_disk(2);
         a.replace_disk(0);

@@ -71,16 +71,16 @@ struct io_cqe {
 /// Tuning knobs of a queue_pair.
 struct aio_config {
     /// Per-disk in-flight window: submissions beyond this many pending
-    /// requests on one disk force a flush. 1 degenerates to synchronous
-    /// one-request-at-a-time execution.
+    /// requests on one disk force a flush. 1 executes each request as it
+    /// is submitted. Adjacent read requests on one disk (contiguous both
+    /// on the medium and in memory) are always coalesced into a single
+    /// transfer. Writes are never coalesced: failure simulation (the
+    /// power-loss write budget) counts individual disk writes, and merging
+    /// would change its granularity.
     std::size_t queue_depth = 8;
-    /// Coalesce adjacent read requests on one disk (contiguous both on
-    /// the medium and in memory) into a single transfer. Writes are never
-    /// coalesced: failure simulation (the power-loss write budget) counts
-    /// individual disk writes, and merging would change its granularity.
-    bool merge_adjacent = true;
     /// Optional worker pool: batches of different disks execute
-    /// concurrently (per-disk order is always preserved). Null = inline
+    /// concurrently, while one disk's flushes run one after another in
+    /// submission order, never overlapping. Null = inline
     /// execution on the submitting thread in exact submission order.
     /// NOTE: concurrent execution makes *cross-disk* write order
     /// nondeterministic, so seeded power-loss simulation and chaos replay

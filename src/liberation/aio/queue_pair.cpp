@@ -15,6 +15,7 @@ queue_pair::queue_pair(io_backend& backend, std::uint32_t disks,
     pending_.reserve(disks);
     for (std::uint32_t d = 0; d < disks; ++d)
         pending_.emplace_back(cfg_.queue_depth);
+    disk_busy_.assign(disks, 0);
     if (cfg_.obs != nullptr) {
         auto& m = cfg_.obs->metrics();
         hist_queue_wait_ = &m.get_histogram(
@@ -81,7 +82,7 @@ void queue_pair::build_batches(std::uint32_t disk,
         const std::size_t idx = frags.size();
         frags.push_back(window.pop());
         const fragment& f = frags.back();
-        if (cfg_.merge_adjacent && !batches.empty()) {
+        if (!batches.empty()) {
             // Coalesce only when the new request continues the previous
             // transfer both on the medium and in memory — then one backend
             // call moves the whole extent and per-request accounting can
@@ -186,15 +187,20 @@ bool queue_pair::execute_one(const batch& b, fragment* frags) {
 
 void queue_pair::run_batches_on_workers(std::uint32_t disk) {
     // One task per flush keeps the disk's batches strictly ordered; tasks
-    // for different disks run concurrently on the pool.
+    // for different disks run concurrently on the pool. A disk's next
+    // flush waits for its previous one to finish: two tasks of one disk
+    // could otherwise run at once and out of order, and a backend may
+    // assume one writer per disk (persist::store does).
     auto frags = std::make_shared<std::vector<fragment>>();
     auto batches = std::make_shared<std::vector<batch>>();
     build_batches(disk, *frags, *batches);
     {
-        std::lock_guard lock(done_mutex_);
+        std::unique_lock lock(done_mutex_);
+        done_cv_.wait(lock, [this, disk] { return disk_busy_[disk] == 0; });
+        disk_busy_[disk] = 1;
         ++workers_outstanding_;
     }
-    cfg_.workers->submit([this, frags, batches]() {
+    cfg_.workers->submit([this, disk, frags, batches]() {
         // Counters are atomic, so workers account directly — no
         // drain-time delta folding needed.
         for (const batch& b : *batches) {
@@ -205,6 +211,7 @@ void queue_pair::run_batches_on_workers(std::uint32_t disk) {
         }
         std::lock_guard lock(done_mutex_);
         done_.insert(done_.end(), frags->begin(), frags->end());
+        disk_busy_[disk] = 0;
         --workers_outstanding_;
         done_cv_.notify_all();
     });

@@ -7,7 +7,8 @@
 //                                 adjacent ones merged into larger
 //                                 transfers, and executed through the
 //                                 io_backend (inline in submission order,
-//                                 or per-disk batches on a worker pool)
+//                                 or per-disk batches on a worker pool,
+//                                 one flush per disk at a time)
 //   [completion stages]        — decorators run over each *original*
 //                                 request's result on the draining thread
 //                                 (e.g. checksum verification)
@@ -166,6 +167,8 @@ private:
     std::mutex done_mutex_;
     std::condition_variable done_cv_;
     std::size_t workers_outstanding_ = 0;
+    /// Per disk: 1 while a worker executes one of its flushes.
+    std::vector<std::uint8_t> disk_busy_;
 };
 
 }  // namespace liberation::aio

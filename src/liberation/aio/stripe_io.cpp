@@ -1,7 +1,6 @@
 #include "liberation/aio/stripe_io.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "liberation/util/assert.hpp"
 #include "liberation/xorops/xorops.hpp"
@@ -99,13 +98,12 @@ stripe_writer::stripe_writer(queue_pair& qp, const raid::stripe_map& map,
       window_(std::max<std::size_t>(1, qp.config().queue_depth)),
       zero_copy_(map.element_size() % util::aligned_buffer::alignment == 0),
       crc_block_(crc_block),
-      strip_blocks_(crc_block == 0 ? 0 : map.strip_size() / crc_block),
+      strip_blocks_(map.strip_size() / crc_block),
       parity_stage_(window_ * 2 * map.strip_size()),
       data_stage_(zero_copy_ ? 0 : window_ * map.k() * map.strip_size()),
       ptrs_(window_ * map.n()),
       crcs_(window_ * map.n() * strip_blocks_) {
-    LIBERATION_EXPECTS(crc_block == 0 ||
-                       map.strip_size() % crc_block == 0);
+    LIBERATION_EXPECTS(crc_block != 0 && map.strip_size() % crc_block == 0);
 }
 
 std::span<std::byte* const> stripe_writer::stage(std::size_t slot,
@@ -120,23 +118,17 @@ std::span<std::byte* const> stripe_writer::stage(std::size_t slot,
             // The backend only reads write payloads; the host span stays
             // logically const.
             cols[c] = const_cast<std::byte*>(src);
-            if (crc_block_ != 0) {
-                // Zero-copy leaves no staging traversal to fuse into; the
-                // checksum sweep here is the column's single extra pass
-                // (the integrity layer then installs, never re-reads).
-                xorops::crc32c_blocks(src, strip, crc_block_,
-                                      column_crcs(slot, c));
-            }
+            // Zero-copy leaves no staging traversal to fuse into; the
+            // checksum sweep here is the column's single extra pass (the
+            // integrity layer then installs, never re-reads).
+            xorops::crc32c_blocks(src, strip, crc_block_,
+                                  column_crcs(slot, c));
         } else {
             std::byte* dst =
                 data_stage_.data() + (slot * k + c) * strip;
-            if (crc_block_ != 0) {
-                // Fused: the checksum rides the staging copy.
-                xorops::copy_crc32c_blocks(dst, src, strip, crc_block_,
-                                           column_crcs(slot, c));
-            } else {
-                std::memcpy(dst, src, strip);
-            }
+            // Fused: the checksum rides the staging copy.
+            xorops::copy_crc32c_blocks(dst, src, strip, crc_block_,
+                                       column_crcs(slot, c));
             cols[c] = dst;
         }
     }

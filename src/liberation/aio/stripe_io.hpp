@@ -15,9 +15,13 @@
 //   * stripe_writer — pipelines full-stripe writes. Data columns are
 //     submitted zero-copy straight from the host's buffer (when the
 //     element size allows full-vector tail loads; otherwise they are
-//     staged into reused slots), parity is encoded into writer-owned
-//     staging slots *after* the data submissions are already in flight,
-//     and follows them into the same drain window.
+//     staged into reused slots), with their checksum words computed in
+//     the same pass; parity is encoded into writer-owned staging slots
+//     *after* the data submissions are already in flight, and follows
+//     them into the same drain window.
+//
+// Both windows are the queue_pair's queue depth; depth 1 is a window of
+// one stripe, run through the same code.
 //
 // Neither engine interprets I/O results: per-column statuses are handed
 // back to the caller, which owns classification (the array's
@@ -90,16 +94,16 @@ private:
 /// Journaling, write-failure policy, and stats stay with the caller.
 class stripe_writer {
 public:
-    /// `crc_block` != 0 enables fused checksum staging: stage() computes
-    /// each data column's per-block CRC32C inside the staging copy (or in
-    /// one sweep of the host bytes in zero-copy mode), submit_columns()
-    /// attaches the words to every write via io_desc::crcs, and the
-    /// caller encodes parity with its fused encode_crc into
-    /// column_crcs(slot, k)/column_crcs(slot, k+1) — so the integrity
-    /// layer installs precomputed words instead of re-reading every
-    /// strip on completion. Must divide the element size.
+    /// Checksums are staged with the data, one CRC32C per `crc_block`
+    /// bytes (>= 1, must divide the strip size): stage() computes each
+    /// data column's words inside the staging copy (or in one sweep of
+    /// the host bytes in zero-copy mode), submit_columns() attaches the
+    /// words to every write via io_desc::crcs, and the caller encodes
+    /// parity with its fused encode_crc into column_crcs(slot, k) /
+    /// column_crcs(slot, k+1) — so the integrity layer installs
+    /// precomputed words instead of re-reading every strip on completion.
     stripe_writer(queue_pair& qp, const raid::stripe_map& map,
-                  std::size_t crc_block = 0);
+                  std::size_t crc_block);
 
     /// Stripes per drain window (the queue_pair's queue depth).
     [[nodiscard]] std::size_t window() const noexcept { return window_; }
@@ -119,10 +123,9 @@ public:
     /// Checksum words of window slot `slot`, column `col` (one per
     /// crc_block of the strip, strip byte order). Data columns are filled
     /// by stage(); parity columns are the caller's to fill (encode_crc)
-    /// before submitting them. Null when checksum staging is off.
+    /// before submitting them.
     [[nodiscard]] std::uint32_t* column_crcs(std::size_t slot,
                                              std::uint32_t col) noexcept {
-        if (crc_block_ == 0) return nullptr;
         return crcs_.data() + (slot * map_.n() + col) * strip_blocks_;
     }
 
@@ -139,7 +142,7 @@ public:
     /// write's contract is journal-mark → best-effort store → clear, with
     /// failed columns simply missing the update (the stripe stays
     /// decodable while <= 2 columns are down) — the caller checks
-    /// failed_disk_count() afterwards, exactly like the synchronous path.
+    /// failed_disk_count() afterwards.
     void drain();
 
 private:
@@ -147,7 +150,7 @@ private:
     const raid::stripe_map& map_;
     std::size_t window_;
     bool zero_copy_;
-    std::size_t crc_block_;              ///< 0 = no checksum staging
+    std::size_t crc_block_;              ///< bytes per checksum word
     std::size_t strip_blocks_;           ///< checksum words per strip
     util::aligned_buffer parity_stage_;  ///< window x 2 strips
     util::aligned_buffer data_stage_;    ///< window x k strips (copy mode)

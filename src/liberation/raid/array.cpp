@@ -84,7 +84,6 @@ raid6_array::raid6_array(const array_config& cfg)
       journal_(cfg.intent_log_entries),
       verify_reads_(cfg.verify_reads),
       integrity_block_(std::gcd(cfg.sector_size, map_.element_size())),
-      aio_depth_(std::max<std::size_t>(1, cfg.io_queue_depth)),
       policy_(cfg.io_retry, clock_),
       health_(map_.n(), cfg.health),
       latmon_(map_.n(), cfg.latency),
@@ -109,8 +108,7 @@ raid6_array::raid6_array(const array_config& cfg)
     }
     init_obs(cfg);
     aio::aio_config acfg;
-    acfg.queue_depth = aio_depth_;
-    acfg.merge_adjacent = cfg.io_merge;
+    acfg.queue_depth = cfg.io_queue_depth;
     acfg.workers = cfg.io_workers;
     acfg.obs = &obs_;
     rebuild_aio_engine(acfg);
@@ -271,7 +269,7 @@ void raid6_array::rebuild_aio_engine(const aio::aio_config& acfg) {
     // final status of the execution stage, so transient errors have
     // already been retried (a mismatch, by contrast, is never retried —
     // re-reading rotten bytes cannot un-rot them). Mirrors
-    // verified_disk_read() on the synchronous path.
+    // verified_disk_read() on the element-granular read path.
     aio_engine_->add_completion_stage(
         [this](const aio::io_desc& d, io_status st) {
             if (st != io_status::ok || d.kind != aio::op_kind::read ||
@@ -1511,14 +1509,8 @@ bool raid6_array::write(std::size_t addr, std::span<const std::byte> in) {
             // computed while stripe i's columns are still landing.
             const std::size_t run =
                 (in.size() - done) / map_.stripe_data_size();
-            if (run > 1 && aio_depth_ > 1) {
-                ok = write_full_stripes(
-                    stripe, run,
-                    in.subspan(done, run * map_.stripe_data_size()));
-                advance = run * map_.stripe_data_size();
-            } else {
-                ok = write_full_stripe(stripe, in.subspan(done, span_len));
-            }
+            advance = run * map_.stripe_data_size();
+            ok = write_full_stripes(stripe, run, in.subspan(done, advance));
         } else {
             ok = write_partial(stripe, in_stripe, in.subspan(done, span_len));
         }
@@ -1533,47 +1525,14 @@ bool raid6_array::write(std::size_t addr, std::span<const std::byte> in) {
     return true;
 }
 
-bool raid6_array::write_full_stripe(std::size_t stripe,
-                                    std::span<const std::byte> in) {
-    obs::timed_span span(obs_, hist_write_full_, "raid.write_full_stripe");
-    codes::stripe_buffer buf = make_stripe_buffer();
-    const codes::stripe_view v = buf.view();
-    // Single-pass protocol: checksums ride the staging copies and the
-    // final encode traversal of each parity strip, and the stores below
-    // install the words — no strip is re-read for its CRC.
-    const std::size_t bps = map_.strip_size() / integrity_block_;
-    std::vector<std::uint32_t> crcs(static_cast<std::size_t>(map_.n()) * bps);
-    std::vector<const std::uint32_t*> col_crcs(map_.n());
-    for (std::uint32_t c = 0; c < map_.n(); ++c)
-        col_crcs[c] = crcs.data() + c * bps;
-    for (std::uint32_t col = 0; col < map_.k(); ++col) {
-        xorops::copy_crc32c_blocks(
-            v.strip(col).data(),
-            in.data() + static_cast<std::size_t>(col) * map_.strip_size(),
-            map_.strip_size(), integrity_block_, crcs.data() + col * bps);
-    }
-    code_.encode_crc(v, integrity_block_,
-                     crcs.data() + static_cast<std::size_t>(map_.k()) * bps,
-                     crcs.data() + (map_.k() + std::size_t{1}) * bps);
-    std::vector<std::uint32_t> cols(map_.n());
-    for (std::uint32_t c = 0; c < map_.n(); ++c) cols[c] = c;
-    // Failed disks simply miss the update; the stripe stays decodable as
-    // long as <= 2 columns are down.
-    if (!journal_mark(stripe, intent_log::all_columns)) return false;
-    stats_.full_stripe_writes.fetch_add(1, std::memory_order_relaxed);
-    store_columns(stripe, v, cols, col_crcs.data());
-    journal_clear(stripe);
-    return failed_disk_count() <= 2;
-}
-
 bool raid6_array::write_full_stripes(std::size_t first, std::size_t count,
                                      std::span<const std::byte> in) {
     // One span/sample for the whole pipelined run (it is one host op);
     // per-request latencies live in the aio_* stage histograms.
     obs::timed_span span(obs_, hist_write_full_, "raid.write_full_stripes");
-    // Checksum-staging mode: data CRCs ride the staging pass, parity CRCs
-    // the fused encode below, and every submission carries its words for
-    // the integrity layer to install on completion.
+    // Data CRCs ride the staging pass, parity CRCs the fused encode
+    // below, and every submission carries its words for the integrity
+    // layer to install on completion.
     aio::stripe_writer writer(*aio_engine_, map_, integrity_block_);
     const std::size_t sds = map_.stripe_data_size();
     const std::uint32_t k = map_.k();
@@ -1582,10 +1541,10 @@ bool raid6_array::write_full_stripes(std::size_t first, std::size_t count,
     bool mark_failed = false;
     while (done < count && !mark_failed) {
         std::size_t window = std::min(writer.window(), count - done);
-        // A bounded intent log must keep headroom for the whole window: a
-        // synchronous writer marks and clears one stripe at a time, so the
-        // pipelined path caps its window at the free NVRAM words rather
-        // than surface rejections the caller would never have seen.
+        // A bounded intent log must keep headroom for the whole window:
+        // the window is capped at the free NVRAM words (at least one
+        // stripe), so a log with one free word still accepts a run, one
+        // stripe at a time.
         if (journal_.capacity() != 0) {
             const std::size_t free_slots =
                 journal_.capacity() > journal_.size()
@@ -1625,10 +1584,10 @@ bool raid6_array::write_full_stripes(std::size_t first, std::size_t count,
             writer.submit_columns(s, i, cols, k, n);
         }
         writer.drain();
-        // Store results are ignored just like the synchronous path: failed
-        // disks miss the update and the stripe stays decodable while <= 2
-        // columns are down. The journal entry is cleared only once every
-        // column of the stripe has been given to the backend.
+        // Store results are ignored: failed disks miss the update and the
+        // stripe stays decodable while <= 2 columns are down. The journal
+        // entry is cleared only once every column of the stripe has been
+        // given to the backend.
         if (powered_ && submitted > 0) {
             for (std::size_t i = 0; i < submitted; ++i)
                 journal_clear(first + done + i, /*persist=*/false);

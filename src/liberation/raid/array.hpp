@@ -16,15 +16,15 @@
 //     and failed disks are automatically replaced from a hot-spare pool
 //     with an incremental background rebuild (md's recovery window)
 //     interleaved with foreground I/O;
-//   * async I/O pipeline: at io_queue_depth > 1 the hot stripe paths
-//     (multi-stripe full-stripe writes, rebuild slices, scrub passes) run
-//     over an io_uring-style submission/completion queue pair (aio/) that
-//     batches per-disk I/O, coalesces adjacent reads, and overlaps parity
-//     computation with in-flight column writes. Retry/backoff and health
-//     accounting stay in the execution stage (disk_read/disk_write are
-//     the queue's backend); checksum verification runs as a
-//     completion-stage decorator. Queue depth 1 selects the synchronous
-//     paths byte-for-byte.
+//   * async I/O pipeline: the stripe-range paths (full-stripe writes,
+//     rebuild slices, scrub passes) always run over an io_uring-style
+//     submission/completion queue pair (aio/) that batches per-disk I/O,
+//     coalesces adjacent reads, and overlaps parity computation with
+//     in-flight column writes. Retry/backoff and health accounting stay
+//     in the execution stage (disk_read/disk_write are the queue's
+//     backend); checksum verification runs as a completion-stage
+//     decorator. io_queue_depth only sizes the window: depth 1 is a
+//     window of one stripe.
 #pragma once
 
 #include <algorithm>
@@ -96,16 +96,14 @@ struct array_config {
     std::size_t intent_log_entries = 0;
 
     // ---- async I/O pipeline ------------------------------------------
-    /// Per-disk in-flight window of the submission-queue engine (aio/).
-    /// > 1 enables the pipelined stripe paths: multi-stripe full-stripe
-    /// writes submit all k+2 column I/Os per stripe and encode parity
-    /// while data is in flight; rebuild and scrub window-prefetch stripes
-    /// with per-disk read coalescing. 1 selects the synchronous
-    /// one-request-at-a-time paths (byte-identical results either way).
+    /// Per-disk in-flight window of the submission-queue engine (aio/),
+    /// which is also the stripe window of every stripe-range path:
+    /// full-stripe writes submit all k+2 column I/Os of each stripe in the
+    /// window and encode parity while data is in flight; rebuild and
+    /// scrub window-prefetch stripes with per-disk read coalescing. 1 is
+    /// a window of one stripe; a completed operation leaves the same
+    /// bytes on disk at every depth.
     std::size_t io_queue_depth = 8;
-    /// Coalesce adjacent reads per disk into single transfers (writes are
-    /// never coalesced; see aio::aio_config::merge_adjacent).
-    bool io_merge = true;
     /// Optional worker pool for the aio engine: batches for different
     /// disks execute concurrently. Per-disk order is preserved, but
     /// cross-disk write order becomes nondeterministic — leave null for
@@ -443,12 +441,6 @@ public:
     [[nodiscard]] aio::queue_pair& aio_engine() noexcept {
         return *aio_engine_;
     }
-    /// Configured per-disk in-flight window (array_config::io_queue_depth;
-    /// 1 = synchronous paths).
-    [[nodiscard]] std::size_t io_queue_depth() const noexcept {
-        return aio_depth_;
-    }
-
     /// Convenience: allocate a stripe buffer with this array's geometry.
     [[nodiscard]] codes::stripe_buffer make_stripe_buffer() const {
         return {map_.rows(), map_.n(), map_.element_size()};
@@ -512,15 +504,12 @@ private:
                                              std::uint32_t col,
                                              std::span<std::byte> out);
 
-    [[nodiscard]] bool write_full_stripe(std::size_t stripe,
-                                         std::span<const std::byte> in);
-    /// Pipelined counterpart of write_full_stripe() for a run of `count`
-    /// consecutive aligned full stripes (io_queue_depth > 1): per window,
-    /// each stripe is journaled, its data columns submitted zero-copy,
-    /// parity encoded while they land, then the window drains and the
-    /// journal entries clear. The window is capped by the intent log's
-    /// headroom so a bounded log never rejects a write the synchronous
-    /// path would have accepted.
+    /// Write a run of `count` (>= 1) consecutive aligned full stripes
+    /// through the aio stripe_writer: per window, each stripe is
+    /// journaled, its data columns submitted zero-copy, parity encoded
+    /// while they land, then the window drains and the journal entries
+    /// clear. The window is capped by the intent log's headroom, so a
+    /// bounded log with one free entry still accepts the run.
     [[nodiscard]] bool write_full_stripes(std::size_t first, std::size_t count,
                                           std::span<const std::byte> in);
     [[nodiscard]] bool write_partial(std::size_t stripe, std::size_t in_stripe,
@@ -683,7 +672,6 @@ private:
     std::atomic<std::uint64_t> write_budget_{UINT64_MAX};
 
     // ---- async I/O pipeline ------------------------------------------
-    std::size_t aio_depth_;
     disk_backend backend_{*this};
     std::unique_ptr<aio::queue_pair> aio_engine_;
 

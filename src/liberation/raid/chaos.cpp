@@ -197,7 +197,6 @@ chaos_report run_chaos_campaign(const chaos_config& cfg) {
         mo.store.dir = pp.dir;
         mo.store.sync_meta = pp.sync_meta;
         mo.io_queue_depth = cfg.array.io_queue_depth;
-        mo.io_merge = cfg.array.io_merge;
         mo.io_workers = cfg.array.io_workers;
         mo.verify_reads = cfg.array.verify_reads;
         mo.io_retry = cfg.array.io_retry;

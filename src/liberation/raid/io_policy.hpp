@@ -78,7 +78,7 @@ struct io_result {
 };
 
 /// The retry funnel every disk read and write of an array goes through
-/// (both the synchronous paths and the aio engine's execution stage):
+/// (both direct element reads/writes and the aio engine's execution stage):
 /// transient errors are retried up to `max_retries` times with
 /// exponential backoff on the shared virtual clock; fail-stop and latent
 /// errors are permanent by definition and never retried. Checksum

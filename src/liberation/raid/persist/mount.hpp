@@ -52,7 +52,6 @@ namespace liberation::raid::persist {
 struct mount_options {
     store_config store;
     std::size_t io_queue_depth = 8;
-    bool io_merge = true;
     util::thread_pool* io_workers = nullptr;
     bool verify_reads = true;
     io_policy_config io_retry{};

@@ -88,8 +88,8 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
         note_rebuilt(erased.size());
     };
 
-    // Shared commit tail of the verified rebuild: reconstructed targets
-    // plus healed survivors go back to disk, or the stripe is failed.
+    // Commit tail of the verified rebuild: reconstructed targets plus
+    // healed survivors go back to disk, or the stripe is failed.
     const auto commit_recovered = [&](std::size_t s,
                                       const codes::stripe_view& v,
                                       const raid6_array::stripe_recovery& rec) {
@@ -127,62 +127,38 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
         note_rebuilt(commit.size());
     };
 
-    // Verified rebuild: checksum-suspect survivors are demoted to
-    // erasures alongside the rebuild targets, and every reconstructed
-    // strip is re-verified against its stored checksum before it is
-    // committed to the replacement (load_stripe_verified does both —
-    // a rebuild must never lay corrupt bytes onto fresh hardware).
-    const auto rebuild_stripe = [&](std::size_t s) {
-        if (array.journal().is_dirty(s)) {
-            rebuild_torn(s);
-            return;
-        }
-        codes::stripe_buffer buf = array.make_stripe_buffer();
-        const std::vector<std::uint32_t> cols = target_columns(s);
-        const raid6_array::stripe_recovery rec =
-            array.load_stripe_verified(s, buf.view(), /*writeback=*/false,
-                                       cols);
-        commit_recovered(s, buf.view(), rec);
-    };
-
-    if (array.io_queue_depth() > 1) {
-        // Pipelined rebuild slice: batched multi-stripe reads through the
-        // submission queue (one merged transfer per surviving disk per
-        // window), long-lived slot buffers instead of a fresh
-        // stripe_buffer per stripe, and no reads at all for the rebuild
-        // targets. Torn stripes fall back to the per-stripe raw path.
-        aio::stripe_loader loader(array.aio_engine(), array.map());
-        std::vector<std::uint32_t> cols_scratch;
-        loader.run(
-            first, last,
-            /*skip_stripe=*/
-            [&](std::size_t s) { return array.journal().is_dirty(s); },
-            /*skip_column=*/
-            [&](std::size_t s, std::uint32_t col) {
-                for (const std::uint32_t d : replaced_disks) {
-                    if (array.map().column_of_disk(s, d) == col) return true;
-                }
-                return false;
-            },
-            /*on_skipped=*/rebuild_torn,
-            /*process=*/
-            [&](std::size_t s, const codes::stripe_view& v,
-                std::vector<io_status>& statuses) {
-                cols_scratch.clear();
-                for (const std::uint32_t d : replaced_disks) {
-                    cols_scratch.push_back(array.map().column_of_disk(s, d));
-                }
-                std::sort(cols_scratch.begin(), cols_scratch.end());
-                const raid6_array::stripe_recovery rec =
-                    array.verify_loaded_stripe(s, v, /*writeback=*/false,
-                                               cols_scratch,
-                                               /*trust_parity=*/true,
-                                               std::move(statuses));
-                commit_recovered(s, v, rec);
-            });
-    } else {
-        for (std::size_t s = first; s < last; ++s) rebuild_stripe(s);
-    }
+    // Verified rebuild, one window of stripes at a time: batched
+    // multi-stripe reads through the submission queue (one merged
+    // transfer per surviving disk per window), long-lived slot buffers
+    // instead of a fresh stripe_buffer per stripe, and no reads at all for
+    // the rebuild targets. Checksum-suspect survivors are demoted to
+    // erasures alongside the targets, and every reconstructed strip is
+    // re-verified against its stored checksum before it is committed to
+    // the replacement (a rebuild must never lay corrupt bytes onto fresh
+    // hardware). Torn stripes take the per-stripe raw path.
+    aio::stripe_loader loader(array.aio_engine(), array.map());
+    loader.run(
+        first, last,
+        /*skip_stripe=*/
+        [&](std::size_t s) { return array.journal().is_dirty(s); },
+        /*skip_column=*/
+        [&](std::size_t s, std::uint32_t col) {
+            for (const std::uint32_t d : replaced_disks) {
+                if (array.map().column_of_disk(s, d) == col) return true;
+            }
+            return false;
+        },
+        /*on_skipped=*/rebuild_torn,
+        /*process=*/
+        [&](std::size_t s, const codes::stripe_view& v,
+            std::vector<io_status>& statuses) {
+            const raid6_array::stripe_recovery rec =
+                array.verify_loaded_stripe(s, v, /*writeback=*/false,
+                                           target_columns(s),
+                                           /*trust_parity=*/true,
+                                           std::move(statuses));
+            commit_recovered(s, v, rec);
+        });
 
     result.seconds = timer.seconds();
     result.success = result.stripes_failed == 0;

@@ -10,8 +10,8 @@ namespace liberation::raid {
 
 namespace {
 
-// Accounting tail shared by the synchronous and pipelined scrub loops:
-// everything that happens to one stripe after its verified load.
+// Accounting tail of the scrub loop: everything that happens to one
+// stripe after its verified load.
 void account_stripe(raid6_array& array, scrub_summary& summary, std::size_t s,
                     const codes::stripe_view& v,
                     const raid6_array::stripe_recovery& rec) {
@@ -135,10 +135,9 @@ scrub_summary scrub_array(raid6_array& array) {
 
     // One pass-level trace span plus a per-stripe latency histogram. The
     // histogram reference is resolved once per pass (registry lookups
-    // take a mutex; the stripe loop must not). In the pipelined loop the
-    // per-stripe sample covers verification and repair only — the loads
-    // were prefetched a window ahead and show up in the aio_* stage
-    // histograms instead.
+    // take a mutex; the stripe loop must not). The per-stripe sample
+    // covers verification and repair only — the loads were prefetched a
+    // window ahead and show up in the aio_* stage histograms instead.
     obs::hub& hub = array.obs();
     obs::latency_histogram& stripe_hist =
         hub.metrics().get_histogram("raid_scrub_stripe_ns");
@@ -151,51 +150,32 @@ scrub_summary scrub_array(raid6_array& array) {
         "extra bytes traversed by the parity cross-check fallback");
     obs::timed_span pass_span(hub, nullptr, "raid.scrub_pass", "scrub");
 
-    if (array.io_queue_depth() > 1) {
-        // Pipelined scrub: the loader fetches a whole window of stripes
-        // ahead of verification, one merged transfer per disk, while the
-        // accounting below consumes them in stripe order. Torn stripes
-        // are skipped exactly as in the synchronous loop.
-        aio::stripe_loader loader(array.aio_engine(), array.map());
-        loader.run(
-            0, stripes,
-            /*skip_stripe=*/
-            [&](std::size_t s) { return array.journal().is_dirty(s); },
-            /*skip_column=*/nullptr,
-            /*on_skipped=*/
-            [&](std::size_t) {
-                ++summary.stripes_scanned;
-                ++summary.skipped_torn;
-            },
-            /*process=*/
-            [&](std::size_t s, const codes::stripe_view& v,
-                std::vector<io_status>& statuses) {
-                ++summary.stripes_scanned;
-                obs::timed_span span(hub, &stripe_hist, "scrub.stripe",
-                                     "scrub");
-                const raid6_array::stripe_recovery rec =
-                    array.verify_loaded_stripe(s, v, /*writeback=*/true, {},
-                                               /*trust_parity=*/true,
-                                               std::move(statuses));
-                account_stripe(array, summary, s, v, rec);
-            });
-        bytes_single_pass.inc(summary.scrub_bytes_single_pass);
-        bytes_crosscheck.inc(summary.scrub_bytes_crosscheck);
-        return summary;
-    }
-
-    codes::stripe_buffer buf = array.make_stripe_buffer();
-    for (std::size_t s = 0; s < stripes; ++s) {
-        ++summary.stripes_scanned;
-        if (array.journal().is_dirty(s)) {
+    // The loader fetches a whole window of stripes ahead of
+    // verification, one merged transfer per disk, while the accounting
+    // below consumes them in stripe order. Torn stripes are skipped.
+    aio::stripe_loader loader(array.aio_engine(), array.map());
+    loader.run(
+        0, stripes,
+        /*skip_stripe=*/
+        [&](std::size_t s) { return array.journal().is_dirty(s); },
+        /*skip_column=*/nullptr,
+        /*on_skipped=*/
+        [&](std::size_t) {
+            ++summary.stripes_scanned;
             ++summary.skipped_torn;
-            continue;
-        }
-        obs::timed_span span(hub, &stripe_hist, "scrub.stripe", "scrub");
-        const raid6_array::stripe_recovery rec =
-            array.load_stripe_verified(s, buf.view(), /*writeback=*/true);
-        account_stripe(array, summary, s, buf.view(), rec);
-    }
+        },
+        /*process=*/
+        [&](std::size_t s, const codes::stripe_view& v,
+            std::vector<io_status>& statuses) {
+            ++summary.stripes_scanned;
+            obs::timed_span span(hub, &stripe_hist, "scrub.stripe",
+                                 "scrub");
+            const raid6_array::stripe_recovery rec =
+                array.verify_loaded_stripe(s, v, /*writeback=*/true, {},
+                                           /*trust_parity=*/true,
+                                           std::move(statuses));
+            account_stripe(array, summary, s, v, rec);
+        });
     bytes_single_pass.inc(summary.scrub_bytes_single_pass);
     bytes_crosscheck.inc(summary.scrub_bytes_crosscheck);
     return summary;

@@ -40,22 +40,6 @@ void thread_pool::wait_idle() {
     cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-void thread_pool::parallel_for(std::size_t n,
-                               const std::function<void(std::size_t)>& body) {
-    if (n == 0) return;
-    const std::size_t chunks = std::min(n, workers_.size());
-    const std::size_t per = (n + chunks - 1) / chunks;
-    for (std::size_t c = 0; c < chunks; ++c) {
-        const std::size_t lo = c * per;
-        const std::size_t hi = std::min(n, lo + per);
-        if (lo >= hi) break;
-        submit([&body, lo, hi] {
-            for (std::size_t i = lo; i < hi; ++i) body(i);
-        });
-    }
-    wait_idle();
-}
-
 void thread_pool::worker_loop() {
     for (;;) {
         std::function<void()> task;

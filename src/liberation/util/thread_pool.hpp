@@ -1,10 +1,11 @@
-// Minimal fixed-size thread pool used by the RAID array simulator to encode
-// and rebuild stripes in parallel.
+// Minimal fixed-size thread pool: the aio queue pair's optional workers
+// (per-disk batches of one array execute on it) and the volume's per-shard
+// dispatchers.
 //
 // Deliberately simple (Core Guidelines CP.4: think in tasks): callers submit
-// void() tasks and wait on a parallel_for barrier; no futures, no dynamic
-// resizing, no work stealing. Stripe coding is embarrassingly parallel and
-// coarse-grained, so a mutex-guarded deque is not a bottleneck.
+// void() tasks and wait_idle() for the pool to drain; no futures, no dynamic
+// resizing, no work stealing. Tasks are coarse-grained (a disk batch, a
+// shard op), so a mutex-guarded deque is not a bottleneck.
 #pragma once
 
 #include <condition_variable>
@@ -34,11 +35,6 @@ public:
 
     /// Block until every submitted task has finished executing.
     void wait_idle();
-
-    /// Run body(i) for i in [0, n) across the pool and wait for completion.
-    /// Chunks so each worker gets contiguous iterations (predictable memory
-    /// access per Core Guidelines Per.19).
-    void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
 private:
     void worker_loop();

@@ -176,7 +176,6 @@ volume_chaos_report run_volume_chaos_campaign(const volume_chaos_config& cfg) {
         mo.store.dir = cfg.dir;
         mo.store.sync_meta = cfg.sync_meta;
         mo.io_queue_depth = cfg.volume.shard.io_queue_depth;
-        mo.io_merge = cfg.volume.shard.io_merge;
         mo.verify_reads = cfg.volume.shard.verify_reads;
         mo.io_retry = cfg.volume.shard.io_retry;
         mo.health = cfg.volume.shard.health;

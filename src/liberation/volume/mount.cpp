@@ -189,7 +189,6 @@ mounted_volume mount_volume(const volume_mount_options& opts) {
             mo.store.sync_meta = opts.store.sync_meta;
             mo.store.sync_data = opts.store.sync_data;
             mo.io_queue_depth = opts.io_queue_depth;
-            mo.io_merge = opts.io_merge;
             mo.verify_reads = opts.verify_reads;
             mo.io_retry = opts.io_retry;
             mo.health = opts.health;

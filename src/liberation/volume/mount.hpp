@@ -49,7 +49,6 @@ struct volume_store_config {
 struct volume_mount_options {
     volume_store_config store;
     std::size_t io_queue_depth = 8;
-    bool io_merge = true;
     bool verify_reads = true;
     raid::io_policy_config io_retry{};
     raid::health_config health{};

@@ -1,12 +1,17 @@
 // Async submission-queue I/O pipeline: ring/queue_pair mechanics
 // (merging, split-retry failure isolation, completion ordering),
 // completion-stage decorator composition with the retrying io_policy,
-// and end-to-end equivalence of the pipelined array paths (full-stripe
-// writes, rebuild, scrub) against the synchronous queue-depth-1 paths.
+// and end-to-end equivalence of the array's stripe paths (full-stripe
+// writes, rebuild, scrub) at queue depth 8 against a window of one
+// stripe (queue depth 1).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "liberation/aio/queue_pair.hpp"
@@ -262,6 +267,55 @@ TEST(AioQueuePair, CompletionStagesRunInRegistrationOrder) {
     EXPECT_EQ(qp.completions()[0].status, io_status::checksum_mismatch);
 }
 
+// With a worker pool, every window flush is a pool task. Two flushes of
+// one disk must still run one after the other in submission order: a
+// backend may assume one writer per disk (the persistent store does).
+TEST(AioQueuePair, WorkerFlushesOfOneDiskNeverOverlap) {
+    struct slow_backend final : aio::io_backend {
+        std::atomic<int> active{0};
+        std::atomic<int> overlaps{0};
+        std::mutex mu;
+        std::vector<std::size_t> offsets;
+
+        io_status execute(const aio::io_desc& d) override {
+            if (active.fetch_add(1) != 0) overlaps.fetch_add(1);
+            {
+                std::lock_guard lock(mu);
+                offsets.push_back(d.offset);
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            active.fetch_sub(1);
+            return io_status::ok;
+        }
+    };
+    slow_backend backend;
+    util::thread_pool pool(2);
+    aio::aio_config cfg;
+    cfg.queue_depth = 2;
+    cfg.workers = &pool;
+    aio::queue_pair qp(backend, 1, cfg);
+
+    std::vector<std::byte> buf(8 * 64);
+    std::vector<std::size_t> expected;
+    for (std::uint64_t i = 0; i < 8; ++i) {
+        aio::io_desc d;
+        d.disk = 0;
+        d.kind = aio::op_kind::write;
+        d.offset = i * 64;
+        d.data = buf.data() + i * 64;
+        d.len = 64;
+        d.user_data = i;
+        qp.submit(d);
+        expected.push_back(d.offset);
+    }
+    qp.drain();
+    EXPECT_EQ(backend.overlaps.load(), 0);
+    EXPECT_EQ(backend.offsets, expected);
+    const auto cqes = qp.take_completions();
+    ASSERT_EQ(cqes.size(), 8u);
+    for (std::uint64_t i = 0; i < 8; ++i) EXPECT_EQ(cqes[i].user_data, i);
+}
+
 // ---- decorator composition on the array's engine ---------------------
 
 // Retry/backoff is an execution-stage concern (inside disk_backend via
@@ -321,7 +375,7 @@ TEST(AioDecorators, ChecksumMismatchIsNotRetried) {
     EXPECT_EQ(a.io_stats().retries, retries_before);
 }
 
-// ---- pipelined array paths vs the synchronous ones -------------------
+// ---- array stripe paths: window of 8 vs window of 1 ------------------
 
 TEST(AioArray, PipelinedFullStripeWritesAreByteIdentical) {
     raid6_array sync_a(aio_config_with_depth(1));
@@ -443,8 +497,8 @@ TEST(AioArray, WorkerPoolModeRoundTrips) {
 }
 
 // A bounded intent log smaller than the queue depth must cap the write
-// window instead of surfacing rejections a synchronous writer would
-// never have produced.
+// window instead of surfacing rejections a one-stripe window would never
+// have produced.
 TEST(AioArray, BoundedIntentLogCapsWindowWithoutRejections) {
     array_config cfg = aio_config_with_depth(8);
     cfg.intent_log_entries = 2;

@@ -43,7 +43,7 @@ array_config small_config() {
     cfg.element_size = 512;
     cfg.stripes = 16;
     cfg.sector_size = 512;
-    cfg.io_queue_depth = 1;  // synchronous paths: simplest determinism
+    cfg.io_queue_depth = 1;  // one-stripe windows: simplest determinism
     return cfg;
 }
 

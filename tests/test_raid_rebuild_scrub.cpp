@@ -66,8 +66,8 @@ TEST(Rebuild, DoubleDiskRestoresContents) {
 }
 
 TEST(Rebuild, PipelinedMatchesSerial) {
-    // The two rebuild paths: window-prefetched through the aio
-    // stripe_loader (qd 8) and one synchronous stripe at a time (qd 1).
+    // Rebuild through the aio stripe_loader with a window of eight
+    // stripes (qd 8) and a window of one (qd 1).
     array_config serial_cfg = config(5, 16);
     serial_cfg.io_queue_depth = 1;
     array_config pipelined_cfg = config(5, 16);

@@ -66,6 +66,61 @@ TEST(WriteHole, PowerLossMidStripeTearsParityAndJournalKnows) {
     EXPECT_GE(torn_stripes(a), 1u);  // the write hole is real
 }
 
+// Power-loss sweep over one full-stripe write at every cut point, for a
+// window of one stripe and a window of eight. The stripe sits where
+// parity is rotated, so the window of eight (which drains in disk order)
+// and the window of one (column order) cut at different columns.
+// Whatever landed, recovery must leave an empty journal, every data strip
+// entirely old or entirely new, and a clean scrub.
+TEST(WriteHole, FullStripePowerLossSweepRecoversEveryCut) {
+    for (const std::size_t qd : {std::size_t{1}, std::size_t{8}}) {
+        array_config c = cfg();
+        c.io_queue_depth = qd;
+        raid6_array probe(c);
+        const stripe_map& map = probe.map();
+        const std::uint32_t pc = probe.code().p_column();
+        std::size_t stripe = 0;
+        while (map.locate(stripe, pc).disk == pc) ++stripe;
+        ASSERT_LT(stripe, map.stripes());
+
+        const std::size_t sds = map.stripe_data_size();
+        const std::size_t strip = map.strip_size();
+        const auto old_bytes = pattern(probe.capacity(), 40);
+        const auto fresh = pattern(sds, 41);
+        for (std::uint64_t j = 0; j <= map.n(); ++j) {
+            SCOPED_TRACE(testing::Message() << "qd=" << qd << " cut=" << j);
+            raid6_array a(c);
+            ASSERT_TRUE(a.write(0, old_bytes));
+            a.simulate_power_loss_after(j);
+            (void)a.write(stripe * sds, fresh);
+            a.reboot();
+            a.recover_write_hole();
+            EXPECT_EQ(a.journal().size(), 0u);
+
+            std::vector<std::byte> out(sds);
+            ASSERT_TRUE(a.read(stripe * sds, out));
+            std::size_t fresh_strips = 0;
+            for (std::uint32_t col = 0; col < map.k(); ++col) {
+                const auto got = out.begin() + col * strip;
+                const bool is_old = std::equal(
+                    got, got + strip, old_bytes.begin() + stripe * sds +
+                                          col * strip);
+                const bool is_new =
+                    std::equal(got, got + strip, fresh.begin() + col * strip);
+                EXPECT_TRUE(is_old || is_new) << "col=" << col;
+                if (is_new) ++fresh_strips;
+            }
+            if (j == 0) EXPECT_EQ(fresh_strips, 0u);
+            if (j == map.n()) EXPECT_EQ(fresh_strips, map.k());
+
+            const scrub_summary sc = scrub_array(a);
+            EXPECT_EQ(sc.clean, map.stripes());
+            EXPECT_EQ(sc.uncorrectable, 0u);
+            EXPECT_EQ(sc.checksum_mismatch_columns, 0u);
+        }
+    }
+}
+
 TEST(WriteHole, RecoveryResyncsExactlyTheJournaledStripes) {
     raid6_array a(cfg());
     ASSERT_TRUE(a.write(0, pattern(a.capacity(), 5)));

@@ -545,9 +545,10 @@ int main(int argc, char** argv) {
         } else if (const char* v = arg("--stripes")) {
             cfg.array.stripes = std::strtoull(v, nullptr, 0);
         } else if (const char* v = arg("--queue-depth")) {
-            // Submission-queue depth of the array's aio engine: 1 runs the
-            // synchronous paths, > 1 pipelines full-stripe writes, rebuild
-            // reads, and scrub prefetch under the same fault campaign.
+            // Submission-queue depth of the array's aio engine, which is
+            // also the stripe window of full-stripe writes, rebuild reads
+            // and scrub prefetch: 1 is a window of one stripe, > 1
+            // pipelines that many under the same fault campaign.
             cfg.array.io_queue_depth = std::strtoull(v, nullptr, 0);
         } else if (const char* v = arg("--read-rate")) {
             cfg.transient_read_rate = std::strtod(v, nullptr);
