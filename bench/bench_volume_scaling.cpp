@@ -1,8 +1,9 @@
 // Volume scale-out bench: one fixed pool of stripes, split across 1, 2,
 // 4, and 8 raid6_array shards behind the volume dispatcher.
 //
-// The container pins this repo to a single CPU, so wall-clock threading
-// numbers would measure the scheduler, not the design. Instead every disk
+// Wall-clock threading numbers on a small shared host (4 vCPUs for the
+// recorded baselines) would measure the scheduler and its neighbours,
+// not the design, and would not gate reliably. Instead every disk
 // of every shard is armed with a *constant* latency profile (jitter = 0)
 // and the bench reports modeled GB/s in virtual time: each shard advances
 // its own virtual clock by the device time its I/O would have cost, and a

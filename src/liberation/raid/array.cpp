@@ -77,7 +77,7 @@ array_stats raid6_array::stats() const noexcept {
     return s;
 }
 
-raid6_array::raid6_array(const array_config& cfg)
+raid6_array::raid6_array(const array_config& cfg, bool allocate_members)
     : map_(cfg.k, effective_p(cfg), cfg.element_size, cfg.stripes, cfg.layout),
       code_(cfg.k, effective_p(cfg)),
       sector_size_(cfg.sector_size),
@@ -97,8 +97,8 @@ raid6_array::raid6_array(const array_config& cfg)
     disks_.reserve(map_.n());
     regions_.reserve(map_.n());
     for (std::uint32_t d = 0; d < map_.n(); ++d) {
-        disks_.push_back(std::make_unique<vdisk>(d, map_.disk_capacity(),
-                                                 cfg.sector_size));
+        disks_.push_back(std::make_unique<vdisk>(
+            d, map_.disk_capacity(), cfg.sector_size, allocate_members));
         regions_.emplace_back(map_.disk_capacity(), integrity_block_);
     }
     spares_.reserve(cfg.hot_spares);
@@ -135,7 +135,7 @@ void raid6_array::init_obs(const array_config& cfg) {
     // store; registered here so the family is always in the exposition.
     (void)m.get_histogram("raid_mount_ns",
                           "persistent-array mount latency "
-                          "(probe, image load, intent replay)");
+                          "(probe, mapping, intent replay)");
     hist_hedge_delay_ = &m.get_histogram(
         "raid_hedge_delay_ns",
         "hedge-issue to first-completion delay of hedged reads");
@@ -414,7 +414,12 @@ io_status raid6_array::disk_write(std::uint32_t disk, std::size_t offset,
     note_io(disk, io_kind::write, r);
     // A failed write never reaches the medium, so the old checksum stays
     // authoritative; only landed bytes update the region.
-    if (r.status == io_status::ok) update_region();
+    if (r.status == io_status::ok) {
+        // Paranoid mode: the landed bytes (already in the mapped file)
+        // reach stable storage before the write completes.
+        if (store_ && store_->config().sync_data) (void)store_->flush(disk);
+        update_region();
+    }
     return r.status;
 }
 
@@ -586,12 +591,11 @@ void raid6_array::fail_disk(std::uint32_t d) {
 }
 
 void raid6_array::replace_disk(std::uint32_t d) {
-    if (store_ && !store_->meta_slot(d)) {
-        // The slot's file belonged to a foreign array (or never decoded);
-        // the operator is installing blank hardware over it, so reclaim
-        // the file for this array before the blank medium is mirrored.
-        (void)store_->reinit_slot(d);
-        attach_media_sink(d);
+    if (store_ && !disks_[d]->mapped() &&
+        !hand_over_medium(d, *disks_[d])) {
+        // Blank hardware that cannot reach its slot's file would lose
+        // every write at the next remount: the slot stays failed.
+        return;
     }
     disks_[d]->replace();
     health_.reset(d);
@@ -619,6 +623,11 @@ void raid6_array::handle_failed_disks() {
         if (disks_[d]->online() || spares_.empty()) continue;
         // Promote: the blank spare takes the dead disk's slot. Its column
         // is masked (io_status::rebuilding) until its watermark passes.
+        // A persistent slot's file moves with the slot: the spare adopts
+        // its mapping, dead disk's bytes and all — everything above the
+        // new member's watermark is masked anyway, and the rebuild
+        // rewrites it.
+        if (store_ && !hand_over_medium(d, *spares_.back())) continue;
         disks_[d] = std::move(spares_.back());
         spares_.pop_back();
         health_.reset(d);
@@ -626,14 +635,6 @@ void raid6_array::handle_failed_disks() {
         stats_.spares_promoted.fetch_add(1, std::memory_order_relaxed);
         obs::flight_recorder::instance().record(obs::fr_kind::spare_promoted,
                                                 obs_.now_ns(), d);
-        if (store_ != nullptr) {
-            // The slot's file keeps the dead disk's bytes: everything
-            // above the new member's watermark is masked anyway, and the
-            // rebuild rewrites it through the sink. A foreign slot must be
-            // reclaimed before the new hardware writes into it.
-            if (!store_->meta_slot(d)) (void)store_->reinit_slot(d);
-            attach_media_sink(d);
-        }
         promoted = true;
         const auto it =
             std::find_if(rebuilding_.begin(), rebuilding_.end(),
@@ -1053,19 +1054,21 @@ void raid6_array::journal_clear(std::size_t stripe, bool persist) {
 void raid6_array::attach_persistence(std::unique_ptr<persist::store> st) {
     LIBERATION_EXPECTS(st != nullptr && st->slot_count() == map_.n());
     store_ = std::move(st);
-    for (std::uint32_t d = 0; d < map_.n(); ++d) {
-        if (store_->meta_slot(d)) attach_media_sink(d);
-    }
+    for (auto& d : disks_) d->allocate_medium();
 }
 
-void raid6_array::attach_media_sink(std::uint32_t d) {
-    // Raw pointer capture: the store outlives every sink (unmount and the
-    // destructor detach sinks before releasing it).
-    persist::store* st = store_.get();
-    disks_[d]->attach_media_sink(
-        [st, d](std::size_t offset, std::span<const std::byte> bytes) {
-            (void)st->write_data(d, offset, bytes);
-        });
+bool raid6_array::hand_over_medium(std::uint32_t d, vdisk& to) {
+    if (disks_[d]->mapped()) {
+        if (&to != disks_[d].get()) to.map_medium(disks_[d]->unmap_medium());
+        return true;
+    }
+    // A foreign slot's file belongs to another array until the operator
+    // installs hardware over it: reclaim it for this one first.
+    if (!store_->meta_slot(d) && !store_->reinit_slot(d)) return false;
+    util::mapped_region region = store_->map_data(d);
+    if (region.empty()) return false;
+    to.map_medium(std::move(region));
+    return true;
 }
 
 void raid6_array::persist_intent() {
@@ -1168,7 +1171,9 @@ bool raid6_array::unmount() {
         if (!store_->persist(s)) ok = false;
     }
     if (!store_->flush_all()) ok = false;
-    for (auto& d : disks_) d->detach_media_sink();
+    for (auto& d : disks_) {
+        if (d->mapped()) (void)d->unmap_medium();
+    }
     store_.reset();
     return ok;
 }
@@ -1360,8 +1365,33 @@ void raid6_array::note_unrecoverable_read(std::size_t stripe) {
     }
 }
 
+namespace {
+
+/// Precondition of the piece-list read()/write(): one gapless extent
+/// inside the array, every piece after the first starting on a stripe
+/// boundary — so no stripe straddles two host buffers.
+template <class Piece>
+void expect_piece_list(std::span<const Piece> pieces, std::size_t stripe_bytes,
+                       std::size_t capacity) {
+    LIBERATION_EXPECTS(!pieces.empty());
+    std::size_t end = pieces.front().addr;
+    for (std::size_t i = 0; i < pieces.size(); ++i) {
+        LIBERATION_EXPECTS(pieces[i].addr == end);
+        LIBERATION_EXPECTS(i == 0 || pieces[i].addr % stripe_bytes == 0);
+        end += pieces[i].host.size();
+    }
+    LIBERATION_EXPECTS(end <= capacity);
+}
+
+}  // namespace
+
 bool raid6_array::read(std::size_t addr, std::span<std::byte> out) {
-    LIBERATION_EXPECTS(addr + out.size() <= capacity());
+    const read_piece whole{addr, out};
+    return read(std::span<const read_piece>(&whole, 1));
+}
+
+bool raid6_array::read(std::span<const read_piece> pieces) {
+    expect_piece_list(pieces, map_.stripe_data_size(), capacity());
     service_events();
     // Timed after service_events: the rebuild batch a host op services is
     // accounted to the rebuild-window family, not to read latency.
@@ -1369,6 +1399,16 @@ bool raid6_array::read(std::size_t addr, std::span<std::byte> out) {
     // Verify-on-read widens unaligned chunks to whole checksum blocks, so
     // the fast path stages them through a strip-sized scratch buffer.
     util::aligned_buffer vbuf(verify_reads_ ? map_.strip_size() : 0);
+    // Pieces split the extent only at stripe boundaries, and the read
+    // works stripe by stripe: piece by piece is the same I/O.
+    for (const read_piece& pc : pieces) {
+        if (!read_extent(pc.addr, pc.host, vbuf)) return false;
+    }
+    return true;
+}
+
+bool raid6_array::read_extent(std::size_t addr, std::span<std::byte> out,
+                              util::aligned_buffer& vbuf) {
     std::size_t done = 0;
     while (done < out.size()) {
         const std::size_t a = addr + done;
@@ -1490,29 +1530,54 @@ bool raid6_array::read(std::size_t addr, std::span<std::byte> out) {
 }
 
 bool raid6_array::write(std::size_t addr, std::span<const std::byte> in) {
-    LIBERATION_EXPECTS(addr + in.size() <= capacity());
+    const write_piece whole{addr, in};
+    return write(std::span<const write_piece>(&whole, 1));
+}
+
+bool raid6_array::write(std::span<const write_piece> pieces) {
+    const std::size_t sds = map_.stripe_data_size();
+    expect_piece_list(pieces, sds, capacity());
     service_events();
+    const std::size_t addr = pieces.front().addr;
+    std::size_t total = 0;
+    for (const write_piece& pc : pieces) total += pc.host.size();
+    // Host cursor: the next `len` bytes of the extent. A stripe never
+    // straddles two pieces, so they always lie in one host buffer.
+    std::size_t piece = 0;
+    std::size_t in_piece = 0;
+    const auto take = [&](std::size_t len) {
+        while (in_piece == pieces[piece].host.size()) {
+            ++piece;
+            in_piece = 0;
+        }
+        LIBERATION_EXPECTS(in_piece + len <= pieces[piece].host.size());
+        const std::span<const std::byte> out =
+            pieces[piece].host.subspan(in_piece, len);
+        in_piece += len;
+        return out;
+    };
+    std::vector<const std::byte*> run_data;
     std::size_t done = 0;
-    while (done < in.size()) {
+    while (done < total) {
         const std::size_t a = addr + done;
-        const std::size_t stripe = a / map_.stripe_data_size();
-        const std::size_t in_stripe = a % map_.stripe_data_size();
-        const std::size_t span_len =
-            std::min(in.size() - done, map_.stripe_data_size() - in_stripe);
+        const std::size_t stripe = a / sds;
+        const std::size_t in_stripe = a % sds;
+        const std::size_t span_len = std::min(total - done, sds - in_stripe);
 
         bool ok;
         std::size_t advance = span_len;
-        if (in_stripe == 0 && span_len == map_.stripe_data_size()) {
+        if (in_stripe == 0 && span_len == sds) {
             // A run of consecutive full stripes goes through the async
             // pipeline: all k+2 column writes of every stripe in the
             // window are in flight together, and parity of stripe i+1 is
             // computed while stripe i's columns are still landing.
-            const std::size_t run =
-                (in.size() - done) / map_.stripe_data_size();
-            advance = run * map_.stripe_data_size();
-            ok = write_full_stripes(stripe, run, in.subspan(done, advance));
+            const std::size_t run = (total - done) / sds;
+            advance = run * sds;
+            run_data.resize(run);
+            for (const std::byte*& p : run_data) p = take(sds).data();
+            ok = write_full_stripes(stripe, run_data);
         } else {
-            ok = write_partial(stripe, in_stripe, in.subspan(done, span_len));
+            ok = write_partial(stripe, in_stripe, take(span_len));
         }
         // Power died during this stripe's update: nothing further lands,
         // the host never observes the result, and the journal owns any
@@ -1525,8 +1590,8 @@ bool raid6_array::write(std::size_t addr, std::span<const std::byte> in) {
     return true;
 }
 
-bool raid6_array::write_full_stripes(std::size_t first, std::size_t count,
-                                     std::span<const std::byte> in) {
+bool raid6_array::write_full_stripes(
+    std::size_t first, std::span<const std::byte* const> stripes) {
     // One span/sample for the whole pipelined run (it is one host op);
     // per-request latencies live in the aio_* stage histograms.
     obs::timed_span span(obs_, hist_write_full_, "raid.write_full_stripes");
@@ -1534,7 +1599,7 @@ bool raid6_array::write_full_stripes(std::size_t first, std::size_t count,
     // below, and every submission carries its words for the integrity
     // layer to install on completion.
     aio::stripe_writer writer(*aio_engine_, map_, integrity_block_);
-    const std::size_t sds = map_.stripe_data_size();
+    const std::size_t count = stripes.size();
     const std::uint32_t k = map_.k();
     const std::uint32_t n = map_.n();
     std::size_t done = 0;
@@ -1572,7 +1637,7 @@ bool raid6_array::write_full_stripes(std::size_t first, std::size_t count,
             const std::size_t s = first + done + i;
             stats_.full_stripe_writes.fetch_add(1, std::memory_order_relaxed);
             const std::span<std::byte* const> cols =
-                writer.stage(i, in.data() + (done + i) * sds);
+                writer.stage(i, stripes[done + i]);
             // Data columns go into flight before parity exists: the encode
             // below overlaps with their execution when a worker pool is
             // attached, and still batches per disk when running inline.

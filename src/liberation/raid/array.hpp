@@ -159,9 +159,25 @@ struct array_stats {
     std::uint64_t aio_inflight_highwater = 0; ///< max pending on any one disk
 };
 
+/// One piece of an extent scattered over several host buffers: the
+/// `host` bytes live at array address `addr`. A piece list describes one
+/// gapless array extent: each piece starts where the previous one ends,
+/// and every piece but the first starts on a stripe boundary (the volume's
+/// pieces are whole placement chunks, so only the first and last can be
+/// partial stripes).
+struct read_piece {
+    std::size_t addr = 0;
+    std::span<std::byte> host;
+};
+struct write_piece {
+    std::size_t addr = 0;
+    std::span<const std::byte> host;
+};
+
 class raid6_array {
 public:
-    explicit raid6_array(const array_config& cfg);
+    explicit raid6_array(const array_config& cfg)
+        : raid6_array(cfg, /*allocate_members=*/true) {}
     /// Out of line: ~unique_ptr<persist::store> needs the complete type.
     ~raid6_array();
 
@@ -216,10 +232,18 @@ public:
     /// Read [addr, addr+out.size()); false only if more than two columns of
     /// some stripe are unavailable (data loss).
     [[nodiscard]] bool read(std::size_t addr, std::span<std::byte> out);
+    /// Read one gapless extent straight into scattered host buffers (see
+    /// read_piece). Same I/O, stripe by stripe, as the contiguous read of
+    /// the extent.
+    [[nodiscard]] bool read(std::span<const read_piece> pieces);
 
     /// Write [addr, addr+in.size()). Returns false on unrecoverable layout
     /// damage (> 2 unavailable columns in a touched stripe).
     [[nodiscard]] bool write(std::size_t addr, std::span<const std::byte> in);
+    /// Write one gapless extent straight from scattered host buffers (see
+    /// write_piece). Same I/O as the contiguous write of the extent: a run
+    /// of full stripes spanning several pieces is still one pipelined run.
+    [[nodiscard]] bool write(std::span<const write_piece> pieces);
 
     /// Fail-stop a disk. If a hot spare is available (and auto_failover is
     /// on) it is promoted and a background rebuild starts on the next
@@ -337,8 +361,10 @@ public:
     /// persist and fsync everything, and detach from the store. The next
     /// mount sees `clean` and skips intent replay. Returns false when any
     /// superblock could not be written (the array still detaches — the
-    /// next mount simply treats it as unclean). No-op (true) when the
-    /// array is not persistent.
+    /// next mount simply treats it as unclean). Detaching unmaps the
+    /// members' media, so they are offline afterwards: mount the
+    /// directory again to use the data. No-op (true) when the array is
+    /// not persistent.
     bool unmount();
 
     /// Online growth (parity_first layout only): append a blank disk that
@@ -447,6 +473,10 @@ public:
     }
 
 private:
+    /// `allocate_members` off: member disks start with no medium — the
+    /// mounter maps the backing files in (spares stay anonymous).
+    raid6_array(const array_config& cfg, bool allocate_members);
+
     /// Live counters behind array_stats (see that struct for semantics).
     struct atomic_stats {
         std::atomic<std::uint64_t> full_stripe_writes{0};
@@ -504,14 +534,21 @@ private:
                                              std::uint32_t col,
                                              std::span<std::byte> out);
 
-    /// Write a run of `count` (>= 1) consecutive aligned full stripes
-    /// through the aio stripe_writer: per window, each stripe is
-    /// journaled, its data columns submitted zero-copy, parity encoded
-    /// while they land, then the window drains and the journal entries
-    /// clear. The window is capped by the intent log's headroom, so a
-    /// bounded log with one free entry still accepts the run.
-    [[nodiscard]] bool write_full_stripes(std::size_t first, std::size_t count,
-                                          std::span<const std::byte> in);
+    /// Read [addr, addr+out.size()) stripe by stripe: the body of read(),
+    /// after its per-op prologue. `vbuf` is the verify-on-read scratch.
+    [[nodiscard]] bool read_extent(std::size_t addr, std::span<std::byte> out,
+                                   util::aligned_buffer& vbuf);
+
+    /// Write a run of consecutive aligned full stripes, starting at
+    /// `first`, whose data bytes are at `stripes[i]` (one pointer per
+    /// stripe, so a run may span host buffers), through the aio
+    /// stripe_writer: per window, each stripe is journaled, its data
+    /// columns submitted zero-copy, parity encoded while they land, then
+    /// the window drains and the journal entries clear. The window is
+    /// capped by the intent log's headroom, so a bounded log with one
+    /// free entry still accepts the run.
+    [[nodiscard]] bool write_full_stripes(
+        std::size_t first, std::span<const std::byte* const> stripes);
     [[nodiscard]] bool write_partial(std::size_t stripe, std::size_t in_stripe,
                                      std::span<const std::byte> in);
 
@@ -584,11 +621,14 @@ private:
 
     // ---- persistence hooks (no-ops while store_ is null) ---------------
 
-    /// Take ownership of the backing store and wire every member disk's
-    /// media sink to its data area. Called once by the mounter/creator.
+    /// Take ownership of the backing store. The mounter/creator has
+    /// mapped every member it could; the rest (foreign slots) get a blank
+    /// anonymous medium. Called once.
     void attach_persistence(std::unique_ptr<persist::store> st);
-    /// Mirror medium mutations of slot `d` into the store's data area.
-    void attach_media_sink(std::uint32_t d);
+    /// Give slot `d`'s backing-file mapping to `to`: the current member's
+    /// mapping when it has one, else a fresh one (reclaiming a foreign
+    /// slot first). False when the slot cannot be mapped.
+    [[nodiscard]] bool hand_over_medium(std::uint32_t d, vdisk& to);
     /// Replicate the intent log into every metadata slot and persist.
     /// Fires on every journal mark/clear (once per window on the pipelined
     /// full-stripe path) — the on-disk analogue of flushing the NVRAM word

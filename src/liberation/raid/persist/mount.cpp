@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <map>
 #include <random>
 #include <tuple>
@@ -43,6 +44,10 @@ void note_mount_refused(const mount_report& rep) {
     (void)obs::auto_postmortem("mount_refused", nullptr, std::move(b));
 }
 
+/// Data areas are shared mappings, and a mapping cannot be O_DIRECT.
+constexpr const char* direct_io_refusal =
+    "direct_io is not supported: member data areas are memory-mapped";
+
 }  // namespace
 
 /// Friend of raid6_array: the only party allowed to install a store and
@@ -61,7 +66,12 @@ std::unique_ptr<raid6_array> mounter::create(const array_config& cfg,
     // The serialized intent area needs a fixed worst case; "unbounded"
     // becomes a bounded default (mark() still fails loudly when full).
     if (acfg.intent_log_entries == 0) acfg.intent_log_entries = 64;
-    auto a = std::make_unique<raid6_array>(acfg);
+    if (scfg.direct_io) {
+        std::fprintf(stderr, "liberation: create_array: %s\n",
+                     direct_io_refusal);
+        return nullptr;
+    }
+    std::unique_ptr<raid6_array> a(new raid6_array(acfg, false));
 
     if (uuid == 0) {
         std::random_device rd;
@@ -97,6 +107,11 @@ std::unique_ptr<raid6_array> mounter::create(const array_config& cfg,
     std::unique_ptr<store> st =
         store::format(scfg, std::move(images), a->map_.disk_capacity());
     if (!st) return nullptr;
+    for (std::uint32_t s = 0; s < n; ++s) {
+        util::mapped_region region = st->map_data(s);
+        if (region.empty()) return nullptr;
+        a->disks_[s]->map_medium(std::move(region));
+    }
     a->attach_persistence(std::move(st));
     return a;
 }
@@ -105,6 +120,11 @@ mounted_array mounter::mount(const mount_options& opts) {
     const auto t0 = std::chrono::steady_clock::now();
     mounted_array out;
     mount_report& rep = out.report;
+    if (opts.store.direct_io) {
+        rep.error = direct_io_refusal;
+        note_mount_refused(rep);
+        return out;
+    }
 
     std::vector<disk_probe> probes = probe_dir(opts.store.dir);
 
@@ -181,7 +201,7 @@ mounted_array mounter::mount(const mount_options& opts) {
     acfg.io_queue_depth = opts.io_queue_depth;
     acfg.io_workers = opts.io_workers;
     acfg.obs_virtual_time = opts.obs_virtual_time;
-    auto a = std::make_unique<raid6_array>(acfg);
+    std::unique_ptr<raid6_array> a(new raid6_array(acfg, false));
     const member_layout& layout = probes[auth_idx].header.layout;
     if (auth->crcs.size() != a->regions_[0].checksums().size()) {
         rep.error = "authority superblock's checksum table does not match "
@@ -220,11 +240,14 @@ mounted_array mounter::mount(const mount_options& opts) {
             a->regions_[s].checksums();
         img.crcs.assign(fresh_crcs.begin(), fresh_crcs.end());
 
+        // A file shorter than its data area's end would map pages with no
+        // file behind them (SIGBUS on access): it is not usable either.
         const bool file_usable =
             p != nullptr && p->file_present && p->header_ok && p->sb &&
             p->sb->array_uuid == uuid && p->sb->geometry_matches(*auth) &&
             p->sb->crcs.size() == fresh_crcs.size() &&
-            p->header.layout == layout;
+            p->header.layout == layout &&
+            p->file_size >= layout.data_offset() + a->map_.disk_capacity();
         if (file_usable) {
             // The file's own persist state: the next persist continues
             // its seq and copy-on-write page table, and its checksum
@@ -259,8 +282,9 @@ mounted_array mounter::mount(const mount_options& opts) {
             ++failed_total;
             if (!file_usable) fresh_slots.push_back(s);
         } else if (!file_usable) {
-            // Missing file, unreadable header, or both superblocks invalid:
-            // re-initialize blank and rebuild the member from parity.
+            // Missing or short file, unreadable header, or both
+            // superblocks invalid: re-initialize blank and rebuild the
+            // member from parity.
             dispo[s] = disposition::kicked;
             fresh_slots.push_back(s);
             ++rep.unreadable;
@@ -295,7 +319,7 @@ mounted_array mounter::mount(const mount_options& opts) {
         return out;
     }
 
-    // ---- open the store and load the surviving data --------------------
+    // ---- open the store and map the members -----------------------------
     std::unique_ptr<store> st =
         store::attach(opts.store, std::move(images), a->map_.disk_capacity(),
                       layout, fresh_slots);
@@ -305,30 +329,50 @@ mounted_array mounter::mount(const mount_options& opts) {
         return out;
     }
     for (std::uint32_t s = 0; s < n; ++s) {
-        if (dispo[s] == disposition::foreign_disk) st->exclude_meta_slot(s);
+        if (dispo[s] == disposition::foreign_disk) {
+            st->exclude_meta_slot(s);
+            continue;
+        }
+        // The mapping *is* the member's medium: nothing is read back.
+        util::mapped_region region = st->map_data(s);
+        if (region.empty()) {
+            // Like an unopenable path, but with no medium to rebuild
+            // into: the member does not join, and counts against the
+            // two-erasure budget.
+            if (dispo[s] != disposition::failed) {
+                ++failed_total;
+                if (dispo[s] == disposition::kicked) --kicked_total;
+                if (dispo[s] == disposition::resuming) --rep.rebuilds_resumed;
+                ++rep.unreadable;
+                dispo[s] = disposition::failed;
+            }
+            continue;
+        }
+        a->disks_[s]->map_medium(std::move(region));
     }
-    std::vector<std::byte> disk_image(a->map_.disk_capacity());
+    if (failed_total + kicked_total > 2) {
+        rep.error = "more than two members could not be mapped or trusted — "
+                    "beyond RAID-6, refusing to assemble";
+        note_mount_refused(rep);
+        return out;
+    }
     for (std::uint32_t s = 0; s < n; ++s) {
-        // Loadable contents: current members, and stale-kicked disks
-        // whose checksums describe the bytes still in the file. Fresh or
-        // foreign slots stay at the blank medium the constructor made.
-        const bool load =
+        // Trusted checksums: current members, and stale-kicked disks
+        // whose checksums describe the bytes still in the file.
+        const bool trusted =
             dispo[s] == disposition::active ||
             dispo[s] == disposition::resuming ||
             (dispo[s] == disposition::kicked &&
              std::find(fresh_slots.begin(), fresh_slots.end(), s) ==
                  fresh_slots.end());
-        if (!load) {
+        if (trusted) {
+            a->regions_[s].restore_checksums(st->image(s).crcs);
+        } else {
             // The member's checksum region stays fresh, and its image
             // follows it: pages of a failed member's file that still
             // describe its old bytes are rewritten by the next persist.
             st->update_crcs(s, 0, a->regions_[s].checksums());
-            continue;
         }
-        if (st->read_data(s, 0, disk_image)) {
-            a->disks_[s]->poke(0, disk_image);
-        }
-        a->regions_[s].restore_checksums(st->image(s).crcs);
     }
 
     // ---- wire membership, watermarks, and the journal ------------------
@@ -405,7 +449,7 @@ mounted_array mounter::mount(const mount_options& opts) {
     a->obs_.metrics()
         .get_histogram("raid_mount_ns",
                        "persistent-array mount latency "
-                       "(probe, image load, intent replay)")
+                       "(probe, mapping, intent replay)")
         .record(static_cast<std::uint64_t>(ns));
     out.array = std::move(a);
     return out;

@@ -19,23 +19,28 @@
 //      to assemble:
 //        - foreign UUID or mismatched geometry -> the slot is failed and
 //          its file is left alone (it belongs to some other array);
-//        - missing file, unreadable header, or both superblocks
-//          invalid -> the disk is re-initialized blank and *kicked* to a
-//          rebuild target (stale_disks_kicked);
+//        - missing file, file shorter than its data area's end,
+//          unreadable header, or both superblocks invalid -> the disk is
+//          re-initialized blank and *kicked* to a rebuild target
+//          (stale_disks_kicked);
 //        - events more than one epoch behind the authority -> the data
 //          cannot be trusted (an old copy was restored); kicked likewise;
-//        - otherwise the member is current: its data area is loaded and
-//          its private checksum table restored.
-//      More than two failed (non-rebuildable) slots fails the mount
-//      loudly — that is data loss, not a degraded mode.
+//        - otherwise the member is current: its private checksum table
+//          is restored.
+//      Every slot but a foreign one then has its file's data area mapped
+//      as its medium — nothing is read back into memory. A member whose
+//      mapping fails does not join (it counts as failed). More than two
+//      failed or kicked slots fails the mount loudly — that is data loss,
+//      not a degraded mode.
 //   4. *Resume*: rebuilding members continue from their persisted
 //      watermarks; the persisted intent log is restored and replayed
 //      (each journaled stripe re-synced, oldest hazard first) before the
 //      array is handed to the caller.
 //
-// Both paths return arrays whose every subsequent mutation flows back
-// into the store (media sinks + superblock persists); raid6_array::
-// unmount() stamps the images clean. See docs/PERSISTENCE.md.
+// Both paths return arrays whose every subsequent mutation lands in the
+// store (stores into the mapped data areas + superblock persists);
+// raid6_array::unmount() stamps the images clean and unmaps. Both refuse
+// store_config::direct_io by name. See docs/PERSISTENCE.md.
 #pragma once
 
 #include <memory>
@@ -94,7 +99,9 @@ struct mounted_array {
 /// Format a fresh persistent array in `scfg.dir`. A zero `uuid` draws a
 /// random one. `cfg.intent_log_entries == 0` (unbounded) is forced to a
 /// bounded default of 64 — the serialized intent area must have a fixed
-/// worst-case size. Returns null if the backing files cannot be created.
+/// worst-case size. Returns null if the backing files cannot be created,
+/// preallocated or mapped, or when `scfg.direct_io` is set (refused on
+/// stderr by name: the data areas are mapped).
 [[nodiscard]] std::unique_ptr<raid6_array> create_array(
     const array_config& cfg, const store_config& scfg, std::uint64_t uuid = 0);
 

@@ -66,6 +66,10 @@ std::vector<disk_probe> probe_dir(const std::string& dir) {
         std::FILE* f = std::fopen(p.path.c_str(), "rb");
         if (f) {
             p.file_present = true;
+            if (std::fseek(f, 0, SEEK_END) == 0) {
+                const long end = std::ftell(f);
+                p.file_size = end > 0 ? static_cast<std::uint64_t>(end) : 0;
+            }
             std::vector<std::byte> hdr(file_header_size);
             if (read_at(f, 0, hdr)) {
                 p.format_version = header_version(hdr).value_or(0);
@@ -118,8 +122,6 @@ store::store(store_config cfg, std::vector<superblock> images,
     }
     aio::file_backend_config bc;
     bc.data_offset = layout_.data_offset();
-    bc.direct_io = cfg_.direct_io;
-    bc.sync_data = cfg_.sync_data;
     backend_ = std::make_unique<aio::file_backend>(std::move(paths),
                                                    disk_capacity, bc);
 }
@@ -132,6 +134,9 @@ bool store::init_slot_file(std::uint32_t slot) {
     h.slot = slot;
     h.layout = layout_;
     if (!backend_->pwrite_raw(slot, 0, encode_header(h))) return false;
+    // Allocated blocks behind the whole data mapping: a store into a hole
+    // the filesystem cannot fill would raise SIGBUS.
+    if (!backend_->preallocate_data(slot)) return false;
     // Both table copies get every page, so the file is fully allocated
     // from the start and either copy can serve as the next write target.
     for (std::size_t pg = 0; pg < layout_.table_pages; ++pg) {
@@ -266,16 +271,6 @@ bool store::persist(std::uint32_t slot) {
     }
     if (!ok) --sb.seq;
     return ok;
-}
-
-bool store::read_data(std::uint32_t slot, std::size_t offset,
-                      std::span<std::byte> out) {
-    return backend_->read_data(slot, offset, out);
-}
-
-bool store::write_data(std::uint32_t slot, std::size_t offset,
-                       std::span<const std::byte> in) {
-    return backend_->write_data(slot, offset, in);
 }
 
 bool store::flush_all() { return backend_->flush_all(); }

@@ -2,10 +2,12 @@
 //
 // A `store` owns one file per disk slot (`<dir>/disk-NN.img`), each framed
 // as [file header][core A][core B][table copy A][table copy B][data area]
-// (see superblock.hpp), and a `file_backend` that executes all I/O against
-// them. The array keeps its authoritative state in memory exactly as
-// before; the store holds one mutable superblock *image* per slot, and the
-// array's persistence hooks edit the relevant images and call persist().
+// (see superblock.hpp), through a `file_backend`. The data area of each
+// member is mapped (map_data()) and serves as that member's vdisk medium,
+// so data writes land in the file with no system call. The array keeps
+// its authoritative metadata in memory; the store holds one mutable
+// superblock *image* per slot, and the array's persistence hooks edit the
+// relevant images and call persist().
 //
 // persist() costs what changed, not the whole superblock: checksum words
 // enter an image through update_crcs(), which marks the 4 KiB table pages
@@ -25,7 +27,8 @@
 // falls back to the previous core, whose pages this persist never
 // touched. A record-ahead intent entry is therefore durable before the
 // data writes it covers are issued — the same ordering the in-memory
-// array maintains against simulated power loss. With sync_meta off,
+// array maintains against simulated power loss. fdatasync also writes
+// back the pages dirtied through the data mapping. With sync_meta off,
 // writes still survive process kills (the kernel owns the page cache),
 // which is what the chaos campaign's kill-and-remount phases exercise.
 // See docs/PERSISTENCE.md.
@@ -44,9 +47,11 @@ namespace liberation::raid::persist {
 
 struct store_config {
     std::string dir;          ///< directory holding disk-NN.img files
-    bool direct_io = false;   ///< route aligned data I/O through O_DIRECT
+    /// Unsupported: the data area is a shared mapping, which cannot be
+    /// O_DIRECT. create_array and mount_array refuse `true` by name.
+    bool direct_io = false;
     bool sync_meta = false;   ///< fdatasync each superblock persist
-    bool sync_data = false;   ///< fdatasync each data write (paranoid mode)
+    bool sync_data = false;   ///< fdatasync after each data write (paranoid mode)
 };
 
 /// What probe found in one slot's backing file, before any geometry is
@@ -54,6 +59,8 @@ struct store_config {
 struct disk_probe {
     std::string path;
     bool file_present = false;
+    std::uint64_t file_size = 0;  ///< bytes; a member shorter than its
+                                  ///< data area's end is never mapped
     /// Format version the file header claims (0: no header magic). A
     /// value other than superblock_version is a file this build cannot
     /// read; mount refuses it by name instead of re-initializing it.
@@ -80,7 +87,8 @@ public:
 
     /// Create fresh backing files for every slot: write-once file header,
     /// both checksum-table copies, then both cores primed with the given
-    /// image (so even the very first persist has a valid fallback). All
+    /// image (so even the very first persist has a valid fallback), and
+    /// the data area preallocated. All
     /// images must share table dimensions — they fix the layout.
     /// Returns nullptr if any file cannot be created or written.
     static std::unique_ptr<store> format(const store_config& cfg,
@@ -111,7 +119,7 @@ public:
     }
 
     /// Slots participating in metadata replication (superblock persists
-    /// and media sinks). The mounter excludes foreign or geometry-
+    /// and data mappings). The mounter excludes foreign or geometry-
     /// mismatched files so a stray disk from another array is never
     /// overwritten; reinit_slot() reclaims a slot once the operator
     /// installs a blank replacement.
@@ -122,8 +130,8 @@ public:
         meta_mask_ &= ~(std::uint64_t{1} << slot);
     }
     /// Reclaim a slot for this array: rewrite its file header, table
-    /// copies and cores from the current image and re-enable metadata
-    /// updates for it.
+    /// copies and cores from the current image, preallocate its data area
+    /// and re-enable metadata updates for it.
     bool reinit_slot(std::uint32_t slot);
 
     /// The mutable in-memory superblock image for a slot. The array's
@@ -148,12 +156,15 @@ public:
     /// the image then still owes the same pages to the next persist.
     bool persist(std::uint32_t slot);
 
-    // ---- data plane (offsets relative to the data area) ----------------
-    [[nodiscard]] bool read_data(std::uint32_t slot, std::size_t offset,
-                                 std::span<std::byte> out);
-    [[nodiscard]] bool write_data(std::uint32_t slot, std::size_t offset,
-                                  std::span<const std::byte> in);
+    /// Map a slot's data area as its member's medium (empty on failure).
+    [[nodiscard]] util::mapped_region map_data(std::uint32_t slot) const {
+        return backend_->map_data(slot);
+    }
 
+    /// fdatasync one slot's file / every file (mapped data included).
+    [[nodiscard]] bool flush(std::uint32_t slot) {
+        return backend_->flush(slot);
+    }
     [[nodiscard]] bool flush_all();
     [[nodiscard]] aio::file_backend& backend() noexcept { return *backend_; }
     [[nodiscard]] const store_config& config() const noexcept { return cfg_; }
@@ -175,7 +186,7 @@ private:
           const member_layout& layout, std::size_t disk_capacity);
 
     /// Write the file header, both table copies and both cores of one
-    /// file from its image.
+    /// file from its image, and preallocate its data area.
     bool init_slot_file(std::uint32_t slot);
 
     store_config cfg_;

@@ -6,9 +6,30 @@
 
 namespace liberation::raid {
 
-vdisk::vdisk(std::uint32_t id, std::size_t capacity, std::size_t sector_size)
-    : id_(id), sector_size_(sector_size), data_(capacity) {
+vdisk::vdisk(std::uint32_t id, std::size_t capacity, std::size_t sector_size,
+             bool allocate)
+    : id_(id), sector_size_(sector_size), capacity_(capacity) {
     LIBERATION_EXPECTS(capacity > 0 && sector_size > 0);
+    if (allocate) allocate_medium();
+}
+
+void vdisk::allocate_medium() {
+    if (medium_ != nullptr) return;
+    anon_ = util::aligned_buffer(capacity_);
+    medium_ = anon_.data();
+}
+
+void vdisk::map_medium(util::mapped_region region) {
+    LIBERATION_EXPECTS(!region.empty() && region.size() == capacity_);
+    map_ = std::move(region);
+    medium_ = map_.data();
+    anon_ = util::aligned_buffer();
+}
+
+util::mapped_region vdisk::unmap_medium() {
+    fail();
+    medium_ = nullptr;
+    return std::move(map_);
 }
 
 bool vdisk::extent_readable(std::size_t offset, std::size_t len) const {
@@ -133,7 +154,7 @@ io_status vdisk::read(std::size_t offset, std::span<std::byte> out,
     if (!extent_readable(offset, out.size())) {
         return io_status::unreadable_sector;
     }
-    std::memcpy(out.data(), data_.data() + offset, out.size());
+    std::memcpy(out.data(), medium_ + offset, out.size());
     reads_.fetch_add(1, std::memory_order_relaxed);
     bytes_read_.fetch_add(out.size(), std::memory_order_relaxed);
     return io_status::ok;
@@ -150,8 +171,7 @@ io_status vdisk::write(std::size_t offset, std::span<const std::byte> in,
         transient_writes_.fetch_add(1, std::memory_order_relaxed);
         return io_status::transient_error;  // nothing hit the medium
     }
-    std::memcpy(data_.data() + offset, in.data(), in.size());
-    if (sink_) sink_(offset, in);
+    std::memcpy(medium_ + offset, in.data(), in.size());
     // A rewrite heals fully covered latent sectors (like a real remap).
     if (!bad_sectors_.empty() && !in.empty()) {
         const std::size_t first_full = (offset + sector_size_ - 1) / sector_size_;
@@ -169,10 +189,10 @@ io_status vdisk::write(std::size_t offset, std::span<const std::byte> in,
 }
 
 void vdisk::replace() {
-    data_.zero();
-    // The slot's backing file (if any) must track the blank medium, or a
-    // remount would resurrect the dead disk's stale bytes.
-    if (sink_) sink_(0, std::span<const std::byte>(data_.data(), data_.size()));
+    LIBERATION_EXPECTS(medium_ != nullptr);
+    // A mapped medium zeroes the slot's backing file with it, so a remount
+    // cannot resurrect the dead disk's stale bytes.
+    std::memset(medium_, 0, capacity_);
     bad_sectors_.clear();
     clear_transient_faults();
     clear_latency_profile();  // fresh hardware is fast hardware
@@ -181,12 +201,7 @@ void vdisk::replace() {
 
 void vdisk::peek(std::size_t offset, std::span<std::byte> out) const {
     LIBERATION_EXPECTS(extent_ok(offset, out.size()));
-    std::memcpy(out.data(), data_.data() + offset, out.size());
-}
-
-void vdisk::poke(std::size_t offset, std::span<const std::byte> in) {
-    LIBERATION_EXPECTS(extent_ok(offset, in.size()));
-    std::memcpy(data_.data() + offset, in.data(), in.size());
+    std::memcpy(out.data(), medium_ + offset, out.size());
 }
 
 void vdisk::inject_latent_error(std::size_t offset, std::size_t len) {
@@ -207,12 +222,10 @@ std::size_t vdisk::inject_silent_corruption(std::size_t offset, std::size_t len,
         while (flip == std::byte{0}) {
             flip = static_cast<std::byte>(rng.next() & 0xff);
         }
-        data_.data()[pos] ^= flip;
+        medium_[pos] ^= flip;
     }
-    // Rot lives on the medium, so it persists like any other bytes.
-    if (sink_) {
-        sink_(offset, std::span<const std::byte>(data_.data() + offset, len));
-    }
+    // Rot lives on the medium, so on a mapped one it persists like any
+    // other bytes.
     return flips;
 }
 

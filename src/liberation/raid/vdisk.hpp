@@ -1,4 +1,8 @@
-// Virtual disk: an in-memory block device with fault injection.
+// Virtual disk: a block device over a byte medium, with fault injection.
+//
+// The medium is an anonymous in-memory image, or — for a member of a
+// persistent array — a shared mapping of the member file's data area
+// (map_medium()), so every landed write is already in the file.
 //
 // Models the four failure modes the paper's RAID-6 motivation rests on
 // (Section I): fail-stop disk loss, latent sector errors (unreadable on
@@ -25,7 +29,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -33,6 +36,7 @@
 #include <span>
 
 #include "liberation/util/aligned_buffer.hpp"
+#include "liberation/util/mapped_region.hpp"
 #include "liberation/util/rng.hpp"
 
 namespace liberation::raid {
@@ -91,11 +95,15 @@ struct disk_stats {
 
 class vdisk {
 public:
-    /// Sector size only affects latent-error granularity.
-    vdisk(std::uint32_t id, std::size_t capacity, std::size_t sector_size = 4096);
+    /// Sector size only affects latent-error granularity. With
+    /// `allocate` off the disk has no medium until map_medium() or
+    /// allocate_medium() gives it one (persistent members are mapped, so
+    /// an anonymous image would only be thrown away).
+    vdisk(std::uint32_t id, std::size_t capacity, std::size_t sector_size = 4096,
+          bool allocate = true);
 
     [[nodiscard]] std::uint32_t id() const noexcept { return id_; }
-    [[nodiscard]] std::size_t capacity() const noexcept { return data_.size(); }
+    [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
     [[nodiscard]] bool online() const noexcept {
         return online_.load(std::memory_order_acquire);
     }
@@ -114,25 +122,26 @@ public:
     io_status write(std::size_t offset, std::span<const std::byte> in,
                     std::uint64_t* service_us = nullptr);
 
-    // ---- persistence hooks (see raid/persist/) -----------------------
+    // ---- medium (see raid/persist/) -----------------------------------
 
-    /// Mirror of every medium mutation: called with (offset, the bytes now
-    /// on the medium) after each successful write, each silent-corruption
-    /// injection, and the replace() zeroing. The persistence layer
-    /// attaches one per disk so a backing file tracks the in-memory medium
-    /// byte for byte — including injected rot, which must survive a
-    /// remount exactly like it survives on a real platter. Never invoked
-    /// for *failed* I/O (nothing reached the medium) or for peek()/poke().
-    using media_sink =
-        std::function<void(std::size_t offset, std::span<const std::byte>)>;
-    void attach_media_sink(media_sink sink) { sink_ = std::move(sink); }
-    void detach_media_sink() { sink_ = nullptr; }
+    /// Make `region` — a shared mapping of this member's backing file,
+    /// exactly capacity() bytes — the medium. Its bytes become the disk's
+    /// contents as they stand; the anonymous image, if any, is released.
+    /// Every later mutation (writes, replace(), injected rot) lands in the
+    /// file. Not while I/O is in flight.
+    void map_medium(util::mapped_region region);
+    /// Give up the mapping (e.g. to a spare taking over the slot). The
+    /// disk is left with no medium and offline.
+    [[nodiscard]] util::mapped_region unmap_medium();
+    [[nodiscard]] bool mapped() const noexcept { return !map_.empty(); }
+    /// Give a disk constructed without a medium a blank anonymous one
+    /// (no-op when it already has a medium).
+    void allocate_medium();
 
-    /// Raw medium access, bypassing fault injection, counters, and the
-    /// media sink: mount loads persisted disk images through poke(), and
-    /// tests peek at the medium without disturbing the fault streams.
+    /// Raw medium access, bypassing fault injection and counters: tests
+    /// and benches peek at the medium without disturbing the fault
+    /// streams.
     void peek(std::size_t offset, std::span<std::byte> out) const;
-    void poke(std::size_t offset, std::span<const std::byte> in);
 
     // ---- fault injection ---------------------------------------------
 
@@ -197,7 +206,8 @@ public:
 
 private:
     [[nodiscard]] bool extent_ok(std::size_t offset, std::size_t len) const noexcept {
-        return offset + len <= data_.size() && offset + len >= offset;
+        return medium_ != nullptr && offset + len <= capacity_ &&
+               offset + len >= offset;
     }
     [[nodiscard]] bool extent_readable(std::size_t offset, std::size_t len) const;
 
@@ -211,7 +221,11 @@ private:
 
     std::uint32_t id_;
     std::size_t sector_size_;
-    util::aligned_buffer data_;
+    std::size_t capacity_;
+    /// The medium: anon_'s image or map_'s mapping (null: none).
+    std::byte* medium_ = nullptr;
+    util::aligned_buffer anon_;
+    util::mapped_region map_;
     std::map<std::size_t, bool> bad_sectors_;  // sector index -> latent error
     std::atomic<bool> online_{true};
     std::atomic<std::uint64_t> reads_{0};
@@ -241,8 +255,6 @@ private:
     latency_profile latency_;
     std::optional<util::xoshiro256> latency_rng_;
     std::uint64_t latency_ops_ = 0;
-
-    media_sink sink_;  ///< null unless the persistence layer is attached
 };
 
 }  // namespace liberation::raid

@@ -40,7 +40,6 @@ void fold(volume_stats& into, const volume_stats& s) {
     into.failed_writes += s.failed_writes;
     into.chunks_routed += s.chunks_routed;
     into.multi_shard_ops += s.multi_shard_ops;
-    into.staged_bytes += s.staged_bytes;
     accumulate(into.shard_total, s.shard_total);
 }
 

@@ -38,6 +38,8 @@ namespace liberation::volume::persist {
 /// Backing-store knobs shared by every shard directory.
 struct volume_store_config {
     std::string dir;
+    /// Refused when true, like raid::persist::store_config::direct_io
+    /// (the shards' data areas are mapped).
     bool direct_io = false;
     bool sync_meta = false;
     bool sync_data = false;

@@ -1,7 +1,6 @@
 #include "liberation/volume/volume.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "liberation/raid/io_policy.hpp"
 #include "liberation/util/assert.hpp"
@@ -140,9 +139,6 @@ void volume::init_obs() {
             .mirror(chunks_routed_.load(std::memory_order_relaxed));
         r.get_counter("volume_multi_shard_ops_total", "host ops spanning > 1 shard")
             .mirror(multi_shard_ops_.load(std::memory_order_relaxed));
-        r.get_counter("volume_staged_bytes_total",
-                      "bytes bounced through the gather/scatter buffer")
-            .mirror(staged_bytes_.load(std::memory_order_relaxed));
         for (std::uint32_t s = 0; s < shard_count(); ++s) {
             const raid::array_stats st = shards_[s]->stats();
             const std::string label = "shard=\"" + std::to_string(s) + "\"";
@@ -221,21 +217,15 @@ std::uint32_t volume::plan(std::size_t addr, std::size_t len) {
         shard_plan& p = plans_[s];
         if (!p.touched) {
             p.touched = true;
-            p.lo = local;
-            p.hi = local + take;
             p.pieces.push_back({host_off, local, take});
             ++touched;
-        } else if (!p.pieces.empty() &&
-                   p.pieces.back().local_off + p.pieces.back().len == local &&
-                   p.pieces.back().host_off + p.pieces.back().len ==
-                       host_off) {
+        } else if (p.pieces.back().host_off + p.pieces.back().len ==
+                   host_off) {
             // Consecutive chunks of the same shard with a contiguous host
             // range (the shards == 1 case) extend the piece in place.
             p.pieces.back().len += take;
-            p.hi = local + take;
         } else {
             p.pieces.push_back({host_off, local, take});
-            p.hi = local + take;
         }
         pos += take;
         remaining -= take;
@@ -301,34 +291,13 @@ bool volume::read(std::size_t addr, std::span<std::byte> out) {
     if (touched > 1) {
         multi_shard_ops_.fetch_add(1, std::memory_order_relaxed);
     }
-    // Hand every shard's staging region out of one buffer sized up front
-    // (the dispatcher threads fill disjoint slices concurrently).
-    std::size_t stage_total = 0;
-    for (shard_plan& p : plans_) {
-        if (p.touched && p.pieces.size() > 1) {
-            p.stage_off = stage_total;
-            stage_total += p.hi - p.lo;
-        }
-    }
-    if (stage_total > staging_.size()) staging_.resize(stage_total);
-    staged_bytes_.fetch_add(stage_total, std::memory_order_relaxed);
-
     const bool ok = dispatch([&](std::uint32_t s) {
         shard_plan& p = plans_[s];
-        if (p.pieces.size() == 1) {
-            return shards_[s]->read(
-                p.lo, out.subspan(p.pieces[0].host_off, p.pieces[0].len));
-        }
-        // Boundary-straddling extent: one gapless shard read into the
-        // staging slice, then scatter the pieces back to the host buffer.
-        const std::span<std::byte> stage =
-            std::span<std::byte>(staging_).subspan(p.stage_off, p.hi - p.lo);
-        if (!shards_[s]->read(p.lo, stage)) return false;
+        p.reads.clear();
         for (const shard_plan::piece& pc : p.pieces) {
-            std::memcpy(out.data() + pc.host_off,
-                        stage.data() + (pc.local_off - p.lo), pc.len);
+            p.reads.push_back({pc.local_off, out.subspan(pc.host_off, pc.len)});
         }
-        return true;
+        return shards_[s]->read(p.reads);
     });
     if (!ok) failed_reads_.fetch_add(1, std::memory_order_relaxed);
     return ok;
@@ -343,36 +312,13 @@ bool volume::write(std::size_t addr, std::span<const std::byte> in) {
     if (touched > 1) {
         multi_shard_ops_.fetch_add(1, std::memory_order_relaxed);
     }
-    std::size_t stage_total = 0;
-    for (shard_plan& p : plans_) {
-        if (p.touched && p.pieces.size() > 1) {
-            p.stage_off = stage_total;
-            stage_total += p.hi - p.lo;
-        }
-    }
-    if (stage_total > staging_.size()) staging_.resize(stage_total);
-    staged_bytes_.fetch_add(stage_total, std::memory_order_relaxed);
-
-    // Gather on the caller's thread (cheap memcpy), write on the
-    // dispatcher threads (the expensive parity + disk work).
-    for (shard_plan& p : plans_) {
-        if (!p.touched || p.pieces.size() == 1) continue;
-        std::byte* stage = staging_.data() + p.stage_off;
-        for (const shard_plan::piece& pc : p.pieces) {
-            std::memcpy(stage + (pc.local_off - p.lo),
-                        in.data() + pc.host_off, pc.len);
-        }
-    }
     const bool ok = dispatch([&](std::uint32_t s) {
         shard_plan& p = plans_[s];
-        if (p.pieces.size() == 1) {
-            return shards_[s]->write(
-                p.lo, in.subspan(p.pieces[0].host_off, p.pieces[0].len));
+        p.writes.clear();
+        for (const shard_plan::piece& pc : p.pieces) {
+            p.writes.push_back({pc.local_off, in.subspan(pc.host_off, pc.len)});
         }
-        const std::span<const std::byte> stage =
-            std::span<const std::byte>(staging_).subspan(p.stage_off,
-                                                         p.hi - p.lo);
-        return shards_[s]->write(p.lo, stage);
+        return shards_[s]->write(p.writes);
     });
     if (!ok) failed_writes_.fetch_add(1, std::memory_order_relaxed);
     return ok;
@@ -386,7 +332,6 @@ volume_stats volume::stats() const {
     vs.failed_writes = failed_writes_.load(std::memory_order_relaxed);
     vs.chunks_routed = chunks_routed_.load(std::memory_order_relaxed);
     vs.multi_shard_ops = multi_shard_ops_.load(std::memory_order_relaxed);
-    vs.staged_bytes = staged_bytes_.load(std::memory_order_relaxed);
     for (const auto& sh : shards_) accumulate(vs.shard_total, sh->stats());
     return vs;
 }

@@ -14,7 +14,9 @@
 // however many chunks a host extent spans, its footprint on each shard is
 // one gapless local extent — every host op becomes at most one read or
 // one write per shard, which keeps the shards' full-stripe and pipelined
-// aio paths effective.
+// aio paths effective. The shard gets that extent as a piece list over
+// the host buffer (raid::read_piece/write_piece): no byte is copied on
+// the way down.
 //
 // Each shard is a complete raid6_array: its own io_policy, health and
 // latency monitors, hot-spare pool, intent log, integrity regions,
@@ -85,7 +87,9 @@ struct volume_stats {
     std::uint64_t failed_writes = 0;    ///< host writes refused by a shard
     std::uint64_t chunks_routed = 0;    ///< placement chunks touched
     std::uint64_t multi_shard_ops = 0;  ///< host ops spanning > 1 shard
-    std::uint64_t staged_bytes = 0;     ///< gather/scatter through staging
+    /// Always 0: shards read and write the host buffer in place. Kept for
+    /// readers of the stats struct.
+    std::uint64_t staged_bytes = 0;
     raid::array_stats shard_total{};    ///< all shards summed
 };
 
@@ -181,21 +185,21 @@ public:
     bool unmount();
 
 private:
-    /// One shard's gapless share of a host extent.
+    /// One shard's gapless share of a host extent, in local address
+    /// order: piece i's `len` bytes sit at host offset `host_off` and at
+    /// shard-local address `local_off`, directly after piece i-1's.
     struct shard_plan {
         bool touched = false;
-        std::size_t lo = 0;  ///< shard-local extent [lo, hi)
-        std::size_t hi = 0;
-        /// Slice of the shared staging buffer (multi-piece plans only).
-        std::size_t stage_off = 0;
-        /// Host-buffer byte offset of the piece starting at local `lo`
-        /// (later pieces follow in lock-step chunk order).
         struct piece {
             std::size_t host_off;
             std::size_t local_off;
             std::size_t len;
         };
         std::vector<piece> pieces;
+        /// The pieces as the shard's piece list over the host buffer
+        /// (filled by the shard's own dispatch leg).
+        std::vector<raid::read_piece> reads;
+        std::vector<raid::write_piece> writes;
     };
 
     void init_obs();
@@ -216,7 +220,6 @@ private:
 
     std::vector<shard_plan> plans_;       // reused per op
     std::vector<std::uint8_t> results_;   // per-shard op outcome
-    std::vector<std::byte> staging_;      // gather/scatter bounce buffer
 
     // Live counters (relaxed; mirrored into obs_ by a collector).
     std::atomic<std::uint64_t> reads_{0};
@@ -225,7 +228,6 @@ private:
     std::atomic<std::uint64_t> failed_writes_{0};
     std::atomic<std::uint64_t> chunks_routed_{0};
     std::atomic<std::uint64_t> multi_shard_ops_{0};
-    std::atomic<std::uint64_t> staged_bytes_{0};
 
     obs::hub obs_;
     obs::latency_histogram* read_ns_ = nullptr;

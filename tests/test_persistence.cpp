@@ -23,6 +23,8 @@
 #include "liberation/util/rng.hpp"
 #include "liberation/util/thread_pool.hpp"
 
+#include <sys/stat.h>
+
 namespace {
 
 using namespace liberation;
@@ -330,14 +332,22 @@ TEST(FileBackend, DataSurvivesReopen) {
     {
         aio::file_backend fb({path}, 8192, bc);
         ASSERT_TRUE(fb.ok(0));
-        ASSERT_TRUE(fb.write_data(0, 0, data));
+        ASSERT_TRUE(fb.preallocate_data(0));
+        util::mapped_region m = fb.map_data(0);
+        ASSERT_FALSE(m.empty());
+        ASSERT_EQ(m.size(), data.size());
+        std::memcpy(m.data(), data.data(), data.size());
         ASSERT_TRUE(fb.flush_all());
-    }
+    }  // unmapped and closed
     EXPECT_EQ(std::filesystem::file_size(path), 4096u + 8192u);
     {
         aio::file_backend fb({path}, 8192, bc);
+        const util::mapped_region m = fb.map_data(0);
+        ASSERT_FALSE(m.empty());
+        EXPECT_EQ(std::memcmp(m.data(), data.data(), data.size()), 0);
+        // The mapping is the file's data area, as positioned reads see it.
         std::vector<std::byte> back(8192);
-        ASSERT_TRUE(fb.read_data(0, 0, back));
+        ASSERT_TRUE(fb.pread_raw(0, 4096, back));
         EXPECT_EQ(back, data);
         // Raw access sees the metadata area below data_offset (all zeros
         // here — nothing wrote it).
@@ -350,9 +360,12 @@ TEST(FileBackend, DataSurvivesReopen) {
 TEST(FileBackend, UnopenablePathDegradesNotCrashes) {
     aio::file_backend fb({"/nonexistent-dir-xyz/disk.img"}, 4096, {});
     EXPECT_FALSE(fb.ok(0));
+    EXPECT_TRUE(fb.map_data(0).empty());
+    EXPECT_FALSE(fb.preallocate_data(0));
     std::vector<std::byte> buf(64);
-    EXPECT_FALSE(fb.read_data(0, 0, buf));
-    EXPECT_FALSE(fb.write_data(0, 0, buf));
+    EXPECT_FALSE(fb.pread_raw(0, 0, buf));
+    EXPECT_FALSE(fb.pwrite_raw(0, 0, buf));
+    EXPECT_FALSE(fb.flush(0));
 }
 
 // ---------------------------------------------------------------------
@@ -831,6 +844,134 @@ TEST_F(CrashPointMatrix, OtherFormatVersionIsRefusedByName) {
         << m.report.error;
     EXPECT_EQ(m.report.unreadable, 0u);  // nothing kicked or re-initialized
     EXPECT_EQ(slurp(disk(0)), file_before);
+}
+
+// ---------------------------------------------------------------------
+// Mapped data areas
+// ---------------------------------------------------------------------
+
+/// Byte offset of the data area in every member file of `dir`.
+std::uint64_t data_offset_of(const std::string& dir) {
+    const auto probes = probe_dir(dir);
+    EXPECT_FALSE(probes.empty());
+    return probes.empty() ? 0 : probes[0].header.layout.data_offset();
+}
+
+TEST(Persistence, MappedWriteReachesFileWithoutSync) {
+    const std::string dir = fresh_dir("mapped-write");
+    const array_config cfg = small_config();
+    store_config scfg;
+    scfg.dir = dir;
+    auto a = create_array(cfg, scfg, 0xFEED);
+    ASSERT_NE(a, nullptr);
+    const std::vector<std::byte> data = pattern_bytes(a->capacity(), 41);
+    ASSERT_TRUE(a->write(0, data));
+    // No unmount, no sync: a positioned read of each member file already
+    // returns the medium's bytes.
+    const std::uint64_t off = data_offset_of(dir);
+    const std::size_t cap = a->map().disk_capacity();
+    std::vector<std::byte> medium(cap);
+    for (std::uint32_t d = 0; d < a->disk_count(); ++d) {
+        const std::vector<std::byte> file = slurp(store::disk_path(dir, d));
+        ASSERT_EQ(file.size(), off + cap);
+        a->disk(d).peek(0, medium);
+        EXPECT_TRUE(std::equal(medium.begin(), medium.end(),
+                               file.begin() + static_cast<std::ptrdiff_t>(off)))
+            << "disk " << d;
+    }
+    // And those bytes are the host's: stripe 0's first data strip.
+    const strip_location loc = a->map().locate(0, 0);
+    const std::vector<std::byte> file =
+        slurp(store::disk_path(dir, loc.disk));
+    EXPECT_TRUE(std::equal(
+        data.begin(),
+        data.begin() + static_cast<std::ptrdiff_t>(a->map().strip_size()),
+        file.begin() + static_cast<std::ptrdiff_t>(off + loc.offset)));
+}
+
+TEST(Persistence, CreatePreallocatesDataArea) {
+    const std::string dir = fresh_dir("prealloc");
+    const array_config cfg = small_config();
+    store_config scfg;
+    scfg.dir = dir;
+    auto a = create_array(cfg, scfg, 0xFEED);
+    ASSERT_NE(a, nullptr);
+    const std::uint64_t end = data_offset_of(dir) + a->map().disk_capacity();
+    for (std::uint32_t d = 0; d < a->disk_count(); ++d) {
+        struct stat st{};
+        ASSERT_EQ(::stat(store::disk_path(dir, d).c_str(), &st), 0);
+        EXPECT_GE(static_cast<std::uint64_t>(st.st_blocks) * 512, end)
+            << "disk " << d;
+    }
+}
+
+TEST(Persistence, ShortMemberFileIsKickedNotMapped) {
+    const std::string dir = fresh_dir("short-member");
+    const array_config cfg = small_config();
+    store_config scfg;
+    scfg.dir = dir;
+    std::vector<std::byte> data;
+    std::size_t cap = 0;
+    {
+        auto a = create_array(cfg, scfg, 0xFEED);
+        ASSERT_NE(a, nullptr);
+        data = pattern_bytes(a->capacity(), 42);
+        cap = a->map().disk_capacity();
+        ASSERT_TRUE(a->write(0, data));
+        ASSERT_TRUE(a->unmount());
+    }
+    const std::uint64_t off = data_offset_of(dir);
+    // Cut one member off halfway through its data area: its header and
+    // superblocks still decode, but mapping it would fault past the end.
+    std::filesystem::resize_file(store::disk_path(dir, 1), off + cap / 2);
+    {
+        mounted_array m = mount_array(options_for(dir));
+        ASSERT_TRUE(m.report.ok) << m.report.error;
+        EXPECT_EQ(m.report.unreadable, 1u);
+        EXPECT_EQ(m.array->stats().stale_disks_kicked, 1u);
+        EXPECT_TRUE(m.array->rebuild_active());
+        m.array->drain_background_rebuild();
+        std::vector<std::byte> back(m.array->capacity());
+        ASSERT_TRUE(m.array->read(0, back));
+        EXPECT_EQ(back, data);
+        EXPECT_TRUE(m.array->unmount());
+    }
+    EXPECT_EQ(std::filesystem::file_size(store::disk_path(dir, 1)),
+              off + cap);
+
+    // Three short members are beyond RAID-6: refused, nothing mapped.
+    for (std::uint32_t d : {0u, 2u, 4u}) {
+        std::filesystem::resize_file(store::disk_path(dir, d), off + cap / 4);
+    }
+    mounted_array m = mount_array(options_for(dir));
+    EXPECT_FALSE(m.report.ok);
+    EXPECT_EQ(m.array, nullptr);
+    EXPECT_NE(m.report.error.find("refusing to assemble"), std::string::npos)
+        << m.report.error;
+}
+
+TEST(Persistence, DirectIoIsRefusedByName) {
+    const std::string dir = fresh_dir("direct-io");
+    const array_config cfg = small_config();
+    store_config scfg;
+    scfg.dir = dir;
+    scfg.direct_io = true;
+    EXPECT_EQ(create_array(cfg, scfg, 0xFEED), nullptr);
+    EXPECT_FALSE(std::filesystem::exists(store::disk_path(dir, 0)));
+
+    scfg.direct_io = false;
+    {
+        auto a = create_array(cfg, scfg, 0xFEED);
+        ASSERT_NE(a, nullptr);
+        ASSERT_TRUE(a->unmount());
+    }
+    mount_options mo = options_for(dir);
+    mo.store.direct_io = true;
+    mounted_array m = mount_array(mo);
+    EXPECT_FALSE(m.report.ok);
+    EXPECT_EQ(m.array, nullptr);
+    EXPECT_NE(m.report.error.find("direct_io"), std::string::npos)
+        << m.report.error;
 }
 
 // ---------------------------------------------------------------------

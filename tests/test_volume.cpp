@@ -148,7 +148,7 @@ TEST(VolumeIO, MirrorsAFlatBufferUnderRandomBoundaryStraddlingOps) {
 
     const volume_stats vs = vol.stats();
     EXPECT_GT(vs.multi_shard_ops, 0u);
-    EXPECT_GT(vs.staged_bytes, 0u);  // straddling extents used staging
+    EXPECT_EQ(vs.staged_bytes, 0u);  // shards read/write the host buffer
     EXPECT_GE(vs.chunks_routed, vs.reads + vs.writes);
 }
 
@@ -197,6 +197,27 @@ TEST(VolumeIO, WorkerPoolsProduceTheSameBytes) {
     ASSERT_TRUE(b.read(0, out_b));
     EXPECT_EQ(out_a, out_b);
     EXPECT_EQ(out_a, data);
+}
+
+TEST(VolumeIO, AlignedMultiShardWriteIsOneWindowPerShard) {
+    // One chunk is one stripe, so a host write of 8 stripes gives each of
+    // the 2 shards 4 one-stripe pieces from 4 separate host ranges. They
+    // must still run as one 4-stripe window per shard: one submission per
+    // disk per stripe in flight together, not one window per piece.
+    volume_config cfg = small_volume(2);
+    cfg.shard.io_queue_depth = 8;
+    volume vol(cfg);
+    const std::size_t sds = vol.shard(0).map().stripe_data_size();
+    const std::vector<std::byte> data = pattern_bytes(8 * sds, 17);
+    ASSERT_TRUE(vol.write(0, data));
+    for (std::uint32_t s = 0; s < 2; ++s) {
+        EXPECT_EQ(vol.shard(s).aio_engine().stats().inflight_highwater, 4u)
+            << "shard " << s;
+        EXPECT_EQ(vol.shard(s).stats().full_stripe_writes, 4u);
+    }
+    std::vector<std::byte> out(data.size());
+    ASSERT_TRUE(vol.read(0, out));
+    EXPECT_EQ(out, data);
 }
 
 // ---------------------------------------------------------------------

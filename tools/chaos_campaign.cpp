@@ -403,10 +403,8 @@ void print_volume_report(const volume_chaos_config& cfg,
                 "(reads=%zu writes=%zu)\n",
                 static_cast<unsigned long long>(cfg.seed), cfg.volume.shards,
                 rep.ops, rep.reads, rep.writes);
-    std::printf("  routing: chunks-routed=%zu multi-shard-ops=%zu "
-                "staged-bytes=%zu\n",
-                rep.stats.chunks_routed, rep.stats.multi_shard_ops,
-                rep.stats.staged_bytes);
+    std::printf("  routing: chunks-routed=%zu multi-shard-ops=%zu\n",
+                rep.stats.chunks_routed, rep.stats.multi_shard_ops);
     std::printf("  events: fail-stops=%zu corruptions-injected=%zu "
                 "power-losses=%zu fail-slow-injected=%zu\n",
                 rep.injected_fail_stops, rep.corruptions_injected,
