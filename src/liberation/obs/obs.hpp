@@ -109,6 +109,22 @@ private:
     std::vector<std::function<void()>> collectors_;
 };
 
+/// One hub's contribution to a merged exposition: `labels` (a literal
+/// Prometheus label body such as `shard="2"`, or empty) is added to
+/// every sample line of the part.
+struct metrics_part {
+    std::string labels;
+    hub* h = nullptr;
+};
+
+/// Run each part's collectors and render one exposition: every family's
+/// HELP/TYPE header appears once, followed by the samples of every part
+/// that has it (in part order); families appear in first-seen order.
+/// The metrics counterpart of merged_trace_json().
+[[nodiscard]] std::string merged_metrics_text(
+    const std::vector<metrics_part>& parts,
+    const std::string& prefix = "liberation_");
+
 /// RAII span: times [construction, destruction) on the hub's clock,
 /// records the duration into `hist` (when non-null), and emits a Chrome
 /// trace event when tracing is enabled. Compiled out entirely with

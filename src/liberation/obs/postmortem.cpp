@@ -89,8 +89,21 @@ std::string write_postmortem(const std::string& dir,
                   jesc(b.reason).c_str(),
                   static_cast<unsigned long long>(fr.total()),
                   static_cast<unsigned long long>(fr.dropped()));
+    std::string tail = "]";
+    if (b.first_bad_op) {
+        char bad[192];
+        std::snprintf(bad, sizeof bad,
+                      ",\"first_bad_op\":{\"op\":%llu,\"addr\":%llu,"
+                      "\"len\":%llu,\"trace_id\":%llu}",
+                      static_cast<unsigned long long>(b.first_bad_op->op),
+                      static_cast<unsigned long long>(b.first_bad_op->addr),
+                      static_cast<unsigned long long>(b.first_bad_op->len),
+                      static_cast<unsigned long long>(
+                          b.first_bad_op->trace_id));
+        tail += bad;
+    }
     if (!write_file(dir + "/MANIFEST.json",
-                    std::string(head) + files + "]}\n")) {
+                    std::string(head) + files + tail + "}\n")) {
         return "";
     }
     return dir;

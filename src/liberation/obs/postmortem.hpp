@@ -12,11 +12,22 @@
 // not wall time, so seeded runs stay byte-deterministic).
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 
 namespace liberation::obs {
 
 class hub;
+
+/// The first host op a seeded run saw disagree with its reference copy:
+/// a read that returned other bytes, or a read or write that was refused.
+struct divergence {
+    std::uint64_t op = 0;        ///< op index in the run's workload
+    std::uint64_t addr = 0;      ///< host byte address
+    std::uint64_t len = 0;       ///< host byte length
+    std::uint64_t trace_id = 0;  ///< the op's root trace id (0 = untraced)
+};
 
 struct postmortem_bundle {
     std::string reason;        ///< "chaos_verdict", "mount_refused", ...
@@ -24,6 +35,8 @@ struct postmortem_bundle {
     std::string trace_json;    ///< merged Chrome trace (may be empty)
     std::string census_text;   ///< mount/superblock census (may be empty)
     std::string slo_text;      ///< SLO status lines (may be empty)
+    /// Named in MANIFEST.json as "first_bad_op" when set.
+    std::optional<divergence> first_bad_op;
 };
 
 /// Write `b` plus the current flight-recorder ring into `dir`

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "liberation/obs/flight_recorder.hpp"
-#include "liberation/obs/postmortem.hpp"
 #include "liberation/raid/scrubber.hpp"
 #include "liberation/util/rng.hpp"
 #include "liberation/util/timer.hpp"
@@ -15,6 +14,16 @@ namespace liberation::volume {
 
 namespace {
 
+/// Transient rate of the health-storm disk: retries exhaust (0.9^4 ≈
+/// 0.66 per I/O), so the first lost write trips it, while baseline disks
+/// essentially never exhaust (0.01^4 = 1e-8 per read).
+constexpr double kStormRate = 0.9;
+constexpr std::uint32_t kWriteTenths = 4;  ///< 40% of ops write
+constexpr std::size_t kSloEveryOps = 256;
+constexpr std::uint64_t kSloWindowNs = 1'000'000'000;
+
+/// Per-disk fault streams must be decorrelated from each other and from
+/// the workload stream; splitmix-style odd multiplier does that cheaply.
 [[nodiscard]] std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t n) {
     return seed ^ (0x9e3779b97f4a7c15ULL * (n + 1));
 }
@@ -33,7 +42,9 @@ namespace {
 
 /// Fold a generation's final counters into the campaign totals before
 /// the volume object is destroyed by a kill.
-void fold(volume_stats& into, const volume_stats& s) {
+void fold(chaos_report& rep, volume& vol) {
+    const volume_stats s = vol.stats();
+    volume_stats& into = rep.stats;
     into.reads += s.reads;
     into.writes += s.writes;
     into.failed_reads += s.failed_reads;
@@ -41,14 +52,62 @@ void fold(volume_stats& into, const volume_stats& s) {
     into.chunks_routed += s.chunks_routed;
     into.multi_shard_ops += s.multi_shard_ops;
     accumulate(into.shard_total, s.shard_total);
+    for (std::uint32_t sh = 0; sh < vol.shard_count(); ++sh) {
+        const raid::io_policy_stats io = vol.shard(sh).io_stats();
+        rep.io.reads += io.reads;
+        rep.io.writes += io.writes;
+        rep.io.retries += io.retries;
+        rep.io.transient_masked += io.transient_masked;
+        rep.io.retries_exhausted += io.retries_exhausted;
+        rep.io.backoff_us += io.backoff_us;
+    }
+}
+
+/// Per-stripe availability and a full checksum sweep of one shard: after
+/// the settle scrub, every readable column must verify against its
+/// stored checksum — no unverified bytes survive the campaign.
+void sweep_checksums(raid::raid6_array& a, chaos_report& rep) {
+    codes::stripe_buffer sbuf = a.make_stripe_buffer();
+    std::vector<std::uint32_t> erased;
+    for (std::size_t s = 0; s < a.map().stripes(); ++s) {
+        if (!a.load_stripe(s, sbuf.view(), erased)) {
+            ++rep.final_unrecovered;
+            continue;
+        }
+        if (!erased.empty()) ++rep.final_degraded;
+        for (std::uint32_t c = 0; c < a.map().n(); ++c) {
+            if (std::find(erased.begin(), erased.end(), c) != erased.end()) {
+                continue;
+            }
+            const raid::strip_location loc = a.map().locate(s, c);
+            if (!a.integrity(loc.disk).verify(loc.offset,
+                                              sbuf.view().strip(c))) {
+                ++rep.final_checksum_bad;
+            }
+        }
+    }
+}
+
+/// The volume hub and every shard hub as one exposition / one histogram
+/// list; shard series carry shard="s".
+void capture_metrics(volume& vol, chaos_report& rep) {
+    std::vector<obs::metrics_part> parts{{"", &vol.obs()}};
+    rep.histograms = vol.obs().histogram_snapshots();
+    for (std::uint32_t s = 0; s < vol.shard_count(); ++s) {
+        const std::string id = std::to_string(s);
+        parts.push_back({"shard=\"" + id + "\"", &vol.shard(s).obs()});
+        for (auto& [name, snap] : vol.shard(s).obs().histogram_snapshots()) {
+            rep.histograms.emplace_back(name + "{shard=" + id + "}", snap);
+        }
+    }
+    rep.metrics_text = obs::merged_metrics_text(parts);
 }
 
 }  // namespace
 
-volume_chaos_config default_volume_chaos_config(std::uint64_t seed,
-                                                std::uint32_t shards,
-                                                std::size_t ops) {
-    volume_chaos_config cfg;
+chaos_config default_chaos_config(std::uint64_t seed, std::uint32_t shards,
+                                  std::size_t ops) {
+    chaos_config cfg;
     cfg.seed = seed;
     cfg.ops = ops;
     cfg.volume.shards = shards;
@@ -59,27 +118,29 @@ volume_chaos_config default_volume_chaos_config(std::uint64_t seed,
     a.element_size = 512;
     a.stripes = 32;
     a.sector_size = 512;
-    // Two spares per shard: one for its planned fail-stop, one of margin
-    // should baseline errors ever trip a disk.
+    // Two spares per shard: at one shard, one each for the fail-stop and
+    // the storm trip; with more shards, one of margin.
     a.hot_spares = 2;
     a.rebuild_batch_stripes = 4;
-    // Same trip calculus as default_chaos_config: baseline transients are
-    // retry-masked and must never trip a disk.
-    a.health.max_transient_errors = 0;
+    // Baseline transients are retry-masked and must never trip a disk;
+    // only hard (retry-exhausted) errors count, which the storm disk
+    // produces almost at once.
+    a.health.max_transient_errors = 0;  // disabled
     a.health.max_read_errors = 20;
-    a.health.max_write_errors = 1;
-    cfg.events.fail_stop_a_at_op = ops / 6;
-    cfg.events.kill_mid_rebuild_at_op = ops / 6 + 1;
-    cfg.events.fail_slow_at_op = ops / 3;
-    cfg.events.fail_stop_b_at_op = ops / 2;
-    cfg.events.fail_slow_recover_at_op = ops * 7 / 10;
-    cfg.events.power_or_kill_at_op = ops * 4 / 5;
-    cfg.events.corrupt_every = 900;
+    a.health.max_write_errors = 1;  // md: first lost write trips
+    chaos_event_plan& ev = cfg.events;
+    ev.fail_stop_at_op = ops / 6;
+    ev.kill_mid_rebuild_at_op = ops / 6 + 1;
+    ev.fail_slow_at_op = ops / 3;
+    ev.health_storm_at_op = ops / 2;
+    ev.fail_slow_recover_at_op = ops * 7 / 10;
+    ev.power_loss_at_op = ops * 4 / 5;
+    ev.kill_mid_scrub_at_op = ops * 9 / 10;
     return cfg;
 }
 
-volume_chaos_report run_volume_chaos_campaign(const volume_chaos_config& cfg) {
-    volume_chaos_report rep;
+chaos_report run_chaos_campaign(const chaos_config& cfg) {
+    chaos_report rep;
     const std::uint32_t nshards = cfg.volume.shards;
     std::unique_ptr<volume> vol;
     if (cfg.persist_enabled) {
@@ -100,6 +161,9 @@ volume_chaos_report run_volume_chaos_campaign(const volume_chaos_config& cfg) {
     const auto log = [&](const std::string& msg) {
         if (cfg.log) cfg.log(msg);
     };
+    const auto log_op = [&](std::size_t op, const std::string& msg) {
+        log("op " + std::to_string(op) + ": " + msg);
+    };
     if (cfg.trace) vol->set_tracing(true);
     // SLO engine over the volume hub; rebuilt per kill-and-remount
     // generation (the hub dies with the volume), sticky verdict folded.
@@ -108,35 +172,28 @@ volume_chaos_report run_volume_chaos_campaign(const volume_chaos_config& cfg) {
     const auto make_slo = [&] {
         if (cfg.slo.empty()) return;
         slo = std::make_unique<obs::slo_engine>(vol->obs(), cfg.slo,
-                                                cfg.slo_window_ns);
+                                                kSloWindowNs);
         slo->evaluate();  // baseline frame at generation start
     };
     make_slo();
+    const auto fold_slo = [&] {
+        if (slo == nullptr) return;
+        slo->evaluate();
+        slo_ever_violated = slo_ever_violated || slo->ever_violated();
+    };
     const auto capture_obs = [&] {
-        if (slo != nullptr) {
-            slo->evaluate();
-            slo_ever_violated = slo_ever_violated || slo->ever_violated();
-            rep.slo_text = slo->text();
-            rep.slo_ok = !slo_ever_violated;
-        }
-        rep.metrics_text = vol->obs().metrics_text();
+        fold_slo();
+        if (slo != nullptr) rep.slo_text = slo->text();
+        rep.slo_ok = !slo_ever_violated;
+        capture_metrics(*vol, rep);
         if (cfg.trace) rep.trace_json = vol->trace_json();
     };
-    const auto note_failed_verdict = [&] {
-        if (rep.success) return;
-        obs::flight_recorder::instance().record(obs::fr_kind::verdict_failed,
-                                                vol->obs().now_ns());
-        obs::postmortem_bundle b;
-        b.metrics_text = rep.metrics_text;
-        b.trace_json = rep.trace_json;
-        b.slo_text = rep.slo_text;
-        (void)obs::auto_postmortem("chaos_verdict", nullptr, std::move(b));
-    };
     util::stopwatch phase_clock;
-
-    volume_stats acc{};
     std::uint64_t generation = 0;
 
+    // Baseline transients on every starting disk. Spares stay clean: a
+    // promoted spare is fresh hardware, which is also what keeps a
+    // post-storm shard quiet enough to finish its rebuild.
     const auto arm_transients = [&] {
         if (cfg.transient_read_rate <= 0.0 &&
             cfg.transient_write_rate <= 0.0) {
@@ -159,14 +216,11 @@ volume_chaos_report run_volume_chaos_campaign(const volume_chaos_config& cfg) {
     // no unmount, then mount_volume() reassembles the set (manifest
     // election, shard census, per-shard member election + intent replay).
     const auto kill_and_remount = [&](const std::string& why) {
-        fold(acc, vol->stats());
+        fold(rep, *vol);
         // The engine references the dying hub: fold its verdict and drop
         // it before the volume goes away.
-        if (slo != nullptr) {
-            slo->evaluate();
-            slo_ever_violated = slo_ever_violated || slo->ever_violated();
-            slo.reset();
-        }
+        fold_slo();
+        slo.reset();
         vol.reset();
         ++rep.kills;
         log("kill (" + why + "): process state dropped, remounting volume");
@@ -196,6 +250,8 @@ volume_chaos_report run_volume_chaos_campaign(const volume_chaos_config& cfg) {
         ++rep.remounts;
         for (const persist::shard_census_entry& e : m.report.census) {
             rep.mount_intent_replayed += e.report.intent_replayed;
+            rep.stale_disks_kicked +=
+                e.report.stale_kicked + e.report.unreadable;
             rep.rebuilds_resumed += e.report.rebuilds_resumed;
         }
         ++generation;
@@ -213,17 +269,15 @@ volume_chaos_report run_volume_chaos_campaign(const volume_chaos_config& cfg) {
     rng.fill(shadow);
     if (!vol->write(0, shadow)) {
         ++rep.failed_writes;
-        rep.stats = vol->stats();
+        fold(rep, *vol);
         rep.phases.fill_s = phase_clock.seconds();
         capture_obs();
         return rep;
     }
     rep.phases.fill_s = phase_clock.seconds();
 
-    const std::size_t stripe_bytes = vol->shard(0).map().stripe_data_size();
-    const std::size_t max_io = cfg.max_io_bytes != 0
-                                   ? std::min(cfg.max_io_bytes, cap)
-                                   : std::min(2 * stripe_bytes, cap);
+    const std::size_t max_io =
+        std::min(2 * vol->shard(0).map().stripe_data_size(), cap);
     std::vector<std::byte> buf(max_io);
 
     // Shard roles: concurrent faults land on *different* shards.
@@ -232,50 +286,74 @@ volume_chaos_report run_volume_chaos_campaign(const volume_chaos_config& cfg) {
     const std::uint32_t shard_c =
         nshards >= 3 ? (shard_a + 2) % nshards : shard_a;
 
-    const volume_chaos_event_plan& ev = cfg.events;
-    bool fail_a_pending = false;
-    bool fail_b_pending = false;
+    const chaos_event_plan& ev = cfg.events;
+    const auto planned = [&](std::size_t at_op) { return at_op < cfg.ops; };
+    const auto planned_every = [&](std::size_t every) {
+        return every != 0 && every < cfg.ops;
+    };
+    const auto cadence = [&](std::size_t every, std::size_t op) {
+        return every != 0 && op != 0 && op % every == 0;
+    };
+    bool fail_stop_pending = false;
+    bool storm_pending = false;
     bool power_pending = false;
     bool power_armed = false;
     bool kill_write_armed = false;  // on the budget's loss: kill, not reboot
     bool kill_rebuild_pending = false;
+    bool kill_scrub_pending = false;
     bool fail_slow_pending = false;
     bool fail_slow_recover_pending = false;
     std::uint32_t slow_victim = UINT32_MAX;
 
+    // An armed event only fires on a quiet shard — no failed disk, no
+    // rebuild in flight — so faults never stack beyond the two erasures
+    // RAID-6 tolerates by construction.
     const auto quiet = [&](std::uint32_t s) {
         return vol->shard(s).failed_disk_count() == 0 &&
                !vol->shard(s).rebuild_active() && vol->shard(s).powered() &&
                !power_armed;
     };
+    // Silent damage uses a looser gate: healthy, degraded or rebuilding
+    // (<= 1 masked column keeps each flip inside the two-erasure decode
+    // budget). Journaled (torn) stripes are excluded: their mismatches
+    // belong to write-hole recovery, not to the corruption classifier.
     const auto corruptible = [&](std::uint32_t s) {
         raid::raid6_array& a = vol->shard(s);
         return a.powered() && !power_armed && a.failed_disk_count() == 0 &&
                a.rebuilding_disk_count() <= 1 && a.journal().size() == 0;
     };
+    // Injection counters; each also picks the next target shard, so the
+    // damage rotates across all shards.
     std::size_t data_flips = 0;
+    std::size_t latent_errors = 0;
+    std::size_t checksum_flips = 0;
+    const auto rotate = [nshards](std::size_t count) {
+        return static_cast<std::uint32_t>(count % nshards);
+    };
 
-    const auto fail_stop = [&](std::uint32_t s, std::size_t op) {
-        const std::uint32_t victim = pick_online_disk(vol->shard(s), rng);
-        log("op " + std::to_string(op) + ": fail-stop shard " +
-            std::to_string(s) + " disk " + std::to_string(victim));
-        vol->shard(s).fail_disk(victim);
-        ++rep.injected_fail_stops;
+    const auto note_divergence = [&](std::size_t op, std::size_t addr,
+                                     std::size_t len,
+                                     std::uint64_t trace_id) {
+        if (rep.first_bad_op) return;
+        rep.first_bad_op = obs::divergence{op, addr, len, trace_id};
+        log_op(op, "first_bad_op=" + std::to_string(op) + " at " +
+               std::to_string(addr) + "+" + std::to_string(len) + " trace " +
+               std::to_string(trace_id));
     };
 
     phase_clock.restart();
     for (std::size_t op = 0; op < cfg.ops; ++op) {
-        if (slo != nullptr && cfg.slo_every_ops != 0 && op != 0 &&
-            op % cfg.slo_every_ops == 0) {
+        if (slo != nullptr && op != 0 && op % kSloEveryOps == 0) {
             slo->evaluate();
         }
-        if (op == ev.fail_stop_a_at_op) fail_a_pending = true;
-        if (op == ev.fail_stop_b_at_op) fail_b_pending = true;
-        if (op == ev.power_or_kill_at_op) power_pending = true;
+        if (op == ev.fail_stop_at_op) fail_stop_pending = true;
+        if (op == ev.health_storm_at_op) storm_pending = true;
+        if (op == ev.power_loss_at_op) power_pending = true;
         if (op == ev.fail_slow_at_op) fail_slow_pending = true;
         if (op == ev.fail_slow_recover_at_op) fail_slow_recover_pending = true;
-        if (cfg.persist_enabled && op == ev.kill_mid_rebuild_at_op) {
-            kill_rebuild_pending = true;
+        if (cfg.persist_enabled) {
+            if (op == ev.kill_mid_rebuild_at_op) kill_rebuild_pending = true;
+            if (op == ev.kill_mid_scrub_at_op) kill_scrub_pending = true;
         }
 
         // The mid-rebuild kill inverts the quiet gate: it fires at the
@@ -285,24 +363,52 @@ volume_chaos_report run_volume_chaos_campaign(const volume_chaos_config& cfg) {
         if (kill_rebuild_pending && vol->shard(shard_a).rebuild_active() &&
             vol->shard(shard_a).powered() && !power_armed) {
             kill_rebuild_pending = false;
-            log("op " + std::to_string(op) + ": killing mid-rebuild of shard " +
-                std::to_string(shard_a));
-            if (!kill_and_remount("mid-rebuild")) {
-                rep.stats = acc;
-                return rep;
-            }
+            log_op(op, "killing mid-rebuild of shard " +
+                   std::to_string(shard_a));
+            if (!kill_and_remount("mid-rebuild")) return rep;
         }
 
         // Fire at most one armed event per op, oldest first. Gates are
-        // per-shard: shard B can take its fail-stop while shard A is
-        // still rebuilding and shard C is dragging.
-        if (fail_a_pending && quiet(shard_a)) {
-            fail_stop(shard_a, op);
-            fail_a_pending = false;
-        } else if (fail_b_pending && quiet(shard_b)) {
-            fail_stop(shard_b, op);
-            fail_b_pending = false;
+        // per-shard: shard B can take its storm while shard A is still
+        // rebuilding and shard C is dragging.
+        if (fail_stop_pending && quiet(shard_a)) {
+            raid::raid6_array& a = vol->shard(shard_a);
+            const std::uint32_t victim = pick_online_disk(a, rng);
+            log_op(op, "fail-stop shard " + std::to_string(shard_a) + " disk " +
+                   std::to_string(victim));
+            a.fail_disk(victim);
+            ++rep.injected_fail_stops;
+            fail_stop_pending = false;
+            // The shard is now degraded (a spare's rebuild has barely
+            // started). Corrupt a survivor column of the last stripe — far
+            // from the rebuild cursor — and scrub at once: the
+            // checksum-first scrubber must repair corruption on a degraded
+            // stripe, which a parity cross-check could only skip.
+            const std::size_t s = a.map().stripes() - 1;
+            for (std::uint32_t c = 0; c < a.map().n(); ++c) {
+                const raid::strip_location loc = a.map().locate(s, c);
+                if (loc.disk == victim || !a.disk(loc.disk).online()) continue;
+                a.disk(loc.disk).inject_silent_corruption(loc.offset, 32, rng);
+                ++rep.corruptions_injected;
+                log_op(op, "corrupted survivor disk " +
+                       std::to_string(loc.disk) + " on degraded stripe " +
+                       std::to_string(s));
+                break;
+            }
+            rep.degraded_scrub_repairs += scrub_array(a).repaired_on_degraded;
+        } else if (storm_pending && quiet(shard_b)) {
+            const std::uint32_t victim =
+                pick_online_disk(vol->shard(shard_b), rng);
+            log_op(op, "transient storm on shard " + std::to_string(shard_b) +
+                   " disk " + std::to_string(victim));
+            vol->shard(shard_b).disk(victim).set_transient_fault_rates(
+                kStormRate, kStormRate, derive_seed(cfg.seed, 1000));
+            storm_pending = false;
         } else if (fail_slow_pending && quiet(shard_c)) {
+            // Gray failure: correct bytes, but every service takes
+            // fail_slow_base_us. A constant shape keeps the deadline-miss
+            // streak unbroken, so the monitor first hedges around single
+            // late reads, then quarantines the disk.
             const std::uint32_t victim =
                 pick_online_disk(vol->shard(shard_c), rng);
             raid::latency_profile prof;
@@ -314,48 +420,91 @@ volume_chaos_report run_volume_chaos_campaign(const volume_chaos_config& cfg) {
             slow_victim = victim;
             ++rep.fail_slow_injected;
             fail_slow_pending = false;
-            log("op " + std::to_string(op) + ": fail-slow on shard " +
-                std::to_string(shard_c) + " disk " + std::to_string(victim));
+            log_op(op, "fail-slow on shard " + std::to_string(shard_c) +
+                   " disk " + std::to_string(victim));
         } else if (power_pending && quiet(shard_b)) {
             const auto budget = 1 + rng.next_below(4);
-            log("op " + std::to_string(op) + ": power loss armed on shard " +
-                std::to_string(shard_b) + " after " + std::to_string(budget) +
-                " disk writes" +
-                (cfg.persist_enabled ? " (kill on loss)" : ""));
+            log_op(op, "power loss armed on shard " + std::to_string(shard_b) +
+                   " after " + std::to_string(budget) + " disk writes" +
+                   (cfg.persist_enabled ? " (kill on loss)" : ""));
             vol->shard(shard_b).simulate_power_loss_after(budget);
             power_pending = false;
             power_armed = true;
             kill_write_armed = cfg.persist_enabled;
+        } else if (kill_scrub_pending && quiet(shard_c) &&
+                   vol->shard(shard_c).journal().size() == 0) {
+            // Mid-scrub crash point: damage sits on the medium and the
+            // scrub that would heal it never runs. The files hold the
+            // corrupt bytes, the persisted checksums still describe the
+            // original data, and the post-remount scrub must repair it.
+            raid::raid6_array& a = vol->shard(shard_c);
+            const std::size_t s = a.map().stripes() / 2;
+            const auto c =
+                static_cast<std::uint32_t>(rng.next_below(a.map().n()));
+            const raid::strip_location loc = a.map().locate(s, c);
+            a.disk(loc.disk).inject_silent_corruption(loc.offset, 32, rng);
+            ++rep.corruptions_injected;
+            kill_scrub_pending = false;
+            log_op(op, "killing mid-scrub (shard " + std::to_string(shard_c) +
+                   " disk " + std::to_string(loc.disk) + " stripe " +
+                   std::to_string(s) + " corrupt and unhealed)");
+            if (!kill_and_remount("mid-scrub")) return rep;
+            const raid::scrub_summary after = scrub_array(vol->shard(shard_c));
+            rep.remount_scrub_repairs += after.repaired_data +
+                                         after.repaired_parity +
+                                         after.repaired_metadata;
+            rep.scrub_uncorrectable += after.uncorrectable;
+        } else if (cadence(ev.latent_error_every, op) &&
+                   quiet(rotate(latent_errors))) {
+            raid::raid6_array& a = vol->shard(rotate(latent_errors));
+            const std::size_t sector = cfg.volume.shard.sector_size;
+            const std::uint32_t victim = pick_online_disk(a, rng);
+            const std::size_t off =
+                rng.next_below(a.disk(victim).capacity() / sector) * sector;
+            a.disk(victim).inject_latent_error(off, sector);
+            ++latent_errors;
+            ++rep.latent_errors_injected;
         }
 
-        // Silent corruption rotates across shards, independent of the
-        // armed-event chain — flips are supposed to land on degraded and
-        // rebuilding shards too (<= 1 masked column keeps each flip
-        // inside the two-erasure decode budget).
-        if (ev.corrupt_every != 0 && op % ev.corrupt_every == 0 && op != 0) {
-            const auto s =
-                static_cast<std::uint32_t>(data_flips % nshards);
-            if (corruptible(s)) {
-                raid::raid6_array& a = vol->shard(s);
-                const std::size_t stripe =
-                    (data_flips * 7) % a.map().stripes();
-                ++data_flips;
-                const auto c =
-                    static_cast<std::uint32_t>(rng.next_below(a.map().n()));
-                const raid::strip_location loc = a.map().locate(stripe, c);
-                const std::size_t block = a.integrity_block();
-                const std::size_t off =
-                    loc.offset +
-                    rng.next_below(a.map().strip_size() / block) * block;
-                const std::size_t len =
-                    1 + rng.next_below(std::min<std::size_t>(64, block));
-                a.disk(loc.disk).inject_silent_corruption(off, len, rng);
-                ++rep.corruptions_injected;
-                log("op " + std::to_string(op) +
-                    ": silent corruption on shard " + std::to_string(s) +
-                    " disk " + std::to_string(loc.disk) + " stripe " +
-                    std::to_string(stripe));
-            }
+        if (cadence(ev.corrupt_every, op) && corruptible(rotate(data_flips))) {
+            // Rotate stripes with a stride coprime to the stripe count:
+            // corruption lingers until a read or scrub heals it, and piling
+            // three unhealed flips onto one stripe would exceed what any
+            // two-parity code can repair.
+            const std::uint32_t s = rotate(data_flips);
+            raid::raid6_array& a = vol->shard(s);
+            const std::size_t stripe = (data_flips * 7) % a.map().stripes();
+            ++data_flips;
+            const auto c =
+                static_cast<std::uint32_t>(rng.next_below(a.map().n()));
+            const raid::strip_location loc = a.map().locate(stripe, c);
+            const std::size_t block = a.integrity_block();
+            const std::size_t off =
+                loc.offset +
+                rng.next_below(a.map().strip_size() / block) * block;
+            const std::size_t len =
+                1 + rng.next_below(std::min<std::size_t>(64, block));
+            a.disk(loc.disk).inject_silent_corruption(off, len, rng);
+            ++rep.corruptions_injected;
+            log_op(op, "silent corruption on shard " + std::to_string(s) +
+                   " disk " + std::to_string(loc.disk) + " stripe " +
+                   std::to_string(stripe));
+        }
+        if (cadence(ev.corrupt_integrity_every, op) &&
+            corruptible(rotate(checksum_flips))) {
+            // Flip a stored checksum instead of the data it covers: the
+            // verify/decode machinery must conclude the *metadata* is the
+            // damaged side and refresh it, never "heal" the good data.
+            const std::uint32_t s = rotate(checksum_flips);
+            raid::raid6_array& a = vol->shard(s);
+            ++checksum_flips;
+            const std::uint32_t victim = pick_online_disk(a, rng);
+            integrity::integrity_region& region = a.integrity(victim);
+            const std::size_t b = rng.next_below(region.blocks());
+            region.corrupt_block(b, static_cast<std::uint32_t>(rng.next() | 1));
+            ++rep.integrity_corruptions_injected;
+            log_op(op, "checksum metadata flip on shard " + std::to_string(s) +
+                   " disk " + std::to_string(victim));
         }
 
         // The straggler recovers; the quarantine must now be lifted by
@@ -365,25 +514,29 @@ volume_chaos_report run_volume_chaos_campaign(const volume_chaos_config& cfg) {
             if (vol->shard(shard_c).disk(slow_victim)
                     .latency_profile_armed()) {
                 vol->shard(shard_c).disk(slow_victim).clear_latency_profile();
-                log("op " + std::to_string(op) + ": fail-slow shard " +
-                    std::to_string(shard_c) + " disk " +
-                    std::to_string(slow_victim) + " recovered");
+                log_op(op, "fail-slow shard " + std::to_string(shard_c) +
+                       " disk " + std::to_string(slow_victim) + " recovered");
             }
             fail_slow_recover_pending = false;
         }
+        if (cfg.inject) cfg.inject(op, *vol);
 
-        // One workload op over the full volume address space.
-        const bool do_write = rng.next_below(10) < cfg.write_tenths;
+        // One workload op over the full volume address space, rooted in
+        // its own trace when tracing (its id names a divergence).
+        const bool do_write = rng.next_below(10) < kWriteTenths;
         const std::size_t len = 1 + rng.next_below(max_io);
         const std::size_t addr = rng.next_below(cap - len + 1);
         const std::span<std::byte> io(buf.data(), len);
+        const std::uint64_t trace_id = cfg.trace ? obs::next_trace_id() : 0;
+        const obs::trace_scope root(obs::trace_context{trace_id, 0});
         if (do_write) {
             rng.fill(io);
             ++rep.writes;
             if (!vol->write(addr, io)) {
                 ++rep.failed_writes;
-                log("op " + std::to_string(op) + ": write failed at " +
-                    std::to_string(addr) + "+" + std::to_string(len));
+                log_op(op, "write failed at " + std::to_string(addr) + "+" +
+                       std::to_string(len));
+                note_divergence(op, addr, len, trace_id);
             } else if (vol->shard(shard_b).powered()) {
                 std::memcpy(shadow.data() + addr, buf.data(), len);
             }
@@ -391,13 +544,15 @@ volume_chaos_report run_volume_chaos_campaign(const volume_chaos_config& cfg) {
             ++rep.reads;
             if (!vol->read(addr, io)) {
                 ++rep.failed_reads;
-                log("op " + std::to_string(op) + ": read failed at " +
-                    std::to_string(addr) + "+" + std::to_string(len));
+                log_op(op, "read failed at " + std::to_string(addr) + "+" +
+                       std::to_string(len));
+                note_divergence(op, addr, len, trace_id);
             } else if (std::memcmp(shadow.data() + addr, buf.data(), len) !=
                        0) {
                 ++rep.mismatches;
-                log("op " + std::to_string(op) + ": shadow mismatch at " +
-                    std::to_string(addr) + "+" + std::to_string(len));
+                log_op(op, "shadow mismatch at " + std::to_string(addr) + "+" +
+                       std::to_string(len));
+                note_divergence(op, addr, len, trace_id);
             }
         }
         ++rep.ops;
@@ -412,19 +567,16 @@ volume_chaos_report run_volume_chaos_campaign(const volume_chaos_config& cfg) {
             power_armed = false;
             if (kill_write_armed) {
                 kill_write_armed = false;
-                if (!kill_and_remount("mid-write")) {
-                    rep.stats = acc;
-                    return rep;
-                }
+                if (!kill_and_remount("mid-write")) return rep;
             } else {
                 ++rep.power_losses;
-                log("op " + std::to_string(op) + ": shard " +
-                    std::to_string(shard_b) + " power lost, rebooting");
-                vol->shard(shard_b).reboot();
-                for (int t = 0;
-                     t < 16 && vol->shard(shard_b).journal().size() != 0; ++t) {
-                    rep.resynced_stripes +=
-                        vol->shard(shard_b).recover_write_hole();
+                log_op(op, "shard " + std::to_string(shard_b) +
+                       " power lost, rebooting");
+                raid::raid6_array& b = vol->shard(shard_b);
+                b.reboot();
+                // Baseline transients can defer single stripes; retry.
+                for (int t = 0; t < 16 && b.journal().size() != 0; ++t) {
+                    rep.resynced_stripes += b.recover_write_hole();
                 }
             }
             if (do_write) {
@@ -432,6 +584,7 @@ volume_chaos_report run_volume_chaos_campaign(const volume_chaos_config& cfg) {
                     std::memcpy(shadow.data() + addr, buf.data(), len);
                 } else {
                     ++rep.failed_reads;
+                    note_divergence(op, addr, len, trace_id);
                 }
             }
         }
@@ -439,7 +592,9 @@ volume_chaos_report run_volume_chaos_campaign(const volume_chaos_config& cfg) {
     rep.phases.workload_s = phase_clock.seconds();
 
     // Settle: drain every shard's rebuild, disarm every fault stream,
-    // recover write holes, then heal what is left.
+    // recover write holes, then heal what is left (latent sectors on
+    // strips the workload never re-read, including parity strips only
+    // resilver visits).
     phase_clock.restart();
     vol->drain_background_rebuilds();
     for (std::uint32_t s = 0; s < nshards; ++s) {
@@ -455,6 +610,10 @@ volume_chaos_report run_volume_chaos_campaign(const volume_chaos_config& cfg) {
     }
     rep.phases.settle_s = phase_clock.seconds();
 
+    // Settle scrub: heal injected damage the workload never re-read. Its
+    // parity-fallback repairs are damage the checksum domain could not
+    // see — a stripe left torn without being journaled — and count
+    // against the write-hole invariant.
     phase_clock.restart();
     for (std::uint32_t s = 0; s < nshards; ++s) {
         const raid::scrub_summary settle = scrub_array(vol->shard(s));
@@ -466,7 +625,8 @@ volume_chaos_report run_volume_chaos_campaign(const volume_chaos_config& cfg) {
     }
     rep.phases.settle_scrub_s = phase_clock.seconds();
 
-    // Final verification: the full volume against the shadow copy...
+    // Final verification: the full volume against the shadow copy, then
+    // every shard's stripes against their stored checksums...
     phase_clock.restart();
     std::vector<std::byte> out(cap);
     if (!vol->read(0, out)) {
@@ -474,6 +634,9 @@ volume_chaos_report run_volume_chaos_campaign(const volume_chaos_config& cfg) {
     } else if (!std::equal(out.begin(), out.end(), shadow.begin())) {
         ++rep.mismatches;
         log("final full-volume read disagrees with the shadow copy");
+    }
+    for (std::uint32_t s = 0; s < nshards; ++s) {
+        sweep_checksums(vol->shard(s), rep);
     }
     rep.phases.final_verify_s = phase_clock.seconds();
 
@@ -488,65 +651,91 @@ volume_chaos_report run_volume_chaos_campaign(const volume_chaos_config& cfg) {
     }
     rep.phases.final_scrub_s = phase_clock.seconds();
 
-    fold(acc, vol->stats());
-    rep.stats = acc;
-    rep.spares_promoted = rep.stats.shard_total.spares_promoted;
-    rep.rebuilds_completed = rep.stats.shard_total.rebuilds_completed;
-    rep.deadline_exceeded = rep.stats.shard_total.deadline_exceeded;
-    rep.hedged_reads = rep.stats.shard_total.hedged_reads;
-    rep.hedge_wins = rep.stats.shard_total.hedge_wins;
-    rep.slow_trips = rep.stats.shard_total.slow_trips;
-    rep.slow_recoveries = rep.stats.shard_total.slow_recoveries;
+    fold(rep, *vol);
+    const raid::array_stats& total = rep.stats.shard_total;
+    rep.health_trips = total.disks_tripped;
+    rep.spares_promoted = total.spares_promoted;
+    rep.rebuilds_completed = total.rebuilds_completed;
+    rep.deadline_exceeded = total.deadline_exceeded;
+    rep.hedged_reads = total.hedged_reads;
+    rep.hedge_wins = total.hedge_wins;
+    rep.slow_trips = total.slow_trips;
+    rep.slow_recoveries = total.slow_recoveries;
 
+    // The plan must have visibly exercised every fault class it armed.
     bool events_ok = true;
     for (std::uint32_t s = 0; s < nshards; ++s) {
         events_ok = events_ok && vol->shard(s).journal().size() == 0;
     }
-    std::size_t stops_planned = 0;
-    if (ev.fail_stop_a_at_op < cfg.ops) ++stops_planned;
-    if (ev.fail_stop_b_at_op < cfg.ops) ++stops_planned;
-    events_ok = events_ok && rep.injected_fail_stops >= stops_planned;
-    if (cfg.volume.shard.hot_spares > 0 && stops_planned > 0) {
-        events_ok = events_ok && rep.spares_promoted >= stops_planned &&
-                    rep.rebuilds_completed >= stops_planned;
+    if (planned(ev.fail_stop_at_op)) {
+        events_ok = events_ok && rep.injected_fail_stops >= 1 &&
+                    rep.degraded_scrub_repairs >= 1;
     }
-    if (ev.corrupt_every != 0 && ev.corrupt_every < cfg.ops) {
+    if (planned(ev.health_storm_at_op)) {
+        events_ok = events_ok && rep.health_trips >= 1;
+    }
+    const std::size_t losses =
+        std::size_t{planned(ev.fail_stop_at_op)} +
+        std::size_t{planned(ev.health_storm_at_op)};
+    if (cfg.volume.shard.hot_spares > 0) {
+        events_ok = events_ok && rep.spares_promoted >= losses &&
+                    rep.rebuilds_completed >= losses;
+    }
+    if (planned_every(ev.corrupt_every)) {
         events_ok = events_ok && rep.corruptions_injected >= 1 &&
-                    rep.stats.shard_total.reads_self_healed +
-                            rep.settle_scrub_healed >=
-                        1;
+                    total.reads_self_healed + rep.settle_scrub_healed >= 1;
     }
-    if (cfg.volume.shard.latency.hedged_reads &&
-        ev.fail_slow_at_op < cfg.ops) {
+    if (planned_every(ev.corrupt_integrity_every)) {
+        events_ok = events_ok && rep.integrity_corruptions_injected >= 1 &&
+                    total.checksum_metadata_repaired >= 1;
+    }
+    if (cfg.volume.shard.latency.hedged_reads && planned(ev.fail_slow_at_op)) {
+        // The whole tolerance chain: late reads detected, hedges that
+        // beat the straggler, a quarantine trip and, once the profile
+        // cleared, the un-quarantine.
         events_ok = events_ok && rep.fail_slow_injected >= 1 &&
                     rep.deadline_exceeded >= 1 && rep.hedge_wins >= 1 &&
                     rep.slow_trips >= 1;
-        if (ev.fail_slow_recover_at_op < cfg.ops) {
+        if (planned(ev.fail_slow_recover_at_op)) {
             events_ok = events_ok && rep.slow_recoveries >= 1;
         }
     }
-    if (ev.power_or_kill_at_op < cfg.ops && !cfg.persist_enabled) {
+    if (planned(ev.power_loss_at_op) && !cfg.persist_enabled) {
         events_ok = events_ok && rep.power_losses >= 1;
     }
     if (cfg.persist_enabled) {
+        // Every kill must have remounted, every planned crash point must
+        // have demonstrated its recovery path.
         events_ok = events_ok && rep.mount_failures == 0 &&
                     rep.kills == rep.remounts;
-        if (ev.kill_mid_rebuild_at_op < cfg.ops) {
-            events_ok = events_ok && rep.kills >= 1 &&
-                        rep.rebuilds_resumed >= 1;
+        if (planned(ev.kill_mid_rebuild_at_op)) {
+            events_ok =
+                events_ok && rep.kills >= 1 && rep.rebuilds_resumed >= 1;
         }
-        if (ev.power_or_kill_at_op < cfg.ops) {
+        if (planned(ev.power_loss_at_op)) {
             events_ok = events_ok && rep.mount_intent_replayed >= 1;
         }
-        capture_obs();
-        events_ok = events_ok && vol->unmount();
-        rep.success = rep.clean() && events_ok && rep.slo_ok;
-        note_failed_verdict();
-        return rep;
+        if (planned(ev.kill_mid_scrub_at_op)) {
+            events_ok = events_ok && rep.remount_scrub_repairs >= 1;
+        }
     }
     capture_obs();
+    // The campaign's own exit is clean: the *next* mount of the directory
+    // sees a clean shutdown.
+    if (cfg.persist_enabled) events_ok = vol->unmount() && events_ok;
     rep.success = rep.clean() && events_ok && rep.slo_ok;
-    note_failed_verdict();
+    if (!rep.success) {
+        // Failed verdict: breadcrumb + automatic bundle (opt-in via
+        // LIBERATION_POSTMORTEM_DIR) with everything already captured.
+        obs::flight_recorder::instance().record(obs::fr_kind::verdict_failed,
+                                                vol->obs().now_ns());
+        obs::postmortem_bundle b;
+        b.metrics_text = rep.metrics_text;
+        b.trace_json = rep.trace_json;
+        b.slo_text = rep.slo_text;
+        b.first_bad_op = rep.first_bad_op;
+        (void)obs::auto_postmortem("chaos_verdict", nullptr, std::move(b));
+    }
     return rep;
 }
 

@@ -8,16 +8,17 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "liberation/raid/array.hpp"
-#include "liberation/raid/chaos.hpp"
 #include "liberation/raid/latency_monitor.hpp"
 #include "liberation/raid/persist/mount.hpp"
 #include "liberation/raid/rebuild.hpp"
 #include "liberation/raid/vdisk.hpp"
 #include "liberation/util/rng.hpp"
+#include "liberation/volume/chaos.hpp"
 
 namespace {
 
@@ -447,19 +448,19 @@ TEST(HedgedRace, DegradedReadVsConcurrentSecondTrip) {
 // ---- chaos campaign with the fail-slow plan ---------------------------
 
 TEST(FailSlowChaos, CampaignHedgesTripsAndRecoversClean) {
-    chaos_config cfg = default_chaos_config(42, 3000);
-    cfg.array.latency.hedged_reads = true;
+    volume::chaos_config cfg = volume::default_chaos_config(42, 1, 3000);
+    cfg.volume.shard.latency.hedged_reads = true;
     cfg.events.fail_stop_at_op = 600;
     cfg.events.health_storm_at_op = 1500;
     cfg.events.power_loss_at_op = 2400;
     cfg.events.fail_slow_at_op = 1000;
     cfg.events.fail_slow_recover_at_op = 2000;
-    const chaos_report rep = run_chaos_campaign(cfg);
+    const volume::chaos_report rep = volume::run_chaos_campaign(cfg);
 
     EXPECT_TRUE(rep.success);
     EXPECT_EQ(rep.mismatches, 0u);
     EXPECT_EQ(rep.failed_reads, 0u);
-    EXPECT_EQ(rep.stats.reads_unrecoverable, 0u);
+    EXPECT_EQ(rep.stats.shard_total.reads_unrecoverable, 0u);
     EXPECT_EQ(rep.fail_slow_injected, 1u);
     EXPECT_GE(rep.deadline_exceeded, 1u);
     EXPECT_GE(rep.hedged_reads, 1u);
@@ -468,12 +469,45 @@ TEST(FailSlowChaos, CampaignHedgesTripsAndRecoversClean) {
     EXPECT_GE(rep.slow_recoveries, 1u);
 
     // Same seed, same campaign: the fail-slow plan replays bit-for-bit.
-    const chaos_report again = run_chaos_campaign(cfg);
+    const volume::chaos_report again = volume::run_chaos_campaign(cfg);
     EXPECT_EQ(again.deadline_exceeded, rep.deadline_exceeded);
     EXPECT_EQ(again.hedged_reads, rep.hedged_reads);
     EXPECT_EQ(again.hedge_wins, rep.hedge_wins);
     EXPECT_EQ(again.slow_trips, rep.slow_trips);
     EXPECT_EQ(again.slow_recoveries, rep.slow_recoveries);
+}
+
+TEST(FailSlowChaos, PersistentCampaignKeepsHedgingAfterRemount) {
+    // The CLI's --persist-dir --fail-slow plan at one shard (6000 ops is
+    // the fail-slow floor). The mid-rebuild kill lands before the gray
+    // disk arms, so quarantine and recovery happen on a remounted
+    // volume: the remount must carry the latency config over.
+    const std::string dir =
+        ::testing::TempDir() + "liberation-failslow-chaos-persist";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    volume::chaos_config cfg = volume::default_chaos_config(42, 1, 6000);
+    cfg.volume.shard.latency.hedged_reads = true;
+    cfg.volume.shard.io_queue_depth = 8;
+    cfg.persist_enabled = true;
+    cfg.dir = dir;
+    std::vector<std::string> events;
+    cfg.log = [&events](const std::string& msg) { events.push_back(msg); };
+    const volume::chaos_report rep = volume::run_chaos_campaign(cfg);
+
+    const auto first = [&events](const std::string& what) {
+        for (std::size_t i = 0; i < events.size(); ++i) {
+            if (events[i].find(what) != std::string::npos) return i;
+        }
+        return events.size();
+    };
+    ASSERT_LT(first("fail-slow on shard"), events.size());
+    EXPECT_LT(first("remounted"), first("fail-slow on shard"));
+    EXPECT_GE(rep.remounts, 1u);
+    EXPECT_EQ(rep.fail_slow_injected, 1u);
+    EXPECT_GE(rep.slow_trips, 1u);
+    EXPECT_GE(rep.slow_recoveries, 1u);
+    EXPECT_TRUE(rep.success);
 }
 
 }  // namespace

@@ -149,6 +149,47 @@ TEST(ObsHub, CollectorRunsBeforeExport) {
     EXPECT_NE(text.find("liberation_mirrored_total 42\n"), std::string::npos);
 }
 
+TEST(ObsHub, MergedMetricsDeclareEachFamilyOnce) {
+    obs::hub top;
+    obs::hub s0;
+    obs::hub s1;
+    top.metrics().get_counter("ops_total", "ops").inc(3);
+    s0.metrics().get_counter("ops_total", "ops").inc(1);
+    s1.metrics().get_labeled_counter("disk_errors_total", "disk=\"2\"", "errs")
+        .inc(5);
+    s1.metrics().get_histogram("read_ns", "reads").record(100);
+    const std::string text = obs::merged_metrics_text(
+        {{"", &top}, {"shard=\"0\"", &s0}, {"shard=\"1\"", &s1}});
+
+    const auto count = [&text](const std::string& what) {
+        std::size_t n = 0;
+        for (std::size_t p = text.find(what); p != std::string::npos;
+             p = text.find(what, p + 1)) {
+            ++n;
+        }
+        return n;
+    };
+    // One header per family, however many hubs carry it.
+    EXPECT_EQ(count("# TYPE liberation_ops_total counter\n"), 1u);
+    EXPECT_EQ(count("# HELP liberation_ops_total ops\n"), 1u);
+    EXPECT_EQ(count("# TYPE liberation_obs_spans_dropped_total counter\n"), 1u);
+    // The unlabelled part keeps its samples; shard parts gain shard="s",
+    // in front of any labels the series already had.
+    EXPECT_NE(text.find("liberation_ops_total 3\n"), std::string::npos);
+    EXPECT_NE(text.find("liberation_ops_total{shard=\"0\"} 1\n"),
+              std::string::npos);
+    EXPECT_NE(
+        text.find("liberation_disk_errors_total{shard=\"1\",disk=\"2\"} 5\n"),
+        std::string::npos);
+    EXPECT_NE(text.find("liberation_read_ns{shard=\"1\",quantile=\"0.5\"}"),
+              std::string::npos);
+    EXPECT_NE(text.find("liberation_read_ns_count{shard=\"1\"} 1\n"),
+              std::string::npos);
+    // Samples follow their family's header.
+    EXPECT_LT(text.find("# TYPE liberation_ops_total counter\n"),
+              text.find("liberation_ops_total{shard=\"0\"} 1\n"));
+}
+
 // ---- tracer ----------------------------------------------------------
 
 TEST(ObsTracer, BoundedRingKeepsFreshestAndOrders) {

@@ -520,12 +520,12 @@ TEST(VolumePersist, ForeignShardIsReportedAndNeverMounted) {
 // ---------------------------------------------------------------------
 
 TEST(VolumeChaos, CampaignReplaysBitForBitFromSeed) {
-    volume_chaos_config cfg = default_volume_chaos_config(7, 3, 1'800);
+    chaos_config cfg = default_chaos_config(7, 3, 1'800);
     // Denser corruption cadence: the short run still must demonstrate a
     // self-healing read, not just survive.
     cfg.events.corrupt_every = 300;
-    const volume_chaos_report a = run_volume_chaos_campaign(cfg);
-    const volume_chaos_report b = run_volume_chaos_campaign(cfg);
+    const chaos_report a = run_chaos_campaign(cfg);
+    const chaos_report b = run_chaos_campaign(cfg);
 
     EXPECT_TRUE(a.success);
     EXPECT_EQ(a.reads, b.reads);
@@ -554,16 +554,16 @@ TEST(VolumeChaos, CampaignReplaysBitForBitFromSeed) {
 
 TEST(VolumeChaos, PersistentCampaignKillsAndRemounts) {
     const std::string dir = fresh_dir("chaos");
-    volume_chaos_config cfg = default_volume_chaos_config(11, 2, 1'800);
+    chaos_config cfg = default_chaos_config(11, 2, 1'800);
     cfg.persist_enabled = true;
     cfg.dir = dir;
-    const volume_chaos_report rep = run_volume_chaos_campaign(cfg);
+    const chaos_report rep = run_chaos_campaign(cfg);
 
     EXPECT_EQ(rep.mismatches, 0u);
     EXPECT_EQ(rep.failed_reads, 0u);
     EXPECT_EQ(rep.failed_writes, 0u);
     EXPECT_EQ(rep.scrub_uncorrectable, 0u);
-    EXPECT_GE(rep.kills, 2u);  // mid-rebuild + mid-write
+    EXPECT_GE(rep.kills, 3u);  // mid-rebuild + mid-write + mid-scrub
     EXPECT_EQ(rep.kills, rep.remounts);
     EXPECT_EQ(rep.mount_failures, 0u);
     EXPECT_GE(rep.rebuilds_resumed, 1u);
