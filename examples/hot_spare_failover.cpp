@@ -64,7 +64,7 @@ int main() {
     std::printf("after %zu ops:\n", ops);
     std::printf("  transient errors masked by retries: %llu (%llu retries, "
                 "%llu us virtual backoff)\n",
-                static_cast<unsigned long long>(st.transient_errors_masked),
+                static_cast<unsigned long long>(io.transient_masked),
                 static_cast<unsigned long long>(io.retries),
                 static_cast<unsigned long long>(io.backoff_us));
     std::printf("  hard errors -> disk tripped by health monitor: %llu\n",

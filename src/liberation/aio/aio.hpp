@@ -86,15 +86,18 @@ struct aio_config {
     /// nondeterministic, so seeded power-loss simulation and chaos replay
     /// require workers == nullptr.
     util::thread_pool* workers = nullptr;
-    /// Optional observability hub (must outlive the queue_pair). When
-    /// set, every request is timestamped on the hub's clock and the
-    /// submit→execute→complete pipeline feeds three stage histograms
-    /// (aio_queue_wait_ns, aio_execute_ns, aio_complete_ns) plus trace
-    /// spans when tracing is enabled. Null = no instrumentation.
+    /// Observability hub (must outlive the queue_pair): every request is
+    /// timestamped on the hub's clock, the submit→execute→complete
+    /// pipeline feeds three stage histograms (aio_queue_wait_ns,
+    /// aio_execute_ns, aio_complete_ns) plus trace spans when tracing is
+    /// enabled, and the engine counters live in the hub's registry — an
+    /// engine rebuilt on the same hub continues them. Null = a private
+    /// hub owned by the queue_pair.
     obs::hub* obs = nullptr;
 };
 
-/// Counter snapshot of a queue_pair (monotonic over its lifetime).
+/// Counter snapshot of a queue_pair (monotonic over the lifetime of the
+/// registry that holds the counters — see queue_pair).
 struct aio_stats {
     std::uint64_t submitted = 0;   ///< requests accepted into the ring
     std::uint64_t completed = 0;   ///< completions delivered

@@ -10,36 +10,29 @@ namespace liberation::aio {
 
 queue_pair::queue_pair(io_backend& backend, std::uint32_t disks,
                        const aio_config& cfg)
-    : backend_(backend), cfg_(cfg) {
+    : backend_(backend),
+      cfg_(cfg),
+      own_obs_(cfg.obs == nullptr ? std::make_unique<obs::hub>() : nullptr),
+      obs_(cfg.obs != nullptr ? *cfg.obs : *own_obs_),
+      ctr_(obs_.metrics()),
+      highwater_(obs_.metrics().get_gauge(
+          "aio_inflight_highwater", "max pending on any one disk (requests)")),
+      hist_queue_wait_(obs_.metrics().get_histogram(
+          "aio_queue_wait_ns", "submit-to-execute wait in the ring")),
+      hist_execute_(obs_.metrics().get_histogram(
+          "aio_execute_ns", "backend transfer execution latency")),
+      hist_complete_(obs_.metrics().get_histogram(
+          "aio_complete_ns", "submit-to-completion request latency")) {
     if (cfg_.queue_depth == 0) cfg_.queue_depth = 1;
     pending_.reserve(disks);
     for (std::uint32_t d = 0; d < disks; ++d)
         pending_.emplace_back(cfg_.queue_depth);
     disk_busy_.assign(disks, 0);
-    if (cfg_.obs != nullptr) {
-        auto& m = cfg_.obs->metrics();
-        hist_queue_wait_ = &m.get_histogram(
-            "aio_queue_wait_ns", "submit-to-execute wait in the ring");
-        hist_execute_ = &m.get_histogram(
-            "aio_execute_ns", "backend transfer execution latency");
-        hist_complete_ = &m.get_histogram(
-            "aio_complete_ns", "submit-to-completion request latency");
-    }
-}
-
-std::uint64_t queue_pair::now_ns() const noexcept {
-    return cfg_.obs != nullptr ? cfg_.obs->now_ns() : 0;
 }
 
 aio_stats queue_pair::stats() const noexcept {
-    aio_stats s;
-    s.submitted = stats_.submitted.load(std::memory_order_relaxed);
-    s.completed = stats_.completed.load(std::memory_order_relaxed);
-    s.batches = stats_.batches.load(std::memory_order_relaxed);
-    s.merges = stats_.merges.load(std::memory_order_relaxed);
-    s.split_retries = stats_.split_retries.load(std::memory_order_relaxed);
-    s.inflight_highwater =
-        stats_.inflight_highwater.load(std::memory_order_relaxed);
+    aio_stats s = ctr_.snapshot();
+    s.inflight_highwater = static_cast<std::uint64_t>(highwater_.value());
     return s;
 }
 
@@ -50,12 +43,12 @@ void queue_pair::add_completion_stage(completion_stage stage) {
 }
 
 void queue_pair::submit(const io_desc& d) {
-    stats_.submitted.fetch_add(1, std::memory_order_relaxed);
+    ctr_.inc<&aio_stats::submitted>();
     fragment f;
     f.desc = d;
     f.seq = next_seq_++;
     f.tctx = obs::current_trace();
-    f.submit_ts = now_ns();
+    f.submit_ts = obs_.now_ns();
     if (d.disk >= pending_.size()) {
         // No window to queue in: complete immediately, sequenced at drain.
         f.status = raid::io_status::out_of_range;
@@ -66,11 +59,7 @@ void queue_pair::submit(const io_desc& d) {
     }
     ring<fragment>& window = pending_[d.disk];
     window.push(f);
-    std::uint64_t hw = stats_.inflight_highwater.load(std::memory_order_relaxed);
-    while (window.size() > hw &&
-           !stats_.inflight_highwater.compare_exchange_weak(
-               hw, window.size(), std::memory_order_relaxed)) {
-    }
+    highwater_.set_max(static_cast<std::int64_t>(window.size()));
     if (window.full()) flush_disk(d.disk);
 }
 
@@ -95,7 +84,7 @@ void queue_pair::build_batches(std::uint32_t disk,
                 prev.merged.data + prev.merged.len == f.desc.data) {
                 prev.merged.len += f.desc.len;
                 ++prev.count;
-                stats_.merges.fetch_add(1, std::memory_order_relaxed);
+                ctr_.inc<&aio_stats::merges>();
                 continue;
             }
         }
@@ -119,9 +108,9 @@ void queue_pair::flush_disk(std::uint32_t disk) {
     flush_batches_.clear();
     build_batches(disk, flush_frags_, flush_batches_);
     for (const batch& b : flush_batches_) {
-        stats_.batches.fetch_add(1, std::memory_order_relaxed);
+        ctr_.inc<&aio_stats::batches>();
         if (execute_one(b, flush_frags_.data())) {
-            stats_.split_retries.fetch_add(1, std::memory_order_relaxed);
+            ctr_.inc<&aio_stats::split_retries>();
         }
     }
     // No workers → nothing contends on done_mutex_; append directly.
@@ -130,13 +119,10 @@ void queue_pair::flush_disk(std::uint32_t disk) {
 
 bool queue_pair::execute_one(const batch& b, fragment* frags) {
     fragment* const first = frags + b.first;
-    const std::uint64_t start = now_ns();
-    if (hist_queue_wait_ != nullptr) {
-        for (std::size_t i = 0; i < b.count; ++i) {
-            hist_queue_wait_->record(start >= first[i].submit_ts
-                                         ? start - first[i].submit_ts
-                                         : 0);
-        }
+    const std::uint64_t start = obs_.now_ns();
+    for (std::size_t i = 0; i < b.count; ++i) {
+        hist_queue_wait_.record(
+            start >= first[i].submit_ts ? start - first[i].submit_ts : 0);
     }
     // The execute span becomes the ambient parent around the backend call
     // (which may be running on a worker thread): anything the backend
@@ -144,7 +130,7 @@ bool queue_pair::execute_one(const batch& b, fragment* frags) {
     // submitting host op's causal tree. A merged batch inherits its first
     // fragment's context; the fragments coalesced behind it share the
     // same host op in every real caller.
-    const bool tracing = cfg_.obs != nullptr && cfg_.obs->trace().enabled();
+    const bool tracing = obs_.trace().enabled();
     const obs::trace_context parent = first->tctx;
     const std::uint64_t exec_span =
         tracing && parent.trace_id != 0 ? obs::next_span_id() : 0;
@@ -152,13 +138,11 @@ bool queue_pair::execute_one(const batch& b, fragment* frags) {
                                ? obs::trace_context{parent.trace_id, exec_span}
                                : obs::current_trace());
     const raid::io_status merged_status = backend_.execute(b.merged);
-    std::uint64_t done = now_ns();
-    if (hist_execute_ != nullptr) {
-        hist_execute_->record(done >= start ? done - start : 0);
-    }
+    std::uint64_t done = obs_.now_ns();
+    hist_execute_.record(done >= start ? done - start : 0);
     if (merged_status == raid::io_status::ok || b.count == 1) {
         if (tracing) {
-            cfg_.obs->trace().record_ex("aio.execute", "aio", start,
+            obs_.trace().record_ex("aio.execute", "aio", start,
                                         done >= start ? done - start : 0,
                                         parent, exec_span);
         }
@@ -174,11 +158,11 @@ bool queue_pair::execute_one(const batch& b, fragment* frags) {
     // masked strips of a rebuilding disk).
     for (std::size_t i = 0; i < b.count; ++i) {
         first[i].status = backend_.execute(first[i].desc);
-        first[i].done_ts = now_ns();
+        first[i].done_ts = obs_.now_ns();
     }
-    done = now_ns();
+    done = obs_.now_ns();
     if (tracing) {
-        cfg_.obs->trace().record_ex("aio.execute", "aio", start,
+        obs_.trace().record_ex("aio.execute", "aio", start,
                                     done >= start ? done - start : 0, parent,
                                     exec_span);
     }
@@ -204,9 +188,9 @@ void queue_pair::run_batches_on_workers(std::uint32_t disk) {
         // Counters are atomic, so workers account directly — no
         // drain-time delta folding needed.
         for (const batch& b : *batches) {
-            stats_.batches.fetch_add(1, std::memory_order_relaxed);
+            ctr_.inc<&aio_stats::batches>();
             if (execute_one(b, frags->data())) {
-                stats_.split_retries.fetch_add(1, std::memory_order_relaxed);
+                ctr_.inc<&aio_stats::split_retries>();
             }
         }
         std::lock_guard lock(done_mutex_);
@@ -232,19 +216,17 @@ void queue_pair::drain() {
     // reused as scratch for the next cycle.
     std::sort(done_.begin(), done_.end(),
               [](const fragment& a, const fragment& b) { return a.seq < b.seq; });
-    const bool tracing = cfg_.obs != nullptr && cfg_.obs->trace().enabled();
+    const bool tracing = obs_.trace().enabled();
     for (const fragment& f : done_) {
         raid::io_status s = f.status;
         for (const completion_stage& stage : stages_) s = stage(f.desc, s);
-        stats_.completed.fetch_add(1, std::memory_order_relaxed);
-        if (hist_complete_ != nullptr) {
-            hist_complete_->record(
-                f.done_ts >= f.submit_ts ? f.done_ts - f.submit_ts : 0);
-        }
+        ctr_.inc<&aio_stats::completed>();
+        hist_complete_.record(
+            f.done_ts >= f.submit_ts ? f.done_ts - f.submit_ts : 0);
         if (tracing) {
             // Leaf event under the submitting span: completion latency of
             // this fragment inside its host op's tree.
-            cfg_.obs->trace().record_ex(
+            obs_.trace().record_ex(
                 "aio.complete", "aio", f.submit_ts,
                 f.done_ts >= f.submit_ts ? f.done_ts - f.submit_ts : 0,
                 f.tctx, 0);

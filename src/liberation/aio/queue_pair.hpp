@@ -26,10 +26,10 @@
 // traffic would dominate the real I/O work being batched).
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -46,6 +46,20 @@ namespace liberation::aio {
 /// over the retrying backend without the backend knowing).
 using completion_stage =
     std::function<raid::io_status(const io_desc&, raid::io_status)>;
+
+/// The engine's counters (see obs::counter_def). inflight_highwater is
+/// not a counter: it is the aio_inflight_highwater gauge.
+inline constexpr obs::counter_def<aio_stats> kAioCounters[] = {
+    {"aio_submitted_total", "requests accepted into the ring",
+     &aio_stats::submitted},
+    {"aio_completed_total", "completions delivered", &aio_stats::completed},
+    {"aio_batches_total", "transfers issued to the backend (transfers)",
+     &aio_stats::batches},
+    {"aio_merges_total", "reads absorbed into a neighbour",
+     &aio_stats::merges},
+    {"aio_split_retries_total", "merged transfers re-driven split",
+     &aio_stats::split_retries},
+};
 
 class queue_pair {
 public:
@@ -83,10 +97,8 @@ public:
     /// Hand over and clear the accumulated completions.
     std::vector<io_cqe> take_completions();
 
-    /// Relaxed snapshot of the engine counters. By value: the live
-    /// counters are atomic (worker batches update them concurrently), so
-    /// callers — including concurrent exporters — get a coherent copy
-    /// instead of a reference into racing storage.
+    /// Relaxed snapshot of the engine counters, read from the registry
+    /// that holds them (worker batches update them concurrently).
     [[nodiscard]] aio_stats stats() const noexcept;
     [[nodiscard]] const aio_config& config() const noexcept { return cfg_; }
 
@@ -128,28 +140,17 @@ private:
     void run_batches_on_workers(std::uint32_t disk);
     void wait_for_workers();
 
-    [[nodiscard]] std::uint64_t now_ns() const noexcept;
-
     io_backend& backend_;
     aio_config cfg_;
-    /// Live counters (see aio_stats for semantics). Atomic: worker-pool
-    /// batches increment them concurrently with the submitting thread,
-    /// and exporters may snapshot at any time.
-    struct atomic_aio_stats {
-        std::atomic<std::uint64_t> submitted{0};
-        std::atomic<std::uint64_t> completed{0};
-        std::atomic<std::uint64_t> batches{0};
-        std::atomic<std::uint64_t> merges{0};
-        std::atomic<std::uint64_t> split_retries{0};
-        std::atomic<std::uint64_t> inflight_highwater{0};
-    };
-    atomic_aio_stats stats_;
+    /// The hub when aio_config::obs is null (see there).
+    std::unique_ptr<obs::hub> own_obs_;
+    obs::hub& obs_;
+    obs::counter_set<kAioCounters> ctr_;
+    obs::gauge& highwater_;
+    obs::latency_histogram& hist_queue_wait_;
+    obs::latency_histogram& hist_execute_;
+    obs::latency_histogram& hist_complete_;
     std::vector<completion_stage> stages_;
-
-    // Stage histograms resolved once from cfg_.obs (null without a hub).
-    obs::latency_histogram* hist_queue_wait_ = nullptr;
-    obs::latency_histogram* hist_execute_ = nullptr;
-    obs::latency_histogram* hist_complete_ = nullptr;
 
     // Per-disk pending submissions (the in-flight windows).
     std::vector<ring<fragment>> pending_;

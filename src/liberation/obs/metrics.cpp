@@ -12,7 +12,8 @@ registry::entry& registry::get_entry(const std::string& name, kind k,
 registry::entry& registry::get_entry_impl(const std::string& name,
                                           const std::string& family,
                                           const std::string& labels, kind k,
-                                          std::string help) {
+                                          std::string help,
+                                          const counter* link) {
     std::lock_guard lock(mutex_);
     auto it = metrics_.find(name);
     if (it == metrics_.end()) {
@@ -24,6 +25,9 @@ registry::entry& registry::get_entry_impl(const std::string& name,
         switch (k) {
             case kind::counter_k:
                 e.c = std::make_unique<counter>();
+                break;
+            case kind::link_k:
+                e.link = link;
                 break;
             case kind::gauge_k:
                 e.g = std::make_unique<gauge>();
@@ -42,9 +46,10 @@ registry::entry& registry::get_entry_impl(const std::string& name,
 
 registry::entry& registry::get_labeled_entry(const std::string& family,
                                              const std::string& labels,
-                                             kind k, std::string help) {
+                                             kind k, std::string help,
+                                             const counter* link) {
     return get_entry_impl(family + "{" + labels + "}", family, labels, k,
-                          std::move(help));
+                          std::move(help), link);
 }
 
 counter& registry::get_counter(const std::string& name, std::string help) {
@@ -56,6 +61,18 @@ counter& registry::get_labeled_counter(const std::string& family,
                                        std::string help) {
     return *get_labeled_entry(family, labels, kind::counter_k, std::move(help))
                 .c;
+}
+
+void registry::link_counter(const std::string& family,
+                            const std::string& labels, const counter& source,
+                            std::string help) {
+    if (labels.empty()) {
+        (void)get_entry_impl(family, "", "", kind::link_k, std::move(help),
+                             &source);
+    } else {
+        (void)get_labeled_entry(family, labels, kind::link_k, std::move(help),
+                                &source);
+    }
 }
 
 gauge& registry::get_labeled_gauge(const std::string& family,
@@ -96,12 +113,12 @@ std::string registry::metrics_text(const std::string& prefix) const {
                     out += "# HELP " + fam + ' ' + e.help + '\n';
                 }
                 out += "# TYPE " + fam +
-                       (e.k == kind::counter_k ? " counter\n" : " gauge\n");
+                       (e.k == kind::gauge_k ? " gauge\n" : " counter\n");
             }
             out += fam + '{' + e.labels + '}';
             out += ' ';
-            out += e.k == kind::counter_k ? std::to_string(e.c->value())
-                                          : std::to_string(e.g->value());
+            out += e.k == kind::gauge_k ? std::to_string(e.g->value())
+                                        : std::to_string(e.count());
             out += '\n';
             continue;
         }
@@ -111,8 +128,9 @@ std::string registry::metrics_text(const std::string& prefix) const {
         }
         switch (e.k) {
             case kind::counter_k:
+            case kind::link_k:
                 out += "# TYPE " + full + " counter\n";
-                line(full, e.c->value());
+                line(full, e.count());
                 break;
             case kind::gauge_k:
                 out += "# TYPE " + full + " gauge\n";

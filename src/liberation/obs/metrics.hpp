@@ -4,10 +4,13 @@
 // Hot paths hold references obtained once from the registry (registration
 // takes a mutex, updates are relaxed atomics on stable storage), so
 // recording a sample costs one clock read plus a handful of relaxed
-// atomic adds — cheap enough to leave on in production builds. The whole
-// layer compiles out with -DLIBERATION_OBS_DISABLED (cmake option
-// LIBERATION_OBS=OFF): the API stays, record() and now_ns() become
-// no-ops, and exporters render empty families.
+// atomic adds — cheap enough to leave on in production builds.
+//
+// The registry is the only storage of every layer counter: each counting
+// layer declares its counters once, in a table of counter_def rows (name,
+// help, typed stats field), resolves a counter_set of handles from its
+// owner's registry, increments those on the hot paths, and renders its
+// typed *_stats struct as a view over them (counter_set::snapshot).
 //
 // Export is Prometheus-style text exposition (registry::metrics_text):
 // counters and gauges as single samples, histograms as summary families
@@ -20,32 +23,24 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <map>
+#include <stdexcept>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace liberation::obs {
 
-#ifdef LIBERATION_OBS_DISABLED
-inline constexpr bool kEnabled = false;
-#else
-inline constexpr bool kEnabled = true;
-#endif
-
-/// Monotonic counter. add()/inc() from any thread; mirror() overwrites
-/// with a snapshot of an *external* monotonic source (the collector
-/// pattern: array_stats counters are the source of truth, the registry
-/// copy exists so one exposition shows everything).
+/// Monotonic counter. inc() from any thread; it returns the value before
+/// the add.
 class counter {
 public:
-    void inc(std::uint64_t n = 1) noexcept {
-        if constexpr (kEnabled) v_.fetch_add(n, std::memory_order_relaxed);
-    }
-    void mirror(std::uint64_t v) noexcept {
-        if constexpr (kEnabled) v_.store(v, std::memory_order_relaxed);
+    std::uint64_t inc(std::uint64_t n = 1) noexcept {
+        return v_.fetch_add(n, std::memory_order_relaxed);
     }
     [[nodiscard]] std::uint64_t value() const noexcept {
         return v_.load(std::memory_order_relaxed);
@@ -59,10 +54,17 @@ private:
 class gauge {
 public:
     void set(std::int64_t v) noexcept {
-        if constexpr (kEnabled) v_.store(v, std::memory_order_relaxed);
+        v_.store(v, std::memory_order_relaxed);
     }
     void add(std::int64_t n) noexcept {
-        if constexpr (kEnabled) v_.fetch_add(n, std::memory_order_relaxed);
+        v_.fetch_add(n, std::memory_order_relaxed);
+    }
+    /// Raise to `v` if it is larger (a high-water mark).
+    void set_max(std::int64_t v) noexcept {
+        std::int64_t prev = v_.load(std::memory_order_relaxed);
+        while (v > prev &&
+               !v_.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
+        }
     }
     [[nodiscard]] std::int64_t value() const noexcept {
         return v_.load(std::memory_order_relaxed);
@@ -84,10 +86,6 @@ public:
     static constexpr std::size_t kBuckets = 64;
 
     void record(std::uint64_t value_ns) noexcept {
-        if constexpr (!kEnabled) {
-            (void)value_ns;
-            return;
-        }
         buckets_[bucket_of(value_ns)].fetch_add(1, std::memory_order_relaxed);
         sum_.fetch_add(value_ns, std::memory_order_relaxed);
         std::uint64_t prev = max_.load(std::memory_order_relaxed);
@@ -141,11 +139,6 @@ public:
     /// acceptable for a debugging pointer (both belong to *some* slow op).
     void note_exemplar(std::uint64_t value_ns,
                        std::uint64_t trace_id) noexcept {
-        if constexpr (!kEnabled) {
-            (void)value_ns;
-            (void)trace_id;
-            return;
-        }
         if (trace_id != 0 &&
             value_ns >= ex_value_.load(std::memory_order_relaxed)) {
             ex_value_.store(value_ns, std::memory_order_relaxed);
@@ -166,7 +159,6 @@ public:
     /// never for registry-exported histograms, whose counters must stay
     /// monotonic for scrapers.
     void clear() noexcept {
-        if constexpr (!kEnabled) return;
         for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
         sum_.store(0, std::memory_order_relaxed);
         max_.store(0, std::memory_order_relaxed);
@@ -221,6 +213,13 @@ public:
                              const std::string& labels,
                              std::string help = "");
 
+    /// Non-owning counter entry: the exposition reads `source` live as
+    /// `family{labels}` (`family` alone when `labels` is empty) without
+    /// copying it. `source` must outlive the registry. A link is a kind
+    /// of its own: get_counter() on its name throws std::logic_error.
+    void link_counter(const std::string& family, const std::string& labels,
+                      const counter& source, std::string help = "");
+
     /// Prometheus-style text exposition of every registered metric, each
     /// family prefixed with `prefix` (default "liberation_"). Safe to call
     /// concurrently with metric updates (relaxed snapshot semantics).
@@ -233,7 +232,7 @@ public:
     histogram_snapshots() const;
 
 private:
-    enum class kind { counter_k, gauge_k, histogram_k };
+    enum class kind { counter_k, link_k, gauge_k, histogram_k };
     struct entry {
         kind k;
         std::string help;
@@ -246,18 +245,100 @@ private:
         std::unique_ptr<counter> c;
         std::unique_ptr<gauge> g;
         std::unique_ptr<latency_histogram> h;
+        const counter* link = nullptr;
+
+        [[nodiscard]] std::uint64_t count() const noexcept {
+            return k == kind::link_k ? link->value() : c->value();
+        }
     };
 
     entry& get_entry(const std::string& name, kind k, std::string help);
+    /// `link` is the source of a link_k entry (null for the other kinds).
     entry& get_entry_impl(const std::string& name, const std::string& family,
                           const std::string& labels, kind k,
-                          std::string help);
+                          std::string help, const counter* link = nullptr);
     entry& get_labeled_entry(const std::string& family,
                              const std::string& labels, kind k,
-                             std::string help);
+                             std::string help, const counter* link = nullptr);
 
     mutable std::mutex mutex_;
     std::map<std::string, entry> metrics_;
+};
+
+/// One row of a layer's counter table: the registry name (a `_total`
+/// family), its help text (which states the unit when it is not
+/// "events"), and the field of the layer's typed stats struct that the
+/// counter fills. Rows start with the quoted name on their own line:
+/// tools/doc_check reads the names from there and requires each to be
+/// documented in docs/STATS.md.
+template <typename Stats>
+struct counter_def {
+    using stats_type = Stats;
+    const char* name;
+    const char* help;
+    std::uint64_t Stats::*field;
+};
+
+/// The row of `table` that fills `field` (a compile error when used in a
+/// constant expression and the field has no row).
+template <typename Stats, std::size_t N>
+constexpr const counter_def<Stats>& def_of(
+    const counter_def<Stats> (&table)[N], std::uint64_t Stats::*field) {
+    for (const counter_def<Stats>& d : table) {
+        if (d.field == field) return d;
+    }
+    throw std::logic_error("obs::def_of: field has no counter row");
+}
+
+/// Add every counter field of `add` into `into` (roll-ups across shards
+/// and across process generations).
+template <typename Stats, std::size_t N>
+void accumulate(const counter_def<Stats> (&table)[N], Stats& into,
+                const Stats& add) noexcept {
+    for (const counter_def<Stats>& d : table) into.*d.field += add.*d.field;
+}
+
+/// Handles to the counters of one table, resolved once from a registry
+/// (optionally as one labeled series per row, e.g. `disk="3"`). The
+/// registry owns the counters, so a set rebuilt over the same registry
+/// continues the same series. at<&Stats::field>() is a compile-time row
+/// lookup; snapshot() is the typed view: one relaxed load per row.
+template <const auto& Table>
+class counter_set {
+public:
+    using def_type = std::remove_cvref_t<decltype(Table[0])>;
+    using stats_type = typename def_type::stats_type;
+
+    explicit counter_set(registry& r, const std::string& labels = "") {
+        for (std::size_t i = 0; i < kRows; ++i) {
+            c_[i] = labels.empty()
+                        ? &r.get_counter(Table[i].name, Table[i].help)
+                        : &r.get_labeled_counter(Table[i].name, labels,
+                                                 Table[i].help);
+        }
+    }
+
+    template <auto Field>
+    [[nodiscard]] counter& at() const noexcept {
+        constexpr std::size_t i = &def_of(Table, Field) - std::begin(Table);
+        return *c_[i];
+    }
+    template <auto Field>
+    void inc(std::uint64_t n = 1) const noexcept {
+        at<Field>().inc(n);
+    }
+
+    [[nodiscard]] stats_type snapshot() const noexcept {
+        stats_type s{};
+        for (std::size_t i = 0; i < kRows; ++i) {
+            s.*Table[i].field = c_[i]->value();
+        }
+        return s;
+    }
+
+private:
+    static constexpr std::size_t kRows = std::size(Table);
+    std::array<counter*, kRows> c_{};
 };
 
 }  // namespace liberation::obs

@@ -9,11 +9,10 @@
 // function pointer + context read with relaxed atomics: swapping clocks
 // is rare, reading them is wait-free.
 //
-// Collectors: components whose counters already live elsewhere (the
-// array's atomic_stats, the io_policy, the aio engine) register a
-// collector that mirrors those atomics into registry counters right
-// before export — one metrics_text() call shows the whole system without
-// double-counting on the hot paths.
+// Counters live in the registry itself (see metrics.hpp: counter tables),
+// so an export reads them where the hot paths increment them. Collectors
+// remain for gauges sampled from foreground state (e.g. the volume's
+// per-shard failed-disk count): they run right before export.
 #pragma once
 
 #include <chrono>
@@ -36,7 +35,14 @@ using now_fn = std::uint64_t (*)(const void* ctx);
 
 class hub {
 public:
-    hub() = default;
+    /// Links the tracer's monotonic ring-wrap count into the registry as
+    /// obs_spans_dropped_total: a postmortem reading the exposition can
+    /// tell "no events" from "the trace ring wrapped".
+    hub() {
+        registry_.link_counter("obs_spans_dropped_total", "",
+                               tracer_.dropped_total(),
+                               "trace spans overwritten by ring wrap");
+    }
     hub(const hub&) = delete;
     hub& operator=(const hub&) = delete;
 
@@ -55,13 +61,12 @@ public:
     }
 
     [[nodiscard]] std::uint64_t now_ns() const noexcept {
-        if constexpr (!kEnabled) return 0;
         const now_fn fn = clock_fn_.load(std::memory_order_acquire);
         return fn(clock_ctx_.load(std::memory_order_relaxed));
     }
 
-    /// Register a pre-export hook that mirrors external atomics into the
-    /// registry (see file comment). Runs inside metrics_text().
+    /// Register a pre-export hook that samples gauges (see file comment).
+    /// Runs inside metrics_text().
     void add_collector(std::function<void()> fn) {
         std::lock_guard lock(collectors_mutex_);
         collectors_.push_back(std::move(fn));
@@ -70,34 +75,23 @@ public:
     /// Run collectors, then render the Prometheus-style exposition.
     [[nodiscard]] std::string metrics_text(
         const std::string& prefix = "liberation_") {
-        collect();
+        {
+            std::lock_guard lock(collectors_mutex_);
+            for (const auto& fn : collectors_) fn();
+        }
         return registry_.metrics_text(prefix);
     }
 
-    /// Run collectors, then snapshot every histogram (for structured
-    /// consumers that don't want to parse the text form).
+    /// Snapshot every histogram (for structured consumers that don't
+    /// want to parse the text form).
     [[nodiscard]] std::vector<
         std::pair<std::string, latency_histogram::snapshot_t>>
-    histogram_snapshots() {
-        collect();
+    histogram_snapshots() const {
         return registry_.histogram_snapshots();
     }
 
     [[nodiscard]] std::string trace_json() const {
         return tracer_.trace_json();
-    }
-
-    void collect() {
-        std::lock_guard lock(collectors_mutex_);
-        for (const auto& fn : collectors_) fn();
-        if constexpr (kEnabled) {
-            // Ring-wrap disclosure: a postmortem reading this exposition
-            // can tell "no events" from "the trace ring wrapped".
-            registry_
-                .get_counter("obs_spans_dropped_total",
-                             "trace spans overwritten by ring wrap")
-                .mirror(tracer_.dropped());
-        }
     }
 
 private:
@@ -127,9 +121,8 @@ struct metrics_part {
 
 /// RAII span: times [construction, destruction) on the hub's clock,
 /// records the duration into `hist` (when non-null), and emits a Chrome
-/// trace event when tracing is enabled. Compiled out entirely with
-/// LIBERATION_OBS_DISABLED. `name`/`cat` must be string literals (the
-/// tracer stores the pointers).
+/// trace event when tracing is enabled. `name`/`cat` must be string
+/// literals (the tracer stores the pointers).
 ///
 /// Causal context: with tracing on, construction allocates a span id,
 /// roots a fresh trace when the thread has no ambient one (this is how a
@@ -143,15 +136,13 @@ public:
     timed_span(hub& h, latency_histogram* hist, const char* name,
                const char* cat = "raid") noexcept
         : hub_(&h), hist_(hist), name_(name), cat_(cat) {
-        if constexpr (kEnabled) {
-            begin_ = h.now_ns();
-            if (h.trace().enabled()) {
-                parent_ = current_trace();
-                self_.trace_id = parent_.trace_id != 0 ? parent_.trace_id
-                                                       : next_trace_id();
-                self_.span_id = next_span_id();
-                set_current_trace(self_);
-            }
+        begin_ = h.now_ns();
+        if (h.trace().enabled()) {
+            parent_ = current_trace();
+            self_.trace_id = parent_.trace_id != 0 ? parent_.trace_id
+                                                   : next_trace_id();
+            self_.span_id = next_span_id();
+            set_current_trace(self_);
         }
     }
 
@@ -159,7 +150,6 @@ public:
     timed_span& operator=(const timed_span&) = delete;
 
     ~timed_span() {
-        if constexpr (!kEnabled) return;
         const std::uint64_t end = hub_->now_ns();
         const std::uint64_t dur = end >= begin_ ? end - begin_ : 0;
         if (hist_ != nullptr) {

@@ -44,9 +44,6 @@ slo_engine::frame slo_engine::capture() {
 
 const std::vector<slo_status>& slo_engine::evaluate() {
     if (objectives_.empty()) return status_;
-    // Mirror external counters into the registry first so event_ratio
-    // objectives see fresh values (collect() is what metrics_text runs).
-    hub_.collect();
     frame cur = capture();
 
     // Slide: the front frame is the baseline — the newest frame at or

@@ -61,6 +61,7 @@ void tracer::record_ex(const char* name, const char* cat, std::uint64_t ts_ns,
     s.ring[s.next] = ev;
     s.next = (s.next + 1) % capacity_;
     ++s.dropped;
+    dropped_total_.inc();
 }
 
 std::vector<trace_event> tracer::ordered() const {

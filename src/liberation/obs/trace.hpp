@@ -6,10 +6,11 @@
 // shards by a registration counter, so concurrent recorders hit disjoint
 // shards in steady state). Each ring is bounded: once full, the oldest
 // events are overwritten — a long run keeps the freshest window instead
-// of growing without bound. Overwrites are counted (dropped()) and
-// surfaced both as the liberation_obs_spans_dropped_total counter and as
-// a metadata record in the exported trace, so a postmortem can tell a
-// quiet system from a wrapped ring.
+// of growing without bound. Overwrites are counted (dropped(), since the
+// last clear(); dropped_total(), monotonic) and surfaced both as the
+// liberation_obs_spans_dropped_total counter and as a metadata record in
+// the exported trace, so a postmortem can tell a quiet system from a
+// wrapped ring.
 //
 // Causal context: every span carries a (trace_id, span_id, parent_id)
 // triple. A host op roots a trace at its entry point (the volume or
@@ -32,6 +33,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "liberation/obs/metrics.hpp"
 
 namespace liberation::obs {
 
@@ -124,6 +127,11 @@ public:
 
     /// Events overwritten by ring wrap since construction/clear().
     [[nodiscard]] std::uint64_t dropped() const;
+    /// Events overwritten since construction; clear() does not reset it
+    /// (the hub links it as obs_spans_dropped_total).
+    [[nodiscard]] const counter& dropped_total() const noexcept {
+        return dropped_total_;
+    }
 
     void clear();
 
@@ -141,6 +149,7 @@ private:
     std::size_t capacity_;
     std::atomic<bool> enabled_{false};
     mutable shard shards_[kShards];
+    counter dropped_total_;
 };
 
 /// One tracer's contribution to a merged trace: `process_name` becomes

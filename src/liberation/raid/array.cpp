@@ -24,59 +24,6 @@ std::uint32_t effective_p(const array_config& cfg) {
 
 }  // namespace
 
-array_stats raid6_array::atomic_stats::snapshot() const noexcept {
-    array_stats s;
-    s.full_stripe_writes = full_stripe_writes.load(std::memory_order_relaxed);
-    s.small_writes = small_writes.load(std::memory_order_relaxed);
-    s.parity_elements_updated =
-        parity_elements_updated.load(std::memory_order_relaxed);
-    s.degraded_stripe_reads =
-        degraded_stripe_reads.load(std::memory_order_relaxed);
-    s.degraded_element_reads =
-        degraded_element_reads.load(std::memory_order_relaxed);
-    s.media_errors_recovered =
-        media_errors_recovered.load(std::memory_order_relaxed);
-    s.transient_errors_masked =
-        transient_errors_masked.load(std::memory_order_relaxed);
-    s.retries_exhausted = retries_exhausted.load(std::memory_order_relaxed);
-    s.disks_tripped = disks_tripped.load(std::memory_order_relaxed);
-    s.spares_promoted = spares_promoted.load(std::memory_order_relaxed);
-    s.rebuilds_completed = rebuilds_completed.load(std::memory_order_relaxed);
-    s.rebuild_stripes_failed =
-        rebuild_stripes_failed.load(std::memory_order_relaxed);
-    s.rebuild_sessions_stalled =
-        rebuild_sessions_stalled.load(std::memory_order_relaxed);
-    s.checksum_mismatches = checksum_mismatches.load(std::memory_order_relaxed);
-    s.reads_self_healed = reads_self_healed.load(std::memory_order_relaxed);
-    s.reads_unrecoverable =
-        reads_unrecoverable.load(std::memory_order_relaxed);
-    s.checksum_metadata_repaired =
-        checksum_metadata_repaired.load(std::memory_order_relaxed);
-    s.writes_rejected_log_full =
-        writes_rejected_log_full.load(std::memory_order_relaxed);
-    s.deadline_exceeded = deadline_exceeded.load(std::memory_order_relaxed);
-    s.hedged_reads = hedged_reads.load(std::memory_order_relaxed);
-    s.hedge_wins = hedge_wins.load(std::memory_order_relaxed);
-    s.slow_trips = slow_trips.load(std::memory_order_relaxed);
-    s.slow_recoveries = slow_recoveries.load(std::memory_order_relaxed);
-    s.slow_routed_reads = slow_routed_reads.load(std::memory_order_relaxed);
-    s.intent_replayed = intent_replayed.load(std::memory_order_relaxed);
-    s.stale_disks_kicked = stale_disks_kicked.load(std::memory_order_relaxed);
-    return s;
-}
-
-array_stats raid6_array::stats() const noexcept {
-    array_stats s = stats_.snapshot();
-    // Atomic engine counters, snapshotted by value: as consistent as the
-    // relaxed snapshot above even against worker-pool batches in flight.
-    const aio::aio_stats a = aio_engine_->stats();
-    s.aio_batches = a.batches;
-    s.aio_merges = a.merges;
-    s.aio_split_retries = a.split_retries;
-    s.aio_inflight_highwater = a.inflight_highwater;
-    return s;
-}
-
 raid6_array::raid6_array(const array_config& cfg, bool allocate_members)
     : map_(cfg.k, effective_p(cfg), cfg.element_size, cfg.stripes, cfg.layout),
       code_(cfg.k, effective_p(cfg)),
@@ -84,7 +31,7 @@ raid6_array::raid6_array(const array_config& cfg, bool allocate_members)
       journal_(cfg.intent_log_entries),
       verify_reads_(cfg.verify_reads),
       integrity_block_(std::gcd(cfg.sector_size, map_.element_size())),
-      policy_(cfg.io_retry, clock_),
+      policy_(cfg.io_retry, clock_, &obs_),
       health_(map_.n(), cfg.health),
       latmon_(map_.n(), cfg.latency),
       auto_failover_(cfg.auto_failover),
@@ -118,7 +65,6 @@ raid6_array::~raid6_array() = default;
 
 void raid6_array::init_obs(const array_config& cfg) {
     if (cfg.obs_virtual_time) obs_.set_clock(&virtual_clock_now_ns, &clock_);
-    policy_.attach_obs(&obs_);
     auto& m = obs_.metrics();
     hist_read_ = &m.get_histogram(
         "raid_read_ns", "host read latency (verified-read path included)");
@@ -149,111 +95,13 @@ void raid6_array::init_obs(const array_config& cfg) {
     gauge_journal_ = &m.get_gauge(
         "raid_intent_log_entries", "stripes journaled in the intent log");
     gauge_spares_->set(static_cast<std::int64_t>(spares_.size()));
-    obs_.add_collector([this] { mirror_counters(); });
+    slot_ctr_.reserve(map_.n());
+    for (std::uint32_t d = 0; d < map_.n(); ++d) add_slot_counters(d);
 }
 
-void raid6_array::mirror_counters() {
-    auto& m = obs_.metrics();
-    const auto mir = [&m](const char* name, const char* help,
-                          std::uint64_t v) {
-        m.get_counter(name, help).mirror(v);
-    };
-    const array_stats s = stats();
-    mir("raid_full_stripe_writes_total", "full-stripe writes",
-        s.full_stripe_writes);
-    mir("raid_small_writes_total", "read-modify-write small writes",
-        s.small_writes);
-    mir("raid_parity_elements_updated_total",
-        "parity elements patched by small writes", s.parity_elements_updated);
-    mir("raid_degraded_stripe_reads_total", "full-stripe decodes on read",
-        s.degraded_stripe_reads);
-    mir("raid_degraded_element_reads_total", "row-parity fast-path decodes",
-        s.degraded_element_reads);
-    mir("raid_media_errors_recovered_total",
-        "latent sector errors healed by decode", s.media_errors_recovered);
-    mir("raid_transient_errors_masked_total", "ops saved by retries",
-        s.transient_errors_masked);
-    mir("raid_retries_exhausted_total", "ops transient after the full budget",
-        s.retries_exhausted);
-    mir("raid_disks_tripped_total", "disks failed by the health monitor",
-        s.disks_tripped);
-    mir("raid_spares_promoted_total", "hot spares promoted", s.spares_promoted);
-    mir("raid_rebuilds_completed_total", "background rebuild sessions finished",
-        s.rebuilds_completed);
-    mir("raid_rebuild_stripes_failed_total",
-        "stripes unrecoverable during background rebuild",
-        s.rebuild_stripes_failed);
-    mir("raid_rebuild_sessions_stalled_total",
-        "rebuild sessions needing the operator", s.rebuild_sessions_stalled);
-    mir("raid_checksum_mismatches_total", "blocks failing their stored CRC",
-        s.checksum_mismatches);
-    mir("raid_reads_self_healed_total", "stripes repaired on read",
-        s.reads_self_healed);
-    mir("raid_reads_unrecoverable_total", "verified reads refused",
-        s.reads_unrecoverable);
-    mir("raid_checksum_metadata_repaired_total",
-        "stale or damaged stored checksums refreshed",
-        s.checksum_metadata_repaired);
-    mir("raid_writes_rejected_log_full_total",
-        "writes refused because the intent log was at capacity",
-        s.writes_rejected_log_full);
-    mir("raid_intent_replayed_total",
-        "journaled stripes re-synced during mount replay", s.intent_replayed);
-    mir("raid_stale_disks_kicked_total",
-        "stale or unreadable members demoted to rebuild at mount",
-        s.stale_disks_kicked);
-    mir("raid_deadline_exceeded_total",
-        "reads that outlived their adaptive deadline", s.deadline_exceeded);
-    mir("raid_hedged_reads_total", "reconstruction hedges issued",
-        s.hedged_reads);
-    mir("raid_hedge_wins_total", "hedges that beat the straggler",
-        s.hedge_wins);
-    mir("raid_slow_trips_total", "disks quarantined as suspect_slow",
-        s.slow_trips);
-    mir("raid_slow_recoveries_total", "quarantines lifted by on-time probes",
-        s.slow_recoveries);
-    mir("raid_slow_routed_reads_total",
-        "reads routed around a quarantined disk via decode",
-        s.slow_routed_reads);
-    // Per-disk series: one labeled sample per slot so a straggling or
-    // error-prone member is identifiable from the exposition alone.
-    for (std::uint32_t d = 0; d < latmon_.disk_count(); ++d) {
-        const std::string label = "disk=\"" + std::to_string(d) + "\"";
-        const disk_latency_stats ls = latmon_.stats(d);
-        m.get_labeled_counter("disk_deadline_misses_total", label,
-                              "per-disk reads missing their deadline")
-            .mirror(ls.deadline_misses);
-        m.get_labeled_counter("disk_slow_trips_total", label,
-                              "per-disk suspect_slow quarantine entries")
-            .mirror(ls.slow_trips);
-        m.get_labeled_counter("disk_hedged_reads_total", label,
-                              "per-disk reconstruction hedges issued")
-            .mirror(ls.hedged_reads);
-        if (d < health_.disk_count()) {
-            const disk_health_stats h = health_.stats(d);
-            m.get_labeled_counter("disk_transient_errors_total", label,
-                                  "per-disk transient errors seen")
-                .mirror(h.transient_errors);
-            m.get_labeled_counter("disk_hard_errors_total", label,
-                                  "per-disk hard (medium/device) errors")
-                .mirror(h.hard_read_errors + h.hard_write_errors);
-        }
-    }
-    const io_policy_stats io = policy_.stats();
-    mir("io_reads_total", "disk reads through the retry policy", io.reads);
-    mir("io_writes_total", "disk writes through the retry policy", io.writes);
-    mir("io_retries_total", "extra attempts issued", io.retries);
-    mir("io_backoff_us_total", "virtual time spent in retry backoff",
-        io.backoff_us);
-    const aio::aio_stats a = aio_engine_->stats();
-    mir("aio_submitted_total", "requests accepted into the ring", a.submitted);
-    mir("aio_completed_total", "completions delivered", a.completed);
-    mir("aio_batches_total", "transfers issued to the backend", a.batches);
-    mir("aio_merges_total", "reads absorbed into a neighbour", a.merges);
-    mir("aio_split_retries_total", "merged transfers re-driven split",
-        a.split_retries);
-    m.get_gauge("aio_inflight_highwater", "max pending on any one disk")
-        .set(static_cast<std::int64_t>(a.inflight_highwater));
+void raid6_array::add_slot_counters(std::uint32_t d) {
+    slot_ctr_.emplace_back(obs_.metrics(),
+                           "disk=\"" + std::to_string(d) + "\"");
 }
 
 void raid6_array::update_health_gauges() noexcept {
@@ -277,8 +125,7 @@ void raid6_array::rebuild_aio_engine(const aio::aio_config& acfg) {
                 return st;
             }
             if (!regions_[d.disk].verify(d.offset, {d.data, d.len})) {
-                stats_.checksum_mismatches.fetch_add(
-                    1, std::memory_order_relaxed);
+                ctr_.inc<&array_stats::checksum_mismatches>();
                 return io_status::checksum_mismatch;
             }
             return st;
@@ -315,9 +162,11 @@ void raid6_array::add_data_disk() {
     regions_.emplace_back(map_.disk_capacity(), integrity_block_);
     health_.add_disk();
     latmon_.add_disk();
+    add_slot_counters(map_.n() - 1);
     // The engine's per-disk rings are sized at construction; rebuild it
     // for the grown array (it is idle here — growth requires all disks
-    // online and no I/O in flight).
+    // online and no I/O in flight). Its counters live in the hub's
+    // registry, so the new engine continues them.
     rebuild_aio_engine(aio_engine_->config());
 }
 
@@ -349,19 +198,17 @@ bool raid6_array::rebuild_masked(std::uint32_t d, std::size_t offset,
 
 void raid6_array::note_io(std::uint32_t d, io_kind kind, const io_result& r) {
     if (r.transient_seen > 0) {
-        if (r.ok()) {
-            stats_.transient_errors_masked.fetch_add(1,
-                                                     std::memory_order_relaxed);
-        } else if (r.status == io_status::transient_error) {
-            stats_.retries_exhausted.fetch_add(1, std::memory_order_relaxed);
-        }
+        slot_ctr_[d].inc<&disk_slot_stats::transient_errors>(r.transient_seen);
+    }
+    if (health_monitor::is_hard_error(r.status)) {
+        slot_ctr_[d].inc<&disk_slot_stats::hard_errors>();
     }
     if (health_.record(d, kind, r.status, r.transient_seen)) {
         // Threshold crossed: the disk is too sick to trust. Fail it now
         // (atomic; this may run on an aio worker thread) and let the next
         // foreground operation promote a spare.
         disks_[d]->fail();
-        stats_.disks_tripped.fetch_add(1, std::memory_order_relaxed);
+        ctr_.inc<&array_stats::disks_tripped>();
         obs::flight_recorder::instance().record(obs::fr_kind::disk_tripped,
                                                 obs_.now_ns(), d);
         pending_failover_.store(true, std::memory_order_release);
@@ -428,7 +275,7 @@ io_status raid6_array::verified_disk_read(std::uint32_t d, std::size_t offset,
     const io_status st = disk_read(d, offset, out);
     if (st != io_status::ok || !verify_reads_) return st;
     if (!regions_[d].verify(offset, out)) {
-        stats_.checksum_mismatches.fetch_add(1, std::memory_order_relaxed);
+        ctr_.inc<&array_stats::checksum_mismatches>();
         return io_status::checksum_mismatch;
     }
     return st;
@@ -508,7 +355,7 @@ io_status raid6_array::read_chunk_failslow(std::size_t stripe,
     // Quarantined disk: route around it via decode up front, except for
     // the periodic probe that checks whether the straggler recovered.
     if (latmon_.quarantined(d) && !latmon_.take_probe(d)) {
-        stats_.slow_routed_reads.fetch_add(1, std::memory_order_relaxed);
+        ctr_.inc<&array_stats::slow_routed_reads>();
         if (reconstruct_column_range(stripe, col, strip_lo, dst)) {
             return io_status::ok;
         }
@@ -528,12 +375,13 @@ io_status raid6_array::read_chunk_failslow(std::size_t stripe,
     const std::uint64_t deadline = latmon_.deadline_us(d);
     const bool was_quarantined = latmon_.quarantined(d);
     if (latmon_.note_read(d, lat)) {
-        stats_.slow_trips.fetch_add(1, std::memory_order_relaxed);
+        ctr_.inc<&array_stats::slow_trips>();
+        slot_ctr_[d].inc<&disk_slot_stats::slow_trips>();
         obs::flight_recorder::instance().record(
             obs::fr_kind::disk_quarantined, obs_.now_ns(), d, lat);
         persist_membership();  // quarantine survives a remount
     } else if (was_quarantined && !latmon_.quarantined(d)) {
-        stats_.slow_recoveries.fetch_add(1, std::memory_order_relaxed);
+        ctr_.inc<&array_stats::slow_recoveries>();
         obs::flight_recorder::instance().record(
             obs::fr_kind::quarantine_lifted, obs_.now_ns(), d, lat);
         persist_membership();
@@ -542,7 +390,7 @@ io_status raid6_array::read_chunk_failslow(std::size_t stripe,
     if (lat <= deadline) {
         clock_.advance(lat);
         if (verify_reads_ && !regions_[d].verify(offset, dst)) {
-            stats_.checksum_mismatches.fetch_add(1, std::memory_order_relaxed);
+            ctr_.inc<&array_stats::checksum_mismatches>();
             return io_status::checksum_mismatch;
         }
         return st;
@@ -552,8 +400,10 @@ io_status raid6_array::read_chunk_failslow(std::size_t stripe,
     // reconstruction read-set and take whichever leg completes first.
     // Timeline: the hedge is issued at `deadline` and costs `hedge_us`
     // (charged inline by the aio legs); the direct read lands at `lat`.
-    stats_.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-    stats_.hedged_reads.fetch_add(1, std::memory_order_relaxed);
+    ctr_.inc<&array_stats::deadline_exceeded>();
+    ctr_.inc<&array_stats::hedged_reads>();
+    slot_ctr_[d].inc<&disk_slot_stats::deadline_misses>();
+    slot_ctr_[d].inc<&disk_slot_stats::hedged_reads>();
     obs::flight_recorder::instance().record(obs::fr_kind::hedge_issued,
                                             obs_.now_ns(), d, lat);
     latmon_.note_hedge(d);
@@ -563,7 +413,7 @@ io_status raid6_array::read_chunk_failslow(std::size_t stripe,
         reconstruct_column_range(stripe, col, strip_lo, rbuf.span());
     const std::uint64_t hedge_us = clock_.now_us() - h0;
     if (recon && deadline + hedge_us < lat) {
-        stats_.hedge_wins.fetch_add(1, std::memory_order_relaxed);
+        ctr_.inc<&array_stats::hedge_wins>();
         clock_.advance(deadline);  // hedge_us is already on the clock
         hist_hedge_delay_->record(hedge_us * 1000);
         std::memcpy(dst.data(), rbuf.data(), dst.size());
@@ -575,7 +425,7 @@ io_status raid6_array::read_chunk_failslow(std::size_t stripe,
     clock_.advance(lat > hedge_us ? lat - hedge_us : 0);
     hist_hedge_delay_->record((lat - deadline) * 1000);
     if (verify_reads_ && !regions_[d].verify(offset, dst)) {
-        stats_.checksum_mismatches.fetch_add(1, std::memory_order_relaxed);
+        ctr_.inc<&array_stats::checksum_mismatches>();
         return io_status::checksum_mismatch;
     }
     return io_status::ok;
@@ -632,7 +482,7 @@ void raid6_array::handle_failed_disks() {
         spares_.pop_back();
         health_.reset(d);
         latmon_.reset(d);
-        stats_.spares_promoted.fetch_add(1, std::memory_order_relaxed);
+        ctr_.inc<&array_stats::spares_promoted>();
         obs::flight_recorder::instance().record(obs::fr_kind::spare_promoted,
                                                 obs_.now_ns(), d);
         promoted = true;
@@ -678,8 +528,7 @@ std::size_t raid6_array::service_background_rebuild(std::size_t max_stripes) {
         // columns forever; reads of them keep failing loudly meanwhile.
         if (!rebuild_stalled_) {
             rebuild_stalled_ = true;
-            stats_.rebuild_sessions_stalled.fetch_add(
-                1, std::memory_order_relaxed);
+            ctr_.inc<&array_stats::rebuild_sessions_stalled>();
         }
         return 0;
     }
@@ -714,8 +563,7 @@ std::size_t raid6_array::service_background_rebuild(std::size_t max_stripes) {
         // watermarks so the batch reruns after reboot; decode is
         // idempotent.)
         processed = last - first;
-        stats_.rebuild_stripes_failed.fetch_add(res.stripes_failed,
-                                                std::memory_order_relaxed);
+        ctr_.inc<&array_stats::rebuild_stripes_failed>(res.stripes_failed);
         for (rebuild_member& m : rebuilding_) {
             if (m.cursor == first) m.cursor = last;
         }
@@ -725,8 +573,7 @@ std::size_t raid6_array::service_background_rebuild(std::size_t max_stripes) {
                 obs::flight_recorder::instance().record(
                     obs::fr_kind::rebuild_completed, obs_.now_ns(), it->disk);
                 it = rebuilding_.erase(it);
-                stats_.rebuilds_completed.fetch_add(1,
-                                                    std::memory_order_relaxed);
+                ctr_.inc<&array_stats::rebuilds_completed>();
                 completed = true;
             } else {
                 ++it;
@@ -887,8 +734,7 @@ raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
         }
     }
     if (!crc_bad.empty()) {
-        stats_.checksum_mismatches.fetch_add(crc_bad.size(),
-                                             std::memory_order_relaxed);
+        ctr_.inc<&array_stats::checksum_mismatches>(crc_bad.size());
     }
 
     if (!trust_parity) {
@@ -935,8 +781,7 @@ raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
                 regions_[loc.disk].install(loc.offset, {col_crc(col), bps});
                 publish_crc(col);
                 rec.meta_repaired.push_back(col);
-                stats_.checksum_metadata_repaired.fetch_add(
-                    1, std::memory_order_relaxed);
+                ctr_.inc<&array_stats::checksum_metadata_repaired>();
                 continue;
             }
             // Real corruption: the decode recovered different bytes.
@@ -947,8 +792,7 @@ raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
             if (!regions_[loc.disk].verify_capture(loc.offset, buf.strip(col),
                                                    col_crc(col))) {
                 regions_[loc.disk].install(loc.offset, {col_crc(col), bps});
-                stats_.checksum_metadata_repaired.fetch_add(
-                    1, std::memory_order_relaxed);
+                ctr_.inc<&array_stats::checksum_metadata_repaired>();
             }
             publish_crc(col);
             rec.healed.push_back(col);
@@ -967,16 +811,14 @@ raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
                                                    col_crc(col))) {
                 regions_[loc.disk].install(loc.offset, {col_crc(col), bps});
                 rec.meta_repaired.push_back(col);
-                stats_.checksum_metadata_repaired.fetch_add(
-                    1, std::memory_order_relaxed);
+                ctr_.inc<&array_stats::checksum_metadata_repaired>();
             }
             publish_crc(col);
             if (writeback &&
                 rec.statuses[col] == io_status::unreadable_sector) {
                 // Heal-on-read of latent sector errors, as load_and_decode
                 // always did.
-                stats_.media_errors_recovered.fetch_add(
-                    1, std::memory_order_relaxed);
+                ctr_.inc<&array_stats::media_errors_recovered>();
                 const std::uint32_t one[] = {col};
                 store_columns(stripe, buf, one, crc_ptrs.data());
             }
@@ -1001,8 +843,7 @@ raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
             publish_crc(col);
             rec.meta_repaired.push_back(col);
             rec.statuses[col] = io_status::ok;
-            stats_.checksum_metadata_repaired.fetch_add(
-                1, std::memory_order_relaxed);
+            ctr_.inc<&array_stats::checksum_metadata_repaired>();
         }
         for (const std::uint32_t col : rec.erased) {
             const strip_location loc = map_.locate(stripe, col);
@@ -1010,8 +851,7 @@ raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
                                                    col_crc(col))) {
                 regions_[loc.disk].install(loc.offset, {col_crc(col), bps});
                 rec.meta_repaired.push_back(col);
-                stats_.checksum_metadata_repaired.fetch_add(
-                    1, std::memory_order_relaxed);
+                ctr_.inc<&array_stats::checksum_metadata_repaired>();
             }
             publish_crc(col);
         }
@@ -1027,8 +867,7 @@ bool raid6_array::journal_mark(std::size_t stripe, std::uint64_t cols,
     if (!journal_.mark(stripe, cols)) {
         // Log full: proceeding unjournaled would be a silent write hole
         // waiting for a crash — refuse the write loudly instead.
-        stats_.writes_rejected_log_full.fetch_add(1,
-                                                  std::memory_order_relaxed);
+        ctr_.inc<&array_stats::writes_rejected_log_full>();
         return false;
     }
     gauge_journal_->set(static_cast<std::int64_t>(journal_.size()));
@@ -1183,9 +1022,9 @@ std::size_t raid6_array::resilver() {
     codes::stripe_buffer buf = make_stripe_buffer();
     for (std::size_t s = 0; s < map_.stripes(); ++s) {
         const auto before =
-            stats_.media_errors_recovered.load(std::memory_order_relaxed);
+            ctr_.at<&array_stats::media_errors_recovered>().value();
         if (!load_and_decode(s, buf.view())) continue;  // > 2 unavailable
-        healed += stats_.media_errors_recovered.load(std::memory_order_relaxed) -
+        healed += ctr_.at<&array_stats::media_errors_recovered>().value() -
                   before;
     }
     return healed;
@@ -1224,7 +1063,7 @@ bool raid6_array::resync_journaled_stripe(std::size_t stripe,
         if (col == pc || col == qc) continue;
         const strip_location loc = map_.locate(stripe, col);
         if (regions_[loc.disk].verify(loc.offset, buf.strip(col))) continue;
-        stats_.checksum_mismatches.fetch_add(1, std::memory_order_relaxed);
+        ctr_.inc<&array_stats::checksum_mismatches>();
         if ((mask >> col) & 1) {
             regions_[loc.disk].record(loc.offset, buf.strip(col));
         } else if (!heal_journaled_column(stripe, buf, col)) {
@@ -1282,11 +1121,10 @@ bool raid6_array::load_and_decode(std::size_t stripe,
             load_stripe_verified(stripe, buf, /*writeback=*/true);
         if (!rec.ok) return false;
         if (!rec.erased.empty()) {
-            stats_.degraded_stripe_reads.fetch_add(1,
-                                                   std::memory_order_relaxed);
+            ctr_.inc<&array_stats::degraded_stripe_reads>();
         }
         if (!rec.healed.empty()) {
-            stats_.reads_self_healed.fetch_add(1, std::memory_order_relaxed);
+            ctr_.inc<&array_stats::reads_self_healed>();
         }
         return true;
     }
@@ -1295,7 +1133,7 @@ bool raid6_array::load_and_decode(std::size_t stripe,
     if (!load_stripe(stripe, buf, erased, &statuses)) return false;
     if (erased.empty()) return true;
     code_.decode(buf, erased);
-    stats_.degraded_stripe_reads.fetch_add(1, std::memory_order_relaxed);
+    ctr_.inc<&array_stats::degraded_stripe_reads>();
     // Heal-on-read: a column that was unreadable on an *online* disk is a
     // latent sector error. Rewrite the reconstructed strip so the medium
     // remaps it (md's read-error rewrite) — otherwise the bad sector lies
@@ -1304,7 +1142,7 @@ bool raid6_array::load_and_decode(std::size_t stripe,
     // data intact, and rebuilding columns are the background session's job.
     for (const std::uint32_t col : erased) {
         if (statuses[col] != io_status::unreadable_sector) continue;
-        stats_.media_errors_recovered.fetch_add(1, std::memory_order_relaxed);
+        ctr_.inc<&array_stats::media_errors_recovered>();
         const std::uint32_t one[] = {col};
         store_columns(stripe, buf, one);
     }
@@ -1349,13 +1187,13 @@ bool raid6_array::read_element_degraded(std::size_t stripe, std::uint32_t row,
         }
     }
     std::memcpy(out.data(), acc.data(), elem);
-    stats_.degraded_element_reads.fetch_add(1, std::memory_order_relaxed);
+    ctr_.inc<&array_stats::degraded_element_reads>();
     return true;
 }
 
 void raid6_array::note_unrecoverable_read(std::size_t stripe) {
     const std::uint64_t prev =
-        stats_.reads_unrecoverable.fetch_add(1, std::memory_order_relaxed);
+        ctr_.at<&array_stats::reads_unrecoverable>().inc();
     obs::flight_recorder::instance().record(obs::fr_kind::read_unrecoverable,
                                             obs_.now_ns(), 0, stripe);
     if (prev == 0) {
@@ -1492,8 +1330,7 @@ bool raid6_array::read_extent(std::size_t addr, std::span<std::byte> out,
                             // Element-granular read-repair: the verified
                             // reconstruction overwrites the rot instead of
                             // leaving it in wait for the next failure.
-                            stats_.reads_self_healed.fetch_add(
-                                1, std::memory_order_relaxed);
+                            ctr_.inc<&array_stats::reads_self_healed>();
                         }
                     }
                     std::memcpy(out.data() + done + i, ebuf.data() + in_elem,
@@ -1635,7 +1472,7 @@ bool raid6_array::write_full_stripes(
         if (submitted > 0 && powered_) persist_intent();
         for (std::size_t i = 0; i < submitted; ++i) {
             const std::size_t s = first + done + i;
-            stats_.full_stripe_writes.fetch_add(1, std::memory_order_relaxed);
+            ctr_.inc<&array_stats::full_stripe_writes>();
             const std::span<std::byte* const> cols =
                 writer.stage(i, stripes[done + i]);
             // Data columns go into flight before parity exists: the encode
@@ -1828,12 +1665,11 @@ bool raid6_array::write_partial(std::size_t stripe, std::size_t in_stripe,
                 applied = false;
                 break;
             }
-            stats_.parity_elements_updated.fetch_add(
-                touched, std::memory_order_relaxed);
+            ctr_.inc<&array_stats::parity_elements_updated>(touched);
         }
         if (applied) {
             journal_clear(stripe);
-            stats_.small_writes.fetch_add(1, std::memory_order_relaxed);
+            ctr_.inc<&array_stats::small_writes>();
             return true;
         }
         // Power died mid-apply: the record-ahead checksums of the dropped
@@ -1857,18 +1693,17 @@ bool raid6_array::write_partial(std::size_t stripe, std::size_t in_stripe,
         stripe, buf.view(), /*writeback=*/false, {}, parity_trusted);
     if (!rec.ok) return false;
     if (!rec.erased.empty()) {
-        stats_.degraded_stripe_reads.fetch_add(1, std::memory_order_relaxed);
+        ctr_.inc<&array_stats::degraded_stripe_reads>();
         for (const std::uint32_t col : rec.erased) {
             // Latent sector errors heal below when every column is
             // rewritten; keep the accounting load_and_decode would do.
             if (rec.statuses[col] == io_status::unreadable_sector) {
-                stats_.media_errors_recovered.fetch_add(
-                    1, std::memory_order_relaxed);
+                ctr_.inc<&array_stats::media_errors_recovered>();
             }
         }
     }
     if (!rec.healed.empty()) {
-        stats_.reads_self_healed.fetch_add(1, std::memory_order_relaxed);
+        ctr_.inc<&array_stats::reads_self_healed>();
     }
     for (std::size_t j = 0; j < in.size();) {
         const std::size_t o = in_stripe + j;
@@ -1886,7 +1721,7 @@ bool raid6_array::write_partial(std::size_t stripe, std::size_t in_stripe,
     if (!journal_mark(stripe, intent_log::all_columns)) return false;
     store_columns(stripe, buf.view(), cols);
     journal_clear(stripe);
-    stats_.small_writes.fetch_add(1, std::memory_order_relaxed);
+    ctr_.inc<&array_stats::small_writes>();
     return failed_disk_count() <= 2;
 }
 

@@ -120,9 +120,12 @@ struct array_config {
     bool obs_virtual_time = false;
 };
 
-/// Copyable snapshot of the array's operation counters. The live counters
-/// are atomic (aio worker threads increment them concurrently with the
-/// foreground path); stats() takes a relaxed snapshot.
+/// Copyable snapshot of the array's operation counters: a typed view of
+/// the counters kArrayCounters declares in the array's obs registry (aio
+/// worker threads increment them concurrently with the foreground path;
+/// stats() reads each with a relaxed load). Retry outcomes are counted
+/// once, by the io_policy (io_stats()); the aio engine's own counters
+/// are aio_engine().stats().
 struct array_stats {
     std::uint64_t full_stripe_writes = 0;
     std::uint64_t small_writes = 0;
@@ -130,8 +133,6 @@ struct array_stats {
     std::uint64_t degraded_stripe_reads = 0;    ///< full-stripe decodes
     std::uint64_t degraded_element_reads = 0;   ///< row-parity fast path
     std::uint64_t media_errors_recovered = 0;   ///< latent errors healed by decode
-    std::uint64_t transient_errors_masked = 0;  ///< ops saved by retries
-    std::uint64_t retries_exhausted = 0;        ///< transient after full budget
     std::uint64_t disks_tripped = 0;            ///< failed by the health monitor
     std::uint64_t spares_promoted = 0;
     std::uint64_t rebuilds_completed = 0;       ///< background sessions finished
@@ -152,11 +153,95 @@ struct array_stats {
     // ---- persistence (raid/persist/) ----------------------------------
     std::uint64_t intent_replayed = 0;     ///< journaled stripes re-synced at mount
     std::uint64_t stale_disks_kicked = 0;  ///< members demoted to rebuild at mount
-    // ---- async I/O pipeline (mirrors aio::aio_stats) ------------------
-    std::uint64_t aio_batches = 0;            ///< transfers issued by the engine
-    std::uint64_t aio_merges = 0;             ///< reads absorbed into a neighbour
-    std::uint64_t aio_split_retries = 0;      ///< merged transfers re-driven split
-    std::uint64_t aio_inflight_highwater = 0; ///< max pending on any one disk
+};
+
+/// The array's counters (see obs::counter_def).
+inline constexpr obs::counter_def<array_stats> kArrayCounters[] = {
+    {"raid_full_stripe_writes_total", "full-stripe writes",
+     &array_stats::full_stripe_writes},
+    {"raid_small_writes_total", "read-modify-write small writes",
+     &array_stats::small_writes},
+    {"raid_parity_elements_updated_total",
+     "parity elements patched by small writes (elements)",
+     &array_stats::parity_elements_updated},
+    {"raid_degraded_stripe_reads_total", "full-stripe decodes on read",
+     &array_stats::degraded_stripe_reads},
+    {"raid_degraded_element_reads_total", "row-parity fast-path decodes",
+     &array_stats::degraded_element_reads},
+    {"raid_media_errors_recovered_total",
+     "latent sector errors healed by decode",
+     &array_stats::media_errors_recovered},
+    {"raid_disks_tripped_total", "disks failed by the health monitor",
+     &array_stats::disks_tripped},
+    {"raid_spares_promoted_total", "hot spares promoted",
+     &array_stats::spares_promoted},
+    {"raid_rebuilds_completed_total",
+     "background rebuild members finished (members)",
+     &array_stats::rebuilds_completed},
+    {"raid_rebuild_stripes_failed_total",
+     "stripes unrecoverable during background rebuild (stripes)",
+     &array_stats::rebuild_stripes_failed},
+    {"raid_rebuild_sessions_stalled_total",
+     "rebuild sessions needing the operator",
+     &array_stats::rebuild_sessions_stalled},
+    {"raid_checksum_mismatches_total",
+     "blocks failing their stored CRC (blocks)",
+     &array_stats::checksum_mismatches},
+    {"raid_reads_self_healed_total", "stripes repaired on read",
+     &array_stats::reads_self_healed},
+    {"raid_reads_unrecoverable_total", "verified reads refused",
+     &array_stats::reads_unrecoverable},
+    {"raid_checksum_metadata_repaired_total",
+     "stale or damaged stored checksums refreshed",
+     &array_stats::checksum_metadata_repaired},
+    {"raid_writes_rejected_log_full_total",
+     "writes refused because the intent log was at capacity",
+     &array_stats::writes_rejected_log_full},
+    {"raid_deadline_exceeded_total",
+     "reads that outlived their adaptive deadline",
+     &array_stats::deadline_exceeded},
+    {"raid_hedged_reads_total", "reconstruction hedges issued",
+     &array_stats::hedged_reads},
+    {"raid_hedge_wins_total", "hedges that beat the straggler",
+     &array_stats::hedge_wins},
+    {"raid_slow_trips_total", "disks quarantined as suspect_slow",
+     &array_stats::slow_trips},
+    {"raid_slow_recoveries_total", "quarantines lifted by on-time probes",
+     &array_stats::slow_recoveries},
+    {"raid_slow_routed_reads_total",
+     "reads routed around a quarantined disk via decode",
+     &array_stats::slow_routed_reads},
+    {"raid_intent_replayed_total",
+     "journaled stripes re-synced during mount replay (stripes)",
+     &array_stats::intent_replayed},
+    {"raid_stale_disks_kicked_total",
+     "stale or unreadable members demoted to rebuild at mount",
+     &array_stats::stale_disks_kicked},
+};
+
+/// Per-slot counters of one disk slot, exported as disk="N" series.
+/// Counted where the event happens, so they stay monotonic when the slot
+/// takes new hardware — unlike the health and latency monitors' ledgers,
+/// which reset then because their trip decisions are per hardware.
+struct disk_slot_stats {
+    std::uint64_t transient_errors = 0;  ///< transient errors, even if masked
+    std::uint64_t hard_errors = 0;       ///< latent sectors, exhausted retries
+    std::uint64_t deadline_misses = 0;   ///< reads outliving the deadline
+    std::uint64_t slow_trips = 0;        ///< suspect_slow quarantine entries
+    std::uint64_t hedged_reads = 0;      ///< reconstruction hedges issued
+};
+
+inline constexpr obs::counter_def<disk_slot_stats> kDiskSlotCounters[] = {
+    {"disk_transient_errors_total", "per-disk transient errors seen",
+     &disk_slot_stats::transient_errors},
+    {"disk_hard_errors_total", "per-disk hard (medium/device) errors",
+     &disk_slot_stats::hard_errors},
+    {"disk_deadline_misses_total", "per-disk reads missing their deadline",
+     &disk_slot_stats::deadline_misses},
+    {"disk_slow_trips_total", "per-disk suspect_slow quarantine entries",
+     &disk_slot_stats::slow_trips},
+    {"disk_hedged_reads_total", "per-disk reconstruction hedges issued",
+     &disk_slot_stats::hedged_reads},
 };
 
 /// One piece of an extent scattered over several host buffers: the
@@ -196,15 +281,21 @@ public:
     }
     [[nodiscard]] vdisk& disk(std::uint32_t d) { return *disks_[d]; }
     [[nodiscard]] const vdisk& disk(std::uint32_t d) const { return *disks_[d]; }
-    [[nodiscard]] array_stats stats() const noexcept;
+    [[nodiscard]] array_stats stats() const noexcept {
+        return ctr_.snapshot();
+    }
+    /// Slot `d`'s disk="N" counters (see disk_slot_stats).
+    [[nodiscard]] disk_slot_stats slot_stats(std::uint32_t d) const {
+        return slot_ctr_[d].snapshot();
+    }
 
     // ---- observability -----------------------------------------------
-    /// The array's metrics + tracing hub. Latency histograms
-    /// (raid_*_ns/io_*_ns/aio_*_ns) and gauges update live on the hot
-    /// paths; counters mirror the atomic stats at export time via a
-    /// registered collector, so obs().metrics_text() is one coherent
-    /// Prometheus exposition of the whole pipeline. Enable
-    /// obs().trace().enable() to capture Chrome trace spans.
+    /// The array's metrics + tracing hub: the home of the counters of the
+    /// array, its io_policy and its aio engine, plus latency histograms
+    /// (raid_*_ns/io_*_ns/aio_*_ns) and gauges, all updated live on the
+    /// hot paths — obs().metrics_text() is one Prometheus exposition of
+    /// the whole pipeline. Enable obs().trace().enable() to capture
+    /// Chrome trace spans.
     [[nodiscard]] obs::hub& obs() noexcept { return obs_; }
     [[nodiscard]] const obs::hub& obs() const noexcept { return obs_; }
 
@@ -477,48 +568,15 @@ private:
     /// mounter maps the backing files in (spares stay anonymous).
     raid6_array(const array_config& cfg, bool allocate_members);
 
-    /// Live counters behind array_stats (see that struct for semantics).
-    struct atomic_stats {
-        std::atomic<std::uint64_t> full_stripe_writes{0};
-        std::atomic<std::uint64_t> small_writes{0};
-        std::atomic<std::uint64_t> parity_elements_updated{0};
-        std::atomic<std::uint64_t> degraded_stripe_reads{0};
-        std::atomic<std::uint64_t> degraded_element_reads{0};
-        std::atomic<std::uint64_t> media_errors_recovered{0};
-        std::atomic<std::uint64_t> transient_errors_masked{0};
-        std::atomic<std::uint64_t> retries_exhausted{0};
-        std::atomic<std::uint64_t> disks_tripped{0};
-        std::atomic<std::uint64_t> spares_promoted{0};
-        std::atomic<std::uint64_t> rebuilds_completed{0};
-        std::atomic<std::uint64_t> rebuild_stripes_failed{0};
-        std::atomic<std::uint64_t> rebuild_sessions_stalled{0};
-        std::atomic<std::uint64_t> checksum_mismatches{0};
-        std::atomic<std::uint64_t> reads_self_healed{0};
-        std::atomic<std::uint64_t> reads_unrecoverable{0};
-        std::atomic<std::uint64_t> checksum_metadata_repaired{0};
-        std::atomic<std::uint64_t> writes_rejected_log_full{0};
-        std::atomic<std::uint64_t> deadline_exceeded{0};
-        std::atomic<std::uint64_t> hedged_reads{0};
-        std::atomic<std::uint64_t> hedge_wins{0};
-        std::atomic<std::uint64_t> slow_trips{0};
-        std::atomic<std::uint64_t> slow_recoveries{0};
-        std::atomic<std::uint64_t> slow_routed_reads{0};
-        std::atomic<std::uint64_t> intent_replayed{0};
-        std::atomic<std::uint64_t> stale_disks_kicked{0};
+    /// Resolve slot `d`'s disk="d" counters (construction and growth).
+    void add_slot_counters(std::uint32_t d);
 
-        [[nodiscard]] array_stats snapshot() const noexcept;
-    };
-
-    /// Resolve the hub's clock, histograms, gauges, and the export-time
-    /// counter collector (constructor tail).
+    /// Resolve the hub's clock, histograms and gauges (constructor tail).
     void init_obs(const array_config& cfg);
-    /// The collector body: mirror every atomic counter family
-    /// (array_stats, io_policy_stats, aio_stats) into registry counters.
-    void mirror_counters();
     /// Refresh the fault-tolerance gauges (failed disks, spares, rebuild
     /// backlog). Foreground thread only — the underlying state is not
     /// atomic, which is exactly why these are pushed in-line rather than
-    /// sampled by the collector.
+    /// sampled at export.
     void update_health_gauges() noexcept;
 
     /// Degraded path: load + decode a full stripe into `buf`.
@@ -689,10 +747,11 @@ private:
     core::liberation_optimal_code code_;
     std::size_t sector_size_;
     std::vector<std::unique_ptr<vdisk>> disks_;
-    atomic_stats stats_;
 
     // ---- observability -----------------------------------------------
     obs::hub obs_;
+    obs::counter_set<kArrayCounters> ctr_{obs_.metrics()};
+    std::vector<obs::counter_set<kDiskSlotCounters>> slot_ctr_;
     /// Histograms/gauges resolved once at construction (registry lookups
     /// take a mutex; the hot paths must not).
     obs::latency_histogram* hist_read_ = nullptr;

@@ -34,11 +34,7 @@ bool health_monitor::record(std::uint32_t disk, io_kind kind,
     if (transient_seen > 0) {
         c.transient.fetch_add(transient_seen, std::memory_order_relaxed);
     }
-    // Hard errors: a latent sector or an exhausted retry budget. Fail-stop
-    // and out-of-range are not the medium's fault and don't count.
-    const bool hard = final_status == io_status::unreadable_sector ||
-                      final_status == io_status::transient_error;
-    if (hard) {
+    if (is_hard_error(final_status)) {
         (kind == io_kind::read ? c.hard_read : c.hard_write)
             .fetch_add(1, std::memory_order_relaxed);
     }

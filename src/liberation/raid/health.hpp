@@ -65,6 +65,13 @@ public:
     bool record(std::uint32_t disk, io_kind kind, io_status final_status,
                 std::uint32_t transient_seen);
 
+    /// Hard errors: a latent sector or an exhausted retry budget.
+    /// Fail-stop and out-of-range are not the medium's fault.
+    [[nodiscard]] static constexpr bool is_hard_error(io_status s) noexcept {
+        return s == io_status::unreadable_sector ||
+               s == io_status::transient_error;
+    }
+
     [[nodiscard]] disk_health state(std::uint32_t disk) const;
     [[nodiscard]] disk_health_stats stats(std::uint32_t disk) const;
     [[nodiscard]] std::uint32_t disk_count() const noexcept {

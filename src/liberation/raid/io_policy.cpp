@@ -4,24 +4,26 @@
 
 namespace liberation::raid {
 
-void io_policy::attach_obs(obs::hub* h) {
-    obs_ = h;
-    if (h == nullptr) {
-        hist_read_ = nullptr;
-        hist_write_ = nullptr;
-        return;
-    }
-    hist_read_ = &h->metrics().get_histogram(
-        "io_read_ns", "disk read latency through the retry policy");
-    hist_write_ = &h->metrics().get_histogram(
-        "io_write_ns", "disk write latency through the retry policy");
-}
+io_policy::io_policy(const io_policy_config& cfg, virtual_clock& clock,
+                     obs::hub* hub)
+    : cfg_(cfg),
+      clock_(&clock),
+      own_obs_(hub == nullptr ? std::make_unique<obs::hub>() : nullptr),
+      obs_(hub != nullptr ? *hub : *own_obs_),
+      hist_read_(obs_.metrics().get_histogram(
+          "io_read_ns", "disk read latency through the retry policy")),
+      hist_write_(obs_.metrics().get_histogram(
+          "io_write_ns", "disk write latency through the retry policy")),
+      ctr_(obs_.metrics()) {}
 
 template <typename Op>
 io_result io_policy::run(Op&& op, io_kind kind, bool defer_time_charge) {
-    (kind == io_kind::read ? reads_ : writes_)
-        .fetch_add(1, std::memory_order_relaxed);
-    const std::uint64_t begin = obs_ != nullptr ? obs_->now_ns() : 0;
+    if (kind == io_kind::read) {
+        ctr_.inc<&io_policy_stats::reads>();
+    } else {
+        ctr_.inc<&io_policy_stats::writes>();
+    }
+    const std::uint64_t begin = obs_.now_ns();
 
     io_result result;
     std::uint64_t backoff = cfg_.initial_backoff_us;
@@ -39,30 +41,28 @@ io_result io_policy::run(Op&& op, io_kind kind, bool defer_time_charge) {
         if (!is_retryable(result.status)) break;
         ++result.transient_seen;
         if (attempt >= cfg_.max_retries) {
-            retries_exhausted_.fetch_add(1, std::memory_order_relaxed);
+            ctr_.inc<&io_policy_stats::retries_exhausted>();
             break;
         }
-        if (obs_ != nullptr && obs_->trace().enabled()) {
-            obs_->trace().record(
+        if (obs_.trace().enabled()) {
+            obs_.trace().record(
                 kind == io_kind::read ? "io.retry.read" : "io.retry.write",
-                "io", obs_->now_ns(), 0);
+                "io", obs_.now_ns(), 0);
         }
         // Exponential backoff on the virtual clock: a real array would
         // stall here; the simulation just records the stall.
         result.latency_us += backoff;
         if (!defer_time_charge) clock_->advance(backoff);
-        backoff_us_.fetch_add(backoff, std::memory_order_relaxed);
+        ctr_.inc<&io_policy_stats::backoff_us>(backoff);
         backoff = std::min(backoff * 2, cfg_.max_backoff_us);
-        retries_.fetch_add(1, std::memory_order_relaxed);
+        ctr_.inc<&io_policy_stats::retries>();
     }
     if (result.ok() && result.transient_seen > 0) {
-        transient_masked_.fetch_add(1, std::memory_order_relaxed);
+        ctr_.inc<&io_policy_stats::transient_masked>();
     }
-    if (obs_ != nullptr) {
-        const std::uint64_t end = obs_->now_ns();
-        (kind == io_kind::read ? hist_read_ : hist_write_)
-            ->record(end >= begin ? end - begin : 0);
-    }
+    const std::uint64_t end = obs_.now_ns();
+    (kind == io_kind::read ? hist_read_ : hist_write_)
+        .record(end >= begin ? end - begin : 0);
     return result;
 }
 
@@ -77,12 +77,6 @@ io_result io_policy::write(vdisk& disk, std::size_t offset,
                            bool defer_time_charge) {
     return run([&](std::uint64_t* svc) { return disk.write(offset, in, svc); },
                io_kind::write, defer_time_charge);
-}
-
-io_policy_stats io_policy::stats() const noexcept {
-    return {reads_.load(),            writes_.load(),
-            retries_.load(),          transient_masked_.load(),
-            retries_exhausted_.load(), backoff_us_.load()};
 }
 
 }  // namespace liberation::raid

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 
 #include "liberation/obs/obs.hpp"
 #include "liberation/raid/vdisk.hpp"
@@ -50,7 +51,9 @@ struct io_policy_config {
     std::uint64_t max_backoff_us = 10'000;
 };
 
-/// Snapshot of policy counters (thread-safe to collect).
+/// Snapshot of policy counters (thread-safe to collect). The policy is
+/// the one place retry outcomes are counted: every disk op of an array
+/// goes through it.
 struct io_policy_stats {
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;
@@ -58,6 +61,23 @@ struct io_policy_stats {
     std::uint64_t transient_masked = 0;   ///< ops that failed then succeeded
     std::uint64_t retries_exhausted = 0;  ///< ops still transient after budget
     std::uint64_t backoff_us = 0;         ///< virtual time spent waiting
+};
+
+/// The policy's counters (see obs::counter_def). The two retry outcomes
+/// keep their raid_* exposition names.
+inline constexpr obs::counter_def<io_policy_stats> kIoPolicyCounters[] = {
+    {"io_reads_total", "disk reads through the retry policy",
+     &io_policy_stats::reads},
+    {"io_writes_total", "disk writes through the retry policy",
+     &io_policy_stats::writes},
+    {"io_retries_total", "extra attempts issued (attempts)",
+     &io_policy_stats::retries},
+    {"raid_transient_errors_masked_total", "ops saved by retries",
+     &io_policy_stats::transient_masked},
+    {"raid_retries_exhausted_total", "ops transient after the full budget",
+     &io_policy_stats::retries_exhausted},
+    {"io_backoff_us_total", "virtual time spent in retry backoff (us)",
+     &io_policy_stats::backoff_us},
 };
 
 /// Outcome of one policy-mediated operation: the final status plus how many
@@ -86,10 +106,17 @@ struct io_result {
 /// a property of the bytes, not of the transfer. Thread-safe: rebuild
 /// and resilver pool workers drive one policy concurrently with the
 /// foreground path (counters are atomic, config is immutable).
+///
+/// Every mediated op is timed on the hub's clock into io_read_ns /
+/// io_write_ns (backoff is charged to the virtual clock, so on a
+/// virtual-time hub a retried op's latency *is* its backoff — the retry
+/// tail shows up in p99), each retry emits an instant trace event when
+/// tracing is on, and the counters live in the hub's registry. The hub
+/// must outlive the policy; without one the policy owns a private hub.
 class io_policy {
 public:
-    io_policy(const io_policy_config& cfg, virtual_clock& clock) noexcept
-        : cfg_(cfg), clock_(&clock) {}
+    io_policy(const io_policy_config& cfg, virtual_clock& clock,
+              obs::hub* hub = nullptr);
 
     /// One mediated read (write): retries absorbed, backoff and injected
     /// fail-slow service time charged to the virtual clock,
@@ -107,17 +134,12 @@ public:
                     std::span<const std::byte> in,
                     bool defer_time_charge = false);
 
-    [[nodiscard]] io_policy_stats stats() const noexcept;
+    [[nodiscard]] io_policy_stats stats() const noexcept {
+        return ctr_.snapshot();
+    }
     [[nodiscard]] const io_policy_config& config() const noexcept {
         return cfg_;
     }
-
-    /// Wire the policy into an observability hub: every mediated op is
-    /// timed on the hub's clock into io_read_ns / io_write_ns (backoff is
-    /// charged to the virtual clock, so on a virtual-time hub a retried
-    /// op's latency *is* its backoff — the retry tail shows up in p99),
-    /// and each retry emits an instant trace event when tracing is on.
-    void attach_obs(obs::hub* h);
 
 private:
     template <typename Op>
@@ -125,15 +147,11 @@ private:
 
     io_policy_config cfg_;
     virtual_clock* clock_;
-    obs::hub* obs_ = nullptr;
-    obs::latency_histogram* hist_read_ = nullptr;
-    obs::latency_histogram* hist_write_ = nullptr;
-    std::atomic<std::uint64_t> reads_{0};
-    std::atomic<std::uint64_t> writes_{0};
-    std::atomic<std::uint64_t> retries_{0};
-    std::atomic<std::uint64_t> transient_masked_{0};
-    std::atomic<std::uint64_t> retries_exhausted_{0};
-    std::atomic<std::uint64_t> backoff_us_{0};
+    std::unique_ptr<obs::hub> own_obs_;
+    obs::hub& obs_;
+    obs::latency_histogram& hist_read_;
+    obs::latency_histogram& hist_write_;
+    obs::counter_set<kIoPolicyCounters> ctr_;
 };
 
 }  // namespace liberation::raid

@@ -384,8 +384,7 @@ mounted_array mounter::mount(const mount_options& opts) {
             break;
         case disposition::kicked:
             a->rebuilding_.push_back({s, 0});
-            a->stats_.stale_disks_kicked.fetch_add(
-                1, std::memory_order_relaxed);
+            a->ctr_.inc<&array_stats::stale_disks_kicked>();
             break;
         case disposition::resuming:
             a->rebuilding_.push_back(
@@ -430,7 +429,7 @@ mounted_array mounter::mount(const mount_options& opts) {
             if (done == 0) break;  // the rest needs a rebuild first
         }
         rep.intent_replayed = total;
-        a->stats_.intent_replayed.fetch_add(total, std::memory_order_relaxed);
+        a->ctr_.inc<&array_stats::intent_replayed>(total);
         if (total > 0) {
             obs::flight_recorder::instance().record(
                 obs::fr_kind::intent_replayed, a->obs_.now_ns(), 0, total);

@@ -44,22 +44,12 @@ constexpr std::uint64_t kSloWindowNs = 1'000'000'000;
 /// the volume object is destroyed by a kill.
 void fold(chaos_report& rep, volume& vol) {
     const volume_stats s = vol.stats();
-    volume_stats& into = rep.stats;
-    into.reads += s.reads;
-    into.writes += s.writes;
-    into.failed_reads += s.failed_reads;
-    into.failed_writes += s.failed_writes;
-    into.chunks_routed += s.chunks_routed;
-    into.multi_shard_ops += s.multi_shard_ops;
-    accumulate(into.shard_total, s.shard_total);
+    obs::accumulate(kVolumeCounters, rep.stats, s);
+    obs::accumulate(raid::kArrayCounters, rep.stats.shard_total,
+                    s.shard_total);
     for (std::uint32_t sh = 0; sh < vol.shard_count(); ++sh) {
-        const raid::io_policy_stats io = vol.shard(sh).io_stats();
-        rep.io.reads += io.reads;
-        rep.io.writes += io.writes;
-        rep.io.retries += io.retries;
-        rep.io.transient_masked += io.transient_masked;
-        rep.io.retries_exhausted += io.retries_exhausted;
-        rep.io.backoff_us += io.backoff_us;
+        obs::accumulate(raid::kIoPolicyCounters, rep.io,
+                        vol.shard(sh).io_stats());
     }
 }
 

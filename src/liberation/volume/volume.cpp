@@ -7,41 +7,28 @@
 
 namespace liberation::volume {
 
-void accumulate(raid::array_stats& into, const raid::array_stats& add) {
-    into.full_stripe_writes += add.full_stripe_writes;
-    into.small_writes += add.small_writes;
-    into.parity_elements_updated += add.parity_elements_updated;
-    into.degraded_stripe_reads += add.degraded_stripe_reads;
-    into.degraded_element_reads += add.degraded_element_reads;
-    into.media_errors_recovered += add.media_errors_recovered;
-    into.transient_errors_masked += add.transient_errors_masked;
-    into.retries_exhausted += add.retries_exhausted;
-    into.disks_tripped += add.disks_tripped;
-    into.spares_promoted += add.spares_promoted;
-    into.rebuilds_completed += add.rebuilds_completed;
-    into.rebuild_stripes_failed += add.rebuild_stripes_failed;
-    into.rebuild_sessions_stalled += add.rebuild_sessions_stalled;
-    into.checksum_mismatches += add.checksum_mismatches;
-    into.reads_self_healed += add.reads_self_healed;
-    into.reads_unrecoverable += add.reads_unrecoverable;
-    into.checksum_metadata_repaired += add.checksum_metadata_repaired;
-    into.writes_rejected_log_full += add.writes_rejected_log_full;
-    into.deadline_exceeded += add.deadline_exceeded;
-    into.hedged_reads += add.hedged_reads;
-    into.hedge_wins += add.hedge_wins;
-    into.slow_trips += add.slow_trips;
-    into.slow_recoveries += add.slow_recoveries;
-    into.slow_routed_reads += add.slow_routed_reads;
-    into.intent_replayed += add.intent_replayed;
-    into.stale_disks_kicked += add.stale_disks_kicked;
-    into.aio_batches += add.aio_batches;
-    into.aio_merges += add.aio_merges;
-    into.aio_split_retries += add.aio_split_retries;
-    into.aio_inflight_highwater =
-        std::max(into.aio_inflight_highwater, add.aio_inflight_highwater);
-}
-
 namespace {
+
+/// The volume hub's per-shard counter series (shard="N"): each links the
+/// shard's own counter of the same array_stats field (read live at
+/// export, never copied).
+constexpr obs::counter_def<raid::array_stats> kShardSeries[] = {
+    {"shard_full_stripe_writes_total", "full-stripe writes per shard",
+     &raid::array_stats::full_stripe_writes},
+    {"shard_small_writes_total", "read-modify-write small writes per shard",
+     &raid::array_stats::small_writes},
+    {"shard_degraded_stripe_reads_total",
+     "degraded full-stripe decodes per shard",
+     &raid::array_stats::degraded_stripe_reads},
+    {"shard_checksum_mismatches_total",
+     "checksum-failing blocks per shard (blocks)",
+     &raid::array_stats::checksum_mismatches},
+    {"shard_spares_promoted_total", "hot spares promoted per shard",
+     &raid::array_stats::spares_promoted},
+    {"shard_rebuilds_completed_total",
+     "background rebuild members per shard (members)",
+     &raid::array_stats::rebuilds_completed},
+};
 
 void validate_config(const volume_config& cfg) {
     LIBERATION_EXPECTS(cfg.shards >= 1);
@@ -125,41 +112,21 @@ void volume::init_obs() {
                                   "volume host read latency (ns)");
     write_ns_ = &reg.get_histogram("volume_write_ns",
                                    "volume host write latency (ns)");
+    for (std::uint32_t s = 0; s < shard_count(); ++s) {
+        const std::string label = "shard=\"" + std::to_string(s) + "\"";
+        obs::registry& shard_reg = shards_[s]->obs().metrics();
+        for (const auto& series : kShardSeries) {
+            const char* source =
+                obs::def_of(raid::kArrayCounters, series.field).name;
+            reg.link_counter(series.name, label, shard_reg.get_counter(source),
+                             series.help);
+        }
+    }
+    // Gauges of foreground shard state, sampled at export.
     obs_.add_collector([this] {
         obs::registry& r = obs_.metrics();
-        r.get_counter("volume_reads_total", "host reads served by the volume")
-            .mirror(reads_.load(std::memory_order_relaxed));
-        r.get_counter("volume_writes_total", "host writes served by the volume")
-            .mirror(writes_.load(std::memory_order_relaxed));
-        r.get_counter("volume_failed_reads_total", "host reads a shard refused")
-            .mirror(failed_reads_.load(std::memory_order_relaxed));
-        r.get_counter("volume_failed_writes_total", "host writes a shard refused")
-            .mirror(failed_writes_.load(std::memory_order_relaxed));
-        r.get_counter("volume_chunks_routed_total", "placement chunks touched")
-            .mirror(chunks_routed_.load(std::memory_order_relaxed));
-        r.get_counter("volume_multi_shard_ops_total", "host ops spanning > 1 shard")
-            .mirror(multi_shard_ops_.load(std::memory_order_relaxed));
         for (std::uint32_t s = 0; s < shard_count(); ++s) {
-            const raid::array_stats st = shards_[s]->stats();
             const std::string label = "shard=\"" + std::to_string(s) + "\"";
-            r.get_labeled_counter("shard_full_stripe_writes_total", label,
-                                  "full-stripe writes per shard")
-                .mirror(st.full_stripe_writes);
-            r.get_labeled_counter("shard_small_writes_total", label,
-                                  "read-modify-write small writes per shard")
-                .mirror(st.small_writes);
-            r.get_labeled_counter("shard_degraded_stripe_reads_total", label,
-                                  "degraded full-stripe decodes per shard")
-                .mirror(st.degraded_stripe_reads);
-            r.get_labeled_counter("shard_checksum_mismatches_total", label,
-                                  "checksum-failing blocks per shard")
-                .mirror(st.checksum_mismatches);
-            r.get_labeled_counter("shard_spares_promoted_total", label,
-                                  "hot spares promoted per shard")
-                .mirror(st.spares_promoted);
-            r.get_labeled_counter("shard_rebuilds_completed_total", label,
-                                  "background rebuild sessions per shard")
-                .mirror(st.rebuilds_completed);
             r.get_labeled_gauge("shard_failed_disks", label,
                                 "disks currently failed per shard")
                 .set(static_cast<std::int64_t>(
@@ -231,7 +198,7 @@ std::uint32_t volume::plan(std::size_t addr, std::size_t len) {
         remaining -= take;
         ++chunks;
     }
-    chunks_routed_.fetch_add(chunks, std::memory_order_relaxed);
+    ctr_.at<&volume_stats::chunks_routed>().inc(chunks);
     return touched;
 }
 
@@ -285,11 +252,11 @@ bool volume::dispatch(const std::function<bool(std::uint32_t)>& op) {
 bool volume::read(std::size_t addr, std::span<std::byte> out) {
     LIBERATION_EXPECTS(addr + out.size() <= capacity());
     obs::timed_span span(obs_, read_ns_, "volume_read", "volume");
-    reads_.fetch_add(1, std::memory_order_relaxed);
+    ctr_.at<&volume_stats::reads>().inc();
     if (out.empty()) return true;
     const std::uint32_t touched = plan(addr, out.size());
     if (touched > 1) {
-        multi_shard_ops_.fetch_add(1, std::memory_order_relaxed);
+        ctr_.at<&volume_stats::multi_shard_ops>().inc();
     }
     const bool ok = dispatch([&](std::uint32_t s) {
         shard_plan& p = plans_[s];
@@ -299,18 +266,18 @@ bool volume::read(std::size_t addr, std::span<std::byte> out) {
         }
         return shards_[s]->read(p.reads);
     });
-    if (!ok) failed_reads_.fetch_add(1, std::memory_order_relaxed);
+    if (!ok) ctr_.at<&volume_stats::failed_reads>().inc();
     return ok;
 }
 
 bool volume::write(std::size_t addr, std::span<const std::byte> in) {
     LIBERATION_EXPECTS(addr + in.size() <= capacity());
     obs::timed_span span(obs_, write_ns_, "volume_write", "volume");
-    writes_.fetch_add(1, std::memory_order_relaxed);
+    ctr_.at<&volume_stats::writes>().inc();
     if (in.empty()) return true;
     const std::uint32_t touched = plan(addr, in.size());
     if (touched > 1) {
-        multi_shard_ops_.fetch_add(1, std::memory_order_relaxed);
+        ctr_.at<&volume_stats::multi_shard_ops>().inc();
     }
     const bool ok = dispatch([&](std::uint32_t s) {
         shard_plan& p = plans_[s];
@@ -320,19 +287,15 @@ bool volume::write(std::size_t addr, std::span<const std::byte> in) {
         }
         return shards_[s]->write(p.writes);
     });
-    if (!ok) failed_writes_.fetch_add(1, std::memory_order_relaxed);
+    if (!ok) ctr_.at<&volume_stats::failed_writes>().inc();
     return ok;
 }
 
 volume_stats volume::stats() const {
-    volume_stats vs;
-    vs.reads = reads_.load(std::memory_order_relaxed);
-    vs.writes = writes_.load(std::memory_order_relaxed);
-    vs.failed_reads = failed_reads_.load(std::memory_order_relaxed);
-    vs.failed_writes = failed_writes_.load(std::memory_order_relaxed);
-    vs.chunks_routed = chunks_routed_.load(std::memory_order_relaxed);
-    vs.multi_shard_ops = multi_shard_ops_.load(std::memory_order_relaxed);
-    for (const auto& sh : shards_) accumulate(vs.shard_total, sh->stats());
+    volume_stats vs = ctr_.snapshot();
+    for (const auto& sh : shards_) {
+        obs::accumulate(raid::kArrayCounters, vs.shard_total, sh->stats());
+    }
     return vs;
 }
 

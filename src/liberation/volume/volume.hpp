@@ -39,7 +39,6 @@
 // set; see volume/manifest.hpp.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -93,15 +92,27 @@ struct volume_stats {
     raid::array_stats shard_total{};    ///< all shards summed
 };
 
+/// The volume hub's own counters (see obs::counter_def).
+inline constexpr obs::counter_def<volume_stats> kVolumeCounters[] = {
+    {"volume_reads_total", "host reads served by the volume",
+     &volume_stats::reads},
+    {"volume_writes_total", "host writes served by the volume",
+     &volume_stats::writes},
+    {"volume_failed_reads_total", "host reads a shard refused",
+     &volume_stats::failed_reads},
+    {"volume_failed_writes_total", "host writes a shard refused",
+     &volume_stats::failed_writes},
+    {"volume_chunks_routed_total", "placement chunks touched (chunks)",
+     &volume_stats::chunks_routed},
+    {"volume_multi_shard_ops_total", "host ops spanning > 1 shard",
+     &volume_stats::multi_shard_ops},
+};
+
 /// Where a volume byte lives.
 struct extent_location {
     std::uint32_t shard = 0;
     std::size_t addr = 0;  ///< shard-local byte address
 };
-
-/// Sum `add` into `into` field by field (shared by the stats roll-up and
-/// the chaos campaigns' cross-remount accounting).
-void accumulate(raid::array_stats& into, const raid::array_stats& add);
 
 class volume {
 public:
@@ -145,10 +156,11 @@ public:
 
     [[nodiscard]] volume_stats stats() const;
 
-    /// Volume-level metrics/tracing hub. volume_* counters and the
-    /// per-shard labeled series (liberation_shard_*{shard="N"}) are
-    /// mirrored at export time; shard hubs stay independently scrapable
-    /// via shard(s).obs().
+    /// Volume-level metrics/tracing hub: the home of the volume_*
+    /// counters. The per-shard labeled counter series
+    /// (liberation_shard_*{shard="N"}) are links that read each shard's
+    /// own counter at export; the per-shard gauges are sampled then.
+    /// Shard hubs stay independently scrapable via shard(s).obs().
     [[nodiscard]] obs::hub& obs() noexcept { return obs_; }
 
     /// Turn span tracing on/off for the volume hub and every shard hub in
@@ -221,15 +233,8 @@ private:
     std::vector<shard_plan> plans_;       // reused per op
     std::vector<std::uint8_t> results_;   // per-shard op outcome
 
-    // Live counters (relaxed; mirrored into obs_ by a collector).
-    std::atomic<std::uint64_t> reads_{0};
-    std::atomic<std::uint64_t> writes_{0};
-    std::atomic<std::uint64_t> failed_reads_{0};
-    std::atomic<std::uint64_t> failed_writes_{0};
-    std::atomic<std::uint64_t> chunks_routed_{0};
-    std::atomic<std::uint64_t> multi_shard_ops_{0};
-
     obs::hub obs_;
+    obs::counter_set<kVolumeCounters> ctr_{obs_.metrics()};
     obs::latency_histogram* read_ns_ = nullptr;
     obs::latency_histogram* write_ns_ = nullptr;
 

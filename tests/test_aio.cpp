@@ -387,7 +387,7 @@ TEST(AioArray, PipelinedFullStripeWritesAreByteIdentical) {
     EXPECT_EQ(disk_images(sync_a), disk_images(aio_a));
     EXPECT_EQ(sync_a.stats().full_stripe_writes,
               aio_a.stats().full_stripe_writes);
-    EXPECT_GE(aio_a.stats().aio_inflight_highwater, 8u);
+    EXPECT_GE(aio_a.aio_engine().stats().inflight_highwater, 8u);
 
     std::vector<std::byte> out(aio_a.capacity());
     ASSERT_TRUE(aio_a.read(0, out));
@@ -419,13 +419,13 @@ TEST(AioArray, PipelinedRebuildCoalescesReads) {
     raid6_array a(aio_config_with_depth(8));
     const auto data = pattern_bytes(a.capacity(), 23);
     ASSERT_TRUE(a.write(0, data));
-    const auto merges_before = a.stats().aio_merges;
+    const auto merges_before = a.aio_engine().stats().merges;
     a.fail_disk(1);
     a.replace_disk(1);
     const std::uint32_t disks[] = {1};
     ASSERT_TRUE(rebuild_disks(a, disks).success);
-    EXPECT_GT(a.stats().aio_merges, merges_before);
-    EXPECT_GT(a.stats().aio_batches, 0u);
+    EXPECT_GT(a.aio_engine().stats().merges, merges_before);
+    EXPECT_GT(a.aio_engine().stats().batches, 0u);
 }
 
 TEST(AioArray, PipelinedScrubMatchesSynchronousScrub) {

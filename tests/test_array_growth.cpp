@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "liberation/raid/array.hpp"
@@ -34,6 +35,41 @@ TEST(ParityFirstLayout, MappingIsStatic) {
         EXPECT_EQ(m.column_of_disk(s, 0), m.k());
         EXPECT_EQ(m.column_of_disk(s, 1), m.k() + 1);
     }
+}
+
+/// Value of an unlabeled counter in the array's exposition (0 if absent).
+std::uint64_t exported(raid6_array& a, const std::string& name) {
+    const std::string text = a.obs().metrics_text();
+    const std::string key = "\nliberation_" + name + " ";
+    const std::size_t pos = text.find(key);
+    return pos == std::string::npos
+               ? 0
+               : std::stoull(text.substr(pos + key.size()));
+}
+
+// Growth rebuilds the aio engine for the wider array; its counters live
+// in the array hub's registry, so the new engine continues the series
+// instead of restarting them at zero.
+TEST(ArrayGrowth, AioCountersSurviveEngineRebuild) {
+    raid6_array a(growable_config(4, 11));
+    util::xoshiro256 rng(3);
+    std::vector<std::byte> image(a.capacity());
+    rng.fill(image);
+    ASSERT_TRUE(a.write(0, image));
+    const aio::aio_stats before = a.aio_engine().stats();
+    const std::uint64_t exported_before = exported(a, "aio_submitted_total");
+    ASSERT_GT(before.submitted, 0u);
+    ASSERT_EQ(exported_before, before.submitted);
+
+    a.add_data_disk();
+    EXPECT_EQ(a.aio_engine().stats().submitted, before.submitted);
+    EXPECT_EQ(a.aio_engine().stats().batches, before.batches);
+    EXPECT_EQ(exported(a, "aio_submitted_total"), exported_before);
+
+    std::vector<std::byte> more(a.capacity());
+    rng.fill(more);
+    ASSERT_TRUE(a.write(0, more));
+    EXPECT_GT(a.aio_engine().stats().submitted, before.submitted);
 }
 
 TEST(ArrayGrowth, AddDiskWithoutParityRecomputation) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "liberation/raid/array.hpp"
@@ -240,8 +241,62 @@ TEST(ArrayFaults, TransientErrorsAreMaskedByRetries) {
     EXPECT_EQ(out, data);
     ASSERT_TRUE(a.write(100, pattern_bytes(3000, 21)));
     EXPECT_GT(a.io_stats().transient_masked, 0u);
-    EXPECT_GT(a.stats().transient_errors_masked, 0u);
     EXPECT_EQ(a.stats().disks_tripped, 0u);  // monitoring off by default
+}
+
+/// Value of one labeled series in the array's exposition (0 if absent).
+std::uint64_t disk_series(raid6_array& a, const std::string& family,
+                          std::uint32_t d) {
+    const std::string text = a.obs().metrics_text();
+    const std::string key = "liberation_" + family + "{disk=\"" +
+                            std::to_string(d) + "\"} ";
+    const std::size_t pos = text.find(key);
+    return pos == std::string::npos
+               ? 0
+               : std::stoull(text.substr(pos + key.size()));
+}
+
+// The per-disk exported counters are counted where the event happens, so
+// new hardware in a slot does not send them backwards: the health
+// monitor's own ledger resets (its trip decisions are per hardware), the
+// exported disk="N" series keep counting.
+TEST(ArrayFaults, PerDiskExportedCountersSurviveDiskReplacement) {
+    raid6_array a(ft_config());
+    const auto data = pattern_bytes(a.capacity(), 24);
+    ASSERT_TRUE(a.write(0, data));
+    const std::uint32_t d = a.map().locate(0, 0).disk;
+
+    // Two latent sectors under data strips of disk d: each read of them
+    // is a hard error (healed by decode + write-back).
+    std::size_t injected = 0;
+    for (std::size_t s = 0; s < a.map().stripes() && injected < 2; ++s) {
+        for (std::uint32_t c = 0; c < a.map().k() && injected < 2; ++c) {
+            const strip_location loc = a.map().locate(s, c);
+            if (loc.disk != d) continue;
+            a.disk(d).inject_latent_error(loc.offset, 16);
+            ++injected;
+        }
+    }
+    ASSERT_EQ(injected, 2u);
+    std::vector<std::byte> out(a.capacity());
+    ASSERT_TRUE(a.read(0, out));
+    // Transient read errors on the same disk, masked by retries.
+    a.disk(d).set_transient_fault_rates(0.3, 0.0, 77);
+    ASSERT_TRUE(a.read(0, out));
+    a.disk(d).clear_transient_faults();
+    EXPECT_EQ(out, data);
+
+    const std::uint64_t hard = disk_series(a, "disk_hard_errors_total", d);
+    const std::uint64_t transient =
+        disk_series(a, "disk_transient_errors_total", d);
+    EXPECT_GE(hard, 2u);
+    EXPECT_GT(transient, 0u);
+
+    a.fail_disk(d);
+    a.replace_disk(d);
+    EXPECT_EQ(a.health().stats(d).hard_read_errors, 0u);  // ledger reset
+    EXPECT_EQ(disk_series(a, "disk_hard_errors_total", d), hard);
+    EXPECT_EQ(disk_series(a, "disk_transient_errors_total", d), transient);
 }
 
 TEST(ArrayFaults, HealthTripPromotesSpareAndRebuilds) {
@@ -269,6 +324,11 @@ TEST(ArrayFaults, HealthTripPromotesSpareAndRebuilds) {
     EXPECT_EQ(a.spare_count(), 0u);
     EXPECT_EQ(a.failed_disk_count(), 0u);
     EXPECT_TRUE(a.disk(2).online());  // the slot holds the promoted spare
+    // The spare starts a fresh health ledger; the slot's exported series
+    // still count the tripped disk's errors.
+    EXPECT_EQ(a.health().stats(2).hard_read_errors, 0u);
+    EXPECT_GE(a.slot_stats(2).hard_errors, 1u);
+    EXPECT_GE(a.slot_stats(2).transient_errors, a.slot_stats(2).hard_errors);
 
     ASSERT_TRUE(a.read(0, out));
     EXPECT_EQ(out, data);

@@ -139,14 +139,14 @@ TEST(ObsRegistry, MetricsTextGoldenFormat) {
 
 TEST(ObsHub, CollectorRunsBeforeExport) {
     obs::hub h;
-    std::atomic<std::uint64_t> source{41};
+    std::atomic<std::int64_t> source{41};
     h.add_collector([&] {
-        h.metrics().get_counter("mirrored_total")
-            .mirror(source.load(std::memory_order_relaxed));
+        h.metrics().get_gauge("sampled")
+            .set(source.load(std::memory_order_relaxed));
     });
     source.store(42);
     const std::string text = h.metrics_text();
-    EXPECT_NE(text.find("liberation_mirrored_total 42\n"), std::string::npos);
+    EXPECT_NE(text.find("liberation_sampled 42\n"), std::string::npos);
 }
 
 TEST(ObsHub, MergedMetricsDeclareEachFamilyOnce) {
@@ -188,6 +188,146 @@ TEST(ObsHub, MergedMetricsDeclareEachFamilyOnce) {
     // Samples follow their family's header.
     EXPECT_LT(text.find("# TYPE liberation_ops_total counter\n"),
               text.find("liberation_ops_total{shard=\"0\"} 1\n"));
+}
+
+// ---- exported series set --------------------------------------------
+
+/// "family type" of every `# TYPE` line of an exposition, in order.
+std::vector<std::string> exposed_families(const std::string& text) {
+    const std::string tag = "# TYPE liberation_";
+    std::vector<std::string> out;
+    for (std::size_t pos = text.find(tag); pos != std::string::npos;
+         pos = text.find(tag, pos + 1)) {
+        const std::size_t begin = pos + tag.size();
+        out.push_back(text.substr(begin, text.find('\n', begin) - begin));
+    }
+    return out;
+}
+
+// The family set a scraper sees is an interface: this pins it for an
+// array hub and a 2-shard volume hub, so a counter can neither vanish
+// from the exposition nor appear in it unnoticed.
+TEST(ObsSeries, ArrayAndVolumeHubFamiliesArePinned) {
+    raid::raid6_array a(raid::array_config{});
+    const std::vector<std::string> array_families = {
+        "aio_batches_total counter",
+        "aio_complete_ns summary",
+        "aio_complete_ns_max gauge",
+        "aio_completed_total counter",
+        "aio_execute_ns summary",
+        "aio_execute_ns_max gauge",
+        "aio_inflight_highwater gauge",
+        "aio_merges_total counter",
+        "aio_queue_wait_ns summary",
+        "aio_queue_wait_ns_max gauge",
+        "aio_split_retries_total counter",
+        "aio_submitted_total counter",
+        "disk_deadline_misses_total counter",
+        "disk_hard_errors_total counter",
+        "disk_hedged_reads_total counter",
+        "disk_slow_trips_total counter",
+        "disk_transient_errors_total counter",
+        "io_backoff_us_total counter",
+        "io_read_ns summary",
+        "io_read_ns_max gauge",
+        "io_reads_total counter",
+        "io_retries_total counter",
+        "io_write_ns summary",
+        "io_write_ns_max gauge",
+        "io_writes_total counter",
+        "obs_spans_dropped_total counter",
+        "raid_checksum_metadata_repaired_total counter",
+        "raid_checksum_mismatches_total counter",
+        "raid_deadline_exceeded_total counter",
+        "raid_degraded_element_reads_total counter",
+        "raid_degraded_stripe_reads_total counter",
+        "raid_disks_tripped_total counter",
+        "raid_failed_disks gauge",
+        "raid_full_stripe_writes_total counter",
+        "raid_hedge_delay_ns summary",
+        "raid_hedge_delay_ns_max gauge",
+        "raid_hedge_wins_total counter",
+        "raid_hedged_reads_total counter",
+        "raid_intent_log_entries gauge",
+        "raid_intent_replayed_total counter",
+        "raid_media_errors_recovered_total counter",
+        "raid_mount_ns summary",
+        "raid_mount_ns_max gauge",
+        "raid_parity_elements_updated_total counter",
+        "raid_read_ns summary",
+        "raid_read_ns_max gauge",
+        "raid_reads_self_healed_total counter",
+        "raid_reads_unrecoverable_total counter",
+        "raid_rebuild_sessions_stalled_total counter",
+        "raid_rebuild_stripes_failed_total counter",
+        "raid_rebuild_stripes_remaining gauge",
+        "raid_rebuild_window_ns summary",
+        "raid_rebuild_window_ns_max gauge",
+        "raid_rebuilds_completed_total counter",
+        "raid_retries_exhausted_total counter",
+        "raid_scrub_stripe_ns summary",
+        "raid_scrub_stripe_ns_max gauge",
+        "raid_slow_recoveries_total counter",
+        "raid_slow_routed_reads_total counter",
+        "raid_slow_trips_total counter",
+        "raid_small_writes_total counter",
+        "raid_spares_available gauge",
+        "raid_spares_promoted_total counter",
+        "raid_stale_disks_kicked_total counter",
+        "raid_transient_errors_masked_total counter",
+        "raid_write_full_stripe_ns summary",
+        "raid_write_full_stripe_ns_max gauge",
+        "raid_write_small_ns summary",
+        "raid_write_small_ns_max gauge",
+        "raid_writes_rejected_log_full_total counter",
+    };
+    EXPECT_EQ(exposed_families(a.obs().metrics_text()), array_families);
+
+    volume::volume_config vc;
+    vc.shards = 2;
+    volume::volume v(vc);
+    const std::vector<std::string> volume_families = {
+        "obs_spans_dropped_total counter",
+        "shard_checksum_mismatches_total counter",
+        "shard_degraded_stripe_reads_total counter",
+        "shard_failed_disks gauge",
+        "shard_full_stripe_writes_total counter",
+        "shard_rebuild_stripes_remaining gauge",
+        "shard_rebuilds_completed_total counter",
+        "shard_small_writes_total counter",
+        "shard_spares_promoted_total counter",
+        "volume_chunks_routed_total counter",
+        "volume_failed_reads_total counter",
+        "volume_failed_writes_total counter",
+        "volume_multi_shard_ops_total counter",
+        "volume_read_ns summary",
+        "volume_read_ns_max gauge",
+        "volume_reads_total counter",
+        "volume_write_ns summary",
+        "volume_write_ns_max gauge",
+        "volume_writes_total counter",
+    };
+    const std::string text = v.obs().metrics_text();
+    EXPECT_EQ(exposed_families(text), volume_families);
+    // Every per-shard counter family has one series per shard.
+    for (const char* series :
+         {"liberation_shard_full_stripe_writes_total{shard=\"0\"} 0\n",
+          "liberation_shard_full_stripe_writes_total{shard=\"1\"} 0\n"}) {
+        EXPECT_NE(text.find(series), std::string::npos) << series;
+    }
+}
+
+TEST(ObsRegistry, LinkedCounterIsReadLiveAndReadOnly) {
+    obs::registry source;
+    obs::counter& c = source.get_counter("ops_total", "ops");
+    obs::registry r;
+    r.link_counter("part_ops_total", "part=\"0\"", c, "ops per part");
+    c.inc(5);
+    const std::string text = r.metrics_text();
+    EXPECT_NE(text.find("liberation_part_ops_total{part=\"0\"} 5\n"),
+              std::string::npos);
+    EXPECT_THROW((void)r.get_labeled_counter("part_ops_total", "part=\"0\""),
+                 std::logic_error);
 }
 
 // ---- tracer ----------------------------------------------------------
@@ -551,6 +691,11 @@ TEST(ObsTracer, RingWrapDisclosedInTraceAndCounter) {
     EXPECT_NE(json.find("\"dropped\":808"), std::string::npos);
     const std::string text = h.metrics_text();
     EXPECT_NE(text.find("liberation_obs_spans_dropped_total 808"),
+              std::string::npos);
+    // clear() empties the rings; the exported counter stays monotonic.
+    h.trace().clear();
+    EXPECT_EQ(h.trace().dropped(), 0u);
+    EXPECT_NE(h.metrics_text().find("liberation_obs_spans_dropped_total 808"),
               std::string::npos);
 }
 

@@ -540,8 +540,7 @@ TEST(VolumeChaos, CampaignReplaysBitForBitFromSeed) {
     EXPECT_EQ(a.settle_scrub_healed, b.settle_scrub_healed);
     EXPECT_EQ(a.success, b.success);
     // Down to the per-shard fault streams: every shard counter equal.
-    EXPECT_EQ(a.stats.shard_total.transient_errors_masked,
-              b.stats.shard_total.transient_errors_masked);
+    EXPECT_EQ(a.io.transient_masked, b.io.transient_masked);
     EXPECT_EQ(a.stats.shard_total.degraded_stripe_reads,
               b.stats.shard_total.degraded_stripe_reads);
     EXPECT_EQ(a.stats.shard_total.checksum_mismatches,
