@@ -1,7 +1,5 @@
 #include "liberation/aio/file_backend.hpp"
 
-#include <cerrno>
-
 #include "liberation/util/assert.hpp"
 
 #include <fcntl.h>
@@ -9,42 +7,6 @@
 #include <unistd.h>
 
 namespace liberation::aio {
-
-namespace {
-
-/// Full-length positioned read/write: POSIX allows short transfers, the
-/// callers do not.
-bool pread_all(int fd, std::byte* buf, std::size_t len, std::size_t offset) {
-    while (len > 0) {
-        const ssize_t n = ::pread(fd, buf, len, static_cast<off_t>(offset));
-        if (n < 0) {
-            if (errno == EINTR) continue;
-            return false;
-        }
-        if (n == 0) return false;  // unexpected EOF: file shorter than sized
-        buf += n;
-        len -= static_cast<std::size_t>(n);
-        offset += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-bool pwrite_all(int fd, const std::byte* buf, std::size_t len,
-                std::size_t offset) {
-    while (len > 0) {
-        const ssize_t n = ::pwrite(fd, buf, len, static_cast<off_t>(offset));
-        if (n < 0) {
-            if (errno == EINTR) continue;
-            return false;
-        }
-        buf += n;
-        len -= static_cast<std::size_t>(n);
-        offset += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-}  // namespace
 
 file_backend::file_backend(std::vector<std::string> paths,
                            std::size_t capacity,
@@ -88,35 +50,24 @@ util::mapped_region file_backend::map_data(std::uint32_t file) const {
                                            capacity_);
 }
 
+util::mapped_region file_backend::map_meta(std::uint32_t file) {
+    if (!ok(file) || cfg_.data_offset == 0 ||
+        ::posix_fallocate(fds_[file], 0,
+                          static_cast<off_t>(cfg_.data_offset)) != 0) {
+        return {};
+    }
+    return util::mapped_region::map_shared(fds_[file], 0, cfg_.data_offset);
+}
+
 bool file_backend::preallocate_data(std::uint32_t file) {
     if (!ok(file)) return false;
     return ::posix_fallocate(fds_[file], static_cast<off_t>(cfg_.data_offset),
                              static_cast<off_t>(capacity_)) == 0;
 }
 
-bool file_backend::pread_raw(std::uint32_t file, std::size_t offset,
-                             std::span<std::byte> out) {
-    if (!ok(file)) return false;
-    return pread_all(fds_[file], out.data(), out.size(), offset);
-}
-
-bool file_backend::pwrite_raw(std::uint32_t file, std::size_t offset,
-                              std::span<const std::byte> in) {
-    if (!ok(file)) return false;
-    return pwrite_all(fds_[file], in.data(), in.size(), offset);
-}
-
 bool file_backend::flush(std::uint32_t file) {
     if (!ok(file)) return false;
     return ::fdatasync(fds_[file]) == 0;
-}
-
-bool file_backend::flush_all() {
-    bool all = true;
-    for (int fd : fds_) {
-        if (fd >= 0 && ::fdatasync(fd) != 0) all = false;
-    }
-    return all;
 }
 
 }  // namespace liberation::aio

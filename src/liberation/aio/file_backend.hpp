@@ -1,26 +1,31 @@
 // File backend: the per-disk backing files of a persistent array.
 //
 // `file_backend` opens one regular file per disk slot, sized to
-// `data_offset + capacity`. The raid/persist/ layer owns the metadata
-// below `data_offset` (file header, superblock cores, checksum-table
-// copies) and reads and writes it with positioned I/O through
-// pread_raw()/pwrite_raw().
+// `data_offset + capacity`. Both areas of a file are reached through
+// MAP_SHARED mappings, never through positioned I/O:
 //
-// Data lives in the mapping. map_data() maps a file's data area
-// MAP_SHARED, and the member's vdisk uses that mapping as its medium, so
-// a landed data write is one store into the page cache with no system
-// call. No data transfer goes through this class.
+//   * map_meta() maps the metadata area [0, data_offset) that the
+//     raid/persist/ layer owns (file header, superblock cores, checksum-
+//     table copies); a superblock persist is a few stores into it;
+//   * map_data() maps the data area, which the member's vdisk uses as its
+//     medium, so a landed data write is one store into the page cache.
 //
-// Durability model: a store into the mapping, like a completed pwrite(),
-// survives a *process kill* (the page cache belongs to the kernel).
-// Surviving a machine crash additionally needs fdatasync ordering, which
-// writes back mmap-dirtied pages as well. The persistence layer drives it
-// through flush() according to its fsync protocol (docs/PERSISTENCE.md).
+// No byte transfer goes through this class; a persist or a data write
+// makes no system call. Both areas are allocated on the filesystem
+// before they are stored into (map_meta() does it, preallocate_data() for
+// the data area), so a store never finds a hole the filesystem cannot
+// fill, which would raise SIGBUS.
+//
+// Durability model: a store into a mapping survives a *process kill* (the
+// page cache belongs to the kernel), though a kill in the middle of a
+// store can leave that store half done. Surviving a machine crash
+// additionally needs fdatasync ordering, which writes back mmap-dirtied
+// pages. The persistence layer drives it through flush() according to
+// its fsync protocol (docs/PERSISTENCE.md).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -29,14 +34,14 @@
 namespace liberation::aio {
 
 struct file_backend_config {
-    /// Byte offset of the data area within each file: what map_data()
-    /// maps starts here. The raw calls below address absolute file
-    /// offsets (metadata lives below this). Must be a page-size multiple.
+    /// Byte offset of the data area within each file: map_meta() maps
+    /// what lies below it, map_data() what starts here. Must be a
+    /// page-size multiple.
     std::size_t data_offset = 0;
 };
 
-/// Data-transfer counters. Always zero: data reaches the files through
-/// the mapping, not through the backend. Kept because the stack bench
+/// Transfer counters. Always zero: bytes reach the files through the
+/// mappings, not through the backend. Kept because the stack bench
 /// reports them.
 struct file_backend_stats {
     std::uint64_t direct_transfers = 0;
@@ -72,17 +77,15 @@ public:
     /// fill (which would raise SIGBUS).
     [[nodiscard]] bool preallocate_data(std::uint32_t file);
 
-    // ---- raw access (absolute file offsets) -----------------------------
-    // The persistence layer reads/writes superblock slots through these.
-    [[nodiscard]] bool pread_raw(std::uint32_t file, std::size_t offset,
-                                 std::span<std::byte> out);
-    [[nodiscard]] bool pwrite_raw(std::uint32_t file, std::size_t offset,
-                                  std::span<const std::byte> in);
+    // ---- metadata area ----------------------------------------------------
+    /// Allocate the file's metadata area [0, data_offset) on the
+    /// filesystem (posix_fallocate), then map it read-write and shared;
+    /// empty when the slot is not open or either step fails.
+    [[nodiscard]] util::mapped_region map_meta(std::uint32_t file);
 
-    /// fdatasync one file / all open files, mapped data included. Needed
-    /// only for machine-crash durability.
+    /// fdatasync one file, both mappings included. Needed only for
+    /// machine-crash durability.
     [[nodiscard]] bool flush(std::uint32_t file);
-    [[nodiscard]] bool flush_all();
 
 private:
     file_backend_config cfg_;

@@ -3,9 +3,13 @@
 // span-flavoured overloads, runtime-dispatched implementations).
 //
 // Two implementations sit behind one entry point:
-//   * software — slice-by-8 table lookup, portable, ~1-2 GiB/s;
+//   * software — slice-by-8 table lookup, portable, ~1-2 GiB/s; the
+//     reference the hardware path is tested against;
 //   * hardware — the SSE4.2 `crc32` instruction (x86) or the ARMv8 CRC
-//     extension, selected at runtime when the CPU reports support.
+//     extension, selected at runtime when the CPU reports support. It is
+//     the three-lane sweep of the fused xorops kernels
+//     (crc32c_lanes_hardware) stitched by a cached crc32c_lane_combiner,
+//     so metadata CRCs run the same kernel as the data path.
 //
 // The polynomial is the Castagnoli one (0x1EDC6F41, reflected 0x82F63B78),
 // i.e. the CRC used by iSCSI, ext4 metadata and btrfs — chosen over
@@ -57,17 +61,11 @@ void force_impl(crc32c_impl impl) noexcept;
                                             std::uint32_t seed = 0) noexcept;
 
 // ---------------------------------------------------------------------------
-// Raw-state kernels and lane algebra for the fused XOR+CRC traversals
-// (xorops). The raw kernels advance the *inverted* running CRC with no
-// ~seed/~result bracketing — the state domain in which CRC updates are
-// linear over GF(2), so independently computed chains can be stitched
-// together after the fact.
-
-/// Advance a raw (inverted) CRC state over [p, p+n) with the portable
-/// slice-by-8 kernel. crc32c(data) == ~crc32c_raw_software(~0u, data, n).
-[[nodiscard]] std::uint32_t crc32c_raw_software(std::uint32_t raw,
-                                                const std::byte* p,
-                                                std::size_t n) noexcept;
+// Lane kernels and lane algebra of the hardware crc32c() and of the fused
+// XOR+CRC traversals (xorops). The lane kernels advance the *inverted*
+// running CRC with no ~seed/~result bracketing — the state domain in which
+// CRC updates are linear over GF(2), so independently computed chains can
+// be stitched together after the fact.
 
 /// Lane split rule shared by every fused kernel tier: a block of n bytes
 /// is checksummed as three independent chains over [0, L), [L, 2L) and
@@ -78,6 +76,16 @@ void force_impl(crc32c_impl impl) noexcept;
 [[nodiscard]] constexpr std::size_t crc32c_lane_bytes(std::size_t n) noexcept {
     return (n / 3) & ~static_cast<std::size_t>(7);
 }
+
+/// The lane sweep: lanes[0]/[1]/[2] receive the raw CRC chains (each
+/// seeded 0) of [0,L)/[L,2L)/[2L,n) of [src, src+n). Both kernels compute
+/// identical lanes; the hardware one interleaves three crc32 chains and
+/// must only be called when hardware_available(). Every fused xorops tier
+/// checksums through one of these two.
+void crc32c_lanes_software(const std::byte* src, std::size_t n,
+                           std::uint32_t lanes[3]) noexcept;
+void crc32c_lanes_hardware(const std::byte* src, std::size_t n,
+                           std::uint32_t lanes[3]) noexcept;
 
 /// Stitches the three raw lane chains of one fixed-size block back into
 /// the block's standard CRC32C. The stitch multiplies each lane CRC by
@@ -100,6 +108,18 @@ public:
                  lanes[2] ^ seed_term_);
     }
 
+    /// The same block continued from `seed`: crc32c(block, seed). The
+    /// seed enters linearly, advanced through all block() bytes by a
+    /// bit-matrix product (only a nonzero seed pays for it).
+    [[nodiscard]] std::uint32_t combine(const std::uint32_t lanes[3],
+                                        std::uint32_t seed) const noexcept {
+        std::uint32_t r = combine(lanes);
+        for (int i = 0; seed != 0; ++i, seed >>= 1) {
+            if ((seed & 1u) != 0) r ^= shift_all_[i];
+        }
+        return r;
+    }
+
 private:
     /// x^(8*len) mod P as 8 nibble tables: apply() advances a raw state
     /// by `len` zero bytes in 8 lookups.
@@ -117,7 +137,16 @@ private:
     std::size_t n_;
     shift_op shift_hi_;        ///< advance by n - L bytes (lane 0)
     shift_op shift_lo_;        ///< advance by n - 2L bytes (lane 1)
+    std::uint32_t shift_all_[32];  ///< advance by n bytes, one column per bit
     std::uint32_t seed_term_;  ///< the ~0 seed advanced through all n bytes
 };
+
+/// The combiner for `block_bytes`, from a small per-thread cache: building
+/// one costs a few thousand GF(2) matrix products, so callers that
+/// checksum the same sizes over and over (table pages, cores, data
+/// blocks) pay it once per thread. The reference stays valid until this
+/// thread has asked for more than the cache's worth of other sizes.
+[[nodiscard]] const crc32c_lane_combiner& crc32c_combiner_for(
+    std::size_t block_bytes) noexcept;
 
 }  // namespace liberation::integrity

@@ -153,6 +153,9 @@ struct array_stats {
     // ---- persistence (raid/persist/) ----------------------------------
     std::uint64_t intent_replayed = 0;     ///< journaled stripes re-synced at mount
     std::uint64_t stale_disks_kicked = 0;  ///< members demoted to rebuild at mount
+    // ---- scrub (scrubber.hpp) -----------------------------------------
+    std::uint64_t scrub_bytes_single_pass = 0;  ///< see scrub_summary
+    std::uint64_t scrub_bytes_crosscheck = 0;   ///< see scrub_summary
 };
 
 /// The array's counters (see obs::counter_def).
@@ -217,6 +220,13 @@ inline constexpr obs::counter_def<array_stats> kArrayCounters[] = {
     {"raid_stale_disks_kicked_total",
      "stale or unreadable members demoted to rebuild at mount",
      &array_stats::stale_disks_kicked},
+    {"raid_scrub_bytes_single_pass_total",
+     "stripe bytes scrubbed by the fused single-pass CRC sweep, each "
+     "scanned byte counted once (bytes)",
+     &array_stats::scrub_bytes_single_pass},
+    {"raid_scrub_bytes_crosscheck_total",
+     "extra bytes traversed by the parity cross-check fallback (bytes)",
+     &array_stats::scrub_bytes_crosscheck},
 };
 
 /// Per-slot counters of one disk slot, exported as disk="N" series.
@@ -287,6 +297,12 @@ public:
     /// Slot `d`'s disk="N" counters (see disk_slot_stats).
     [[nodiscard]] disk_slot_stats slot_stats(std::uint32_t d) const {
         return slot_ctr_[d].snapshot();
+    }
+    /// Charge one scrub pass's byte counts (scrub_array()).
+    void note_scrub_bytes(std::uint64_t single_pass,
+                          std::uint64_t crosscheck) noexcept {
+        ctr_.inc<&array_stats::scrub_bytes_single_pass>(single_pass);
+        ctr_.inc<&array_stats::scrub_bytes_crosscheck>(crosscheck);
     }
 
     // ---- observability -----------------------------------------------

@@ -105,7 +105,8 @@ std::unique_ptr<raid6_array> mounter::create(const array_config& cfg,
         img.crcs.assign(crcs.begin(), crcs.end());
     }
     std::unique_ptr<store> st =
-        store::format(scfg, std::move(images), a->map_.disk_capacity());
+        store::format(scfg, std::move(images), a->map_.disk_capacity(),
+                      a->obs_.metrics());
     if (!st) return nullptr;
     for (std::uint32_t s = 0; s < n; ++s) {
         util::mapped_region region = st->map_data(s);
@@ -220,6 +221,7 @@ mounted_array mounter::mount(const mount_options& opts) {
     };
     std::vector<disposition> dispo(n, disposition::active);
     std::vector<std::uint32_t> fresh_slots;
+    std::vector<std::uint32_t> foreign_slots;
     std::vector<superblock> images(n);
     std::uint32_t failed_total = 0;
     std::uint32_t kicked_total = 0;
@@ -269,6 +271,7 @@ mounted_array mounter::mount(const mount_options& opts) {
         if (foreign_file) {
             // Another array's disk found in this slot: never write to it.
             dispo[s] = disposition::foreign_disk;
+            foreign_slots.push_back(s);
             ++rep.foreign;
             ++failed_total;
         } else if (static_cast<slot_state>(auth->slot_states[s] &
@@ -322,23 +325,21 @@ mounted_array mounter::mount(const mount_options& opts) {
     // ---- open the store and map the members -----------------------------
     std::unique_ptr<store> st =
         store::attach(opts.store, std::move(images), a->map_.disk_capacity(),
-                      layout, fresh_slots);
+                      layout, fresh_slots, foreign_slots, a->obs_.metrics());
     if (!st) {
         rep.error = "could not initialize backing files";
         note_mount_refused(rep);
         return out;
     }
     for (std::uint32_t s = 0; s < n; ++s) {
-        if (dispo[s] == disposition::foreign_disk) {
-            st->exclude_meta_slot(s);
-            continue;
-        }
+        if (dispo[s] == disposition::foreign_disk) continue;
         // The mapping *is* the member's medium: nothing is read back.
         util::mapped_region region = st->map_data(s);
-        if (region.empty()) {
+        if (region.empty() || !st->meta_mapped(s)) {
             // Like an unopenable path, but with no medium to rebuild
-            // into: the member does not join, and counts against the
-            // two-erasure budget.
+            // into, or no metadata area to persist its state to: the
+            // member does not join, and counts against the two-erasure
+            // budget.
             if (dispo[s] != disposition::failed) {
                 ++failed_total;
                 if (dispo[s] == disposition::kicked) --kicked_total;

@@ -101,9 +101,11 @@ std::vector<disk_probe> probe_dir(const std::string& dir) {
 }
 
 store::store(store_config cfg, std::vector<superblock> images,
-             const member_layout& layout, std::size_t disk_capacity)
+             const member_layout& layout, std::size_t disk_capacity,
+             obs::registry& metrics)
     : cfg_(std::move(cfg)), layout_(layout),
-      uuid_(images.empty() ? 0 : images.front().array_uuid) {
+      uuid_(images.empty() ? 0 : images.front().array_uuid),
+      ctr_(metrics) {
     std::vector<std::string> paths;
     paths.reserve(images.size());
     slots_.resize(images.size());
@@ -126,26 +128,35 @@ store::store(store_config cfg, std::vector<superblock> images,
                                                    disk_capacity, bc);
 }
 
+void store::write_meta(slot_meta& m, std::uint64_t offset,
+                       std::span<const std::byte> bytes, meta_kind kind) {
+    LIBERATION_EXPECTS(offset + bytes.size() <= m.meta.size());
+    std::memcpy(m.meta.data() + offset, bytes.data(), bytes.size());
+    ctr_.inc<&store_stats::meta_bytes>(bytes.size());
+    if (kind == meta_kind::page) ctr_.inc<&store_stats::pages_written>();
+    if (kind == meta_kind::core) ctr_.inc<&store_stats::cores_written>();
+}
+
 bool store::init_slot_file(std::uint32_t slot) {
     slot_meta& m = slots_[slot];
+    m.meta = backend_->map_meta(slot);
+    if (m.meta.empty()) return false;
     superblock& sb = m.image;
     file_header h;
     h.array_uuid = sb.array_uuid;
     h.slot = slot;
     h.layout = layout_;
-    if (!backend_->pwrite_raw(slot, 0, encode_header(h))) return false;
+    write_meta(m, 0, encode_header(h), meta_kind::header);
     // Allocated blocks behind the whole data mapping: a store into a hole
     // the filesystem cannot fill would raise SIGBUS.
     if (!backend_->preallocate_data(slot)) return false;
-    // Both table copies get every page, so the file is fully allocated
-    // from the start and either copy can serve as the next write target.
+    // Both table copies get every page, so either copy can serve as the
+    // next write target.
     for (std::size_t pg = 0; pg < layout_.table_pages; ++pg) {
         sb.pages[pg] = {0, encode_page(sb.crcs, pg, m.page_buf)};
         for (std::uint8_t copy = 0; copy < 2; ++copy) {
-            if (!backend_->pwrite_raw(slot, layout_.page_offset(copy, pg),
-                                      m.page_buf)) {
-                return false;
-            }
+            write_meta(m, layout_.page_offset(copy, pg), m.page_buf,
+                       meta_kind::page);
         }
     }
     m.persisted = sb.pages;
@@ -154,17 +165,15 @@ bool store::init_slot_file(std::uint32_t slot) {
     // one of them) always leaves a valid fallback copy.
     encode_core(sb, m.core_buf);
     for (std::uint64_t c = 0; c < 2; ++c) {
-        if (!backend_->pwrite_raw(slot, layout_.core_offset(c), m.core_buf)) {
-            return false;
-        }
+        write_meta(m, layout_.core_offset(c), m.core_buf, meta_kind::core);
     }
-    if (cfg_.sync_meta && !backend_->flush(slot)) return false;
-    return true;
+    return !cfg_.sync_meta || flush(slot);
 }
 
 std::unique_ptr<store> store::format(const store_config& cfg,
                                      std::vector<superblock> images,
-                                     std::size_t disk_capacity) {
+                                     std::size_t disk_capacity,
+                                     obs::registry& metrics) {
     LIBERATION_EXPECTS(!images.empty());
     // Formatting a fresh array may name a directory that does not exist
     // yet; creating it here keeps `create_array(dir)` one-shot. (attach()
@@ -180,9 +189,9 @@ std::unique_ptr<store> store::format(const store_config& cfg,
     layout.table_pages = table_page_count(first.crcs.size());
     for (superblock& img : images) img.pages.resize(layout.table_pages);
     std::unique_ptr<store> st(
-        new store(cfg, std::move(images), layout, disk_capacity));
+        new store(cfg, std::move(images), layout, disk_capacity, metrics));
     for (std::uint32_t s = 0; s < st->slot_count(); ++s) {
-        if (!st->backend_->ok(s) || !st->init_slot_file(s)) return nullptr;
+        if (!st->init_slot_file(s)) return nullptr;
     }
     return st;
 }
@@ -190,18 +199,31 @@ std::unique_ptr<store> store::format(const store_config& cfg,
 std::unique_ptr<store> store::attach(
     const store_config& cfg, std::vector<superblock> images,
     std::size_t disk_capacity, const member_layout& layout,
-    const std::vector<std::uint32_t>& fresh_slots) {
+    const std::vector<std::uint32_t>& fresh_slots,
+    const std::vector<std::uint32_t>& foreign_slots, obs::registry& metrics) {
     LIBERATION_EXPECTS(!images.empty());
-    std::unique_ptr<store> st(
-        new store(cfg, std::move(images), layout, disk_capacity));
+    std::unique_ptr<store> st(new store(cfg, std::move(images), layout,
+                                        disk_capacity, metrics));
+    for (std::uint32_t s : foreign_slots) {
+        st->meta_mask_ &= ~(std::uint64_t{1} << s);
+    }
     for (std::uint32_t s : fresh_slots) {
-        if (!st->backend_->ok(s) || !st->init_slot_file(s)) return nullptr;
+        if (!st->init_slot_file(s)) return nullptr;
+    }
+    // The remaining members keep their metadata. A slot whose area cannot
+    // be mapped stays unmapped (meta_mapped() is false): the mounter fails
+    // that member rather than let its persists fail unseen.
+    for (std::uint32_t s = 0; s < st->slot_count(); ++s) {
+        slot_meta& m = st->slots_[s];
+        if (st->meta_slot(s) && m.meta.empty()) {
+            m.meta = st->backend_->map_meta(s);
+        }
     }
     return st;
 }
 
 bool store::reinit_slot(std::uint32_t slot) {
-    if (!backend_->ok(slot) || !init_slot_file(slot)) return false;
+    if (!init_slot_file(slot)) return false;
     meta_mask_ |= std::uint64_t{1} << slot;
     return true;
 }
@@ -227,34 +249,28 @@ void store::update_crcs(std::uint32_t slot, std::size_t first,
 }
 
 bool store::persist(std::uint32_t slot) {
-    if (!backend_->ok(slot)) return false;
     slot_meta& m = slots_[slot];
+    if (m.meta.empty()) return false;
     superblock& sb = m.image;
     ++sb.seq;
     // Dirty pages go to the copy the last persisted core does not
     // reference, so that core and every page it names stay intact until
     // the new core has landed.
-    bool ok = true;
-    for (std::size_t w = 0; ok && w < m.dirty.size(); ++w) {
+    for (std::size_t w = 0; w < m.dirty.size(); ++w) {
         for (std::uint64_t bits = m.dirty[w]; bits != 0; bits &= bits - 1) {
             const std::size_t pg =
                 w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
             const auto copy =
                 static_cast<std::uint8_t>(m.persisted[pg].copy ^ 1);
             sb.pages[pg] = {copy, encode_page(sb.crcs, pg, m.page_buf)};
-            if (!backend_->pwrite_raw(slot, layout_.page_offset(copy, pg),
-                                      m.page_buf)) {
-                ok = false;
-                break;
-            }
+            write_meta(m, layout_.page_offset(copy, pg), m.page_buf,
+                       meta_kind::page);
         }
     }
-    if (ok) {
-        encode_core(sb, m.core_buf);
-        ok = backend_->pwrite_raw(slot, layout_.core_offset(sb.seq % 2),
-                                  m.core_buf);
-    }
-    if (ok && cfg_.sync_meta) ok = backend_->flush(slot);
+    encode_core(sb, m.core_buf);
+    write_meta(m, layout_.core_offset(sb.seq % 2), m.core_buf,
+               meta_kind::core);
+    const bool ok = !cfg_.sync_meta || flush(slot);
     // Commit (the new core names the new copies) or roll back (the next
     // persist redoes the same pages against the same persisted core).
     for (std::size_t w = 0; w < m.dirty.size(); ++w) {
@@ -273,6 +289,18 @@ bool store::persist(std::uint32_t slot) {
     return ok;
 }
 
-bool store::flush_all() { return backend_->flush_all(); }
+bool store::flush(std::uint32_t slot) {
+    if (!backend_->ok(slot)) return false;
+    ctr_.inc<&store_stats::syncs>();
+    return backend_->flush(slot);
+}
+
+bool store::flush_all() {
+    bool all = true;
+    for (std::uint32_t s = 0; s < slot_count(); ++s) {
+        if (backend_->ok(s) && !flush(s)) all = false;
+    }
+    return all;
+}
 
 }  // namespace liberation::raid::persist

@@ -2,23 +2,27 @@
 //
 // A `store` owns one file per disk slot (`<dir>/disk-NN.img`), each framed
 // as [file header][core A][core B][table copy A][table copy B][data area]
-// (see superblock.hpp), through a `file_backend`. The data area of each
-// member is mapped (map_data()) and serves as that member's vdisk medium,
-// so data writes land in the file with no system call. The array keeps
-// its authoritative metadata in memory; the store holds one mutable
+// (see superblock.hpp), through a `file_backend`. Both areas of each
+// member file are mapped MAP_SHARED: the data area (map_data()) serves as
+// that member's vdisk medium, and the metadata area below data_offset is
+// where the store writes superblocks, so neither a data write nor a
+// persist makes a system call. The metadata area is mapped for every slot
+// of this array and never for a foreign one. The array keeps its
+// authoritative metadata in memory; the store holds one mutable
 // superblock *image* per slot, and the array's persistence hooks edit the
 // relevant images and call persist().
 //
 // persist() costs what changed, not the whole superblock: checksum words
 // enter an image through update_crcs(), which marks the 4 KiB table pages
-// whose words actually changed. persist() bumps the image's seq, writes
+// whose words actually changed. persist() bumps the image's seq, stores
 // each dirty page into the table copy the last persisted core does not
 // reference, then encodes the core into the slot's presized buffer and
-// writes it to core slot `seq % 2`. Every piece of that state — image,
-// dirty bits, encode buffers — belongs to one slot, so persists of
-// different slots may run concurrently (aio workers persist checksums of
-// the disks they write); one slot must not be persisted from two threads
-// at once.
+// stores it into core slot `seq % 2`. Every byte goes through one funnel,
+// write_meta(), which also counts the traffic (kStoreCounters). Every
+// piece of that state — image, dirty bits, encode buffers, mapping —
+// belongs to one slot, so persists of different slots may run
+// concurrently (aio workers persist checksums of the disks they write);
+// one slot must not be persisted from two threads at once.
 //
 // Fsync ordering (machine-crash durability, `store_config::sync_meta`):
 // one fdatasync after the core write. The core records the CRC of every
@@ -30,8 +34,9 @@
 // array maintains against simulated power loss. fdatasync also writes
 // back the pages dirtied through the data mapping. With sync_meta off,
 // writes still survive process kills (the kernel owns the page cache),
-// which is what the chaos campaign's kill-and-remount phases exercise.
-// See docs/PERSISTENCE.md.
+// which is what the chaos campaign's kill-and-remount phases exercise; a
+// kill in the middle of a store can leave a torn core or page, which the
+// two cores and the copy-on-write pages detect. See docs/PERSISTENCE.md.
 #pragma once
 
 #include <cstddef>
@@ -41,9 +46,34 @@
 #include <vector>
 
 #include "liberation/aio/file_backend.hpp"
+#include "liberation/obs/metrics.hpp"
 #include "liberation/raid/persist/superblock.hpp"
 
 namespace liberation::raid::persist {
+
+/// Metadata traffic of one store: a typed view of the counters
+/// kStoreCounters declares in the owning array's registry.
+struct store_stats {
+    std::uint64_t pages_written = 0;  ///< checksum-table pages stored
+    std::uint64_t cores_written = 0;  ///< superblock cores stored
+    std::uint64_t meta_bytes = 0;     ///< header + page + core bytes stored
+    std::uint64_t syncs = 0;          ///< fdatasync calls on member files
+};
+
+/// The store's counters (see obs::counter_def).
+inline constexpr obs::counter_def<store_stats> kStoreCounters[] = {
+    {"persist_table_pages_written_total",
+     "checksum-table pages stored into the mapped metadata area (pages)",
+     &store_stats::pages_written},
+    {"persist_cores_written_total",
+     "superblock cores stored into the mapped metadata area (cores)",
+     &store_stats::cores_written},
+    {"persist_meta_bytes_total",
+     "metadata bytes stored: file headers, table pages and cores (bytes)",
+     &store_stats::meta_bytes},
+    {"persist_fdatasyncs_total", "fdatasync calls on member files (calls)",
+     &store_stats::syncs},
+};
 
 struct store_config {
     std::string dir;          ///< directory holding disk-NN.img files
@@ -89,11 +119,13 @@ public:
     /// both checksum-table copies, then both cores primed with the given
     /// image (so even the very first persist has a valid fallback), and
     /// the data area preallocated. All
-    /// images must share table dimensions — they fix the layout.
+    /// images must share table dimensions — they fix the layout. The
+    /// store's counters live in `metrics` (the owning array's registry).
     /// Returns nullptr if any file cannot be created or written.
     static std::unique_ptr<store> format(const store_config& cfg,
                                          std::vector<superblock> images,
-                                         std::size_t disk_capacity);
+                                         std::size_t disk_capacity,
+                                         obs::registry& metrics);
 
     /// Reopen existing files laid out as `layout`. `images` holds the
     /// per-slot in-memory state the mounter decided on: decoded (checksum
@@ -101,11 +133,19 @@ public:
     /// fabricated for kicked disks; slots listed in `fresh_slots` get
     /// their header, table copies and cores rewritten from scratch
     /// (missing or unreadable files being re-initialized as blank rebuild
-    /// targets). Returns nullptr when a fresh slot cannot be initialized.
+    /// targets). Slots in `foreign_slots` hold another array's file: they
+    /// are left out of metadata replication and never mapped or written
+    /// until reinit_slot(). Every other slot's metadata area is mapped;
+    /// one that cannot be (say, the filesystem is full when its area is
+    /// allocated) is left unmapped, and meta_mapped() tells the mounter
+    /// to fail that member. Returns nullptr when a fresh slot cannot be
+    /// initialized.
     static std::unique_ptr<store> attach(
         const store_config& cfg, std::vector<superblock> images,
         std::size_t disk_capacity, const member_layout& layout,
-        const std::vector<std::uint32_t>& fresh_slots);
+        const std::vector<std::uint32_t>& fresh_slots,
+        const std::vector<std::uint32_t>& foreign_slots,
+        obs::registry& metrics);
 
     [[nodiscard]] std::size_t slot_count() const noexcept {
         return slots_.size();
@@ -117,17 +157,19 @@ public:
     [[nodiscard]] bool slot_ok(std::uint32_t slot) const noexcept {
         return backend_->ok(slot);
     }
+    /// True when the slot's metadata area is mapped, so its persists can
+    /// succeed.
+    [[nodiscard]] bool meta_mapped(std::uint32_t slot) const noexcept {
+        return !slots_[slot].meta.empty();
+    }
 
     /// Slots participating in metadata replication (superblock persists
-    /// and data mappings). The mounter excludes foreign or geometry-
-    /// mismatched files so a stray disk from another array is never
+    /// and data mappings). attach() leaves foreign or geometry-mismatched
+    /// files out so a stray disk from another array is never
     /// overwritten; reinit_slot() reclaims a slot once the operator
     /// installs a blank replacement.
     [[nodiscard]] bool meta_slot(std::uint32_t slot) const noexcept {
         return ((meta_mask_ >> slot) & 1) != 0;
-    }
-    void exclude_meta_slot(std::uint32_t slot) noexcept {
-        meta_mask_ &= ~(std::uint64_t{1} << slot);
     }
     /// Reclaim a slot for this array: rewrite its file header, table
     /// copies and cores from the current image, preallocate its data area
@@ -150,10 +192,11 @@ public:
     void update_crcs(std::uint32_t slot, std::size_t first,
                      std::span<const std::uint32_t> words);
 
-    /// Bump the image's seq, write its dirty table pages copy-on-write,
-    /// then its core to core slot `seq % 2` (one fdatasync when
-    /// sync_meta). False when the slot's file is gone or a write fails;
-    /// the image then still owes the same pages to the next persist.
+    /// Bump the image's seq, store its dirty table pages copy-on-write,
+    /// then its core into core slot `seq % 2` (one fdatasync when
+    /// sync_meta). No system call unless sync_meta. False when the slot's
+    /// metadata area is not mapped or the sync fails; the image then
+    /// still owes the same pages to the next persist.
     bool persist(std::uint32_t slot);
 
     /// Map a slot's data area as its member's medium (empty on failure).
@@ -161,13 +204,15 @@ public:
         return backend_->map_data(slot);
     }
 
-    /// fdatasync one slot's file / every file (mapped data included).
-    [[nodiscard]] bool flush(std::uint32_t slot) {
-        return backend_->flush(slot);
-    }
+    /// fdatasync one slot's file / every open file (both mappings
+    /// included).
+    [[nodiscard]] bool flush(std::uint32_t slot);
     [[nodiscard]] bool flush_all();
     [[nodiscard]] aio::file_backend& backend() noexcept { return *backend_; }
     [[nodiscard]] const store_config& config() const noexcept { return cfg_; }
+    [[nodiscard]] store_stats stats() const noexcept {
+        return ctr_.snapshot();
+    }
 
 private:
     /// Everything persist() touches for one slot; nothing is shared
@@ -180,14 +225,25 @@ private:
         std::vector<std::uint64_t> dirty;  ///< one bit per table page
         std::vector<std::byte> core_buf;   ///< presized core encoding
         std::vector<std::byte> page_buf;   ///< one table page
+        util::mapped_region meta;          ///< [0, data_offset) of the file
     };
 
-    store(store_config cfg, std::vector<superblock> images,
-          const member_layout& layout, std::size_t disk_capacity);
+    enum class meta_kind { header, page, core };
 
-    /// Write the file header, both table copies and both cores of one
-    /// file from its image, and preallocate its data area.
+    store(store_config cfg, std::vector<superblock> images,
+          const member_layout& layout, std::size_t disk_capacity,
+          obs::registry& metrics);
+
+    /// Map one slot's metadata area, then write its file header, both
+    /// table copies and both cores from its image, and preallocate its
+    /// data area.
     bool init_slot_file(std::uint32_t slot);
+
+    /// The one path by which metadata reaches a member file: a store of
+    /// `bytes` at file offset `offset` into the slot's mapped metadata
+    /// area, counted by kind.
+    void write_meta(slot_meta& m, std::uint64_t offset,
+                    std::span<const std::byte> bytes, meta_kind kind);
 
     store_config cfg_;
     member_layout layout_;
@@ -195,6 +251,7 @@ private:
     std::uint64_t meta_mask_ = ~std::uint64_t{0};
     std::vector<slot_meta> slots_;
     std::unique_ptr<aio::file_backend> backend_;
+    obs::counter_set<kStoreCounters> ctr_;
 };
 
 }  // namespace liberation::raid::persist

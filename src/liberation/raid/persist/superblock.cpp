@@ -1,6 +1,7 @@
 #include "liberation/raid/persist/superblock.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "liberation/integrity/crc32c.hpp"
@@ -11,7 +12,9 @@ namespace liberation::raid::persist {
 namespace {
 
 // Explicit little-endian (de)serialization: byte-order independent and
-// free of alignment assumptions, so an image travels between hosts.
+// free of alignment assumptions, so an image travels between hosts. Table
+// pages, raw arrays of words, are copied as they are on little-endian
+// hosts, where the in-memory words already are their encoding.
 
 /// Sequential writer over a presized buffer (the caller sized it with
 /// core_size(), so no bounds checks on the hot path).
@@ -225,7 +228,13 @@ std::uint32_t encode_page(std::span<const std::uint32_t> crcs,
     const std::size_t words =
         std::min(table_page_words, crcs.size() - first);
     writer w{out.data()};
-    for (std::size_t i = 0; i < words; ++i) w.u32(crcs[first + i]);
+    if constexpr (std::endian::native == std::endian::little) {
+        // The in-memory words already are their little-endian encoding.
+        std::memcpy(w.p, crcs.data() + first, words * 4);
+        w.p += words * 4;
+    } else {
+        for (std::size_t i = 0; i < words; ++i) w.u32(crcs[first + i]);
+    }
     w.zeros((table_page_words - words) * 4);
     return integrity::crc32c(out.data(), table_page_size);
 }
@@ -240,8 +249,12 @@ bool decode_page(std::span<const std::byte> raw, std::uint32_t expected_crc,
     if (first >= crcs.size()) return false;
     const std::size_t words =
         std::min(table_page_words, crcs.size() - first);
-    for (std::size_t i = 0; i < words; ++i) {
-        crcs[first + i] = load_u32(raw.data() + 4 * i);
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(crcs.data() + first, raw.data(), words * 4);
+    } else {
+        for (std::size_t i = 0; i < words; ++i) {
+            crcs[first + i] = load_u32(raw.data() + 4 * i);
+        }
     }
     return true;
 }

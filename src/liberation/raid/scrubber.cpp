@@ -141,13 +141,6 @@ scrub_summary scrub_array(raid6_array& array) {
     obs::hub& hub = array.obs();
     obs::latency_histogram& stripe_hist =
         hub.metrics().get_histogram("raid_scrub_stripe_ns");
-    obs::counter& bytes_single_pass = hub.metrics().get_counter(
-        "raid_scrub_bytes_single_pass_total",
-        "stripe bytes scrubbed by the fused single-pass CRC sweep (each "
-        "scanned byte counted once)");
-    obs::counter& bytes_crosscheck = hub.metrics().get_counter(
-        "raid_scrub_bytes_crosscheck_total",
-        "extra bytes traversed by the parity cross-check fallback");
     obs::timed_span pass_span(hub, nullptr, "raid.scrub_pass", "scrub");
 
     // The loader fetches a whole window of stripes ahead of
@@ -176,8 +169,8 @@ scrub_summary scrub_array(raid6_array& array) {
                                            std::move(statuses));
             account_stripe(array, summary, s, v, rec);
         });
-    bytes_single_pass.inc(summary.scrub_bytes_single_pass);
-    bytes_crosscheck.inc(summary.scrub_bytes_crosscheck);
+    array.note_scrub_bytes(summary.scrub_bytes_single_pass,
+                           summary.scrub_bytes_crosscheck);
     return summary;
 }
 

@@ -56,7 +56,7 @@ struct scrub_summary {
     /// of the checksum-first sweep. Each scanned byte is charged ONCE
     /// here — the old accounting implicitly charged a CRC pass and a
     /// parity cross-check pass separately, double-counting scrub
-    /// throughput on clean stripes. Mirrored to the obs counter
+    /// throughput on clean stripes. Added to the array's counter
     /// raid_scrub_bytes_single_pass_total.
     std::size_t scrub_bytes_single_pass = 0;
     /// Extra bytes traversed by the parity cross-check fallback (stripes

@@ -1,9 +1,12 @@
 // Move-only owner of one MAP_SHARED file mapping.
 //
-// The persistence layer maps each member file's data area and hands the
-// mapping to the member's vdisk as its medium: a store into the mapping
-// lands in the page cache exactly like a completed pwrite(), and
-// fdatasync() on the file writes it back. Destruction unmaps.
+// The persistence layer maps two areas of each member file: the data
+// area, which it hands to the member's vdisk as its medium, and the
+// metadata area below it, which the superblock store writes. A store
+// into a mapping lands in the page cache like a completed pwrite(), with
+// no system call, and fdatasync() on the file writes it back. After a
+// sync the kernel write-protects the synced pages again, so the first
+// store into each of them takes a minor write fault. Destruction unmaps.
 #pragma once
 
 #include <cstddef>

@@ -9,13 +9,6 @@
 #include "liberation/integrity/crc32c.hpp"
 #include "liberation/xorops/xor_kernels.hpp"
 
-#if defined(__linux__)
-#include <sys/auxv.h>
-#ifndef HWCAP_CRC32
-#define HWCAP_CRC32 (1u << 7)
-#endif
-#endif
-
 namespace liberation::xorops::detail {
 
 namespace {
@@ -72,70 +65,18 @@ void xor_many_neon(std::byte* dst, const std::byte* const* srcs, std::size_t m,
     xor_many_tail(dst, srcs, m, i, n, acc);
 }
 
-// ---------------------------------------------------------------------------
 // Fused CRC sweeps. ASIMD is baseline on aarch64, but the CRC extension is
-// not, so the lane sweep runs three interleaved crc32cx chains when the
-// kernel reports HWCAP_CRC32 and falls back to the portable slice-by-8
-// lanes otherwise. Lane values are identical either way — only the sweep
-// speed differs.
-
-#if defined(__linux__)
-
-__attribute__((target("+crc"))) void crc3_neon_hw(
-    const std::byte* src, std::size_t n, std::uint32_t lanes[3]) noexcept {
-    const std::size_t lane = integrity::crc32c_lane_bytes(n);
-    const std::byte* p0 = src;
-    const std::byte* p1 = src + lane;
-    const std::byte* p2 = src + 2 * lane;
-    std::uint32_t c0 = 0, c1 = 0, c2 = 0;
-    std::size_t i = 0;
-    for (; i + 8 <= lane; i += 8) {
-        std::uint64_t w0, w1, w2;
-        std::memcpy(&w0, p0 + i, 8);
-        std::memcpy(&w1, p1 + i, 8);
-        std::memcpy(&w2, p2 + i, 8);
-        c0 = __builtin_aarch64_crc32cx(c0, w0);
-        c1 = __builtin_aarch64_crc32cx(c1, w1);
-        c2 = __builtin_aarch64_crc32cx(c2, w2);
-    }
-    // lane is 8-byte aligned, so chains 0 and 1 are complete; finish the
-    // long lane-2 chain word- then byte-wise.
-    const std::size_t rem = n - 2 * lane;
-    std::size_t j = i;
-    for (; j + 8 <= rem; j += 8) {
-        std::uint64_t w;
-        std::memcpy(&w, p2 + j, 8);
-        c2 = __builtin_aarch64_crc32cx(c2, w);
-    }
-    for (; j < rem; ++j) {
-        c2 = __builtin_aarch64_crc32cb(c2,
-                                       std::to_integer<unsigned char>(p2[j]));
-    }
-    lanes[0] = c0;
-    lanes[1] = c1;
-    lanes[2] = c2;
-}
-
-bool crc_extension_available() noexcept {
-    static const bool available = (getauxval(AT_HWCAP) & HWCAP_CRC32) != 0;
-    return available;
-}
-
-#endif  // __linux__
+// not, so the lane sweep is the hardware one when the CPU has it and the
+// portable slice-by-8 lanes otherwise. Lane values are identical either
+// way — only the sweep speed differs.
 
 void crc3_neon(const std::byte* src, std::size_t n,
                std::uint32_t lanes[3]) noexcept {
-#if defined(__linux__)
-    if (crc_extension_available()) {
-        crc3_neon_hw(src, n, lanes);
-        return;
+    if (integrity::hardware_available()) {
+        integrity::crc32c_lanes_hardware(src, n, lanes);
+    } else {
+        integrity::crc32c_lanes_software(src, n, lanes);
     }
-#endif
-    const std::size_t lane = integrity::crc32c_lane_bytes(n);
-    lanes[0] = integrity::crc32c_raw_software(0, src, lane);
-    lanes[1] = integrity::crc32c_raw_software(0, src + lane, lane);
-    lanes[2] =
-        integrity::crc32c_raw_software(0, src + 2 * lane, n - 2 * lane);
 }
 
 void copy_crc3_neon(std::byte* dst, const std::byte* src, std::size_t n,

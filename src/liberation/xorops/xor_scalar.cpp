@@ -106,26 +106,17 @@ void xor_many_scalar(std::byte* dst, const std::byte* const* srcs,
 // a fully instruction-set-independent fused path. Lane values are defined
 // by the split rule alone, so they match the hardware tiers bit for bit.
 
-void crc3_scalar(const std::byte* src, std::size_t n,
-                 std::uint32_t lanes[3]) noexcept {
-    const std::size_t lane = integrity::crc32c_lane_bytes(n);
-    lanes[0] = integrity::crc32c_raw_software(0, src, lane);
-    lanes[1] = integrity::crc32c_raw_software(0, src + lane, lane);
-    lanes[2] =
-        integrity::crc32c_raw_software(0, src + 2 * lane, n - 2 * lane);
-}
-
 void copy_crc3_scalar(std::byte* dst, const std::byte* src, std::size_t n,
                       std::uint32_t lanes[3]) noexcept {
     std::memcpy(dst, src, n);
-    crc3_scalar(src, n, lanes);
+    integrity::crc32c_lanes_software(src, n, lanes);
 }
 
 void xor_many_crc3_scalar(std::byte* dst, const std::byte* const* srcs,
                           std::size_t m, std::size_t n, bool acc,
                           std::uint32_t lanes[3]) noexcept {
     xor_many_scalar(dst, srcs, m, n, acc);
-    crc3_scalar(dst, n, lanes);
+    integrity::crc32c_lanes_software(dst, n, lanes);
 }
 
 }  // namespace
@@ -134,7 +125,8 @@ const kernel_table& scalar_table() noexcept {
     static constexpr kernel_table table{
         "scalar",          xor_into_scalar,  xor2_scalar,
         xor_many_scalar,   /*xor_many_nt=*/nullptr,
-        crc3_scalar,       copy_crc3_scalar, xor_many_crc3_scalar};
+        integrity::crc32c_lanes_software, copy_crc3_scalar,
+        xor_many_crc3_scalar};
     return table;
 }
 

@@ -257,52 +257,13 @@ __attribute__((target("avx512f"))) void xor_many_nt_avx512(
 }
 
 // ---------------------------------------------------------------------------
-// Fused CRC sweeps. The hardware crc32 instruction has a 3-cycle
-// dependency latency, so a single chain caps out near 2.7 bytes/cycle;
-// the three independent lane chains of the crc32c_lane_bytes() split keep
-// the unit saturated at ~8 bytes/cycle. Lane values are stitched back
-// into block CRCs by the caller's crc32c_lane_combiner.
+// Fused CRC sweeps over the three lane chains of the crc32c_lane_bytes()
+// split (three chains hide the crc32 instruction's 3-cycle latency). The
+// checksum-only sweep is integrity::crc32c_lanes_hardware; the copy
+// kernels interleave the same chains with their copy streams. Lane values
+// are stitched back into block CRCs by the caller's crc32c_lane_combiner.
 
 #if defined(__x86_64__)
-
-/// Raw lane sweep over [src, src+n): the shared checksum engine of the
-/// x86 fused kernels (sse4.2 only — callable from both vector tiers).
-__attribute__((target("sse4.2"))) void crc3_hw(const std::byte* src,
-                                               std::size_t n,
-                                               std::uint32_t lanes[3]) noexcept {
-    const std::size_t lane = integrity::crc32c_lane_bytes(n);
-    const std::byte* p0 = src;
-    const std::byte* p1 = src + lane;
-    const std::byte* p2 = src + 2 * lane;
-    std::uint64_t c0 = 0, c1 = 0, c2 = 0;
-    std::size_t i = 0;
-    for (; i + 8 <= lane; i += 8) {
-        std::uint64_t w0, w1, w2;
-        std::memcpy(&w0, p0 + i, 8);
-        std::memcpy(&w1, p1 + i, 8);
-        std::memcpy(&w2, p2 + i, 8);
-        c0 = __builtin_ia32_crc32di(c0, w0);
-        c1 = __builtin_ia32_crc32di(c1, w1);
-        c2 = __builtin_ia32_crc32di(c2, w2);
-    }
-    // lane is 8-byte aligned, so chains 0 and 1 are complete; lane 2 is
-    // the long one — finish its remainder word- then byte-wise.
-    const std::size_t rem = n - 2 * lane;
-    std::size_t j = i;
-    for (; j + 8 <= rem; j += 8) {
-        std::uint64_t w;
-        std::memcpy(&w, p2 + j, 8);
-        c2 = __builtin_ia32_crc32di(c2, w);
-    }
-    std::uint32_t c2w = static_cast<std::uint32_t>(c2);
-    for (; j < rem; ++j) {
-        c2w = __builtin_ia32_crc32qi(c2w,
-                                     std::to_integer<unsigned char>(p2[j]));
-    }
-    lanes[0] = static_cast<std::uint32_t>(c0);
-    lanes[1] = static_cast<std::uint32_t>(c1);
-    lanes[2] = c2w;
-}
 
 /// Copy with the checksum riding inside the same traversal: three 32-byte
 /// copy streams (one per lane) interleaved with their crc32 chains, so
@@ -389,14 +350,14 @@ void xor_many_crc3_avx2(std::byte* dst, const std::byte* const* srcs,
                         std::size_t m, std::size_t n, bool acc,
                         std::uint32_t lanes[3]) noexcept {
     xor_many_avx2(dst, srcs, m, n, acc);
-    crc3_hw(dst, n, lanes);
+    integrity::crc32c_lanes_hardware(dst, n, lanes);
 }
 
 void xor_many_crc3_avx512(std::byte* dst, const std::byte* const* srcs,
                           std::size_t m, std::size_t n, bool acc,
                           std::uint32_t lanes[3]) noexcept {
     xor_many_avx512(dst, srcs, m, n, acc);
-    crc3_hw(dst, n, lanes);
+    integrity::crc32c_lanes_hardware(dst, n, lanes);
 }
 
 /// 64-byte copy streams for the avx512 tier; checksum engine unchanged.
@@ -471,7 +432,8 @@ const kernel_table& avx2_table() noexcept {
     static const kernel_table table{
         "avx2",     xor_into_avx2,  xor2_avx2,
         xor_many_avx2, xor_many_nt_avx2,
-        crc3_hw,    copy_crc3_avx2, xor_many_crc3_avx2};
+        integrity::crc32c_lanes_hardware, copy_crc3_avx2,
+        xor_many_crc3_avx2};
 #else
     // i386 has no 64-bit crc32 instruction; the dispatcher falls back to
     // the scalar tier's software fused sweeps.
@@ -488,7 +450,8 @@ const kernel_table& avx512_table() noexcept {
     static const kernel_table table{
         "avx512",   xor_into_avx512,  xor2_avx512,
         xor_many_avx512, xor_many_nt_avx512,
-        crc3_hw,    copy_crc3_avx512, xor_many_crc3_avx512};
+        integrity::crc32c_lanes_hardware, copy_crc3_avx512,
+        xor_many_crc3_avx512};
 #else
     static const kernel_table table{
         "avx512",   xor_into_avx512,  xor2_avx512,

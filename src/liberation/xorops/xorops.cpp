@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 
 #include "liberation/integrity/crc32c.hpp"
 #include "liberation/util/assert.hpp"
@@ -172,25 +171,6 @@ bool use_nt(const detail::kernel_table& t, std::size_t n) noexcept {
 // ---------------------------------------------------------------------------
 // Fused-kernel plumbing.
 
-/// Combiner for the given block size, cached per thread: construction
-/// walks ~2.5k GF(2) products, far too heavy per call, while real callers
-/// only ever use a handful of distinct block sizes (the integrity block
-/// size, plus bench/test sweeps).
-const integrity::crc32c_lane_combiner& combiner_for(
-    std::size_t block) noexcept {
-    constexpr std::size_t cache_size = 8;
-    thread_local std::optional<integrity::crc32c_lane_combiner>
-        cache[cache_size];
-    thread_local std::size_t victim = 0;
-    for (auto& c : cache) {
-        if (c.has_value() && c->block() == block) return *c;
-    }
-    auto& slot = cache[victim];
-    victim = (victim + 1) % cache_size;
-    slot.emplace(block);
-    return *slot;
-}
-
 /// Tier's checksum sweep, falling back to the portable one where a tier
 /// has no fused entries (e.g. x86 builds without a 64-bit crc32).
 void crc3_pass(const detail::kernel_table& t, const std::byte* src,
@@ -246,7 +226,8 @@ void xor_many_crc_blocks_impl(std::byte* dst, const std::byte* const* srcs,
                               std::size_t block, std::uint32_t* crcs,
                               bool acc0) noexcept {
     const detail::kernel_table& t = table();
-    const integrity::crc32c_lane_combiner& comb = combiner_for(block);
+    const integrity::crc32c_lane_combiner& comb =
+        integrity::crc32c_combiner_for(block);
     const std::byte* shifted[detail::max_fan_in];
     const std::size_t nblocks = n / block;
     const bool grouped = groupable(block);
@@ -423,7 +404,8 @@ void crc32c_blocks(const std::byte* src, std::size_t n, std::size_t block,
     if (n == 0) return;
     LIBERATION_EXPECTS(block > 0 && n % block == 0);
     const detail::kernel_table& t = table();
-    const integrity::crc32c_lane_combiner& comb = combiner_for(block);
+    const integrity::crc32c_lane_combiner& comb =
+        integrity::crc32c_combiner_for(block);
     const std::size_t nblocks = n / block;
     std::size_t b = 0;
     if (groupable(block)) {
@@ -445,7 +427,8 @@ void copy_crc32c_blocks(std::byte* dst, const std::byte* src, std::size_t n,
     if (n == 0) return;
     LIBERATION_EXPECTS(block > 0 && n % block == 0);
     const detail::kernel_table& t = table();
-    const integrity::crc32c_lane_combiner& comb = combiner_for(block);
+    const integrity::crc32c_lane_combiner& comb =
+        integrity::crc32c_combiner_for(block);
     const std::size_t nblocks = n / block;
     std::size_t b = 0;
     if (groupable(block)) {

@@ -63,6 +63,23 @@ TEST(Crc32c, SoftwareMatchesHardware) {
     }
 }
 
+TEST(Crc32c, EveryLengthAndSeedMatchesSliceBy8) {
+    // crc32c() is the three-lane sweep plus a per-length combiner where the
+    // CPU has the instruction; slice-by-8 is the reference.
+    util::xoshiro256 rng(3);
+    std::vector<std::byte> buf(9000 + 7);
+    rng.fill(buf);
+    for (std::size_t n = 0; n <= 9000; ++n) {
+        const std::byte* p = buf.data() + n % 8;  // every misalignment
+        const auto seed = static_cast<std::uint32_t>(rng.next());
+        const std::uint32_t ref = crc32c_software(p, n, seed);
+        ASSERT_EQ(crc32c(p, n, seed), ref) << "n=" << n;
+        const std::size_t a = rng.next() % (n + 1);
+        ASSERT_EQ(crc32c(p + a, n - a, crc32c(p, a, seed)), ref)
+            << "n=" << n << " split=" << a;
+    }
+}
+
 TEST(Crc32c, ForceImplPinsDispatch) {
     const crc32c_impl original = active_impl();
     force_impl(crc32c_impl::software);

@@ -265,6 +265,8 @@ TEST(ObsSeries, ArrayAndVolumeHubFamiliesArePinned) {
         "raid_rebuild_window_ns_max gauge",
         "raid_rebuilds_completed_total counter",
         "raid_retries_exhausted_total counter",
+        "raid_scrub_bytes_crosscheck_total counter",
+        "raid_scrub_bytes_single_pass_total counter",
         "raid_scrub_stripe_ns summary",
         "raid_scrub_stripe_ns_max gauge",
         "raid_slow_recoveries_total counter",

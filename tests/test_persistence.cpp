@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,7 +24,36 @@
 #include "liberation/util/rng.hpp"
 #include "liberation/util/thread_pool.hpp"
 
+#include <dlfcn.h>
+#include <fcntl.h>
 #include <sys/stat.h>
+
+#include <atomic>
+#include <cerrno>
+
+// A full filesystem, for one file. This posix_fallocate takes the C
+// library's place in the test binary: while a file is armed (see
+// enospc_scope below), allocating in it fails with ENOSPC; every other
+// call goes to the library's.
+namespace {
+std::atomic<bool> enospc_armed{false};
+std::atomic<int> enospc_hits{0};
+dev_t enospc_dev = 0;
+ino_t enospc_ino = 0;
+}  // namespace
+
+extern "C" int posix_fallocate(int fd, off_t offset, off_t len) {
+    struct stat st{};
+    if (enospc_armed.load() && ::fstat(fd, &st) == 0 &&
+        st.st_dev == enospc_dev && st.st_ino == enospc_ino) {
+        ++enospc_hits;
+        return ENOSPC;
+    }
+    using fallocate_fn = int (*)(int, off_t, off_t);
+    static const auto next = reinterpret_cast<fallocate_fn>(
+        ::dlsym(RTLD_NEXT, "posix_fallocate"));
+    return next(fd, offset, len);
+}
 
 namespace {
 
@@ -328,6 +358,7 @@ TEST(FileBackend, DataSurvivesReopen) {
     const std::string path = dir + "/fb.img";
     aio::file_backend_config bc;
     bc.data_offset = 4096;
+    const std::vector<std::byte> meta = pattern_bytes(4096, 76);
     const std::vector<std::byte> data = pattern_bytes(8192, 77);
     {
         aio::file_backend fb({path}, 8192, bc);
@@ -337,7 +368,11 @@ TEST(FileBackend, DataSurvivesReopen) {
         ASSERT_FALSE(m.empty());
         ASSERT_EQ(m.size(), data.size());
         std::memcpy(m.data(), data.data(), data.size());
-        ASSERT_TRUE(fb.flush_all());
+        util::mapped_region md = fb.map_meta(0);
+        ASSERT_FALSE(md.empty());
+        ASSERT_EQ(md.size(), meta.size());
+        std::memcpy(md.data(), meta.data(), meta.size());
+        ASSERT_TRUE(fb.flush(0));
     }  // unmapped and closed
     EXPECT_EQ(std::filesystem::file_size(path), 4096u + 8192u);
     {
@@ -345,26 +380,22 @@ TEST(FileBackend, DataSurvivesReopen) {
         const util::mapped_region m = fb.map_data(0);
         ASSERT_FALSE(m.empty());
         EXPECT_EQ(std::memcmp(m.data(), data.data(), data.size()), 0);
-        // The mapping is the file's data area, as positioned reads see it.
-        std::vector<std::byte> back(8192);
-        ASSERT_TRUE(fb.pread_raw(0, 4096, back));
-        EXPECT_EQ(back, data);
-        // Raw access sees the metadata area below data_offset (all zeros
-        // here — nothing wrote it).
-        std::vector<std::byte> raw(4096);
-        ASSERT_TRUE(fb.pread_raw(0, 0, raw));
-        for (std::byte b : raw) ASSERT_EQ(b, std::byte{0});
+        const util::mapped_region md = fb.map_meta(0);
+        ASSERT_FALSE(md.empty());
+        EXPECT_EQ(std::memcmp(md.data(), meta.data(), meta.size()), 0);
     }
+    // The two mappings are the file's two areas, metadata first.
+    std::vector<std::byte> file = meta;
+    file.insert(file.end(), data.begin(), data.end());
+    EXPECT_EQ(slurp(path), file);
 }
 
 TEST(FileBackend, UnopenablePathDegradesNotCrashes) {
     aio::file_backend fb({"/nonexistent-dir-xyz/disk.img"}, 4096, {});
     EXPECT_FALSE(fb.ok(0));
     EXPECT_TRUE(fb.map_data(0).empty());
+    EXPECT_TRUE(fb.map_meta(0).empty());
     EXPECT_FALSE(fb.preallocate_data(0));
-    std::vector<std::byte> buf(64);
-    EXPECT_FALSE(fb.pread_raw(0, 0, buf));
-    EXPECT_FALSE(fb.pwrite_raw(0, 0, buf));
     EXPECT_FALSE(fb.flush(0));
 }
 
@@ -905,6 +936,84 @@ TEST(Persistence, CreatePreallocatesDataArea) {
     }
 }
 
+/// Write-family system calls this process has made (/proc/self/io
+/// `syscw`), or nullopt where the kernel does not report them.
+std::optional<std::uint64_t> write_syscalls() {
+    std::FILE* f = std::fopen("/proc/self/io", "r");
+    if (f == nullptr) return std::nullopt;
+    std::optional<std::uint64_t> out;
+    char key[32];
+    unsigned long long v = 0;
+    while (std::fscanf(f, "%31[^:]: %llu\n", key, &v) == 2) {
+        if (std::strcmp(key, "syscw") == 0) out = v;
+    }
+    std::fclose(f);
+    return out;
+}
+
+TEST(Persistence, PersistMakesNoSystemCall) {
+    if (!write_syscalls()) GTEST_SKIP() << "no /proc/self/io";
+    store_config scfg;  // sync_meta off
+    scfg.dir = fresh_dir("persist-no-syscall");
+    auto a = create_array(small_config(), scfg, 0xFEED);
+    ASSERT_NE(a, nullptr);
+    store* st = a->persistence();
+    ASSERT_NE(st, nullptr);
+    const std::uint32_t n = a->disk_count();
+    std::vector<std::uint32_t> word(1);
+    const store_stats s0 = st->stats();
+    const std::uint64_t before = *write_syscalls();
+    bool all_ok = true;
+    for (std::uint32_t i = 0; i < 100; ++i) {
+        // A changed word each time: every persist stores a page and a core.
+        word[0] = 0xC0DE0000u + i;
+        st->update_crcs(i % n, 0, word);
+        all_ok = st->persist(i % n) && all_ok;
+    }
+    const std::uint64_t after = *write_syscalls();
+    const store_stats s1 = st->stats();
+    EXPECT_TRUE(all_ok);
+    EXPECT_EQ(after - before, 0u);
+    EXPECT_EQ(s1.pages_written - s0.pages_written, 100u);
+    EXPECT_EQ(s1.cores_written - s0.cores_written, 100u);
+    EXPECT_EQ(s1.syncs - s0.syncs, 0u);
+}
+
+TEST(Persistence, SmallWriteStoreTrafficIsPinned) {
+    // n = 8 and 4 KiB elements, like the stack bench: a 4 KiB host write
+    // is one data element plus its parity elements.
+    array_config cfg = small_config();
+    cfg.k = 6;
+    cfg.element_size = 4096;
+    cfg.sector_size = 4096;
+    cfg.stripes = 4;
+    store_config scfg;
+    scfg.dir = fresh_dir("small-write-traffic");
+    auto a = create_array(cfg, scfg, 0xFEED);
+    ASSERT_NE(a, nullptr);
+    ASSERT_EQ(a->disk_count(), 8u);
+    const store* st = a->persistence();
+    const store_stats s0 = st->stats();
+    const array_stats a0 = a->stats();
+    ASSERT_TRUE(a->write(2 * 4096, pattern_bytes(4096, 9)));
+    const store_stats s1 = st->stats();
+    const array_stats a1 = a->stats();
+    ASSERT_EQ(a1.small_writes - a0.small_writes, 1u);
+    // Element writes: the data element and the parity elements it patched.
+    const std::uint64_t elements =
+        1 + a1.parity_elements_updated - a0.parity_elements_updated;
+    EXPECT_EQ(elements, 3u);
+    // The intent mark and its clear each persist a core on all 8 members;
+    // each element write persists its member's changed page and a core.
+    EXPECT_EQ(s1.cores_written - s0.cores_written, 16 + elements);
+    EXPECT_EQ(s1.pages_written - s0.pages_written, elements);
+    const std::size_t core = core_size(8, st->image(0).intent_capacity,
+                                       st->image(0).crcs.size());
+    EXPECT_EQ(s1.meta_bytes - s0.meta_bytes,
+              (16 + elements) * core + elements * table_page_size);
+    EXPECT_EQ(s1.syncs - s0.syncs, 0u);
+}
+
 TEST(Persistence, ShortMemberFileIsKickedNotMapped) {
     const std::string dir = fresh_dir("short-member");
     const array_config cfg = small_config();
@@ -948,6 +1057,67 @@ TEST(Persistence, ShortMemberFileIsKickedNotMapped) {
     EXPECT_EQ(m.array, nullptr);
     EXPECT_NE(m.report.error.find("refusing to assemble"), std::string::npos)
         << m.report.error;
+}
+
+/// While alive, posix_fallocate on the file at `path` fails with ENOSPC.
+class enospc_scope {
+public:
+    explicit enospc_scope(const std::string& path) {
+        struct stat st{};
+        EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+        enospc_dev = st.st_dev;
+        enospc_ino = st.st_ino;
+        enospc_hits = 0;
+        enospc_armed = true;
+    }
+    ~enospc_scope() { enospc_armed = false; }
+    enospc_scope(const enospc_scope&) = delete;
+    enospc_scope& operator=(const enospc_scope&) = delete;
+
+    [[nodiscard]] int hits() const { return enospc_hits.load(); }
+};
+
+TEST(Persistence, UnallocatableMetadataAreaFailsTheMember) {
+    const std::string dir = fresh_dir("meta-enospc");
+    const array_config cfg = small_config();
+    store_config scfg;
+    scfg.dir = dir;
+    std::vector<std::byte> data;
+    {
+        auto a = create_array(cfg, scfg, 0xFEED);
+        ASSERT_NE(a, nullptr);
+        data = pattern_bytes(a->capacity(), 43);
+        ASSERT_TRUE(a->write(0, data));
+        ASSERT_TRUE(a->unmount());
+    }
+    {
+        // The filesystem is full when member 1's metadata area is
+        // allocated at mount: the member is failed loudly, not left
+        // joined with persists that can never land.
+        const enospc_scope full(store::disk_path(dir, 1));
+        mounted_array m = mount_array(options_for(dir));
+        ASSERT_GT(full.hits(), 0) << "posix_fallocate was not interposed";
+        ASSERT_TRUE(m.report.ok) << m.report.error;
+        EXPECT_EQ(m.report.unreadable, 1u);
+        EXPECT_EQ(m.report.disks_online, 5u);
+        ASSERT_NE(m.array->persistence(), nullptr);
+        EXPECT_FALSE(m.array->persistence()->meta_mapped(1));
+        EXPECT_FALSE(m.array->disk(1).online());
+        std::vector<std::byte> back(m.array->capacity());
+        ASSERT_TRUE(m.array->read(0, back));
+        EXPECT_EQ(back, data);
+        (void)m.array->unmount();  // degraded unmount
+    }
+    // The epoch that failed it is on the other members: with space back,
+    // the member stays failed until it is replaced.
+    mounted_array m = mount_array(options_for(dir));
+    ASSERT_TRUE(m.report.ok) << m.report.error;
+    EXPECT_EQ(m.report.unreadable, 0u);
+    EXPECT_FALSE(m.array->disk(1).online());
+    std::vector<std::byte> back(m.array->capacity());
+    ASSERT_TRUE(m.array->read(0, back));
+    EXPECT_EQ(back, data);
+    (void)m.array->unmount();
 }
 
 TEST(Persistence, DirectIoIsRefusedByName) {
