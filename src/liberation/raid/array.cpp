@@ -112,7 +112,10 @@ void raid6_array::update_health_gauges() noexcept {
 }
 
 void raid6_array::rebuild_aio_engine(const aio::aio_config& acfg) {
+    full_writer_.reset();
     aio_engine_ = std::make_unique<aio::queue_pair>(backend_, map_.n(), acfg);
+    full_writer_ = std::make_unique<aio::stripe_writer>(*aio_engine_, map_,
+                                                        integrity_block_);
     // Checksum verification as a completion-stage decorator: it sees the
     // final status of the execution stage, so transient errors have
     // already been retried (a mismatch, by contrast, is never retried —
@@ -1435,7 +1438,7 @@ bool raid6_array::write_full_stripes(
     // Data CRCs ride the staging pass, parity CRCs the fused encode
     // below, and every submission carries its words for the integrity
     // layer to install on completion.
-    aio::stripe_writer writer(*aio_engine_, map_, integrity_block_);
+    aio::stripe_writer& writer = *full_writer_;
     const std::size_t count = stripes.size();
     const std::uint32_t k = map_.k();
     const std::uint32_t n = map_.n();

@@ -49,6 +49,10 @@ namespace liberation::util {
 class thread_pool;
 }  // namespace liberation::util
 
+namespace liberation::aio {
+class stripe_writer;
+}  // namespace liberation::aio
+
 namespace liberation::raid {
 
 namespace persist {
@@ -724,8 +728,9 @@ private:
     /// bump — the membership did not change).
     void persist_watermarks();
 
-    /// (Re)build the aio engine for the current disk count and register
-    /// the checksum-verify completion stage on it.
+    /// (Re)build the aio engine for the current disk count, register
+    /// the checksum-verify completion stage on it, and build the
+    /// full-stripe writer over it.
     void rebuild_aio_engine(const aio::aio_config& acfg);
 
     /// disk_read + checksum verification (verify-on-read mode only):
@@ -789,6 +794,10 @@ private:
     // ---- async I/O pipeline ------------------------------------------
     disk_backend backend_{*this};
     std::unique_ptr<aio::queue_pair> aio_engine_;
+    /// The pipelined full-stripe writer over aio_engine_, with its
+    /// window of parity staging: built with the engine, reused by every
+    /// write_full_stripes call.
+    std::unique_ptr<aio::stripe_writer> full_writer_;
 
     // ---- fault tolerance ---------------------------------------------
     virtual_clock clock_;

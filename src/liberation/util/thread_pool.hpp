@@ -1,11 +1,12 @@
 // Minimal fixed-size thread pool: the aio queue pair's optional workers
-// (per-disk batches of one array execute on it) and the volume's per-shard
-// dispatchers.
+// (per-disk batches of one array execute on it). The volume's per-shard
+// dispatchers are not pools: they hand off by polling a sequence word
+// before they sleep (volume::shard_dispatcher).
 //
 // Deliberately simple (Core Guidelines CP.4: think in tasks): callers submit
 // void() tasks and wait_idle() for the pool to drain; no futures, no dynamic
-// resizing, no work stealing. Tasks are coarse-grained (a disk batch, a
-// shard op), so a mutex-guarded deque is not a bottleneck.
+// resizing, no work stealing. Tasks are coarse-grained (a disk batch), so a
+// mutex-guarded deque is not a bottleneck.
 #pragma once
 
 #include <condition_variable>

@@ -1,6 +1,8 @@
 #include "liberation/volume/volume.hpp"
 
 #include <algorithm>
+#include <exception>
+#include <utility>
 
 #include "liberation/raid/io_policy.hpp"
 #include "liberation/util/assert.hpp"
@@ -40,7 +42,74 @@ void validate_config(const volume_config& cfg) {
     LIBERATION_EXPECTS(cfg.shard.io_workers == nullptr);
 }
 
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
+/// Wait until `word` no longer holds `seen` and return its new value
+/// (acquire): poll for kDispatchPollBudget, then sleep on the word.
+std::uint32_t await_change(const std::atomic<std::uint32_t>& word,
+                           std::uint32_t seen) {
+    std::uint32_t v = word.load(std::memory_order_acquire);
+    if (v != seen) return v;
+    const auto deadline =
+        std::chrono::steady_clock::now() + kDispatchPollBudget;
+    do {
+        for (int i = 0; i < 32; ++i) {
+            cpu_relax();
+            v = word.load(std::memory_order_acquire);
+            if (v != seen) return v;
+        }
+    } while (std::chrono::steady_clock::now() < deadline);
+    for (;;) {
+        word.wait(seen, std::memory_order_acquire);
+        v = word.load(std::memory_order_acquire);
+        if (v != seen) return v;
+    }
+}
+
 }  // namespace
+
+shard_dispatcher::shard_dispatcher() : thread_([this] { run(); }) {}
+
+shard_dispatcher::~shard_dispatcher() {
+    stop_.store(true, std::memory_order_relaxed);
+    posted_.fetch_add(1, std::memory_order_release);
+    posted_.notify_one();
+    thread_.join();
+}
+
+void shard_dispatcher::post(std::function<void()> leg) {
+    leg_ = std::move(leg);
+    posted_.fetch_add(1, std::memory_order_release);
+    posted_.notify_one();
+}
+
+void shard_dispatcher::wait() {
+    const std::uint32_t target = posted_.load(std::memory_order_relaxed);
+    std::uint32_t d = done_.load(std::memory_order_acquire);
+    while (d != target) d = await_change(done_, d);
+    if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
+}
+
+void shard_dispatcher::run() {
+    std::uint32_t seen = 0;
+    for (;;) {
+        seen = await_change(posted_, seen);
+        if (stop_.load(std::memory_order_relaxed)) return;
+        try {
+            leg_();
+        } catch (...) {
+            error_ = std::current_exception();
+        }
+        done_.store(seen, std::memory_order_release);
+        done_.notify_one();
+    }
+}
 
 volume::volume(const volume_config& cfg) {
     validate_config(cfg);
@@ -57,13 +126,7 @@ volume::volume(const volume_config& cfg) {
         if (!io_pools_.empty()) sc.io_workers = io_pools_[s].get();
         shards_.push_back(std::make_unique<raid::raid6_array>(sc));
     }
-    threaded_ = cfg.threaded_dispatch && cfg.shards > 1;
-    if (threaded_) {
-        dispatch_pools_.reserve(cfg.shards);
-        for (std::uint32_t s = 0; s < cfg.shards; ++s) {
-            dispatch_pools_.push_back(std::make_unique<util::thread_pool>(1));
-        }
-    }
+    init_dispatch(cfg);
     chunk_bytes_ = cfg.chunk_stripes * shards_[0]->map().stripe_data_size();
     plans_.resize(cfg.shards);
     results_.resize(cfg.shards);
@@ -88,13 +151,7 @@ volume::volume(const volume_config& cfg,
                            arrays.front()->map().stripe_data_size());
     }
     shards_ = std::move(arrays);
-    threaded_ = cfg.threaded_dispatch && cfg.shards > 1;
-    if (threaded_) {
-        dispatch_pools_.reserve(cfg.shards);
-        for (std::uint32_t s = 0; s < cfg.shards; ++s) {
-            dispatch_pools_.push_back(std::make_unique<util::thread_pool>(1));
-        }
-    }
+    init_dispatch(cfg);
     chunk_bytes_ = cfg.chunk_stripes * shards_[0]->map().stripe_data_size();
     plans_.resize(cfg.shards);
     results_.resize(cfg.shards);
@@ -105,6 +162,15 @@ volume::volume(const volume_config& cfg,
 }
 
 volume::~volume() = default;
+
+void volume::init_dispatch(const volume_config& cfg) {
+    threaded_ = cfg.threaded_dispatch && cfg.shards > 1;
+    if (!threaded_) return;
+    dispatchers_.reserve(cfg.shards);
+    for (std::uint32_t s = 0; s < cfg.shards; ++s) {
+        dispatchers_.push_back(std::make_unique<shard_dispatcher>());
+    }
+}
 
 void volume::init_obs() {
     obs::registry& reg = obs_.metrics();
@@ -205,48 +271,68 @@ std::uint32_t volume::plan(std::size_t addr, std::size_t len) {
 bool volume::dispatch(const std::function<bool(std::uint32_t)>& op) {
     const auto n = static_cast<std::uint32_t>(shards_.size());
     std::uint32_t touched = 0;
+    std::uint32_t last = 0;
     for (std::uint32_t s = 0; s < n; ++s) {
-        if (plans_[s].touched) ++touched;
+        if (!plans_[s].touched) continue;
+        ++touched;
+        last = s;
     }
     bool ok = true;
-    if (threaded_ && touched > 1) {
-        // The host op's causal context rides into each dispatcher thread
-        // explicitly (thread_local does not cross the pool hop): every
-        // fan-out leg gets its own volume.shard_dispatch span under the
-        // host op, and everything the shard records lands under that leg.
-        const obs::trace_context tctx = obs::current_trace();
-        const bool tracing = obs_.trace().enabled() && tctx.trace_id != 0;
-        for (std::uint32_t s = 0; s < n; ++s) {
-            if (!plans_[s].touched) continue;
-            dispatch_pools_[s]->submit([this, &op, s, tctx, tracing] {
-                const std::uint64_t leg_span =
-                    tracing ? obs::next_span_id() : 0;
-                obs::trace_scope scope(
-                    tracing ? obs::trace_context{tctx.trace_id, leg_span}
-                            : tctx);
-                const std::uint64_t t0 = obs_.now_ns();
-                const bool r = op(s);
-                if (tracing) {
-                    const std::uint64_t t1 = obs_.now_ns();
-                    obs_.trace().record_ex("volume.shard_dispatch", "volume",
-                                           t0, t1 >= t0 ? t1 - t0 : 0, tctx,
-                                           leg_span);
-                }
-                results_[s] = r ? 1 : 0;
-            });
-        }
-        for (std::uint32_t s = 0; s < n; ++s) {
-            if (plans_[s].touched) dispatch_pools_[s]->wait_idle();
-        }
-        for (std::uint32_t s = 0; s < n; ++s) {
-            if (plans_[s].touched) ok = ok && results_[s] != 0;
-        }
-    } else {
+    if (!threaded_ || touched < 2) {
         for (std::uint32_t s = 0; s < n; ++s) {
             if (plans_[s].touched) ok = op(s) && ok;
         }
+        return ok;
     }
+    leg_op_ = &op;
+    leg_ctx_ = obs::current_trace();
+    leg_tracing_ = obs_.trace().enabled() && leg_ctx_.trace_id != 0;
+    // Every touched shard but the last goes to its dispatcher; the last
+    // runs here, so the caller works instead of sleeping while the
+    // others run.
+    for (std::uint32_t s = 0; s < last; ++s) {
+        if (!plans_[s].touched) continue;
+        dispatchers_[s]->post([this, s] { results_[s] = run_leg(s) ? 1 : 0; });
+    }
+    // Every posted leg is waited for, even when a leg throws: the legs
+    // use `op`, which lives only as long as this call, and the next op
+    // reuses the plans.
+    std::exception_ptr error;
+    try {
+        ok = run_leg(last);
+    } catch (...) {
+        error = std::current_exception();
+    }
+    for (std::uint32_t s = 0; s < last; ++s) {
+        if (!plans_[s].touched) continue;
+        try {
+            dispatchers_[s]->wait();
+        } catch (...) {
+            if (!error) error = std::current_exception();
+        }
+        ok = ok && results_[s] != 0;
+    }
+    if (error) std::rethrow_exception(error);
     return ok;
+}
+
+bool volume::run_leg(std::uint32_t s) {
+    // Every leg gets its own volume.shard_dispatch span under the host
+    // op, and everything the shard records lands under that leg; the
+    // context is installed explicitly, as it does not follow the thread
+    // hop.
+    const std::uint64_t leg_span = leg_tracing_ ? obs::next_span_id() : 0;
+    obs::trace_scope scope(
+        leg_tracing_ ? obs::trace_context{leg_ctx_.trace_id, leg_span}
+                     : leg_ctx_);
+    const std::uint64_t t0 = leg_tracing_ ? obs_.now_ns() : 0;
+    const bool r = (*leg_op_)(s);
+    if (leg_tracing_) {
+        const std::uint64_t t1 = obs_.now_ns();
+        obs_.trace().record_ex("volume.shard_dispatch", "volume", t0,
+                               t1 >= t0 ? t1 - t0 : 0, leg_ctx_, leg_span);
+    }
+    return r;
 }
 
 bool volume::read(std::size_t addr, std::span<std::byte> out) {

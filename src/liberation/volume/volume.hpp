@@ -25,9 +25,13 @@
 // serve at full speed, and a background rebuild drains inside one shard
 // only. The volume adds a thin dispatcher on top:
 //
-//   * multi-shard ops fan out on per-shard dispatcher threads (one
-//     single-thread pool per shard, so per-shard op order equals host op
-//     order — results stay deterministic) and barrier per host op;
+//   * a multi-shard op runs its last touched shard's leg on the calling
+//     thread and hands every other leg to that shard's dispatcher (one
+//     thread per shard, so per-shard op order equals host op order —
+//     results stay deterministic), then barriers per host op. Hand-offs
+//     poll a sequence word briefly before they sleep on it
+//     (shard_dispatcher), so a busy stream of ops pays no thread
+//     wake-up on its critical path;
 //   * each shard can be given a private aio worker pool
 //     (io_workers_per_shard), lighting up aio_config::workers so batches
 //     for different disks of the same shard overlap too;
@@ -39,12 +43,16 @@
 // set; see volume/manifest.hpp.
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "liberation/obs/obs.hpp"
@@ -64,9 +72,10 @@ struct volume_config {
     /// Whole stripes of data per placement chunk. Must divide
     /// shard.stripes. 1 = finest interleave (best single-op fan-out).
     std::size_t chunk_stripes = 1;
-    /// Fan multi-shard ops out on per-shard dispatcher threads. Off =
-    /// shards are visited sequentially on the caller's thread
-    /// (byte-identical results either way).
+    /// Fan multi-shard ops out: the caller runs one touched shard's leg
+    /// and each shard's dispatcher thread runs the others. Off = shards
+    /// are visited sequentially on the caller's thread (byte-identical
+    /// results either way).
     bool threaded_dispatch = true;
     /// Threads in each shard's private aio worker pool (wired into
     /// array_config::io_workers). 0 = shards drive their queue pairs
@@ -106,6 +115,51 @@ inline constexpr obs::counter_def<volume_stats> kVolumeCounters[] = {
      &volume_stats::chunks_routed},
     {"volume_multi_shard_ops_total", "host ops spanning > 1 shard",
      &volume_stats::multi_shard_ops},
+};
+
+/// How long a hand-off waiter polls before it sleeps. Cross-thread
+/// wake-up latency on a shared 4-vCPU VM swings by period: a
+/// condition-variable wake-up measured p90 11-13 us in some periods and
+/// p90 280-457 us (p99 2.0-3.9 ms) in others, and every sleeping
+/// hand-off of a multi-shard op paid it. At 250 us, seq_write reached
+/// 3651 MB/s with op p90 413 us in a slow period; at 50 us only 1804
+/// MB/s with p90 1257 us, and 2814 against 3683 MB/s in 4 alternating
+/// pairs (EXPERIMENTS.md, "Cross-thread wake-up latency"). The idea is
+/// KVM's halt-polling window (halt_poll_ns, 200 us by default).
+inline constexpr std::chrono::microseconds kDispatchPollBudget{250};
+
+/// One shard's dispatcher: a single thread that runs posted legs one at
+/// a time, in post order. At most one leg is outstanding — post(), then
+/// wait() before the next post(). Each side waits on a sequence word the
+/// other bumps: it polls the word for kDispatchPollBudget, and only then
+/// sleeps on it (atomic::wait, a futex). A thread that finds the word
+/// already moved never sleeps, and a bump with nobody asleep makes no
+/// system call.
+class shard_dispatcher {
+public:
+    shard_dispatcher();
+    /// Stops and joins the thread; the last posted leg must have been
+    /// waited for.
+    ~shard_dispatcher();
+
+    shard_dispatcher(const shard_dispatcher&) = delete;
+    shard_dispatcher& operator=(const shard_dispatcher&) = delete;
+
+    /// Hand `leg` to the dispatcher thread.
+    void post(std::function<void()> leg);
+    /// Return once the posted leg has run; its writes are visible. An
+    /// exception the leg threw is rethrown here.
+    void wait();
+
+private:
+    void run();
+
+    std::function<void()> leg_;
+    std::exception_ptr error_;  ///< what leg_ threw, for wait()
+    std::atomic<std::uint32_t> posted_{0};  ///< legs posted (+1 on stop)
+    std::atomic<std::uint32_t> done_{0};    ///< legs finished
+    std::atomic<bool> stop_{false};
+    std::thread thread_;  ///< last: starts once the words exist
 };
 
 /// Where a volume byte lives.
@@ -215,11 +269,16 @@ private:
     };
 
     void init_obs();
+    /// Start one dispatcher per shard when fan-out is on.
+    void init_dispatch(const volume_config& cfg);
     /// Cut [addr, addr+len) into per-shard gapless extents; returns the
     /// number of shards touched and counts chunks routed.
     std::uint32_t plan(std::size_t addr, std::size_t len);
     /// Run op(s) for every touched shard, fanned out when configured.
     bool dispatch(const std::function<bool(std::uint32_t)>& op);
+    /// One fan-out leg: leg_op_(s) under its own volume.shard_dispatch
+    /// span, on whichever thread runs it.
+    bool run_leg(std::uint32_t s);
 
     std::size_t chunk_bytes_ = 0;
     bool threaded_ = false;
@@ -227,11 +286,19 @@ private:
     // Pools are declared before the arrays so the arrays (whose aio
     // engines reference io_pools_) are destroyed first.
     std::vector<std::unique_ptr<util::thread_pool>> io_pools_;
-    std::vector<std::unique_ptr<util::thread_pool>> dispatch_pools_;
     std::vector<std::unique_ptr<raid::raid6_array>> shards_;
+    // Declared after the arrays: the dispatcher threads are joined
+    // before the shards they serve go away.
+    std::vector<std::unique_ptr<shard_dispatcher>> dispatchers_;
 
     std::vector<shard_plan> plans_;       // reused per op
     std::vector<std::uint8_t> results_;   // per-shard op outcome
+    // The op the current fan-out's legs run, and the host op's causal
+    // context (thread_local does not cross a thread hop). Written before
+    // the legs are posted.
+    const std::function<bool(std::uint32_t)>* leg_op_ = nullptr;
+    obs::trace_context leg_ctx_{};
+    bool leg_tracing_ = false;
 
     obs::hub obs_;
     obs::counter_set<kVolumeCounters> ctr_{obs_.metrics()};

@@ -3,14 +3,19 @@
 // serving, rebuild-one-shard-while-writing-others), the stats roll-up
 // and labeled per-shard metric series, the CRC-protected volume manifest
 // (torn-slot fallback, both-torn refusal), the mount-time shard census
-// (missing / foreign shard directories reported, not crashed), and the
-// multi-shard chaos campaign's determinism.
+// (missing / foreign shard directories reported, not crashed), the
+// multi-shard chaos campaign's determinism, and the shard dispatcher's
+// poll-then-sleep hand-off.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "liberation/util/rng.hpp"
@@ -218,6 +223,133 @@ TEST(VolumeIO, AlignedMultiShardWriteIsOneWindowPerShard) {
     std::vector<std::byte> out(data.size());
     ASSERT_TRUE(vol.read(0, out));
     EXPECT_EQ(out, data);
+}
+
+/// The tid of every complete event named `name` in a Chrome trace.
+std::vector<unsigned> event_tids(const std::string& json,
+                                 const std::string& name) {
+    std::vector<unsigned> tids;
+    const std::string key = "{\"name\":\"" + name + "\",";
+    for (std::size_t pos = json.find(key); pos != std::string::npos;
+         pos = json.find(key, pos + 1)) {
+        const std::size_t end = json.find('}', pos);
+        const std::string ev = json.substr(pos, end - pos);
+        if (ev.find("\"ph\":\"X\"") == std::string::npos) continue;
+        const std::size_t t = ev.find("\"tid\":");
+        tids.push_back(static_cast<unsigned>(
+            std::strtoul(ev.c_str() + t + 6, nullptr, 10)));
+    }
+    return tids;
+}
+
+TEST(VolumeIO, MultiShardOpRunsOneLegOnTheCallingThread) {
+    // Each host op spans both shards. The caller runs one leg itself and
+    // shard 0's dispatcher the other, so of each op's two
+    // volume.shard_dispatch spans exactly one shares the volume_write
+    // span's thread.
+    volume_config cfg = small_volume(2);
+    volume vol(cfg);
+    vol.set_tracing(true);
+    const std::vector<std::byte> data =
+        pattern_bytes(2 * vol.chunk_bytes(), 3);
+    constexpr int kOps = 4;
+    for (int i = 0; i < kOps; ++i) ASSERT_TRUE(vol.write(0, data));
+    EXPECT_EQ(vol.stats().multi_shard_ops, static_cast<unsigned>(kOps));
+
+    const std::string json = vol.trace_json();
+    const std::vector<unsigned> host = event_tids(json, "volume_write");
+    const std::vector<unsigned> legs =
+        event_tids(json, "volume.shard_dispatch");
+    ASSERT_EQ(host.size(), static_cast<std::size_t>(kOps));
+    ASSERT_EQ(legs.size(), static_cast<std::size_t>(2 * kOps));
+    const std::set<unsigned> host_tids(host.begin(), host.end());
+    ASSERT_EQ(host_tids.size(), 1u);
+    const unsigned caller = *host_tids.begin();
+    std::size_t inline_legs = 0;
+    for (unsigned t : legs) inline_legs += t == caller ? 1 : 0;
+    EXPECT_EQ(inline_legs, static_cast<std::size_t>(kOps));
+
+    std::vector<std::byte> out(data.size());
+    ASSERT_TRUE(vol.read(0, out));
+    EXPECT_EQ(out, data);
+}
+
+// ---------------------------------------------------------------------
+// Shard dispatcher hand-off
+// ---------------------------------------------------------------------
+
+TEST(VolumeDispatcher, HundredThousandPostWaitCyclesRunInOrder) {
+    shard_dispatcher d;
+    // Plain (non-atomic) state: wait() must publish each leg's writes,
+    // and post() the caller's, or TSan reports the race.
+    std::uint64_t next = 0;
+    std::uint64_t out_of_order = 0;
+    constexpr std::uint64_t kCycles = 100'000;
+    for (std::uint64_t i = 0; i < kCycles; ++i) {
+        d.post([&next, &out_of_order, i] {
+            if (next != i) ++out_of_order;
+            next = i + 1;
+        });
+        d.wait();
+        ASSERT_EQ(next, i + 1);
+    }
+    EXPECT_EQ(out_of_order, 0u);
+}
+
+TEST(VolumeDispatcher, WorkPostedAfterTheBudgetStillRuns) {
+    shard_dispatcher d;
+    const auto past_budget = 20 * kDispatchPollBudget;
+    int runs = 0;
+    for (int i = 0; i < 3; ++i) {
+        // The dispatcher has polled out its budget and sleeps on the
+        // word; the post must wake it.
+        std::this_thread::sleep_for(past_budget);
+        d.post([&runs] { ++runs; });
+        d.wait();
+        EXPECT_EQ(runs, i + 1);
+    }
+    // The waiter's side: a leg that outlasts the budget puts wait() to
+    // sleep, and the leg's completion must wake it.
+    d.post([&runs, past_budget] {
+        std::this_thread::sleep_for(past_budget);
+        ++runs;
+    });
+    d.wait();
+    EXPECT_EQ(runs, 4);
+}
+
+TEST(VolumeDispatcher, LegExceptionReachesTheWaiter) {
+    shard_dispatcher d;
+    d.post([] { throw std::runtime_error("leg failed"); });
+    EXPECT_THROW(d.wait(), std::runtime_error);
+    // The dispatcher survives and runs the next leg.
+    int runs = 0;
+    d.post([&runs] { ++runs; });
+    d.wait();
+    EXPECT_EQ(runs, 1);
+}
+
+TEST(VolumeDispatcher, DestructionWhilePollingOrSleepingJoins) {
+    {
+        shard_dispatcher never_posted;
+    }
+    {
+        // Destroyed right after a leg: the thread is still polling.
+        shard_dispatcher d;
+        int runs = 0;
+        d.post([&runs] { ++runs; });
+        d.wait();
+        EXPECT_EQ(runs, 1);
+    }
+    {
+        // Destroyed long after a leg: the thread sleeps on the word.
+        shard_dispatcher d;
+        int runs = 0;
+        d.post([&runs] { ++runs; });
+        d.wait();
+        std::this_thread::sleep_for(20 * kDispatchPollBudget);
+        EXPECT_EQ(runs, 1);
+    }
 }
 
 // ---------------------------------------------------------------------

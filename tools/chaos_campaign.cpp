@@ -69,8 +69,9 @@
 // scrapers; first_bad_op= names the first workload op whose read or
 // write diverged from the shadow copy ("none" on a clean run). --json
 // replaces that line with "CHAOS_VERDICT {...}" — one JSON object
-// carrying the same counters plus per-phase timings and every
-// latency-histogram snapshot.
+// carrying the same counters — and writes "CHAOS_TIMINGS {...}", the
+// per-phase timings and every latency-histogram snapshot, to stderr:
+// they are wall-clock, and stdout stays byte-identical per seed.
 //
 // Observability exports: --metrics-out writes one Prometheus text
 // exposition of the volume hub and every shard hub (shard series labelled
@@ -205,9 +206,9 @@ std::vector<std::pair<const char*, ull>> verdict_fields(
     };
 }
 
-/// The --json verdict: the verdict counters, the per-phase wall-clock
-/// timings, and a snapshot of every latency histogram. All keys are
-/// fixed identifiers, so no string escaping is needed.
+/// The --json verdict on stdout: the verdict counters, byte-identical
+/// per seed. All keys are fixed identifiers, so no string escaping is
+/// needed.
 void print_verdict_json(const chaos_config& cfg, const chaos_report& rep) {
     std::printf("CHAOS_VERDICT {\"pass\":%s", rep.success ? "true" : "false");
     for (const auto& [name, v] : verdict_fields(cfg, rep)) {
@@ -223,29 +224,38 @@ void print_verdict_json(const chaos_config& cfg, const chaos_report& rep) {
     } else {
         std::printf(",\"first_bad_op\":null");
     }
-    std::printf(",\"slo_ok\":%s", rep.slo_ok ? "true" : "false");
-    std::printf(",\"phases\":{\"fill_s\":%.6f,\"workload_s\":%.6f,"
-                "\"settle_s\":%.6f,\"settle_scrub_s\":%.6f,"
-                "\"final_verify_s\":%.6f,\"final_scrub_s\":%.6f,"
-                "\"mount_replay_s\":%.6f,\"total_s\":%.6f},",
-                rep.phases.fill_s, rep.phases.workload_s, rep.phases.settle_s,
-                rep.phases.settle_scrub_s, rep.phases.final_verify_s,
-                rep.phases.final_scrub_s, rep.phases.mount_replay_s,
-                rep.phases.total_s());
-    std::printf("\"histograms\":{");
+    std::printf(",\"slo_ok\":%s}\n", rep.slo_ok ? "true" : "false");
+}
+
+/// The --json timings on stderr: the per-phase wall-clock seconds and a
+/// snapshot of every latency histogram (wall-clock too, so they would
+/// break stdout's per-seed byte identity).
+void print_timings_json(const chaos_report& rep) {
+    std::fprintf(stderr,
+                 "CHAOS_TIMINGS {\"phases\":{\"fill_s\":%.6f,"
+                 "\"workload_s\":%.6f,\"settle_s\":%.6f,"
+                 "\"settle_scrub_s\":%.6f,\"final_verify_s\":%.6f,"
+                 "\"final_scrub_s\":%.6f,\"mount_replay_s\":%.6f,"
+                 "\"total_s\":%.6f},",
+                 rep.phases.fill_s, rep.phases.workload_s, rep.phases.settle_s,
+                 rep.phases.settle_scrub_s, rep.phases.final_verify_s,
+                 rep.phases.final_scrub_s, rep.phases.mount_replay_s,
+                 rep.phases.total_s());
+    std::fprintf(stderr, "\"histograms\":{");
     bool first = true;
     for (const auto& [name, snap] : rep.histograms) {
         if (snap.count == 0) continue;  // unexercised path; skip the noise
-        std::printf("%s\"%s\":{\"count\":%llu,\"sum_ns\":%llu,"
-                    "\"max_ns\":%llu,\"p50_ns\":%llu,\"p95_ns\":%llu,"
-                    "\"p99_ns\":%llu}",
-                    first ? "" : ",", name.c_str(),
-                    static_cast<ull>(snap.count), static_cast<ull>(snap.sum),
-                    static_cast<ull>(snap.max), static_cast<ull>(snap.p50),
-                    static_cast<ull>(snap.p95), static_cast<ull>(snap.p99));
+        std::fprintf(stderr,
+                     "%s\"%s\":{\"count\":%llu,\"sum_ns\":%llu,"
+                     "\"max_ns\":%llu,\"p50_ns\":%llu,\"p95_ns\":%llu,"
+                     "\"p99_ns\":%llu}",
+                     first ? "" : ",", name.c_str(),
+                     static_cast<ull>(snap.count), static_cast<ull>(snap.sum),
+                     static_cast<ull>(snap.max), static_cast<ull>(snap.p50),
+                     static_cast<ull>(snap.p95), static_cast<ull>(snap.p99));
         first = false;
     }
-    std::printf("}}\n");
+    std::fprintf(stderr, "}}\n");
 }
 
 void print_report(const chaos_config& cfg, const chaos_report& rep,
@@ -323,6 +333,7 @@ void print_report(const chaos_config& cfg, const chaos_report& rep,
     // Per-objective SLO status (only when objectives were configured).
     if (!rep.slo_text.empty()) std::printf("%s", rep.slo_text.c_str());
     if (json) {
+        print_timings_json(rep);
         print_verdict_json(cfg, rep);
     } else {
         // One machine-readable line for CI log scrapers, then the human one.
