@@ -14,8 +14,8 @@
 // stripes), the N-shard rows show the scale-out win: N queue pairs, N
 // rebuild pipelines, and N scrub scanners draining one workload
 // concurrently. Virtual totals are order-independent sums, so the numbers
-// are byte-deterministic even with the per-shard I/O worker pools on —
-// safe for tight bench_compare gating.
+// are byte-deterministic however the shards' dispatcher threads
+// interleave — safe for tight bench_compare gating.
 //
 // Sections: full-volume write, rebuild (one failed disk per shard,
 // background pipeline), and scrub. Rows are keyed by shard count with
@@ -74,7 +74,6 @@ phase_gbps run(std::uint32_t shards) {
     cfg.shards = shards;
     cfg.chunk_stripes = 1;
     cfg.threaded_dispatch = true;
-    cfg.io_workers_per_shard = 2;  // the multi-queue worker path, lit up
     cfg.shard.k = kData;
     cfg.shard.element_size = kElem;
     cfg.shard.stripes = kTotalStripes / shards;
@@ -84,7 +83,7 @@ phase_gbps run(std::uint32_t shards) {
     volume vol(cfg);
 
     // Every disk pays the same modeled device time per op; jitter = 0
-    // keeps the virtual totals independent of worker interleaving.
+    // keeps the virtual totals independent of thread interleaving.
     raid::latency_profile prof;
     prof.kind = raid::latency_profile::shape::constant;
     prof.base_us = kDiskUs;
@@ -143,7 +142,7 @@ int main(int argc, char** argv) {
         "Volume scale-out: one fixed stripe pool across N shards\n"
         "(modeled GB/s in per-shard virtual time; constant " +
         std::to_string(kDiskUs) +
-        " us device latency,\nqd 8, 2 I/O workers per shard; phase time = "
+        " us device latency,\nqd 8; phase time = "
         "slowest shard's clock delta)\n");
 
     const std::vector<std::uint32_t> counts{1, 2, 4, 8};

@@ -17,10 +17,6 @@
 
 #include "liberation/raid/vdisk.hpp"
 
-namespace liberation::util {
-class thread_pool;
-}  // namespace liberation::util
-
 namespace liberation::obs {
 class hub;
 }  // namespace liberation::obs
@@ -68,7 +64,8 @@ struct io_cqe {
     std::uint32_t disk = 0;
 };
 
-/// Tuning knobs of a queue_pair.
+/// Tuning knobs of a queue_pair. A queue_pair always executes its
+/// transfers on the thread that flushes them, in submission order.
 struct aio_config {
     /// Per-disk in-flight window: submissions beyond this many pending
     /// requests on one disk force a flush. 1 executes each request as it
@@ -78,14 +75,6 @@ struct aio_config {
     /// power-loss write budget) counts individual disk writes, and merging
     /// would change its granularity.
     std::size_t queue_depth = 8;
-    /// Optional worker pool: batches of different disks execute
-    /// concurrently, while one disk's flushes run one after another in
-    /// submission order, never overlapping. Null = inline
-    /// execution on the submitting thread in exact submission order.
-    /// NOTE: concurrent execution makes *cross-disk* write order
-    /// nondeterministic, so seeded power-loss simulation and chaos replay
-    /// require workers == nullptr.
-    util::thread_pool* workers = nullptr;
     /// Observability hub (must outlive the queue_pair): every request is
     /// timestamped on the hub's clock, the submit→execute→complete
     /// pipeline feeds three stage histograms (aio_queue_wait_ns,

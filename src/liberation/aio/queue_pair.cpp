@@ -4,8 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "liberation/util/thread_pool.hpp"
-
 namespace liberation::aio {
 
 queue_pair::queue_pair(io_backend& backend, std::uint32_t disks,
@@ -27,7 +25,6 @@ queue_pair::queue_pair(io_backend& backend, std::uint32_t disks,
     pending_.reserve(disks);
     for (std::uint32_t d = 0; d < disks; ++d)
         pending_.emplace_back(cfg_.queue_depth);
-    disk_busy_.assign(disks, 0);
 }
 
 aio_stats queue_pair::stats() const noexcept {
@@ -53,7 +50,6 @@ void queue_pair::submit(const io_desc& d) {
         // No window to queue in: complete immediately, sequenced at drain.
         f.status = raid::io_status::out_of_range;
         f.done_ts = f.submit_ts;
-        std::lock_guard lock(done_mutex_);
         done_.push_back(f);
         return;
     }
@@ -63,9 +59,9 @@ void queue_pair::submit(const io_desc& d) {
     if (window.full()) flush_disk(d.disk);
 }
 
-void queue_pair::build_batches(std::uint32_t disk,
-                               std::vector<fragment>& frags,
-                               std::vector<batch>& batches) {
+void queue_pair::build_batches(std::uint32_t disk) {
+    std::vector<fragment>& frags = flush_frags_;
+    std::vector<batch>& batches = flush_batches_;
     ring<fragment>& window = pending_[disk];
     while (!window.empty()) {
         const std::size_t idx = frags.size();
@@ -98,38 +94,32 @@ void queue_pair::build_batches(std::uint32_t disk,
 
 void queue_pair::flush_disk(std::uint32_t disk) {
     if (pending_[disk].empty()) return;
-    if (cfg_.workers != nullptr) {
-        run_batches_on_workers(disk);
-        return;
-    }
-    // Inline path: execute in submission order on the calling thread,
-    // reusing the flush scratch vectors (steady-state allocation-free).
+    // Execute in submission order on the calling thread, reusing the
+    // flush scratch vectors (steady-state allocation-free).
     flush_frags_.clear();
     flush_batches_.clear();
-    build_batches(disk, flush_frags_, flush_batches_);
+    build_batches(disk);
     for (const batch& b : flush_batches_) {
         ctr_.inc<&aio_stats::batches>();
-        if (execute_one(b, flush_frags_.data())) {
+        if (execute_one(b)) {
             ctr_.inc<&aio_stats::split_retries>();
         }
     }
-    // No workers → nothing contends on done_mutex_; append directly.
     done_.insert(done_.end(), flush_frags_.begin(), flush_frags_.end());
 }
 
-bool queue_pair::execute_one(const batch& b, fragment* frags) {
-    fragment* const first = frags + b.first;
+bool queue_pair::execute_one(const batch& b) {
+    fragment* const first = flush_frags_.data() + b.first;
     const std::uint64_t start = obs_.now_ns();
     for (std::size_t i = 0; i < b.count; ++i) {
         hist_queue_wait_.record(
             start >= first[i].submit_ts ? start - first[i].submit_ts : 0);
     }
-    // The execute span becomes the ambient parent around the backend call
-    // (which may be running on a worker thread): anything the backend
-    // emits — io_policy retry instants above all — lands under it in the
-    // submitting host op's causal tree. A merged batch inherits its first
-    // fragment's context; the fragments coalesced behind it share the
-    // same host op in every real caller.
+    // The execute span becomes the ambient parent around the backend call:
+    // anything the backend emits — io_policy retry instants above all —
+    // lands under it in the submitting host op's causal tree. A merged
+    // batch inherits its first fragment's context; the fragments
+    // coalesced behind it share the same host op in every real caller.
     const bool tracing = obs_.trace().enabled();
     const obs::trace_context parent = first->tctx;
     const std::uint64_t exec_span =
@@ -169,47 +159,8 @@ bool queue_pair::execute_one(const batch& b, fragment* frags) {
     return true;
 }
 
-void queue_pair::run_batches_on_workers(std::uint32_t disk) {
-    // One task per flush keeps the disk's batches strictly ordered; tasks
-    // for different disks run concurrently on the pool. A disk's next
-    // flush waits for its previous one to finish: two tasks of one disk
-    // could otherwise run at once and out of order, and a backend may
-    // assume one writer per disk (persist::store does).
-    auto frags = std::make_shared<std::vector<fragment>>();
-    auto batches = std::make_shared<std::vector<batch>>();
-    build_batches(disk, *frags, *batches);
-    {
-        std::unique_lock lock(done_mutex_);
-        done_cv_.wait(lock, [this, disk] { return disk_busy_[disk] == 0; });
-        disk_busy_[disk] = 1;
-        ++workers_outstanding_;
-    }
-    cfg_.workers->submit([this, disk, frags, batches]() {
-        // Counters are atomic, so workers account directly — no
-        // drain-time delta folding needed.
-        for (const batch& b : *batches) {
-            ctr_.inc<&aio_stats::batches>();
-            if (execute_one(b, frags->data())) {
-                ctr_.inc<&aio_stats::split_retries>();
-            }
-        }
-        std::lock_guard lock(done_mutex_);
-        done_.insert(done_.end(), frags->begin(), frags->end());
-        disk_busy_[disk] = 0;
-        --workers_outstanding_;
-        done_cv_.notify_all();
-    });
-}
-
-void queue_pair::wait_for_workers() {
-    if (cfg_.workers == nullptr) return;
-    std::unique_lock lock(done_mutex_);
-    done_cv_.wait(lock, [this] { return workers_outstanding_ == 0; });
-}
-
 void queue_pair::drain() {
     for (std::uint32_t d = 0; d < pending_.size(); ++d) flush_disk(d);
-    wait_for_workers();
 
     // Recover global submission order across disks, run completion-stage
     // decorators on this (the draining) thread, and emit CQEs. done_ is

@@ -6,11 +6,10 @@
 //   [flush]                    — pending requests are grouped per disk,
 //                                 adjacent ones merged into larger
 //                                 transfers, and executed through the
-//                                 io_backend (inline in submission order,
-//                                 or per-disk batches on a worker pool,
-//                                 one flush per disk at a time)
+//                                 io_backend on the submitting thread,
+//                                 in submission order
 //   [completion stages]        — decorators run over each *original*
-//                                 request's result on the draining thread
+//                                 request's result at drain()
 //                                 (e.g. checksum verification)
 //   drain() / completions()    — io_cqe entries appear in submission
 //                                 order, one per submitted request
@@ -20,17 +19,19 @@
 // aio_stats::split_retries), so an error localizes to the strip that
 // actually failed instead of poisoning the whole merged extent.
 //
-// The inline execution path is allocation-free in steady state: fragments
-// flow through member scratch vectors that are reused flush after flush
-// (the simulated disks complete in nanoseconds, so per-request heap
-// traffic would dominate the real I/O work being batched).
+// A queue_pair belongs to one array and is driven by whichever single
+// thread runs that array's operation (the caller, or the volume's
+// dispatcher thread for that shard); it takes no lock.
+//
+// Execution is allocation-free in steady state: fragments flow through
+// member scratch vectors that are reused flush after flush (the simulated
+// disks complete in nanoseconds, so per-request heap traffic would
+// dominate the real I/O work being batched).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "liberation/aio/aio.hpp"
@@ -39,9 +40,9 @@
 
 namespace liberation::aio {
 
-/// A completion-stage decorator. Runs on the draining thread after the
-/// execution stage, in registration order, each stage seeing the status
-/// left by the previous one. Returning a different status rewrites the
+/// A completion-stage decorator. Runs at drain() after the execution
+/// stage, in registration order, each stage seeing the status left by
+/// the previous one. Returning a different status rewrites the
 /// request's completion (this is how verified reads layer CRC checking
 /// over the retrying backend without the backend knowing).
 using completion_stage =
@@ -77,10 +78,9 @@ public:
     /// immediately with io_status::out_of_range.
     void submit(const io_desc& d);
 
-    /// Execute everything still pending, wait for worker batches, run
-    /// completion stages, and sequence results. After drain() returns,
-    /// completions() holds one io_cqe per submitted request not yet
-    /// taken, in submission order.
+    /// Execute everything still pending, run completion stages, and
+    /// sequence results. After drain() returns, completions() holds one
+    /// io_cqe per submitted request not yet taken, in submission order.
     void drain();
 
     /// Completion entries accumulated since the last take/clear (valid
@@ -98,7 +98,8 @@ public:
     std::vector<io_cqe> take_completions();
 
     /// Relaxed snapshot of the engine counters, read from the registry
-    /// that holds them (worker batches update them concurrently).
+    /// that holds them (the registry's atomics let a metrics scrape on
+    /// another thread read them while the engine runs).
     [[nodiscard]] aio_stats stats() const noexcept;
     [[nodiscard]] const aio_config& config() const noexcept { return cfg_; }
 
@@ -107,10 +108,10 @@ private:
     struct fragment {
         io_desc desc;
         std::uint64_t seq = 0;  // global submission order
-        // Causal context captured at submit() on the submitting thread,
-        // reinstalled around the backend call — which may run on a worker
-        // thread — so retries and nested events stay in the host op's
-        // tree across the hop.
+        // Causal context captured at submit(), reinstalled around the
+        // backend call — which runs at a later submit() or at drain(),
+        // when the ambient context may have moved on — so retries and
+        // nested events stay in the submitting host op's tree.
         obs::trace_context tctx{};
         raid::io_status status = raid::io_status::ok;
         // Stage timestamps on the hub's clock (0 without a hub). done_ts
@@ -130,15 +131,13 @@ private:
     };
 
     void flush_disk(std::uint32_t disk);
-    /// Pop the disk's window into `frags` (appending) and append the
-    /// coalesced transfer ranges to `batches`.
-    void build_batches(std::uint32_t disk, std::vector<fragment>& frags,
-                       std::vector<batch>& batches);
-    /// Returns true when the merged transfer failed and was split back
-    /// into per-fragment re-drives.
-    bool execute_one(const batch& b, fragment* frags);
-    void run_batches_on_workers(std::uint32_t disk);
-    void wait_for_workers();
+    /// Pop the disk's window into flush_frags_ (appending) and append the
+    /// coalesced transfer ranges to flush_batches_.
+    void build_batches(std::uint32_t disk);
+    /// Execute one transfer over flush_frags_. Returns true when the
+    /// merged transfer failed and was split back into per-fragment
+    /// re-drives.
+    bool execute_one(const batch& b);
 
     io_backend& backend_;
     aio_config cfg_;
@@ -156,20 +155,14 @@ private:
     std::vector<ring<fragment>> pending_;
     std::uint64_t next_seq_ = 0;
 
-    // Reused inline-flush scratch (invalid between flushes).
+    // Reused flush scratch (invalid between flushes).
     std::vector<fragment> flush_frags_;
     std::vector<batch> flush_batches_;
 
-    // Executed fragments whose completions are not yet sequenced.
-    // Workers append under done_mutex_; the drain thread sequences.
+    // Executed fragments whose completions are not yet sequenced; drain()
+    // sorts them back into submission order.
     std::vector<fragment> done_;
     std::vector<io_cqe> completions_;
-
-    std::mutex done_mutex_;
-    std::condition_variable done_cv_;
-    std::size_t workers_outstanding_ = 0;
-    /// Per disk: 1 while a worker executes one of its flushes.
-    std::vector<std::uint8_t> disk_busy_;
 };
 
 }  // namespace liberation::aio

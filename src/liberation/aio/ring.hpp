@@ -1,9 +1,8 @@
 // Fixed-capacity circular rings backing a queue_pair.
 //
-// Deliberately single-threaded: the queue_pair serializes all ring access
-// on the submitting/draining thread even in worker mode (workers report
-// through per-batch status slots, never through the rings), so these need
-// no atomics and stay trivially inspectable in tests.
+// Deliberately single-threaded: a queue_pair is driven by one thread at a
+// time, which both submits and drains, so these need no atomics and stay
+// trivially inspectable in tests.
 #pragma once
 
 #include <cstddef>

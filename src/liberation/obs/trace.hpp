@@ -15,8 +15,8 @@
 // Causal context: every span carries a (trace_id, span_id, parent_id)
 // triple. A host op roots a trace at its entry point (the volume or
 // array timed_span allocates a fresh trace_id when none is ambient) and
-// the ids ride a thread-local — across thread hops (shard dispatchers,
-// aio worker pools) the handoff is explicit via trace_scope. The ids are
+// the ids ride a thread-local — across a thread hop (a shard
+// dispatcher) the handoff is explicit via trace_scope. The ids are
 // process-wide, so one causal tree can span several tracers (the volume
 // hub's and every shard array's); merged_trace_json() joins them and
 // renders parent links as Chrome flow events, giving one connected tree
@@ -58,8 +58,8 @@ struct trace_context {
 };
 
 /// Thread-local ambient context. Spans read it to find their parent;
-/// cross-thread handoff (dispatcher lambdas, worker pools) captures it on
-/// the submitting thread and reinstalls it with trace_scope.
+/// cross-thread handoff (a shard dispatcher's leg) captures it on the
+/// submitting thread and reinstalls it with trace_scope.
 [[nodiscard]] trace_context current_trace() noexcept;
 void set_current_trace(trace_context ctx) noexcept;
 

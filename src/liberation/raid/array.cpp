@@ -56,7 +56,6 @@ raid6_array::raid6_array(const array_config& cfg, bool allocate_members)
     init_obs(cfg);
     aio::aio_config acfg;
     acfg.queue_depth = cfg.io_queue_depth;
-    acfg.workers = cfg.io_workers;
     acfg.obs = &obs_;
     rebuild_aio_engine(acfg);
 }
@@ -208,8 +207,7 @@ void raid6_array::note_io(std::uint32_t d, io_kind kind, const io_result& r) {
     }
     if (health_.record(d, kind, r.status, r.transient_seen)) {
         // Threshold crossed: the disk is too sick to trust. Fail it now
-        // (atomic; this may run on an aio worker thread) and let the next
-        // foreground operation promote a spare.
+        // (atomic) and let the next foreground operation promote a spare.
         disks_[d]->fail();
         ctr_.inc<&array_stats::disks_tripped>();
         obs::flight_recorder::instance().record(obs::fr_kind::disk_tripped,
@@ -242,8 +240,9 @@ io_status raid6_array::disk_write(std::uint32_t disk, std::size_t offset,
         }
         persist_checksums(disk, offset, in.size());
     };
-    // Claim one unit of the power-loss budget atomically (aio worker-mode
-    // writes may race here; the inline engine is single-threaded).
+    // Claim one unit of the power-loss budget (atomic: it is armed on the
+    // caller's thread, while a volume shard's writes run on its
+    // dispatcher).
     std::uint64_t budget = write_budget_.load(std::memory_order_relaxed);
     do {
         if (budget == 0) {
@@ -1461,8 +1460,8 @@ bool raid6_array::write_full_stripes(
         // in one persist before anything is staged or submitted, and the
         // clears in one persist after the drain — the persisted state at
         // the op's boundaries is the per-stripe protocol's, and no intent
-        // persist overlaps the column writes (whose checksum persists may
-        // run on aio workers).
+        // persist falls between the column writes and their checksum
+        // persists.
         std::size_t submitted = 0;
         while (submitted < window) {
             if (!journal_mark(first + done + submitted,
@@ -1478,9 +1477,9 @@ bool raid6_array::write_full_stripes(
             ctr_.inc<&array_stats::full_stripe_writes>();
             const std::span<std::byte* const> cols =
                 writer.stage(i, stripes[done + i]);
-            // Data columns go into flight before parity exists: the encode
-            // below overlaps with their execution when a worker pool is
-            // attached, and still batches per disk when running inline.
+            // Data columns enter their disks' windows before parity
+            // exists; each window executes, batched per disk in
+            // submission order, when it fills or at the drain.
             writer.submit_columns(s, i, cols, 0, k);
             const codes::stripe_view v(cols, map_.rows(),
                                        map_.element_size());

@@ -45,10 +45,6 @@
 #include "liberation/raid/stripe_map.hpp"
 #include "liberation/raid/vdisk.hpp"
 
-namespace liberation::util {
-class thread_pool;
-}  // namespace liberation::util
-
 namespace liberation::aio {
 class stripe_writer;
 }  // namespace liberation::aio
@@ -108,11 +104,6 @@ struct array_config {
     /// a window of one stripe; a completed operation leaves the same
     /// bytes on disk at every depth.
     std::size_t io_queue_depth = 8;
-    /// Optional worker pool for the aio engine: batches for different
-    /// disks execute concurrently. Per-disk order is preserved, but
-    /// cross-disk write order becomes nondeterministic — leave null for
-    /// seeded power-loss / chaos replay.
-    util::thread_pool* io_workers = nullptr;
 
     // ---- observability -----------------------------------------------
     /// Drive the array's metrics/tracing hub off its virtual clock
@@ -125,11 +116,11 @@ struct array_config {
 };
 
 /// Copyable snapshot of the array's operation counters: a typed view of
-/// the counters kArrayCounters declares in the array's obs registry (aio
-/// worker threads increment them concurrently with the foreground path;
-/// stats() reads each with a relaxed load). Retry outcomes are counted
-/// once, by the io_policy (io_stats()); the aio engine's own counters
-/// are aio_engine().stats().
+/// the counters kArrayCounters declares in the array's obs registry (the
+/// array's thread increments them while a metrics scrape on another
+/// thread may read them; stats() reads each with a relaxed load). Retry
+/// outcomes are counted once, by the io_policy (io_stats()); the aio
+/// engine's own counters are aio_engine().stats().
 struct array_stats {
     std::uint64_t full_stripe_writes = 0;
     std::uint64_t small_writes = 0;
@@ -787,7 +778,8 @@ private:
     std::vector<integrity::integrity_region> regions_;
     bool verify_reads_;
     std::size_t integrity_block_;
-    /// Atomic: aio worker-mode writes may race the power-loss budget.
+    /// Atomic: armed and read on the caller's thread, while a volume
+    /// shard's writes run on its dispatcher.
     std::atomic<bool> powered_{true};
     std::atomic<std::uint64_t> write_budget_{UINT64_MAX};
 
@@ -821,8 +813,8 @@ private:
     bool rebuild_active_ = false;
     bool rebuild_stalled_ = false;  ///< > 2 members: see rebuild_stalled()
     bool in_service_ = false;  ///< reentrancy guard for the rebuild batch
-    /// Set from deep I/O paths (possibly pool threads) when the health
-    /// monitor trips a disk; serviced at the next foreground entry.
+    /// Set from deep I/O paths when the health monitor trips a disk;
+    /// serviced at the next foreground entry.
     std::atomic<bool> pending_failover_{false};
 
     // ---- persistence ---------------------------------------------------

@@ -9,8 +9,8 @@
 // that never reached the medium would otherwise turn into silent
 // corruption the moment the stale column is read back.
 //
-// Counters are atomic: aio worker threads record I/O outcomes while the
-// foreground path does the same. The trip transition is
+// Counters are atomic: the array's thread records I/O outcomes while a
+// metrics scrape may read them from another. The trip transition is
 // reported exactly once (compare-exchange), so the array promotes at most
 // one spare per failure.
 #pragma once

@@ -103,9 +103,10 @@ struct io_result {
 /// exponential backoff on the shared virtual clock; fail-stop and latent
 /// errors are permanent by definition and never retried. Checksum
 /// verification runs *after* this stage, so a mismatch is final — it is
-/// a property of the bytes, not of the transfer. Thread-safe: rebuild
-/// and resilver pool workers drive one policy concurrently with the
-/// foreground path (counters are atomic, config is immutable).
+/// a property of the bytes, not of the transfer. Thread-safe: one thread
+/// drives the policy at a time (the caller, or a volume shard's
+/// dispatcher), while a metrics scrape may read its counters from another
+/// (counters are atomic, config is immutable).
 ///
 /// Every mediated op is timed on the hub's clock into io_read_ns /
 /// io_write_ns (backoff is charged to the virtual clock, so on a

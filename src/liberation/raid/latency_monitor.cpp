@@ -123,7 +123,8 @@ disk_latency_stats latency_monitor::stats(std::uint32_t disk) const {
 void latency_monitor::reset(std::uint32_t disk) {
     LIBERATION_EXPECTS(disk < disks_.size());
     // In place, like health_monitor::reset — the node must stay put
-    // because concurrent workers may hold references into it.
+    // because a stats() reader on another thread may hold a reference
+    // into it.
     per_disk& d = *disks_[disk];
     d.hist.clear();
     d.samples.store(0, std::memory_order_relaxed);

@@ -24,8 +24,9 @@
 //     directly; recover_probes consecutive on-time probes un-quarantine
 //     it (gray failures are often transient — GC ends, link recovers).
 //
-// All counters are atomics; rebuild/scrub workers may feed the monitor
-// concurrently with the foreground path. Quarantine state is persisted
+// All counters are atomics: one thread feeds the monitor at a time (the
+// caller, or a volume shard's dispatcher), while a metrics scrape may
+// read stats() from another. Quarantine state is persisted
 // across remount via a flag bit in the superblock slot states (see
 // persist/superblock.hpp).
 #pragma once

@@ -200,7 +200,6 @@ mounted_array mounter::mount(const mount_options& opts) {
     acfg.verify_reads = opts.verify_reads;
     acfg.intent_log_entries = auth->intent_capacity;
     acfg.io_queue_depth = opts.io_queue_depth;
-    acfg.io_workers = opts.io_workers;
     acfg.obs_virtual_time = opts.obs_virtual_time;
     std::unique_ptr<raid6_array> a(new raid6_array(acfg, false));
     const member_layout& layout = probes[auth_idx].header.layout;

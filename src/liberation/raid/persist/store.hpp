@@ -20,9 +20,9 @@
 // stores it into core slot `seq % 2`. Every byte goes through one funnel,
 // write_meta(), which also counts the traffic (kStoreCounters). Every
 // piece of that state — image, dirty bits, encode buffers, mapping —
-// belongs to one slot, so persists of different slots may run
-// concurrently (aio workers persist checksums of the disks they write);
-// one slot must not be persisted from two threads at once.
+// belongs to one slot. The array persists from whichever single thread
+// runs its operation (the caller, or a volume shard's dispatcher), so one
+// slot is never persisted from two threads at once.
 //
 // Fsync ordering (machine-crash durability, `store_config::sync_meta`):
 // one fdatasync after the core write. The core records the CRC of every

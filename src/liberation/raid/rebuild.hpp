@@ -1,8 +1,8 @@
 // Rebuild engine: reconstructs the contents of replaced disks stripe by
 // stripe, using the optimal Liberation decoder. The surviving columns are
-// window-prefetched through the array's aio stripe_loader (with aio
-// workers, if the array has them); io_queue_depth sets the window, and
-// depth 1 is a window of one stripe.
+// window-prefetched through the array's aio stripe_loader on the thread
+// that runs the rebuild; io_queue_depth sets the window, and depth 1 is a
+// window of one stripe.
 //
 // This is where decoding throughput (paper Figs. 12-13) translates into an
 // operational metric: rebuild time under one- and two-disk failures.

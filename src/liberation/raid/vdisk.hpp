@@ -82,8 +82,10 @@ struct latency_profile {
     [[nodiscard]] bool enabled() const noexcept { return kind != shape::none; }
 };
 
-/// Snapshot of a disk's I/O counters. Counters are updated atomically so
-/// concurrent rebuild workers may touch disjoint extents of one disk.
+/// Snapshot of a disk's I/O counters. Counters are atomic: the thread
+/// running the array's I/O (the caller, or a volume shard's dispatcher)
+/// updates them while another thread, such as a metrics scrape, reads
+/// them.
 struct disk_stats {
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;
@@ -145,8 +147,10 @@ public:
 
     // ---- fault injection ---------------------------------------------
 
-    /// Fail-stop: all subsequent I/O returns disk_failed. Atomic — rebuild
-    /// workers doing I/O may race with a health-monitor trip.
+    /// Fail-stop: all subsequent I/O returns disk_failed. Atomic — the
+    /// disk's state may be read or changed from a thread other than the
+    /// one running its I/O (HedgedRace storms a disk from a second thread
+    /// until the reader's health monitor fails it).
     void fail() noexcept { online_.store(false, std::memory_order_release); }
 
     /// Swap in a fresh blank disk (same geometry) — contents zeroed,
@@ -235,9 +239,10 @@ private:
     std::atomic<std::uint64_t> transient_reads_{0};
     std::atomic<std::uint64_t> transient_writes_{0};
 
-    // Transient-fault state. Guarded by fault_mutex_ because parallel
-    // rebuild workers read one disk concurrently; the armed flag keeps the
-    // unfaulted hot path lock-free.
+    // Transient-fault state. Guarded by fault_mutex_ because faults may be
+    // armed from another thread while the array's thread draws from
+    // fault_rng_ (the HedgedRace tests storm a disk mid-read-stream); the
+    // armed flag keeps the unfaulted hot path lock-free.
     std::atomic<bool> faults_armed_{false};
     mutable std::mutex fault_mutex_;
     double read_rate_ = 0.0;

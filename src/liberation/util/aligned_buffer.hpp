@@ -1,8 +1,9 @@
 // Cache-line-aligned RAII byte buffer for coding regions.
 //
 // Every strip/element buffer in the library lives in one of these: 64-byte
-// alignment keeps the word-wise XOR kernels on their fast path and avoids
-// false sharing when stripes are encoded from a thread pool.
+// alignment keeps the word-wise XOR kernels on their fast path and keeps
+// buffers that different threads write (one per volume shard) off each
+// other's cache lines.
 #pragma once
 
 #include <cstddef>

@@ -121,7 +121,16 @@ chaos_config default_chaos_config(std::uint64_t seed, std::uint32_t shards,
     chaos_event_plan& ev = cfg.events;
     ev.fail_stop_at_op = ops / 6;
     ev.kill_mid_rebuild_at_op = ops / 6 + 1;
-    ev.fail_slow_at_op = ops / 3;
+    // The gray disk must arm on a warm latency distribution. A miss is
+    // recorded at the deadline it missed, so each time misses pass 1 % of
+    // the disk's samples, its p99 (and the deadline, 4 x p99) climbs to a
+    // higher power-of-two bucket. With a few hundred samples, the deadline
+    // outgrows the 20 ms stall before the 8th consecutive miss and the
+    // quarantine never trips. A shard sees 1/N of the reads, and a
+    // remount restarts every distribution, so the window opens later as N
+    // grows: ops/3 at one shard, 7/12 of the run from four on (the plan
+    // is sized for at most four shards at 6000 ops).
+    ev.fail_slow_at_op = ops * (std::min(shards, 4u) + 3) / 12;
     ev.health_storm_at_op = ops / 2;
     ev.fail_slow_recover_at_op = ops * 7 / 10;
     ev.power_loss_at_op = ops * 4 / 5;

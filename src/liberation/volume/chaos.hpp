@@ -54,6 +54,8 @@ struct chaos_event_plan {
     /// Gray failure on a disk of shard C (constant service latency);
     /// requires volume.shard.latency.hedged_reads for the shard to react
     /// (hedge, then quarantine). The straggler recovers at the second op.
+    /// default_chaos_config opens this window later as the shard count
+    /// grows (see there).
     std::size_t fail_slow_at_op = 2000;
     std::size_t fail_slow_recover_at_op = 4200;
     std::uint64_t fail_slow_base_us = 20'000;

@@ -71,9 +71,7 @@ bool geometry_matches(const raid::persist::superblock& sb,
 std::unique_ptr<volume> create_volume(const volume_config& cfg,
                                       const volume_store_config& scfg,
                                       std::uint64_t uuid) {
-    LIBERATION_EXPECTS(cfg.shards >= 1 &&
-                       cfg.shards <= manifest_max_shards);
-    LIBERATION_EXPECTS(cfg.io_workers_per_shard == 0);
+    validate_config(cfg);
     if (uuid == 0) uuid = random_uuid();
 
     std::error_code ec;
@@ -226,7 +224,6 @@ mounted_volume mount_volume(const volume_mount_options& opts) {
     cfg.shard.layout = static_cast<raid::parity_layout>(m.layout);
     cfg.shard.obs_virtual_time = opts.obs_virtual_time;
     cfg.threaded_dispatch = opts.threaded_dispatch;
-    cfg.io_workers_per_shard = 0;
 
     // Activate: the on-disk manifest says "live" from here until a clean
     // volume::unmount() stamps it clean again.

@@ -92,9 +92,8 @@ struct mounted_volume {
 
 /// Format a fresh persistent volume in `scfg.dir`: one store directory
 /// per shard plus the primed manifest. A zero `uuid` draws a random one;
-/// shard UUIDs are derived from it. `cfg.io_workers_per_shard` must be 0
-/// (mounted shards drive their queue pairs inline). Returns null when
-/// any backing file cannot be created.
+/// shard UUIDs are derived from it. Returns null when any backing file
+/// cannot be created.
 [[nodiscard]] std::unique_ptr<volume> create_volume(
     const volume_config& cfg, const volume_store_config& scfg,
     std::uint64_t uuid = 0);

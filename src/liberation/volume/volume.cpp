@@ -32,16 +32,6 @@ constexpr obs::counter_def<raid::array_stats> kShardSeries[] = {
      &raid::array_stats::rebuilds_completed},
 };
 
-void validate_config(const volume_config& cfg) {
-    LIBERATION_EXPECTS(cfg.shards >= 1);
-    LIBERATION_EXPECTS(cfg.shards <= persist::manifest_max_shards);
-    LIBERATION_EXPECTS(cfg.chunk_stripes >= 1);
-    LIBERATION_EXPECTS(cfg.shard.stripes % cfg.chunk_stripes == 0);
-    // The volume owns the shards' aio pools; a caller-supplied one would
-    // be shared across shards and defeat the per-shard queue isolation.
-    LIBERATION_EXPECTS(cfg.shard.io_workers == nullptr);
-}
-
 inline void cpu_relax() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
     __builtin_ia32_pause();
@@ -73,6 +63,14 @@ std::uint32_t await_change(const std::atomic<std::uint32_t>& word,
 }
 
 }  // namespace
+
+void validate_config(const volume_config& cfg) {
+    LIBERATION_EXPECTS(cfg.shards >= 1);
+    LIBERATION_EXPECTS(cfg.shards <= persist::manifest_max_shards);
+    LIBERATION_EXPECTS(cfg.chunk_stripes >= 1);
+    LIBERATION_EXPECTS(cfg.shard.stripes % cfg.chunk_stripes == 0);
+    LIBERATION_EXPECTS(cfg.io_workers_per_shard == 0);
+}
 
 shard_dispatcher::shard_dispatcher() : thread_([this] { run(); }) {}
 
@@ -113,18 +111,9 @@ void shard_dispatcher::run() {
 
 volume::volume(const volume_config& cfg) {
     validate_config(cfg);
-    if (cfg.io_workers_per_shard > 0) {
-        io_pools_.reserve(cfg.shards);
-        for (std::uint32_t s = 0; s < cfg.shards; ++s) {
-            io_pools_.push_back(
-                std::make_unique<util::thread_pool>(cfg.io_workers_per_shard));
-        }
-    }
     shards_.reserve(cfg.shards);
     for (std::uint32_t s = 0; s < cfg.shards; ++s) {
-        raid::array_config sc = cfg.shard;
-        if (!io_pools_.empty()) sc.io_workers = io_pools_[s].get();
-        shards_.push_back(std::make_unique<raid::raid6_array>(sc));
+        shards_.push_back(std::make_unique<raid::raid6_array>(cfg.shard));
     }
     init_dispatch(cfg);
     chunk_bytes_ = cfg.chunk_stripes * shards_[0]->map().stripe_data_size();
@@ -139,10 +128,6 @@ volume::volume(const volume_config& cfg) {
 volume::volume(const volume_config& cfg,
                std::vector<std::unique_ptr<raid::raid6_array>> arrays) {
     validate_config(cfg);
-    // Mounted shards were built by persist::mount_array, before the
-    // volume (and any pool it could own) exists; they drive their queue
-    // pairs inline.
-    LIBERATION_EXPECTS(cfg.io_workers_per_shard == 0);
     LIBERATION_EXPECTS(arrays.size() == cfg.shards);
     for (const auto& a : arrays) {
         LIBERATION_EXPECTS(a != nullptr);

@@ -31,10 +31,8 @@
 //     results stay deterministic), then barriers per host op. Hand-offs
 //     poll a sequence word briefly before they sleep on it
 //     (shard_dispatcher), so a busy stream of ops pays no thread
-//     wake-up on its critical path;
-//   * each shard can be given a private aio worker pool
-//     (io_workers_per_shard), lighting up aio_config::workers so batches
-//     for different disks of the same shard overlap too;
+//     wake-up on its critical path. Inside a leg, the shard's aio queue
+//     pair executes inline on the leg's thread;
 //   * a volume-level obs hub rolls the shards up: volume_* counters and
 //     histograms plus per-shard labeled series (shard="N").
 //
@@ -57,7 +55,6 @@
 
 #include "liberation/obs/obs.hpp"
 #include "liberation/raid/array.hpp"
-#include "liberation/util/thread_pool.hpp"
 #include "liberation/volume/manifest.hpp"
 
 namespace liberation::volume {
@@ -66,8 +63,6 @@ struct volume_config {
     /// Number of raid6_array shards the address space stripes across.
     std::uint32_t shards = 1;
     /// Geometry and behaviour of every shard (identical by construction).
-    /// `shard.io_workers` must stay null — the volume owns per-shard
-    /// pools; see io_workers_per_shard.
     raid::array_config shard{};
     /// Whole stripes of data per placement chunk. Must divide
     /// shard.stripes. 1 = finest interleave (best single-op fan-out).
@@ -77,14 +72,16 @@ struct volume_config {
     /// are visited sequentially on the caller's thread (byte-identical
     /// results either way).
     bool threaded_dispatch = true;
-    /// Threads in each shard's private aio worker pool (wired into
-    /// array_config::io_workers). 0 = shards drive their queue pairs
-    /// inline. Per-disk order is preserved either way, but cross-disk
-    /// write order becomes nondeterministic with workers — keep 0 for
-    /// seeded power-loss / chaos replay (virtual-time *totals* stay
-    /// deterministic regardless; see docs/VOLUME.md).
+    /// Must be 0 (validate_config refuses any other value): shards drive
+    /// their aio queue pairs inline on the thread that runs their leg.
+    /// Kept only because existing callers assign it.
     std::size_t io_workers_per_shard = 0;
 };
+
+/// Refuse (contract failure) a config no volume can be built from: a
+/// shard count outside [1, persist::manifest_max_shards], a chunk that
+/// does not divide the shard's stripes, or io_workers_per_shard != 0.
+void validate_config(const volume_config& cfg);
 
 /// Volume-level operation counters plus the sum of every shard's
 /// array_stats. Snapshot semantics match raid::array_stats.
@@ -283,9 +280,6 @@ private:
     std::size_t chunk_bytes_ = 0;
     bool threaded_ = false;
 
-    // Pools are declared before the arrays so the arrays (whose aio
-    // engines reference io_pools_) are destroyed first.
-    std::vector<std::unique_ptr<util::thread_pool>> io_pools_;
     std::vector<std::unique_ptr<raid::raid6_array>> shards_;
     // Declared after the arrays: the dispatcher threads are joined
     // before the shards they serve go away.

@@ -7,11 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstring>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "liberation/aio/queue_pair.hpp"
@@ -20,7 +16,6 @@
 #include "liberation/raid/rebuild.hpp"
 #include "liberation/raid/scrubber.hpp"
 #include "liberation/util/rng.hpp"
-#include "liberation/util/thread_pool.hpp"
 
 namespace {
 
@@ -267,55 +262,6 @@ TEST(AioQueuePair, CompletionStagesRunInRegistrationOrder) {
     EXPECT_EQ(qp.completions()[0].status, io_status::checksum_mismatch);
 }
 
-// With a worker pool, every window flush is a pool task. Two flushes of
-// one disk must still run one after the other in submission order: a
-// backend may assume one writer per disk (the persistent store does).
-TEST(AioQueuePair, WorkerFlushesOfOneDiskNeverOverlap) {
-    struct slow_backend final : aio::io_backend {
-        std::atomic<int> active{0};
-        std::atomic<int> overlaps{0};
-        std::mutex mu;
-        std::vector<std::size_t> offsets;
-
-        io_status execute(const aio::io_desc& d) override {
-            if (active.fetch_add(1) != 0) overlaps.fetch_add(1);
-            {
-                std::lock_guard lock(mu);
-                offsets.push_back(d.offset);
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            active.fetch_sub(1);
-            return io_status::ok;
-        }
-    };
-    slow_backend backend;
-    util::thread_pool pool(2);
-    aio::aio_config cfg;
-    cfg.queue_depth = 2;
-    cfg.workers = &pool;
-    aio::queue_pair qp(backend, 1, cfg);
-
-    std::vector<std::byte> buf(8 * 64);
-    std::vector<std::size_t> expected;
-    for (std::uint64_t i = 0; i < 8; ++i) {
-        aio::io_desc d;
-        d.disk = 0;
-        d.kind = aio::op_kind::write;
-        d.offset = i * 64;
-        d.data = buf.data() + i * 64;
-        d.len = 64;
-        d.user_data = i;
-        qp.submit(d);
-        expected.push_back(d.offset);
-    }
-    qp.drain();
-    EXPECT_EQ(backend.overlaps.load(), 0);
-    EXPECT_EQ(backend.offsets, expected);
-    const auto cqes = qp.take_completions();
-    ASSERT_EQ(cqes.size(), 8u);
-    for (std::uint64_t i = 0; i < 8; ++i) EXPECT_EQ(cqes[i].user_data, i);
-}
-
 // ---- decorator composition on the array's engine ---------------------
 
 // Retry/backoff is an execution-stage concern (inside disk_backend via
@@ -477,23 +423,6 @@ TEST(AioArray, DiskTripMidRunFailsOnlyThatDisk) {
     ASSERT_TRUE(a.read(0, out));
     EXPECT_EQ(out, data);
     EXPECT_GT(a.stats().degraded_stripe_reads, 0u);
-}
-
-TEST(AioArray, WorkerPoolModeRoundTrips) {
-    util::thread_pool pool(2);
-    array_config cfg = aio_config_with_depth(8);
-    cfg.io_workers = &pool;
-    raid6_array a(cfg);
-    const auto data = pattern_bytes(a.capacity(), 26);
-    ASSERT_TRUE(a.write(0, data));
-    std::vector<std::byte> out(a.capacity());
-    ASSERT_TRUE(a.read(0, out));
-    EXPECT_EQ(out, data);
-
-    // Final medium state is order-independent: identical to inline mode.
-    raid6_array inline_a(aio_config_with_depth(8));
-    ASSERT_TRUE(inline_a.write(0, data));
-    EXPECT_EQ(disk_images(a), disk_images(inline_a));
 }
 
 // A bounded intent log smaller than the queue depth must cap the write

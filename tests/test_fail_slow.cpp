@@ -510,4 +510,32 @@ TEST(FailSlowChaos, PersistentCampaignKeepsHedgingAfterRemount) {
     EXPECT_TRUE(rep.success);
 }
 
+TEST(FailSlowChaos, QuarantineTripsAtThreeAndFourShards) {
+    // Shard C sees 1/N of the reads, and a remount restarts its latency
+    // distributions. The CLI's 6000-op plan must still arm the gray disk
+    // on a warm distribution, so the deadline cannot outgrow the stall
+    // before the 8-miss streak trips the quarantine. Seed 1 once failed
+    // to trip in both configurations below.
+    const std::string dir =
+        ::testing::TempDir() + "liberation-failslow-chaos-3shards";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    volume::chaos_config in_memory = volume::default_chaos_config(1, 4, 6000);
+    volume::chaos_config persistent =
+        volume::default_chaos_config(1, 3, 6000);
+    persistent.persist_enabled = true;
+    persistent.dir = dir;
+    for (volume::chaos_config* cfg : {&in_memory, &persistent}) {
+        SCOPED_TRACE(cfg->volume.shards);
+        cfg->volume.shard.latency.hedged_reads = true;
+        const volume::chaos_report rep = volume::run_chaos_campaign(*cfg);
+        EXPECT_EQ(rep.fail_slow_injected, 1u);
+        EXPECT_GE(rep.hedge_wins, 1u);
+        EXPECT_GE(rep.slow_trips, 1u);
+        EXPECT_GE(rep.slow_recoveries, 1u);
+        EXPECT_TRUE(rep.success);
+    }
+    std::filesystem::remove_all(dir);
+}
+
 }  // namespace

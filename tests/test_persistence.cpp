@@ -22,7 +22,6 @@
 #include "liberation/raid/persist/mount.hpp"
 #include "liberation/raid/scrubber.hpp"
 #include "liberation/util/rng.hpp"
-#include "liberation/util/thread_pool.hpp"
 
 #include <dlfcn.h>
 #include <fcntl.h>
@@ -488,15 +487,13 @@ TEST(Persistence, UncleanCrashReplaysIntentLog) {
     EXPECT_TRUE(m.array->unmount());
 }
 
-TEST(Persistence, WorkerPoolPipelinedWritesPersistEveryChecksum) {
-    // With aio workers, the disks' checksum persists run on worker
-    // threads, several slots at once, while the window's group-committed
-    // intent persists stay on the host thread before and after it.
-    const std::string dir = fresh_dir("workers");
-    util::thread_pool pool(2);
+TEST(Persistence, PipelinedWritesPersistEveryChecksum) {
+    // A qd-8 full-stripe window: every disk's checksum persists land in
+    // the window's flushes, between the group-committed intent persists
+    // before and after it, and a kill right after must leave nothing torn.
+    const std::string dir = fresh_dir("pipelined");
     array_config cfg = small_config();
     cfg.io_queue_depth = 8;
-    cfg.io_workers = &pool;
     store_config scfg;
     scfg.dir = dir;
     auto a = create_array(cfg, scfg, 0xFEED);
@@ -507,7 +504,6 @@ TEST(Persistence, WorkerPoolPipelinedWritesPersistEveryChecksum) {
 
     mount_options mo = options_for(dir);
     mo.io_queue_depth = 8;
-    mo.io_workers = &pool;
     mounted_array m = mount_array(mo);
     ASSERT_TRUE(m.report.ok) << m.report.error;
     EXPECT_EQ(m.report.torn_superblock_slots, 0u);

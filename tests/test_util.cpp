@@ -7,7 +7,6 @@
 #include "liberation/util/aligned_buffer.hpp"
 #include "liberation/util/primes.hpp"
 #include "liberation/util/rng.hpp"
-#include "liberation/util/thread_pool.hpp"
 
 namespace {
 
@@ -139,16 +138,6 @@ TEST(AlignedBuffer, SubspanBounds) {
     auto s = buf.subspan(64, 64);
     EXPECT_EQ(s.size(), 64u);
     EXPECT_EQ(s.data(), buf.data() + 64);
-}
-
-TEST(ThreadPool, SubmitAndWaitIdle) {
-    thread_pool pool(2);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 50; ++i) {
-        pool.submit([&] { counter.fetch_add(1); });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(counter.load(), 50);
 }
 
 }  // namespace

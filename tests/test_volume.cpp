@@ -184,26 +184,6 @@ TEST(VolumeIO, ThreadedAndInlineDispatchAreByteIdentical) {
     EXPECT_EQ(out_a, out_b);
 }
 
-TEST(VolumeIO, WorkerPoolsProduceTheSameBytes) {
-    volume_config pooled = small_volume(2);
-    pooled.shard.io_queue_depth = 8;
-    pooled.io_workers_per_shard = 2;
-    volume_config plain = small_volume(2);
-    plain.shard.io_queue_depth = 8;
-    volume a(pooled);
-    volume b(plain);
-
-    const std::vector<std::byte> data = pattern_bytes(a.capacity(), 5);
-    ASSERT_TRUE(a.write(0, data));
-    ASSERT_TRUE(b.write(0, data));
-    std::vector<std::byte> out_a(a.capacity());
-    std::vector<std::byte> out_b(b.capacity());
-    ASSERT_TRUE(a.read(0, out_a));
-    ASSERT_TRUE(b.read(0, out_b));
-    EXPECT_EQ(out_a, out_b);
-    EXPECT_EQ(out_a, data);
-}
-
 TEST(VolumeIO, AlignedMultiShardWriteIsOneWindowPerShard) {
     // One chunk is one stripe, so a host write of 8 stripes gives each of
     // the 2 shards 4 one-stripe pieces from 4 separate host ranges. They

@@ -42,8 +42,9 @@
 //
 // --fail-slow enables the fail-slow phase of the plan: hedged reads are
 // switched on, a random online disk of shard C is armed with a seeded
-// constant latency profile a third of the way in (correct bytes,
-// pathological timing), and it recovers 70% of the way in. The acceptance
+// constant latency profile a third of the way in at one shard, later
+// with more shards (correct bytes, pathological timing), and it recovers
+// 70% of the way in. The acceptance
 // then also requires the shard to have hedged past the straggler (>= 1
 // hedge win), quarantined it (>= 1 slow trip), and un-quarantined it
 // after the profile cleared (>= 1 slow recovery).
