@@ -18,14 +18,11 @@ stripe_loader::stripe_loader(queue_pair& qp, const raid::stripe_map& map)
     for (std::uint32_t d = 0; d < n; ++d)
         disk_bufs_.emplace_back(window_ * map_.strip_size());
     statuses_.resize(window_);
-    skipped_.assign(window_, 0);
     ptrs_.resize(n);
 }
 
 void stripe_loader::run(std::size_t first, std::size_t last,
-                        const stripe_filter& skip_stripe,
                         const column_filter& skip_column,
-                        const std::function<void(std::size_t)>& on_skipped,
                         const process_fn& process) {
     const std::uint32_t n = map_.n();
     const std::size_t strip = map_.strip_size();
@@ -37,11 +34,6 @@ void stripe_loader::run(std::size_t first, std::size_t last,
         // in offset and in the disk buffer — one merged transfer per disk.
         for (std::size_t s = w0; s < w1; ++s) {
             const std::size_t slot = s - w0;
-            if (skip_stripe && skip_stripe(s)) {
-                skipped_[slot] = 1;
-                continue;
-            }
-            skipped_[slot] = 0;
             statuses_[slot].assign(n, raid::io_status::ok);
             for (std::uint32_t col = 0; col < n; ++col) {
                 const raid::strip_location loc = map_.locate(s, col);
@@ -74,10 +66,6 @@ void stripe_loader::run(std::size_t first, std::size_t last,
         // Consumption pass, in stripe order.
         for (std::size_t s = w0; s < w1; ++s) {
             const std::size_t slot = s - w0;
-            if (skipped_[slot] != 0) {
-                if (on_skipped) on_skipped(s);
-                continue;
-            }
             for (std::uint32_t col = 0; col < n; ++col) {
                 const raid::strip_location loc = map_.locate(s, col);
                 ptrs_[col] = disk_bufs_[loc.disk].data() + slot * strip;

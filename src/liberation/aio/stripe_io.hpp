@@ -53,10 +53,6 @@ public:
     using process_fn = std::function<void(
         std::size_t stripe, const codes::stripe_view& v,
         std::vector<raid::io_status>& statuses)>;
-    /// Stripe filter: true = do not prefetch this stripe (the caller
-    /// handles it through `on_skipped`, e.g. torn stripes that need the
-    /// journal-aware path).
-    using stripe_filter = std::function<bool(std::size_t stripe)>;
     /// Column filter: true = do not read this column; its status is
     /// reported as io_status::rebuilding (an erasure), exactly what the
     /// array reports for a rebuild target's masked strip.
@@ -64,12 +60,10 @@ public:
         std::function<bool(std::size_t stripe, std::uint32_t col)>;
 
     /// Walk stripes [first, last): prefetch each window with one drain,
-    /// then invoke `process` (or `on_skipped`) per stripe in order.
-    /// Filters and `on_skipped` may be null.
+    /// then invoke `process` per stripe in order. `skip_column` may be
+    /// null.
     void run(std::size_t first, std::size_t last,
-             const stripe_filter& skip_stripe, const column_filter& skip_column,
-             const std::function<void(std::size_t)>& on_skipped,
-             const process_fn& process);
+             const column_filter& skip_column, const process_fn& process);
 
 private:
     queue_pair& qp_;
@@ -77,7 +71,6 @@ private:
     std::size_t window_;
     std::vector<util::aligned_buffer> disk_bufs_;  ///< per disk: window strips
     std::vector<std::vector<raid::io_status>> statuses_;  ///< per slot
-    std::vector<std::uint8_t> skipped_;                   ///< per slot
     std::vector<std::byte*> ptrs_;  ///< column-pointer scratch
 };
 

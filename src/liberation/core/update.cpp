@@ -5,33 +5,40 @@
 
 namespace liberation::core {
 
+update_set update_targets(const geometry& g, std::uint32_t row,
+                          std::uint32_t col) noexcept {
+    LIBERATION_EXPECTS(row < g.p() && col < g.k());
+    const std::uint32_t pc = g.k();
+    const std::uint32_t qc = g.k() + 1;
+    update_set t;
+    t.elems[t.count++] = {pc, row};
+    t.elems[t.count++] = {qc, g.diag_of(row, col)};
+    if (g.is_extra_position(row, col)) {
+        t.elems[t.count++] = {qc, g.extra_q_index(col)};
+    }
+    return t;
+}
+
 std::uint32_t apply_update(const codes::stripe_view& s, const geometry& g,
                            std::uint32_t row, std::uint32_t col,
                            std::span<const std::byte> delta) {
-    const std::uint32_t k = g.k();
-    const std::size_t e = s.element_size();
-    LIBERATION_EXPECTS(row < g.p() && col < k);
-    LIBERATION_EXPECTS(delta.size() == e);
-
+    LIBERATION_EXPECTS(delta.size() == s.element_size());
     // One broadcast: the delta is read once and scattered into every parity
-    // element it touches (P_row, the normal anti-diagonal, and — for extra
-    // bit positions — the hosting anti-diagonal). Counted as 2 or 3 XORs,
-    // exactly as the separate xor_into chain it replaces.
+    // element it touches. Counted as 2 or 3 XORs, exactly as the separate
+    // xor_into chain it replaces.
+    const update_set targets = update_targets(g, row, col);
     std::byte* dsts[3];
     std::uint32_t touched = 0;
-    dsts[touched++] = s.element(row, k);
-    dsts[touched++] = s.element(g.diag_of(row, col), k + 1);
-    if (g.is_extra_position(row, col)) {
-        dsts[touched++] = s.element(g.extra_q_index(col), k + 1);
+    for (const parity_element& e : targets) {
+        dsts[touched++] = s.element(e.row, e.col);
     }
-    xorops::xor_broadcast(dsts, touched, delta.data(), e);
+    xorops::xor_broadcast(dsts, touched, delta.data(), s.element_size());
     return touched;
 }
 
 std::uint32_t update_cost(const geometry& g, std::uint32_t row,
                           std::uint32_t col) noexcept {
-    LIBERATION_EXPECTS(row < g.p() && col < g.k());
-    return g.is_extra_position(row, col) ? 3 : 2;
+    return update_targets(g, row, col).size();
 }
 
 }  // namespace liberation::core

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <utility>
 
 #include "liberation/aio/stripe_io.hpp"
 #include "liberation/core/error_correction.hpp"
+#include "liberation/core/update.hpp"
 #include "liberation/obs/flight_recorder.hpp"
 #include "liberation/obs/postmortem.hpp"
 #include "liberation/raid/persist/store.hpp"
@@ -302,6 +304,9 @@ bool raid6_array::reconstruct_column_range(std::size_t stripe,
                                            std::size_t strip_lo,
                                            std::span<std::byte> dst) {
     LIBERATION_EXPECTS(strip_lo + dst.size() <= map_.strip_size());
+    // No reconstruction from a journaled stripe's parity; the caller
+    // reads the column itself instead.
+    if (!settle_torn_stripe(stripe, nullptr, {}, {})) return false;
     codes::stripe_buffer buf = make_stripe_buffer();
     const codes::stripe_view v = buf.view();
     // The read-set goes through the aio engine so per-disk batching and
@@ -667,17 +672,17 @@ bool raid6_array::store_columns(std::size_t stripe,
 
 raid6_array::stripe_recovery raid6_array::load_stripe_verified(
     std::size_t stripe, const codes::stripe_view& buf, bool writeback,
-    std::span<const std::uint32_t> extra_erasures, bool trust_parity) {
+    std::span<const std::uint32_t> extra_erasures) {
     std::vector<std::uint32_t> erased;
     std::vector<io_status> statuses;
     (void)load_stripe(stripe, buf, erased, &statuses);
     return verify_loaded_stripe(stripe, buf, writeback, extra_erasures,
-                                trust_parity, std::move(statuses));
+                                std::move(statuses));
 }
 
 raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
     std::size_t stripe, const codes::stripe_view& buf, bool writeback,
-    std::span<const std::uint32_t> extra_erasures, bool trust_parity,
+    std::span<const std::uint32_t> extra_erasures,
     std::vector<io_status> statuses) {
     LIBERATION_EXPECTS(statuses.size() == map_.n());
     stripe_recovery rec;
@@ -693,14 +698,15 @@ raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
         }
     }
     std::sort(rec.erased.begin(), rec.erased.end());
-    if (!loadable || rec.erased.size() > 2) return rec;
+    if (!loadable || rec.erased.size() > 2 ||
+        !settle_torn_stripe(stripe, &buf, rec.statuses, extra_erasures)) {
+        return rec;
+    }
     rec.verified = true;
 
     const auto is_erased = [&](std::uint32_t col) {
         return std::binary_search(rec.erased.begin(), rec.erased.end(), col);
     };
-    const std::uint32_t pc = code_.p_column();
-    const std::uint32_t qc = code_.q_column();
 
     // Every verification below captures the words its fused sweep
     // computed: a column that is later written back (heal, rebuild
@@ -737,20 +743,6 @@ raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
     }
     if (!crc_bad.empty()) {
         ctr_.inc<&array_stats::checksum_mismatches>(crc_bad.size());
-    }
-
-    if (!trust_parity) {
-        // Torn-stripe fallback: parity may disagree with data, so no data
-        // column may be reconstructed from it. The caller re-encodes both
-        // parities from data, which resolves parity-side suspects anyway.
-        for (const std::uint32_t col : rec.erased) {
-            if (col != pc && col != qc) return rec;
-        }
-        for (const std::uint32_t col : crc_bad) {
-            if (col != pc && col != qc) return rec;
-        }
-        rec.ok = true;
-        return rec;
     }
 
     if (rec.erased.size() + crc_bad.size() <= 2) {
@@ -1036,20 +1028,43 @@ std::size_t raid6_array::recover_write_hole() {
     LIBERATION_EXPECTS(powered_);
     std::size_t resynced = 0;
     codes::stripe_buffer buf = make_stripe_buffer();
+    std::vector<std::uint32_t> erased;
+    std::vector<io_status> statuses;
     for (const std::size_t s : journal_.dirty_stripes()) {
-        if (resync_journaled_stripe(s, buf.view())) ++resynced;
+        (void)load_stripe(s, buf.view(), erased, &statuses);
+        if (resync_journaled_stripe(s, buf.view(), statuses, {})) ++resynced;
     }
     return resynced;
 }
 
-bool raid6_array::resync_journaled_stripe(std::size_t stripe,
-                                          const codes::stripe_view& buf) {
-    std::vector<std::uint32_t> erased;
-    if (!load_stripe(stripe, buf, erased) || !erased.empty()) {
-        return false;  // degraded: leave journaled for later
-    }
+bool raid6_array::settle_torn_stripe(std::size_t stripe,
+                                     const codes::stripe_view* buf,
+                                     std::span<const io_status> statuses,
+                                     std::span<const std::uint32_t> targets) {
+    if (!journal_.is_dirty(stripe)) return true;
+    return buf != nullptr &&
+           resync_journaled_stripe(stripe, *buf, statuses, targets);
+}
+
+bool raid6_array::resync_journaled_stripe(
+    std::size_t stripe, const codes::stripe_view& buf,
+    std::span<const io_status> statuses,
+    std::span<const std::uint32_t> targets) {
     const std::uint32_t pc = code_.p_column();
     const std::uint32_t qc = code_.q_column();
+    // Data is the source of truth, so all of it must be at hand: a data
+    // target (its bytes are what the caller wants reconstructed) or any
+    // unavailable column other than a parity target leaves the stripe
+    // journaled for later.
+    for (std::uint32_t col = 0; col < map_.n(); ++col) {
+        const bool target =
+            std::find(targets.begin(), targets.end(), col) != targets.end();
+        const bool parity = col == pc || col == qc;
+        if ((target && !parity) ||
+            (!target && statuses[col] != io_status::ok)) {
+            return false;
+        }
+    }
     const std::uint64_t mask = journal_.columns(stripe);
     // Classify every data column whose bytes fail their stored checksum.
     // A column *targeted* by the in-flight update is torn: the mismatch is
@@ -1072,7 +1087,8 @@ bool raid6_array::resync_journaled_stripe(std::size_t stripe,
             return false;
         }
     }
-    // Data is the source of truth; rebuild both parity columns.
+    // Data is the source of truth; rebuild both parity columns (a parity
+    // target's stale or unread bytes are simply overwritten).
     code_.encode(buf);
     const std::uint32_t parity_cols[] = {pc, qc};
     if (!store_columns(stripe, buf, parity_cols) || !powered_) return false;
@@ -1113,12 +1129,10 @@ bool raid6_array::load_and_decode(std::size_t stripe,
     // Trace-only: degraded full-stripe decodes show up as distinct spans
     // inside the surrounding raid.read / raid.write_small span.
     obs::timed_span span(obs_, nullptr, "raid.degraded_read");
-    if (verify_reads_ && !journal_.is_dirty(stripe)) {
+    if (verify_reads_) {
         // Verified read: checksum mismatches demote columns to erasures,
         // the optimal decoder reconstructs them, reconstructions are
-        // re-verified, and repairs are written back (read-repair). Torn
-        // stripes are excluded — their mismatches are half-landed updates,
-        // not corruption, and resync owns that classification.
+        // re-verified, and repairs are written back (read-repair).
         const stripe_recovery rec =
             load_stripe_verified(stripe, buf, /*writeback=*/true);
         if (!rec.ok) return false;
@@ -1132,7 +1146,10 @@ bool raid6_array::load_and_decode(std::size_t stripe,
     }
     std::vector<std::uint32_t> erased;
     std::vector<io_status> statuses;
-    if (!load_stripe(stripe, buf, erased, &statuses)) return false;
+    if (!load_stripe(stripe, buf, erased, &statuses) ||
+        !settle_torn_stripe(stripe, &buf, statuses, {})) {
+        return false;
+    }
     if (erased.empty()) return true;
     code_.decode(buf, erased);
     ctr_.inc<&array_stats::degraded_stripe_reads>();
@@ -1156,6 +1173,9 @@ bool raid6_array::read_element_degraded(std::size_t stripe, std::uint32_t row,
                                         std::span<std::byte> out) {
     const std::size_t elem = map_.element_size();
     LIBERATION_EXPECTS(out.size() == elem && col < map_.k());
+    // Row parity of a journaled stripe may be torn: no reconstruction
+    // here, the full-stripe path re-syncs the stripe or refuses.
+    if (!settle_torn_stripe(stripe, nullptr, {}, {})) return false;
     util::aligned_buffer acc(elem), tmp(elem);
 
     const auto read_elem = [&](std::uint32_t c, std::uint32_t r,
@@ -1512,16 +1532,6 @@ bool raid6_array::write_partial(std::size_t stripe, std::size_t in_stripe,
     const std::uint32_t qc = code_.q_column();
     const auto& g = code_.geom();
 
-    // A stripe still journaled from an earlier crash may hold torn parity;
-    // patching torn parity would carry the tear forward under a *cleared*
-    // journal entry — silent corruption. Re-sync first (md does the same
-    // the first time it touches a dirty-bitmap stripe after an unclean
-    // shutdown). Failure leaves the stripe journaled and the write refused.
-    if (journal_.is_dirty(stripe)) {
-        codes::stripe_buffer rbuf = make_stripe_buffer();
-        if (!resync_journaled_stripe(stripe, rbuf.view())) return false;
-    }
-
     // One touched data element per plan entry.
     struct touch {
         std::uint32_t col, row;
@@ -1540,6 +1550,11 @@ bool raid6_array::write_partial(std::size_t stripe, std::size_t in_stripe,
         plan.push_back({col, row, in_elem, i, chunk});
         i += chunk;
     }
+    const auto elem_offset = [&](std::uint32_t col, std::uint32_t row) {
+        const strip_location loc = map_.locate(stripe, col);
+        return std::pair{loc.disk,
+                         loc.offset + static_cast<std::size_t>(row) * elem};
+    };
 
     // Validate phase: the update-optimal path needs every touched data
     // element and every parity element it patches to be readable. Nothing
@@ -1548,43 +1563,25 @@ bool raid6_array::write_partial(std::size_t stripe, std::size_t in_stripe,
     // Reads are verified: XOR-patching parity with a delta computed from
     // silently corrupt old bytes would bake the corruption into parity
     // permanently. A checksum mismatch here simply demotes the write to
-    // the reconstruct-write fallback, whose classification heals it.
+    // the reconstruct-write fallback, whose classification heals it. So
+    // does a journaled stripe: patching parity that may be torn would
+    // carry the tear forward under a cleared entry, and the fallback's
+    // load re-syncs the stripe first (or refuses the write).
     util::aligned_buffer old_e(elem), new_e(elem), delta(elem), par(elem);
-    bool fast_ok = true;
+    bool fast_ok = settle_torn_stripe(stripe, nullptr, {}, {});
     for (const touch& t : plan) {
-        const strip_location dloc = map_.locate(stripe, t.col);
-        const strip_location ploc = map_.locate(stripe, pc);
-        const strip_location qloc = map_.locate(stripe, qc);
-        const std::size_t elem_off = static_cast<std::size_t>(t.row) * elem;
-        if (verified_disk_read(dloc.disk, dloc.offset + elem_off,
-                               old_e.span()) != io_status::ok ||
-            verified_disk_read(
-                ploc.disk,
-                ploc.offset + static_cast<std::size_t>(t.row) * elem,
-                par.span()) != io_status::ok ||
-            verified_disk_read(
-                qloc.disk,
-                qloc.offset +
-                    static_cast<std::size_t>(g.diag_of(t.row, t.col)) * elem,
-                par.span()) != io_status::ok) {
-            fast_ok = false;
-            break;
-        }
-        if (g.is_extra_position(t.row, t.col) &&
-            verified_disk_read(
-                qloc.disk,
-                qloc.offset +
-                    static_cast<std::size_t>(g.extra_q_index(t.col)) * elem,
-                par.span()) != io_status::ok) {
-            fast_ok = false;
-            break;
+        if (!fast_ok) break;
+        const auto [ddisk, doff] = elem_offset(t.col, t.row);
+        fast_ok = verified_disk_read(ddisk, doff, old_e.span()) == io_status::ok;
+        for (const core::parity_element& pe :
+             core::update_targets(g, t.row, t.col)) {
+            if (!fast_ok) break;
+            const auto [pdisk, poff] = elem_offset(pe.col, pe.row);
+            fast_ok = verified_disk_read(pdisk, poff, par.span()) ==
+                      io_status::ok;
         }
     }
 
-    // Set to false when a mid-apply failure leaves a parity patch landed
-    // without its peers and the rollback below cannot undo it: P/Q then
-    // disagree with the data and must not be used to reconstruct anything.
-    bool parity_trusted = true;
     if (fast_ok) {
         // Apply phase. Validation makes failures rare, but transient
         // faults or a health trip can still strike between phases. Each
@@ -1593,8 +1590,10 @@ bool raid6_array::write_partial(std::size_t stripe, std::size_t in_stripe,
         // in-flight element are rolled back by XOR-ing the same delta out
         // again (exact, because a failed vdisk write never reaches the
         // medium) — completed elements are self-consistent, so a
-        // successful rollback leaves the whole stripe consistent for the
-        // reconstruct-write fallback below.
+        // successful rollback leaves the whole stripe consistent and its
+        // journal entry is cleared. A failed rollback leaves the entry:
+        // the stripe is torn, and the fallback's load re-syncs it or
+        // refuses.
         std::uint64_t touch_mask = (std::uint64_t{1} << pc) |
                                    (std::uint64_t{1} << qc);
         for (const touch& t : plan) touch_mask |= std::uint64_t{1} << t.col;
@@ -1605,94 +1604,75 @@ bool raid6_array::write_partial(std::size_t stripe, std::size_t in_stripe,
             std::size_t offset;
         };
         std::vector<landed_patch> landed;
+        const auto patch = [&](const core::parity_element& pe) {
+            const auto [pdisk, poff] = elem_offset(pe.col, pe.row);
+            if (verified_disk_read(pdisk, poff, par.span()) != io_status::ok) {
+                return false;
+            }
+            xorops::xor_into(par.data(), delta.data(), elem);
+            if (disk_write(pdisk, poff, par.span()) != io_status::ok) {
+                return false;
+            }
+            landed.push_back({pdisk, poff});
+            return true;
+        };
         for (const touch& t : plan) {
-            const strip_location dloc = map_.locate(stripe, t.col);
-            const strip_location ploc = map_.locate(stripe, pc);
-            const strip_location qloc = map_.locate(stripe, qc);
-            const std::size_t elem_off = static_cast<std::size_t>(t.row) * elem;
-
-            if (verified_disk_read(dloc.disk, dloc.offset + elem_off,
-                                   old_e.span()) != io_status::ok) {
-                applied = false;
-                break;
-            }
-            std::memcpy(new_e.data(), old_e.data(), elem);
-            std::memcpy(new_e.data() + t.in_elem, in.data() + t.src_off,
-                        t.chunk);
-            xorops::xor2(delta.data(), old_e.data(), new_e.data(), elem);
-
             landed.clear();
-            const auto patch = [&](std::uint32_t prow,
-                                   const strip_location& loc) {
-                const std::size_t poff =
-                    loc.offset + static_cast<std::size_t>(prow) * elem;
-                if (verified_disk_read(loc.disk, poff, par.span()) !=
-                    io_status::ok) {
-                    return false;
-                }
-                xorops::xor_into(par.data(), delta.data(), elem);
-                if (disk_write(loc.disk, poff, par.span()) != io_status::ok) {
-                    return false;
-                }
-                landed.push_back({loc.disk, poff});
-                return true;
-            };
-
+            const auto [ddisk, doff] = elem_offset(t.col, t.row);
+            const core::update_set targets =
+                core::update_targets(g, t.row, t.col);
             bool touch_ok =
-                patch(t.row, ploc) && patch(g.diag_of(t.row, t.col), qloc);
-            std::uint32_t touched = 2;
-            if (touch_ok && g.is_extra_position(t.row, t.col)) {
-                touch_ok = patch(g.extra_q_index(t.col), qloc);
-                ++touched;
-            }
-            if (touch_ok &&
-                disk_write(dloc.disk, dloc.offset + elem_off, new_e.span()) !=
-                    io_status::ok) {
-                touch_ok = false;
+                verified_disk_read(ddisk, doff, old_e.span()) == io_status::ok;
+            if (touch_ok) {
+                std::memcpy(new_e.data(), old_e.data(), elem);
+                std::memcpy(new_e.data() + t.in_elem, in.data() + t.src_off,
+                            t.chunk);
+                xorops::xor2(delta.data(), old_e.data(), new_e.data(), elem);
+                touch_ok =
+                    std::all_of(targets.begin(), targets.end(), patch) &&
+                    disk_write(ddisk, doff, new_e.span()) == io_status::ok;
             }
             if (!touch_ok) {
+                bool exact = true;
                 for (const landed_patch& u : landed) {
                     if (disk_read(u.disk, u.offset, par.span()) !=
                         io_status::ok) {
-                        parity_trusted = false;
+                        exact = false;
                         break;
                     }
                     xorops::xor_into(par.data(), delta.data(), elem);
                     if (disk_write(u.disk, u.offset, par.span()) !=
                         io_status::ok) {
-                        parity_trusted = false;
+                        exact = false;
                         break;
                     }
                 }
+                if (exact) journal_clear(stripe);
                 applied = false;
                 break;
             }
-            ctr_.inc<&array_stats::parity_elements_updated>(touched);
+            ctr_.inc<&array_stats::parity_elements_updated>(targets.size());
         }
         if (applied) {
             journal_clear(stripe);
             ctr_.inc<&array_stats::small_writes>();
             return true;
         }
-        // Power died mid-apply: the record-ahead checksums of the dropped
-        // writes make the stripe look corrupt to the verified fallback,
-        // but it is *torn* — resync-on-replay owns that classification,
-        // not load_stripe_verified. Leave it journaled and stop.
+        // Power died mid-apply: nothing more lands, and the stripe stays
+        // journaled for replay after the reboot.
         if (!powered_) return true;
-        // Fall through to the reconstruct-write path; the stripe stays
-        // journaled until it completes.
     }
 
-    // Degraded fallback: reconstruct the whole stripe (checksum-verified —
-    // a silently corrupt column must not be re-encoded into fresh parity),
-    // splice the new bytes, re-encode, write everything that is still
-    // online. With parity untrusted (a rollback failure above), no data
-    // column may be reconstructed from it: load_stripe_verified refuses,
-    // the write fails loudly, and the stripe stays journaled for
-    // recover_write_hole() to re-sync from data.
+    // Reconstruct-write fallback: reconstruct the whole stripe
+    // (checksum-verified — a silently corrupt column must not be
+    // re-encoded into fresh parity), splice the new bytes, re-encode,
+    // write everything that is still online. A stripe left journaled
+    // (from a crash, or a rollback that failed above) is re-synced by the
+    // load, or the load refuses: the write then fails loudly and the
+    // stripe stays journaled for recover_write_hole().
     codes::stripe_buffer buf = make_stripe_buffer();
-    const stripe_recovery rec = load_stripe_verified(
-        stripe, buf.view(), /*writeback=*/false, {}, parity_trusted);
+    const stripe_recovery rec =
+        load_stripe_verified(stripe, buf.view(), /*writeback=*/false);
     if (!rec.ok) return false;
     if (!rec.erased.empty()) {
         ctr_.inc<&array_stats::degraded_stripe_reads>();

@@ -56,6 +56,8 @@ class store;
 struct mounter;
 }  // namespace persist
 
+struct rebuild_result;
+
 struct array_config {
     std::uint32_t k = 4;            ///< data disks
     std::uint32_t p = 0;            ///< code prime; 0 = smallest odd prime >= k
@@ -429,8 +431,9 @@ public:
 
     [[nodiscard]] bool powered() const noexcept { return powered_; }
 
-    /// Power back on. Stripes named by the journal may be torn; call
-    /// recover_write_hole() before trusting parity.
+    /// Power back on. Stripes named by the journal may be torn: until
+    /// recover_write_hole() (or the first path that loads one) re-syncs
+    /// them, nothing is reconstructed from their parity.
     void reboot() noexcept {
         powered_ = true;
         write_budget_ = UINT64_MAX;
@@ -443,7 +446,9 @@ public:
     /// Re-sync parity of every journaled stripe (data columns are taken as
     /// the source of truth, exactly like md's resync after an unclean
     /// shutdown). Returns the number of stripes re-synced; stripes with
-    /// unreadable columns are left journaled.
+    /// unreadable columns are left journaled, and every read, write,
+    /// scrub or rebuild that would decode one refuses until a later
+    /// replay (or a rebuild of its parity columns) re-syncs it.
     std::size_t recover_write_hole();
 
     // ---- persistence (see raid/persist/) ------------------------------
@@ -537,15 +542,11 @@ public:
     /// (mismatch with all-verified inputs means the *metadata* was stale —
     /// it is refreshed, never trusted over a parity-consistent decode),
     /// and optionally write repairs back. `extra_erasures` pre-declares
-    /// columns the caller already distrusts (rebuild targets). With
-    /// `trust_parity` false (torn-stripe fallback) no data column may be
-    /// reconstructed from parity; the caller re-encodes parity instead.
-    /// Callers are responsible for torn stripes: this routine assumes
-    /// parity is consistent with data unless told otherwise.
+    /// columns the caller already distrusts (rebuild targets). A journaled
+    /// stripe is re-synced first, or refused (see settle_torn_stripe).
     [[nodiscard]] stripe_recovery load_stripe_verified(
         std::size_t stripe, const codes::stripe_view& buf, bool writeback,
-        std::span<const std::uint32_t> extra_erasures = {},
-        bool trust_parity = true);
+        std::span<const std::uint32_t> extra_erasures = {});
 
     /// The classification half of load_stripe_verified() for callers that
     /// already hold the stripe bytes (the aio stripe_loader prefetches
@@ -556,7 +557,7 @@ public:
     /// repair, optional writeback.
     [[nodiscard]] stripe_recovery verify_loaded_stripe(
         std::size_t stripe, const codes::stripe_view& buf, bool writeback,
-        std::span<const std::uint32_t> extra_erasures, bool trust_parity,
+        std::span<const std::uint32_t> extra_erasures,
         std::vector<io_status> statuses);
 
     // ---- async I/O pipeline ------------------------------------------
@@ -730,13 +731,35 @@ private:
     io_status verified_disk_read(std::uint32_t d, std::size_t offset,
                                  std::span<std::byte> out);
 
-    /// Re-sync one journaled stripe: classify every checksum-mismatching
-    /// data column as torn (targeted by the in-flight update — accept the
-    /// on-disk bytes) or corrupt (untargeted — recover via checksum-guided
-    /// candidate decode), then re-encode parity from data and clear the
-    /// journal entry. False leaves the stripe journaled.
-    [[nodiscard]] bool resync_journaled_stripe(std::size_t stripe,
-                                               const codes::stripe_view& buf);
+    /// The torn-stripe rule, and its only home: nothing is reconstructed
+    /// from a journaled stripe's parity (an interrupted update may have
+    /// torn it) until the stripe is re-synced. True = decode as usual: the
+    /// stripe is not journaled, or resync_journaled_stripe made `buf` (as
+    /// loaded; read results in `statuses`) consistent, re-encoding any
+    /// parity `targets`. False = the stripe stays journaled and nothing
+    /// may be decoded from it (always so when `buf` is null: there is
+    /// nothing to re-sync).
+    [[nodiscard]] bool settle_torn_stripe(
+        std::size_t stripe, const codes::stripe_view* buf,
+        std::span<const io_status> statuses,
+        std::span<const std::uint32_t> targets);
+    /// The hybrid rebuild's element-level plan reads parity directly, so
+    /// it asks the rule before it runs.
+    friend rebuild_result rebuild_single_disk_hybrid(raid6_array& array,
+                                                     std::uint32_t disk);
+
+    /// Re-sync one journaled stripe held in `buf` (read results in
+    /// `statuses`): classify every checksum-mismatching data column as
+    /// torn (targeted by the in-flight update — accept the on-disk bytes)
+    /// or corrupt (untargeted — recover via checksum-guided candidate
+    /// decode), then re-encode both parities from data, store them and
+    /// clear the journal entry. Every data column must be readable and
+    /// none a target; a parity column may be missing only as a target.
+    /// False leaves the stripe journaled.
+    [[nodiscard]] bool resync_journaled_stripe(
+        std::size_t stripe, const codes::stripe_view& buf,
+        std::span<const io_status> statuses,
+        std::span<const std::uint32_t> targets);
 
     /// Corruption recovery for an *untargeted* column of a torn stripe:
     /// parity may itself be torn, so try decoding the column from each

@@ -426,7 +426,11 @@ mounted_array mounter::mount(const mount_options& opts) {
         for (int round = 0; round < 16 && a->journal_.size() > 0; ++round) {
             const std::size_t done = a->recover_write_hole();
             total += done;
-            if (done == 0) break;  // the rest needs a rebuild first
+            // The rest has an unavailable column and stays journaled: every
+            // path that would decode it refuses until a later replay finds
+            // the column readable, or a rebuild re-encodes it (parity
+            // columns only).
+            if (done == 0) break;
         }
         rep.intent_replayed = total;
         a->ctr_.inc<&array_stats::intent_replayed>(total);

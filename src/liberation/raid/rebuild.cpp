@@ -50,44 +50,6 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
         return cols;
     };
 
-    // A journaled stripe may be torn (interrupted write): its parity
-    // cannot be trusted, so reconstructing a data column from it would
-    // write garbage to the replacement. Count the stripe as failed —
-    // recover_write_hole() must re-sync it first. (Parity-only
-    // erasures are safe: they are re-encoded from data.) Torn stripes
-    // also skip checksum classification: their mismatches are
-    // half-landed updates, which resync owns.
-    const auto rebuild_torn = [&](std::size_t s) {
-        codes::stripe_buffer buf = array.make_stripe_buffer();
-        std::vector<std::uint32_t> erased;
-        if (!array.load_stripe(s, buf.view(), erased)) {
-            note_failure(s);
-            return;
-        }
-        for (const std::uint32_t c : target_columns(s)) {
-            if (std::find(erased.begin(), erased.end(), c) == erased.end()) {
-                erased.push_back(c);
-            }
-        }
-        std::sort(erased.begin(), erased.end());
-        if (erased.size() > 2) {
-            note_failure(s);
-            return;
-        }
-        for (const std::uint32_t c : erased) {
-            if (c < array.map().k()) {
-                note_failure(s);
-                return;
-            }
-        }
-        array.code().decode(buf.view(), erased);
-        if (!array.store_columns(s, buf.view(), erased)) {
-            note_failure(s);
-            return;
-        }
-        note_rebuilt(erased.size());
-    };
-
     // Commit tail of the verified rebuild: reconstructed targets plus
     // healed survivors go back to disk, or the stripe is failed.
     const auto commit_recovered = [&](std::size_t s,
@@ -135,12 +97,11 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
     // erasures alongside the targets, and every reconstructed strip is
     // re-verified against its stored checksum before it is committed to
     // the replacement (a rebuild must never lay corrupt bytes onto fresh
-    // hardware). Torn stripes take the per-stripe raw path.
+    // hardware). A journaled stripe is re-synced by the verification when
+    // only parity is targeted, and refused otherwise.
     aio::stripe_loader loader(array.aio_engine(), array.map());
     loader.run(
         first, last,
-        /*skip_stripe=*/
-        [&](std::size_t s) { return array.journal().is_dirty(s); },
         /*skip_column=*/
         [&](std::size_t s, std::uint32_t col) {
             for (const std::uint32_t d : replaced_disks) {
@@ -148,14 +109,12 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
             }
             return false;
         },
-        /*on_skipped=*/rebuild_torn,
         /*process=*/
         [&](std::size_t s, const codes::stripe_view& v,
             std::vector<io_status>& statuses) {
             const raid6_array::stripe_recovery rec =
                 array.verify_loaded_stripe(s, v, /*writeback=*/false,
                                            target_columns(s),
-                                           /*trust_parity=*/true,
                                            std::move(statuses));
             commit_recovered(s, v, rec);
         });
@@ -204,60 +163,21 @@ rebuild_result rebuild_single_disk_hybrid(raid6_array& array,
     for (std::size_t s = 0; s < map.stripes(); ++s) {
         const std::uint32_t col = map.column_of_disk(s, disk);
         const std::uint32_t rebuilt_cols[] = {col};
-        // A journaled stripe may be torn: both rebuild paths below read
-        // parity (the hybrid plan explicitly, the parity re-encode when a
-        // data column is also erased), so defer to recover_write_hole().
-        const bool torn = array.journal().is_dirty(s);
 
-        if (col >= map.k()) {
-            if (torn) {
-                // Parity column of a torn stripe: re-encode from a full
-                // data read (raw — torn mismatches are not corruption). An
-                // unreadable data column would need the untrusted parity
-                // to reconstruct, so the stripe is refused instead.
-                std::vector<std::uint32_t> erased;
-                if (!array.load_stripe(s, buf.view(), erased)) {
-                    note_failure(s);
-                    continue;
-                }
-                if (std::find(erased.begin(), erased.end(), col) ==
-                    erased.end()) {
-                    erased.push_back(col);
-                }
-                std::sort(erased.begin(), erased.end());
-                const bool needs_data =
-                    std::any_of(erased.begin(), erased.end(),
-                                [&](std::uint32_t c) { return c < map.k(); });
-                if (erased.size() > 2 || needs_data) {
-                    note_failure(s);
-                    continue;
-                }
-                code.decode(buf.view(), erased);
-            } else {
-                // Parity column: full checksum-verified recovery (corrupt
-                // survivors are localized and healed, the re-encoded
-                // parity is verified before the store below commits it).
-                const std::uint32_t extra[] = {col};
-                const raid6_array::stripe_recovery rec =
-                    array.load_stripe_verified(s, buf.view(),
-                                               /*writeback=*/true, extra);
-                if (!rec.ok) {
-                    note_failure(s);
-                    continue;
-                }
-            }
-        } else {
-            if (torn) {
-                note_failure(s);
-                continue;
-            }
+        // Parity columns, and stripes the torn-stripe rule keeps the
+        // element plan away from (it reads parity directly), take the
+        // full checksum-verified recovery: corrupt survivors are localized
+        // and healed, a journaled stripe is re-synced or refused, and the
+        // reconstruction is verified before the store below commits it.
+        bool full =
+            col >= map.k() || !array.settle_torn_stripe(s, nullptr, {}, {});
+        if (!full) {
             if (!planned[col]) {
                 plans[col] = core::plan_hybrid_rebuild(g, col);
                 planned[col] = true;
             }
             const auto& plan = plans[col];
             bool ok = true;
-            bool suspect = false;
             for (const auto& r : plan.reads) {
                 const strip_location loc = map.locate(s, r.col);
                 const std::size_t off =
@@ -271,7 +191,7 @@ rebuild_result rebuild_single_disk_hybrid(raid6_array& array,
                 // hybrid XOR chain would reconstruct garbage; divert to
                 // the full-stripe path, which can localize the damage.
                 if (!array.integrity(loc.disk).verify(off, elem_buf.span())) {
-                    suspect = true;
+                    full = true;
                     break;
                 }
                 std::memcpy(buf.view().element(r.row, r.col), elem_buf.data(),
@@ -281,28 +201,27 @@ rebuild_result rebuild_single_disk_hybrid(raid6_array& array,
                 note_failure(s);
                 continue;
             }
-            if (!suspect) {
+            if (!full) {
                 core::rebuild_column_hybrid(buf.view(), g, plans[col]);
                 // Verify the reconstruction against the *target's* stored
                 // checksums before committing it to the replacement.
                 const strip_location tloc = map.locate(s, col);
                 if (!array.integrity(tloc.disk).verify(tloc.offset,
                                                        buf.view().strip(col))) {
-                    suspect = true;
+                    full = true;
                 }
             }
-            if (suspect) {
-                // Checksum disagreement somewhere in the chain: let the
-                // checksum-first classification sort out whether data or
-                // metadata is the damaged side (it repairs either).
-                const std::uint32_t extra[] = {col};
-                const raid6_array::stripe_recovery rec =
-                    array.load_stripe_verified(s, buf.view(),
-                                               /*writeback=*/true, extra);
-                if (!rec.ok) {
-                    note_failure(s);
-                    continue;
-                }
+        }
+        if (full) {
+            // Also the path for a checksum disagreement somewhere in the
+            // element chain: the classification sorts out whether data or
+            // metadata is the damaged side (it repairs either).
+            const std::uint32_t extra[] = {col};
+            const raid6_array::stripe_recovery rec = array.load_stripe_verified(
+                s, buf.view(), /*writeback=*/true, extra);
+            if (!rec.ok) {
+                note_failure(s);
+                continue;
             }
         }
 

@@ -145,27 +145,22 @@ scrub_summary scrub_array(raid6_array& array) {
 
     // The loader fetches a whole window of stripes ahead of
     // verification, one merged transfer per disk, while the accounting
-    // below consumes them in stripe order. Torn stripes are skipped.
+    // below consumes them in stripe order. Journaled (torn) stripes are
+    // counted and left to write-hole recovery.
     aio::stripe_loader loader(array.aio_engine(), array.map());
     loader.run(
-        0, stripes,
-        /*skip_stripe=*/
-        [&](std::size_t s) { return array.journal().is_dirty(s); },
-        /*skip_column=*/nullptr,
-        /*on_skipped=*/
-        [&](std::size_t) {
-            ++summary.stripes_scanned;
-            ++summary.skipped_torn;
-        },
-        /*process=*/
+        0, stripes, /*skip_column=*/nullptr,
         [&](std::size_t s, const codes::stripe_view& v,
             std::vector<io_status>& statuses) {
             ++summary.stripes_scanned;
+            if (array.journal().is_dirty(s)) {
+                ++summary.skipped_torn;
+                return;
+            }
             obs::timed_span span(hub, &stripe_hist, "scrub.stripe",
                                  "scrub");
             const raid6_array::stripe_recovery rec =
                 array.verify_loaded_stripe(s, v, /*writeback=*/true, {},
-                                           /*trust_parity=*/true,
                                            std::move(statuses));
             account_stripe(array, summary, s, v, rec);
         });

@@ -266,6 +266,91 @@ TEST(WriteHole, UntrustedParityAfterFailedRollbackFailsLoudly) {
     EXPECT_EQ(r.stripes_rebuilt, a.map().stripes() - 1);
 }
 
+// Stripe 0 torn by a 50 B small write while (or before) a data column of
+// it sits on a failed disk, in either of the two ways a small write tears:
+// power lost after the first parity patch, or a rollback of that patch
+// that failed. Returns the dead data column's disk.
+enum class tear_kind { power_loss, failed_rollback };
+
+std::uint32_t tear_stripe0_with_dead_column(raid6_array& a, tear_kind kind) {
+    const bail_setup s = pick_bail_setup(a);
+    if (kind == tear_kind::power_loss) {
+        a.simulate_power_loss_after(1);
+        (void)a.write(s.addr, pattern(50, 18));
+        a.reboot();
+        a.fail_disk(s.victim);
+    } else {
+        a.fail_disk(s.victim);
+        for (std::uint64_t i = 0; i < 4; ++i)
+            a.disk(s.qdisk).schedule_transient_fault(io_kind::write, i);
+        for (std::uint64_t i = 1; i < 5; ++i)
+            a.disk(s.pdisk).schedule_transient_fault(io_kind::write, i);
+        EXPECT_FALSE(a.write(s.addr, pattern(50, 18)));
+        a.disk(s.pdisk).clear_transient_faults();
+        a.disk(s.qdisk).clear_transient_faults();
+    }
+    return s.victim;
+}
+
+TEST(WriteHole, DegradedReadOfTornStripeNeverReturnsWrongBytes) {
+    // Reading the dead column means reconstructing it, and the parity of
+    // row 0 is torn: the read may refuse, but it must never serve bytes
+    // decoded from that parity. Both the element path (a 50 B read) and
+    // the full-stripe path (a whole-strip read) are covered, with and
+    // without verify-on-read.
+    for (const tear_kind kind : {tear_kind::power_loss,
+                                 tear_kind::failed_rollback}) {
+        for (const bool verify : {true, false}) {
+            for (const bool whole_strip : {false, true}) {
+                array_config c = cfg();
+                c.verify_reads = verify;
+                raid6_array a(c);
+                const auto data = pattern(a.capacity(), 17);
+                ASSERT_TRUE(a.write(0, data));
+                const std::uint32_t dead =
+                    tear_stripe0_with_dead_column(a, kind);
+                ASSERT_TRUE(a.journal().is_dirty(0));
+
+                const std::size_t strip = a.map().strip_size();
+                const std::size_t addr = a.map().column_of_disk(0, dead) * strip;
+                std::vector<std::byte> out(whole_strip ? strip : 50);
+                SCOPED_TRACE(testing::Message()
+                             << "rollback=" << (kind == tear_kind::failed_rollback)
+                             << " verify=" << verify << " len=" << out.size());
+                if (a.read(addr, out)) {
+                    EXPECT_TRUE(std::equal(out.begin(), out.end(),
+                                           data.begin() +
+                                               static_cast<long>(addr)));
+                }
+            }
+        }
+    }
+}
+
+TEST(WriteHole, RebuildOfTornStripesParityColumnResyncsIt) {
+    // Rebuilding a torn stripe's P column needs no parity at all: the
+    // data columns are all readable, so the rebuild re-syncs the stripe
+    // (both parities re-encoded from data) and retires its journal entry.
+    raid6_array a(cfg());
+    const auto data = pattern(a.capacity(), 19);
+    ASSERT_TRUE(a.write(0, data));
+    a.simulate_power_loss_after(1);
+    (void)a.write(100, pattern(50, 20));  // only the P patch lands
+    a.reboot();
+    ASSERT_TRUE(a.journal().is_dirty(0));
+
+    const std::uint32_t pdisk = a.map().locate(0, a.code().p_column()).disk;
+    const rebuild_result r = fail_replace_rebuild(a, pdisk);
+    EXPECT_TRUE(r.success);
+    EXPECT_FALSE(a.journal().is_dirty(0));
+    EXPECT_EQ(torn_stripes(a), 0u);
+    // The data write never landed, so the old bytes are the stripe's.
+    std::vector<std::byte> out(a.capacity());
+    ASSERT_TRUE(a.read(0, out));
+    EXPECT_EQ(out, data);
+    EXPECT_EQ(scrub_array(a).clean, a.map().stripes());
+}
+
 TEST(WriteHole, ScrubWouldMisattributeTornStripe) {
     // Motivating contrast: without the journal, a torn small write looks
     // like silent corruption of whichever column happened to be updated —
