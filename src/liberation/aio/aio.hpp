@@ -23,7 +23,11 @@ class hub;
 
 namespace liberation::aio {
 
-enum class op_kind : std::uint8_t { read, write };
+/// `view` is a read that moves no bytes: it is decided like a read (the
+/// same retries, faults and counters), and on completion its `data` points
+/// at the requested bytes where they sit on the medium. Those bytes are the
+/// medium's: read-only, and valid only within the op that submitted them.
+enum class op_kind : std::uint8_t { read, write, view };
 
 /// Request flags (io_desc::flags).
 /// Run the checksum-verify completion stage on this read: bytes that
@@ -34,9 +38,10 @@ enum class op_kind : std::uint8_t { read, write };
 inline constexpr std::uint32_t flag_verify = 1u << 0;
 
 /// Submission-queue entry: one contiguous read or write on one disk.
-/// `data` must stay valid until the request completes (registered-buffer
-/// discipline: the stripe engines own long-lived slot buffers and reuse
-/// them window after window).
+/// For a read or write, `data` must stay valid until the request completes
+/// (registered-buffer discipline: the stripe writer owns long-lived slot
+/// buffers and reuses them window after window). A view leaves `data`
+/// null; the engine sets it when the view completes ok.
 struct io_desc {
     std::uint32_t disk = 0;
     op_kind kind = op_kind::read;
@@ -62,6 +67,9 @@ struct io_cqe {
     std::uint64_t user_data = 0;
     raid::io_status status = raid::io_status::ok;
     std::uint32_t disk = 0;
+    /// The request's bytes; for a view, where they sit on the medium
+    /// (null unless the view completed ok).
+    const std::byte* data = nullptr;
 };
 
 /// Tuning knobs of a queue_pair. A queue_pair always executes its
@@ -71,9 +79,9 @@ struct aio_config {
     /// requests on one disk force a flush. 1 executes each request as it
     /// is submitted. Adjacent read requests on one disk (contiguous both
     /// on the medium and in memory) are always coalesced into a single
-    /// transfer. Writes are never coalesced: failure simulation (the
-    /// power-loss write budget) counts individual disk writes, and merging
-    /// would change its granularity.
+    /// transfer, and so are views adjacent on the medium. Writes are never
+    /// coalesced: failure simulation (the power-loss write budget) counts
+    /// individual disk writes, and merging would change its granularity.
     std::size_t queue_depth = 8;
     /// Observability hub (must outlive the queue_pair): every request is
     /// timestamped on the hub's clock, the submit→execute→complete
@@ -105,6 +113,15 @@ class io_backend {
 public:
     virtual ~io_backend() = default;
     virtual raid::io_status execute(const io_desc& d) = 0;
+    /// Execute a view (op_kind::view): decide it exactly as execute()
+    /// decides a read of the same extent and, on ok, point `out` at the
+    /// bytes where they sit. A backend with no addressable medium refuses
+    /// views.
+    virtual raid::io_status view(const io_desc& d, const std::byte*& out) {
+        (void)d;
+        (void)out;
+        return raid::io_status::out_of_range;
+    }
 };
 
 }  // namespace liberation::aio

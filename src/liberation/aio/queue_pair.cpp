@@ -69,15 +69,17 @@ void queue_pair::build_batches(std::uint32_t disk) {
         const fragment& f = frags.back();
         if (!batches.empty()) {
             // Coalesce only when the new request continues the previous
-            // transfer both on the medium and in memory — then one backend
-            // call moves the whole extent and per-request accounting can
-            // still be recovered by fragment offsets.
+            // transfer on the medium and — for a read — in memory: then one
+            // backend call covers the whole extent and per-request results
+            // are still recovered by fragment offsets. A view has no memory
+            // of its own: its bytes are the medium's, so the medium decides.
             batch& prev = batches.back();
             if (prev.first + prev.count == idx &&
-                prev.merged.kind == op_kind::read &&
-                f.desc.kind == op_kind::read &&
+                prev.merged.kind == f.desc.kind &&
+                f.desc.kind != op_kind::write &&
                 prev.merged.offset + prev.merged.len == f.desc.offset &&
-                prev.merged.data + prev.merged.len == f.desc.data) {
+                (f.desc.kind == op_kind::view ||
+                 prev.merged.data + prev.merged.len == f.desc.data)) {
                 prev.merged.len += f.desc.len;
                 ++prev.count;
                 ctr_.inc<&aio_stats::merges>();
@@ -108,6 +110,17 @@ void queue_pair::flush_disk(std::uint32_t disk) {
     done_.insert(done_.end(), flush_frags_.begin(), flush_frags_.end());
 }
 
+raid::io_status queue_pair::run(const io_desc& d, const std::byte*& view) {
+    if (d.kind == op_kind::view) return backend_.view(d, view);
+    return backend_.execute(d);
+}
+
+void queue_pair::set_view(fragment& f, const std::byte* at) noexcept {
+    // The desc carries the view to the completion stages and the CQE; the
+    // bytes stay the medium's, read-only (see op_kind::view).
+    f.desc.data = const_cast<std::byte*>(at);
+}
+
 bool queue_pair::execute_one(const batch& b) {
     fragment* const first = flush_frags_.data() + b.first;
     const std::uint64_t start = obs_.now_ns();
@@ -127,7 +140,8 @@ bool queue_pair::execute_one(const batch& b) {
     obs::trace_scope scope(exec_span != 0
                                ? obs::trace_context{parent.trace_id, exec_span}
                                : obs::current_trace());
-    const raid::io_status merged_status = backend_.execute(b.merged);
+    const std::byte* at = nullptr;
+    const raid::io_status merged_status = run(b.merged, at);
     std::uint64_t done = obs_.now_ns();
     hist_execute_.record(done >= start ? done - start : 0);
     if (merged_status == raid::io_status::ok || b.count == 1) {
@@ -139,6 +153,10 @@ bool queue_pair::execute_one(const batch& b) {
         for (std::size_t i = 0; i < b.count; ++i) {
             first[i].status = merged_status;
             first[i].done_ts = done;
+            if (at != nullptr) {
+                set_view(first[i],
+                         at + (first[i].desc.offset - b.merged.offset));
+            }
         }
         return false;
     }
@@ -147,8 +165,10 @@ bool queue_pair::execute_one(const batch& b) {
     // (e.g. one latent sector inside an otherwise healthy extent, or the
     // masked strips of a rebuilding disk).
     for (std::size_t i = 0; i < b.count; ++i) {
-        first[i].status = backend_.execute(first[i].desc);
+        at = nullptr;
+        first[i].status = run(first[i].desc, at);
         first[i].done_ts = obs_.now_ns();
+        if (at != nullptr) set_view(first[i], at);
     }
     done = obs_.now_ns();
     if (tracing) {
@@ -182,7 +202,7 @@ void queue_pair::drain() {
                 f.done_ts >= f.submit_ts ? f.done_ts - f.submit_ts : 0,
                 f.tctx, 0);
         }
-        completions_.push_back({f.desc.user_data, s, f.desc.disk});
+        completions_.push_back({f.desc.user_data, s, f.desc.disk, f.desc.data});
     }
     done_.clear();
 }

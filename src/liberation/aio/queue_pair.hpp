@@ -12,7 +12,9 @@
 //                                 request's result at drain()
 //                                 (e.g. checksum verification)
 //   drain() / completions()    — io_cqe entries appear in submission
-//                                 order, one per submitted request
+//                                 order, one per submitted request; a
+//                                 view's entry points at its bytes on
+//                                 the medium
 //
 // Failure isolation: when a merged transfer fails, it is split back into
 // its fragments and each fragment re-driven individually (counted in
@@ -138,6 +140,10 @@ private:
     /// merged transfer failed and was split back into per-fragment
     /// re-drives.
     bool execute_one(const batch& b);
+    /// One backend call: execute() for a read or write, view() for a view
+    /// (`view` receives its bytes on ok).
+    raid::io_status run(const io_desc& d, const std::byte*& view);
+    static void set_view(fragment& f, const std::byte* at) noexcept;
 
     io_backend& backend_;
     aio_config cfg_;

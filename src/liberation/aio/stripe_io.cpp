@@ -12,31 +12,25 @@ namespace liberation::aio {
 stripe_loader::stripe_loader(queue_pair& qp, const raid::stripe_map& map)
     : qp_(qp),
       map_(map),
-      window_(std::max<std::size_t>(1, qp.config().queue_depth)) {
-    const std::uint32_t n = map_.n();
-    disk_bufs_.reserve(n);
-    for (std::uint32_t d = 0; d < n; ++d)
-        disk_bufs_.emplace_back(window_ * map_.strip_size());
-    statuses_.resize(window_);
-    ptrs_.resize(n);
-}
+      window_(std::max<std::size_t>(1, qp.config().queue_depth)),
+      statuses_(window_),
+      views_(window_ * map.n()) {}
 
 void stripe_loader::run(std::size_t first, std::size_t last,
                         const column_filter& skip_column,
                         const process_fn& process) {
     const std::uint32_t n = map_.n();
-    const std::size_t strip = map_.strip_size();
     for (std::size_t w0 = first; w0 < last; w0 += window_) {
         const std::size_t w1 = std::min(w0 + window_, last);
 
         // Submission pass: stripe-major order still lands disk-major on
-        // the per-disk rings, where consecutive stripes are adjacent both
-        // in offset and in the disk buffer — one merged transfer per disk.
+        // the per-disk rings, where consecutive stripes are adjacent on
+        // the medium — one merged transfer per disk.
         for (std::size_t s = w0; s < w1; ++s) {
             const std::size_t slot = s - w0;
             statuses_[slot].assign(n, raid::io_status::ok);
             for (std::uint32_t col = 0; col < n; ++col) {
-                const raid::strip_location loc = map_.locate(s, col);
+                views_[slot * n + col] = nullptr;
                 if (skip_column && skip_column(s, col)) {
                     // Not read on purpose (e.g. a rebuild target):
                     // reported as the erasure the array would have
@@ -44,35 +38,27 @@ void stripe_loader::run(std::size_t first, std::size_t last,
                     statuses_[slot][col] = raid::io_status::rebuilding;
                     continue;
                 }
+                const raid::strip_location loc = map_.locate(s, col);
                 io_desc d;
                 d.disk = loc.disk;
-                d.kind = op_kind::read;
+                d.kind = op_kind::view;
                 d.offset = loc.offset;
-                d.data = disk_bufs_[loc.disk].data() + slot * strip;
-                d.len = strip;
-                d.user_data = slot * n + loc.disk;
+                d.len = map_.strip_size();
+                d.user_data = slot * n + col;
                 qp_.submit(d);
             }
         }
         qp_.drain();
         for (const io_cqe& c : qp_.completions()) {
-            const std::size_t slot = c.user_data / n;
-            const auto disk = static_cast<std::uint32_t>(c.user_data % n);
-            const std::uint32_t col = map_.column_of_disk(w0 + slot, disk);
-            statuses_[slot][col] = c.status;
+            statuses_[c.user_data / n][c.user_data % n] = c.status;
+            views_[c.user_data] = c.data;
         }
         qp_.clear_completions();
 
         // Consumption pass, in stripe order.
         for (std::size_t s = w0; s < w1; ++s) {
             const std::size_t slot = s - w0;
-            for (std::uint32_t col = 0; col < n; ++col) {
-                const raid::strip_location loc = map_.locate(s, col);
-                ptrs_[col] = disk_bufs_[loc.disk].data() + slot * strip;
-            }
-            const codes::stripe_view v({ptrs_.data(), ptrs_.size()},
-                                       map_.rows(), map_.element_size());
-            process(s, v, statuses_[slot]);
+            process(s, {views_.data() + slot * n, n}, statuses_[slot]);
         }
     }
 }
@@ -84,7 +70,7 @@ stripe_writer::stripe_writer(queue_pair& qp, const raid::stripe_map& map,
     : qp_(qp),
       map_(map),
       window_(std::max<std::size_t>(1, qp.config().queue_depth)),
-      zero_copy_(map.element_size() % util::aligned_buffer::alignment == 0),
+      zero_copy_(xorops::reads_in_place(map.element_size())),
       crc_block_(crc_block),
       strip_blocks_(map.strip_size() / crc_block),
       parity_stage_(window_ * 2 * map.strip_size()),

@@ -4,18 +4,17 @@
 // submissions:
 //
 //   * stripe_loader — window-prefetches whole stripes for sequential
-//     consumers (rebuild slices, scrub passes). Buffers are *disk-major*:
-//     one long-lived buffer per disk holds that disk's strips for every
-//     stripe of the window, so consecutive stripes produce reads that are
-//     contiguous both on the medium and in memory — exactly what the
-//     queue_pair's coalescing needs to turn a window into one transfer
-//     per disk. Stripe views are assembled over the per-disk buffers via
-//     per-column pointers; no per-stripe allocation, no copying.
+//     consumers (rebuild slices, scrub passes). It submits views, not
+//     reads: no byte is copied and the loader owns no buffers. A window's
+//     strips on one disk are consecutive on the medium, so the queue_pair
+//     coalesces them into one transfer per disk; each completed view
+//     points at its strip where it sits, and the consumer gets one view
+//     per column, valid for the window (the consumer's op).
 //
 //   * stripe_writer — pipelines full-stripe writes. Data columns are
-//     submitted zero-copy straight from the host's buffer (when the
-//     element size allows full-vector tail loads; otherwise they are
-//     staged into reused slots), with their checksum words computed in
+//     submitted zero-copy straight from the host's buffer (when
+//     xorops::reads_in_place allows it; otherwise they are staged into
+//     reused slots), with their checksum words computed in
 //     the same pass; parity is encoded into writer-owned staging slots
 //     *after* the data submissions are already in flight, and follows
 //     them into the same drain window.
@@ -30,10 +29,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "liberation/aio/queue_pair.hpp"
-#include "liberation/codes/stripe.hpp"
 #include "liberation/raid/stripe_map.hpp"
 #include "liberation/util/aligned_buffer.hpp"
 
@@ -47,11 +46,12 @@ public:
     /// a window fills every disk's in-flight ring exactly once.
     stripe_loader(queue_pair& qp, const raid::stripe_map& map);
 
-    /// Per-stripe consumer: `v` is a stripe view over the loader's
-    /// buffers (valid only during the call), `statuses` the per-column
-    /// io_status of this stripe's reads. The vector may be moved from.
+    /// Per-stripe consumer: `views[col]` points at column `col`'s strip
+    /// on the medium (null unless its view completed ok; read-only, valid
+    /// only during the call), `statuses` the per-column io_status of this
+    /// stripe's views. The vector may be moved from.
     using process_fn = std::function<void(
-        std::size_t stripe, const codes::stripe_view& v,
+        std::size_t stripe, std::span<const std::byte* const> views,
         std::vector<raid::io_status>& statuses)>;
     /// Column filter: true = do not read this column; its status is
     /// reported as io_status::rebuilding (an erasure), exactly what the
@@ -69,9 +69,8 @@ private:
     queue_pair& qp_;
     const raid::stripe_map& map_;
     std::size_t window_;
-    std::vector<util::aligned_buffer> disk_bufs_;  ///< per disk: window strips
     std::vector<std::vector<raid::io_status>> statuses_;  ///< per slot
-    std::vector<std::byte*> ptrs_;  ///< column-pointer scratch
+    std::vector<const std::byte*> views_;  ///< window x n, slot-major
 };
 
 /// Pipelined full-stripe writer (see file comment). The caller drives the
@@ -102,8 +101,8 @@ public:
     [[nodiscard]] std::size_t window() const noexcept { return window_; }
 
     /// True when data columns are submitted directly from the host buffer
-    /// (element size is a multiple of the vector-kernel tail-read quantum;
-    /// otherwise the encoder could read past the host allocation).
+    /// (xorops::reads_in_place: otherwise the encoder could read past the
+    /// host allocation).
     [[nodiscard]] bool zero_copy() const noexcept { return zero_copy_; }
 
     /// Bind window slot `slot` to one stripe's host bytes (k contiguous

@@ -33,6 +33,8 @@ raid6_array::raid6_array(const array_config& cfg, bool allocate_members)
       journal_(cfg.intent_log_entries),
       verify_reads_(cfg.verify_reads),
       integrity_block_(std::gcd(cfg.sector_size, map_.element_size())),
+      in_place_(xorops::reads_in_place(map_.element_size())),
+      read_scratch_(in_place_ ? 0 : map_.strip_size()),
       policy_(cfg.io_retry, clock_, &obs_),
       health_(map_.n(), cfg.health),
       latmon_(map_.n(), cfg.latency),
@@ -45,10 +47,12 @@ raid6_array::raid6_array(const array_config& cfg, bool allocate_members)
     LIBERATION_EXPECTS(map_.n() <= 64);
     disks_.reserve(map_.n());
     regions_.reserve(map_.n());
+    scratch_.reserve(map_.n());
     for (std::uint32_t d = 0; d < map_.n(); ++d) {
         disks_.push_back(std::make_unique<vdisk>(
             d, map_.disk_capacity(), cfg.sector_size, allocate_members));
         regions_.emplace_back(map_.disk_capacity(), integrity_block_);
+        scratch_.emplace_back(map_.strip_size());
     }
     spares_.reserve(cfg.hot_spares);
     for (std::uint32_t s = 0; s < cfg.hot_spares; ++s) {
@@ -124,11 +128,13 @@ void raid6_array::rebuild_aio_engine(const aio::aio_config& acfg) {
     // verified_disk_read() on the element-granular read path.
     aio_engine_->add_completion_stage(
         [this](const aio::io_desc& d, io_status st) {
-            if (st != io_status::ok || d.kind != aio::op_kind::read ||
+            if (st != io_status::ok || d.kind == aio::op_kind::write ||
                 (d.flags & aio::flag_verify) == 0 || !verify_reads_) {
                 return st;
             }
-            if (!regions_[d.disk].verify(d.offset, {d.data, d.len})) {
+            const std::byte* bytes =
+                kernel_bytes(d.data, d.len, read_scratch_.data());
+            if (!regions_[d.disk].verify(d.offset, {bytes, d.len})) {
                 ctr_.inc<&array_stats::checksum_mismatches>();
                 return io_status::checksum_mismatch;
             }
@@ -143,6 +149,11 @@ io_status raid6_array::disk_backend::execute(const aio::io_desc& d) {
     }
     return owner.disk_write(
         d.disk, d.offset, std::span<const std::byte>(d.data, d.len), d.crcs);
+}
+
+io_status raid6_array::disk_backend::view(const aio::io_desc& d,
+                                          const std::byte*& out) {
+    return owner.disk_view(d.disk, d.offset, d.len, out);
 }
 
 void raid6_array::add_data_disk() {
@@ -164,6 +175,7 @@ void raid6_array::add_data_disk() {
     // The new column is blank (all zeros), which is exactly what a fresh
     // integrity region describes.
     regions_.emplace_back(map_.disk_capacity(), integrity_block_);
+    scratch_.emplace_back(map_.strip_size());
     health_.add_disk();
     latmon_.add_disk();
     add_slot_counters(map_.n() - 1);
@@ -220,10 +232,18 @@ void raid6_array::note_io(std::uint32_t d, io_kind kind, const io_result& r) {
 
 io_status raid6_array::disk_read(std::uint32_t d, std::size_t offset,
                                  std::span<std::byte> out) {
+    const std::byte* at = nullptr;
+    const io_status st = disk_view(d, offset, out.size(), at);
+    if (st == io_status::ok) std::memcpy(out.data(), at, out.size());
+    return st;
+}
+
+io_status raid6_array::disk_view(std::uint32_t d, std::size_t offset,
+                                 std::size_t len, const std::byte*& out) {
     // A promoted spare is blank above the rebuild cursor: its bytes are
     // not data, the column is (still) an erasure.
-    if (rebuild_masked(d, offset, out.size())) return io_status::rebuilding;
-    const io_result r = policy_.read(*disks_[d], offset, out);
+    if (rebuild_masked(d, offset, len)) return io_status::rebuilding;
+    const io_result r = policy_.view(*disks_[d], offset, len, out);
     note_io(d, io_kind::read, r);
     return r.status;
 }
@@ -276,9 +296,32 @@ io_status raid6_array::disk_write(std::uint32_t disk, std::size_t offset,
 
 io_status raid6_array::verified_disk_read(std::uint32_t d, std::size_t offset,
                                           std::span<std::byte> out) {
-    const io_status st = disk_read(d, offset, out);
-    if (st != io_status::ok || !verify_reads_) return st;
-    if (!regions_[d].verify(offset, out)) {
+    const std::byte* at = nullptr;
+    const io_status st =
+        verified_disk_view(d, offset, out.size(), at, out.data());
+    if (st == io_status::ok && at != out.data()) {
+        std::memcpy(out.data(), at, out.size());
+    }
+    return st;
+}
+
+const std::byte* raid6_array::kernel_bytes(const std::byte* view,
+                                           std::size_t len,
+                                           std::byte* scratch) const noexcept {
+    if (in_place_) return view;
+    std::memcpy(scratch, view, len);
+    return scratch;
+}
+
+io_status raid6_array::verified_disk_view(std::uint32_t d, std::size_t offset,
+                                          std::size_t len,
+                                          const std::byte*& out,
+                                          std::byte* scratch) {
+    const std::byte* at = nullptr;
+    const io_status st = disk_view(d, offset, len, at);
+    if (st != io_status::ok) return st;
+    out = kernel_bytes(at, len, scratch);
+    if (verify_reads_ && !regions_[d].verify(offset, {out, len})) {
         ctr_.inc<&array_stats::checksum_mismatches>();
         return io_status::checksum_mismatch;
     }
@@ -287,13 +330,14 @@ io_status raid6_array::verified_disk_read(std::uint32_t d, std::size_t offset,
 
 // ---- fail-slow tolerance ---------------------------------------------
 
-io_status raid6_array::disk_read_deferred(std::uint32_t d, std::size_t offset,
-                                          std::span<std::byte> out,
+io_status raid6_array::disk_view_deferred(std::uint32_t d, std::size_t offset,
+                                          std::size_t len,
+                                          const std::byte*& out,
                                           std::uint64_t& latency_us) {
     latency_us = 0;
-    if (rebuild_masked(d, offset, out.size())) return io_status::rebuilding;
-    const io_result r =
-        policy_.read(*disks_[d], offset, out, /*defer_time_charge=*/true);
+    if (rebuild_masked(d, offset, len)) return io_status::rebuilding;
+    const io_result r = policy_.view(*disks_[d], offset, len, out,
+                                     /*defer_time_charge=*/true);
     note_io(d, io_kind::read, r);
     latency_us = r.latency_us;
     return r.status;
@@ -302,59 +346,43 @@ io_status raid6_array::disk_read_deferred(std::uint32_t d, std::size_t offset,
 bool raid6_array::reconstruct_column_range(std::size_t stripe,
                                            std::uint32_t col,
                                            std::size_t strip_lo,
-                                           std::span<std::byte> dst) {
-    LIBERATION_EXPECTS(strip_lo + dst.size() <= map_.strip_size());
+                                           std::size_t len,
+                                           const std::byte*& out) {
+    LIBERATION_EXPECTS(strip_lo + len <= map_.strip_size());
     // No reconstruction from a journaled stripe's parity; the caller
     // reads the column itself instead.
-    if (!settle_torn_stripe(stripe, nullptr, {}, {})) return false;
-    codes::stripe_buffer buf = make_stripe_buffer();
-    const codes::stripe_view v = buf.view();
+    if (!settle_torn_stripe(stripe, {}, {}, {})) return false;
     // The read-set goes through the aio engine so per-disk batching and
-    // read coalescing apply; requests execute through disk_read, so
+    // read coalescing apply; requests execute through disk_view, so
     // retry/health/masking semantics are identical to any other read.
-    const std::size_t base = aio_engine_->completions().size();
+    std::vector<const std::byte*> views;
+    std::vector<io_status> statuses;
+    load_views(stripe, col, aio::flag_verify, views, statuses);
+    std::vector<std::uint32_t> erased;
     for (std::uint32_t c = 0; c < map_.n(); ++c) {
-        if (c == col) continue;
-        const strip_location l = map_.locate(stripe, c);
-        aio::io_desc d;
-        d.disk = l.disk;
-        d.kind = aio::op_kind::read;
-        d.offset = l.offset;
-        d.data = v.strip(c).data();
-        d.len = map_.strip_size();
-        d.user_data = c;
-        d.flags = aio::flag_verify;
-        aio_engine_->submit(d);
+        if (statuses[c] != io_status::ok) erased.push_back(c);
     }
-    aio_engine_->drain();
-    std::vector<std::uint32_t> erased{col};
-    const std::vector<aio::io_cqe>& cqes = aio_engine_->completions();
-    for (std::size_t i = base; i < cqes.size(); ++i) {
-        if (cqes[i].status != io_status::ok) {
-            erased.push_back(static_cast<std::uint32_t>(cqes[i].user_data));
-        }
-    }
-    aio_engine_->clear_completions();
     if (erased.size() > 2) return false;
-    std::sort(erased.begin(), erased.end());
-    code_.decode(v, erased);
-    const std::span<const std::byte> got(v.strip(col).data() + strip_lo,
-                                         dst.size());
+    std::vector<std::byte*> cols;
+    assemble(views, cols);
+    code_.decode(as_stripe(cols), erased);
+    const std::byte* got = scratch(col) + strip_lo;
     // End-to-end gate: the reconstruction must match the *hedged-around*
     // column's own stored checksum before it is served in its place.
     const strip_location loc = map_.locate(stripe, col);
     if (verify_reads_ &&
-        !regions_[loc.disk].verify(loc.offset + strip_lo, got)) {
+        !regions_[loc.disk].verify(loc.offset + strip_lo, {got, len})) {
         return false;
     }
-    std::memcpy(dst.data(), got.data(), dst.size());
+    out = got;
     return true;
 }
 
 io_status raid6_array::read_chunk_failslow(std::size_t stripe,
                                            std::uint32_t col,
                                            std::size_t strip_lo,
-                                           std::span<std::byte> dst) {
+                                           std::size_t len,
+                                           const std::byte*& out) {
     const strip_location loc = map_.locate(stripe, col);
     const std::uint32_t d = loc.disk;
     const std::size_t offset = loc.offset + strip_lo;
@@ -363,22 +391,32 @@ io_status raid6_array::read_chunk_failslow(std::size_t stripe,
     // the periodic probe that checks whether the straggler recovered.
     if (latmon_.quarantined(d) && !latmon_.take_probe(d)) {
         ctr_.inc<&array_stats::slow_routed_reads>();
-        if (reconstruct_column_range(stripe, col, strip_lo, dst)) {
+        if (reconstruct_column_range(stripe, col, strip_lo, len, out)) {
             return io_status::ok;
         }
         // A second failure in the stripe made the decode impossible; the
         // quarantined disk is slow, not dead — fall through and read it.
     }
 
-    // Deferred-charge direct read: the policy reports the virtual cost
+    // Deferred-charge direct view: the policy reports the virtual cost
     // but does not advance the clock, so a hedged race can charge
     // whichever leg is actually served.
     std::uint64_t lat = 0;
-    const io_status st = disk_read_deferred(d, offset, dst, lat);
+    const std::byte* direct = nullptr;
+    const io_status st = disk_view_deferred(d, offset, len, direct, lat);
     if (st != io_status::ok) {
         clock_.advance(lat);
         return st;  // the caller's existing degraded handling takes over
     }
+    // The direct leg as served: checksum-verified like verified_disk_view.
+    const auto serve_direct = [&] {
+        out = kernel_bytes(direct, len, read_scratch_.data());
+        if (verify_reads_ && !regions_[d].verify(offset, {out, len})) {
+            ctr_.inc<&array_stats::checksum_mismatches>();
+            return io_status::checksum_mismatch;
+        }
+        return io_status::ok;
+    };
     const std::uint64_t deadline = latmon_.deadline_us(d);
     const bool was_quarantined = latmon_.quarantined(d);
     if (latmon_.note_read(d, lat)) {
@@ -396,11 +434,7 @@ io_status raid6_array::read_chunk_failslow(std::size_t stripe,
 
     if (lat <= deadline) {
         clock_.advance(lat);
-        if (verify_reads_ && !regions_[d].verify(offset, dst)) {
-            ctr_.inc<&array_stats::checksum_mismatches>();
-            return io_status::checksum_mismatch;
-        }
-        return st;
+        return serve_direct();
     }
 
     // The read outlived its deadline: speculatively issue the
@@ -414,16 +448,16 @@ io_status raid6_array::read_chunk_failslow(std::size_t stripe,
     obs::flight_recorder::instance().record(obs::fr_kind::hedge_issued,
                                             obs_.now_ns(), d, lat);
     latmon_.note_hedge(d);
-    util::aligned_buffer rbuf(dst.size());
+    const std::byte* rebuilt = nullptr;
     const std::uint64_t h0 = clock_.now_us();
     const bool recon =
-        reconstruct_column_range(stripe, col, strip_lo, rbuf.span());
+        reconstruct_column_range(stripe, col, strip_lo, len, rebuilt);
     const std::uint64_t hedge_us = clock_.now_us() - h0;
     if (recon && deadline + hedge_us < lat) {
         ctr_.inc<&array_stats::hedge_wins>();
         clock_.advance(deadline);  // hedge_us is already on the clock
         hist_hedge_delay_->record(hedge_us * 1000);
-        std::memcpy(dst.data(), rbuf.data(), dst.size());
+        out = rebuilt;
         return io_status::ok;
     }
     // The straggler still won the race (or the decode was unavailable):
@@ -431,11 +465,7 @@ io_status raid6_array::read_chunk_failslow(std::size_t stripe,
     // wait, so only the remainder of `lat` is still owed.
     clock_.advance(lat > hedge_us ? lat - hedge_us : 0);
     hist_hedge_delay_->record((lat - deadline) * 1000);
-    if (verify_reads_ && !regions_[d].verify(offset, dst)) {
-        ctr_.inc<&array_stats::checksum_mismatches>();
-        return io_status::checksum_mismatch;
-    }
-    return io_status::ok;
+    return serve_direct();
 }
 
 // ---- failover & background rebuild -----------------------------------
@@ -617,39 +647,74 @@ void raid6_array::drain_background_rebuild() {
 
 // ---- stripe-granular interface ---------------------------------------
 
-bool raid6_array::load_stripe(std::size_t stripe, const codes::stripe_view& dst,
-                              std::vector<std::uint32_t>& erased,
-                              std::vector<io_status>* statuses) {
-    erased.clear();
-    if (statuses != nullptr) statuses->assign(map_.n(), io_status::ok);
-    // The column read-set goes through the aio engine (same shape as
-    // reconstruct_column_range): per-disk batching and merging apply, the
-    // requests execute through disk_read so retry/health/masking semantics
-    // are unchanged, and a host op's degraded load shows up as aio
-    // fragments inside its causal trace tree. No flag_verify — checksum
-    // policy stays with the caller (verify_loaded_stripe decides which
-    // strips to trust).
+void raid6_array::load_views(std::size_t stripe, std::uint32_t skip,
+                             std::uint32_t flags,
+                             std::vector<const std::byte*>& views,
+                             std::vector<io_status>& statuses) {
+    views.assign(map_.n(), nullptr);
+    statuses.assign(map_.n(), io_status::ok);
+    // The column read-set goes through the aio engine: per-disk batching
+    // and merging apply, the requests execute through disk_view so
+    // retry/health/masking semantics are those of any read, and a host
+    // op's degraded load shows up as aio fragments inside its causal
+    // trace tree.
     const std::size_t base = aio_engine_->completions().size();
     for (std::uint32_t col = 0; col < map_.n(); ++col) {
+        if (col == skip) {
+            statuses[col] = io_status::rebuilding;
+            continue;
+        }
         const strip_location loc = map_.locate(stripe, col);
         aio::io_desc d;
         d.disk = loc.disk;
-        d.kind = aio::op_kind::read;
+        d.kind = aio::op_kind::view;
         d.offset = loc.offset;
-        d.data = dst.strip(col).data();
         d.len = map_.strip_size();
         d.user_data = col;
+        d.flags = flags;
         aio_engine_->submit(d);
     }
     aio_engine_->drain();
     const std::vector<aio::io_cqe>& cqes = aio_engine_->completions();
     for (std::size_t i = base; i < cqes.size(); ++i) {
         const auto col = static_cast<std::uint32_t>(cqes[i].user_data);
-        if (statuses != nullptr) (*statuses)[col] = cqes[i].status;
-        if (cqes[i].status != io_status::ok) erased.push_back(col);
+        statuses[col] = cqes[i].status;
+        if (cqes[i].status == io_status::ok) views[col] = cqes[i].data;
     }
     aio_engine_->clear_completions();
-    std::sort(erased.begin(), erased.end());
+}
+
+void raid6_array::assemble(std::span<const std::byte* const> views,
+                           std::vector<std::byte*>& cols) {
+    cols.resize(map_.n());
+    for (std::uint32_t col = 0; col < map_.n(); ++col) {
+        // A view stays read-only although the stripe view's columns are
+        // mutable: the coding kernels write only the columns they are told
+        // to reconstruct or re-encode, and every such column is pointed at
+        // its scratch strip first.
+        cols[col] = views[col] != nullptr
+                        ? const_cast<std::byte*>(kernel_bytes(
+                              views[col], map_.strip_size(), scratch(col)))
+                        : scratch(col);
+    }
+}
+
+bool raid6_array::load_stripe(std::size_t stripe, const codes::stripe_view& dst,
+                              std::vector<std::uint32_t>& erased,
+                              std::vector<io_status>* statuses) {
+    std::vector<const std::byte*> views;
+    std::vector<io_status> st;
+    // No flag_verify — checksum policy stays with the caller.
+    load_views(stripe, map_.n(), 0, views, st);
+    erased.clear();
+    for (std::uint32_t col = 0; col < map_.n(); ++col) {
+        if (views[col] == nullptr) {
+            erased.push_back(col);
+        } else {
+            std::memcpy(dst.strip(col).data(), views[col], map_.strip_size());
+        }
+    }
+    if (statuses != nullptr) *statuses = std::move(st);
     return erased.size() <= 2;
 }
 
@@ -671,20 +736,21 @@ bool raid6_array::store_columns(std::size_t stripe,
 }
 
 raid6_array::stripe_recovery raid6_array::load_stripe_verified(
-    std::size_t stripe, const codes::stripe_view& buf, bool writeback,
-    std::span<const std::uint32_t> extra_erasures) {
-    std::vector<std::uint32_t> erased;
+    std::size_t stripe, bool writeback,
+    std::span<const std::uint32_t> extra_erasures, bool host_read) {
+    std::vector<const std::byte*> views;
     std::vector<io_status> statuses;
-    (void)load_stripe(stripe, buf, erased, &statuses);
-    return verify_loaded_stripe(stripe, buf, writeback, extra_erasures,
-                                std::move(statuses));
+    load_views(stripe, map_.n(), 0, views, statuses);
+    return verify_loaded_stripe(stripe, views, writeback, extra_erasures,
+                                std::move(statuses), host_read);
 }
 
 raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
-    std::size_t stripe, const codes::stripe_view& buf, bool writeback,
-    std::span<const std::uint32_t> extra_erasures,
-    std::vector<io_status> statuses) {
-    LIBERATION_EXPECTS(statuses.size() == map_.n());
+    std::size_t stripe, std::span<const std::byte* const> views,
+    bool writeback, std::span<const std::uint32_t> extra_erasures,
+    std::vector<io_status> statuses, bool host_read) {
+    LIBERATION_EXPECTS(statuses.size() == map_.n() &&
+                       views.size() == map_.n());
     stripe_recovery rec;
     rec.statuses = std::move(statuses);
     for (std::uint32_t col = 0; col < map_.n(); ++col) {
@@ -698,8 +764,14 @@ raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
         }
     }
     std::sort(rec.erased.begin(), rec.erased.end());
+    // Survivors are decoded from where they sit; every erasure (an extra
+    // one may have read fine) is reconstructed into its scratch strip.
+    assemble(views, rec.cols);
+    for (const std::uint32_t col : rec.erased) rec.cols[col] = scratch(col);
+    const codes::stripe_view buf = as_stripe(rec.cols);
     if (!loadable || rec.erased.size() > 2 ||
-        !settle_torn_stripe(stripe, &buf, rec.statuses, extra_erasures)) {
+        !settle_torn_stripe(stripe, rec.cols, rec.statuses, extra_erasures,
+                            host_read)) {
         return rec;
     }
     rec.verified = true;
@@ -753,21 +825,16 @@ raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
         suspects.insert(suspects.end(), crc_bad.begin(), crc_bad.end());
         std::sort(suspects.begin(), suspects.end());
 
-        // Snapshot the raw bytes of the checksum-suspect columns so the
-        // decode result can be compared against what was actually on disk.
-        std::vector<std::vector<std::byte>> raw;
-        raw.reserve(crc_bad.size());
-        for (const std::uint32_t col : crc_bad) {
-            const std::span<const std::byte> s = buf.strip(col);
-            raw.emplace_back(s.begin(), s.end());
-        }
+        // A suspect's view stays the on-disk bytes while the decode
+        // writes its reconstruction into scratch, so the two can be
+        // compared.
+        for (const std::uint32_t col : crc_bad) rec.cols[col] = scratch(col);
         if (!suspects.empty()) code_.decode(buf, suspects);
 
-        for (std::size_t i = 0; i < crc_bad.size(); ++i) {
-            const std::uint32_t col = crc_bad[i];
+        for (const std::uint32_t col : crc_bad) {
             const strip_location loc = map_.locate(stripe, col);
-            if (std::equal(raw[i].begin(), raw[i].end(),
-                           buf.strip(col).begin())) {
+            if (std::memcmp(views[col], buf.strip(col).data(),
+                            map_.strip_size()) == 0) {
                 // Parity reproduced the on-disk bytes exactly: the data
                 // was fine all along and the *stored checksum* is the
                 // damaged side. Refresh the metadata from the words the
@@ -1013,11 +1080,11 @@ bool raid6_array::unmount() {
 
 std::size_t raid6_array::resilver() {
     std::size_t healed = 0;
-    codes::stripe_buffer buf = make_stripe_buffer();
+    std::vector<std::byte*> cols;
     for (std::size_t s = 0; s < map_.stripes(); ++s) {
         const auto before =
             ctr_.at<&array_stats::media_errors_recovered>().value();
-        if (!load_and_decode(s, buf.view())) continue;  // > 2 unavailable
+        if (!load_and_decode(s, cols)) continue;  // > 2 unavailable
         healed += ctr_.at<&array_stats::media_errors_recovered>().value() -
                   before;
     }
@@ -1027,45 +1094,62 @@ std::size_t raid6_array::resilver() {
 std::size_t raid6_array::recover_write_hole() {
     LIBERATION_EXPECTS(powered_);
     std::size_t resynced = 0;
-    codes::stripe_buffer buf = make_stripe_buffer();
-    std::vector<std::uint32_t> erased;
+    std::vector<const std::byte*> views;
     std::vector<io_status> statuses;
+    std::vector<std::byte*> cols;
     for (const std::size_t s : journal_.dirty_stripes()) {
-        (void)load_stripe(s, buf.view(), erased, &statuses);
-        if (resync_journaled_stripe(s, buf.view(), statuses, {})) ++resynced;
+        load_views(s, map_.n(), 0, views, statuses);
+        assemble(views, cols);
+        if (resync_journaled_stripe(s, cols, statuses, {},
+                                    /*host_read=*/false)) {
+            ++resynced;
+        }
     }
     return resynced;
 }
 
 bool raid6_array::settle_torn_stripe(std::size_t stripe,
-                                     const codes::stripe_view* buf,
+                                     std::span<std::byte*> cols,
                                      std::span<const io_status> statuses,
-                                     std::span<const std::uint32_t> targets) {
+                                     std::span<const std::uint32_t> targets,
+                                     bool host_read) {
     if (!journal_.is_dirty(stripe)) return true;
-    return buf != nullptr &&
-           resync_journaled_stripe(stripe, *buf, statuses, targets);
+    return !cols.empty() && resync_journaled_stripe(stripe, cols, statuses,
+                                                    targets, host_read);
 }
 
 bool raid6_array::resync_journaled_stripe(
-    std::size_t stripe, const codes::stripe_view& buf,
+    std::size_t stripe, std::span<std::byte*> cols,
     std::span<const io_status> statuses,
-    std::span<const std::uint32_t> targets) {
+    std::span<const std::uint32_t> targets, bool host_read) {
     const std::uint32_t pc = code_.p_column();
     const std::uint32_t qc = code_.q_column();
-    // Data is the source of truth, so all of it must be at hand: a data
-    // target (its bytes are what the caller wants reconstructed) or any
+    const std::uint64_t mask = journal_.columns(stripe);
+    // Data is the source of truth, so it must be at hand: a data target
+    // (its bytes are what the caller wants reconstructed) or any
     // unavailable column other than a parity target leaves the stripe
-    // journaled for later.
+    // journaled for later. One exception, for a host read only: a single
+    // unavailable data column the in-flight update was not writing. Its
+    // old checksum still describes it, so it is recovered below from the
+    // checksum-vouched candidates, like a corrupt one. A write's fallback,
+    // a rebuild and replay still refuse such a stripe and leave it to a
+    // read.
+    std::uint32_t lost = map_.n();
     for (std::uint32_t col = 0; col < map_.n(); ++col) {
         const bool target =
             std::find(targets.begin(), targets.end(), col) != targets.end();
-        const bool parity = col == pc || col == qc;
-        if ((target && !parity) ||
-            (!target && statuses[col] != io_status::ok)) {
+        if (col == pc || col == qc) {
+            if (!target && statuses[col] != io_status::ok) return false;
+            continue;
+        }
+        if (!target && statuses[col] == io_status::ok) continue;
+        if (target || !host_read || ((mask >> col) & 1) != 0 ||
+            lost != map_.n()) {
             return false;
         }
+        lost = col;
     }
-    const std::uint64_t mask = journal_.columns(stripe);
+    const codes::stripe_view buf = as_stripe(cols);
     // Classify every data column whose bytes fail their stored checksum.
     // A column *targeted* by the in-flight update is torn: the mismatch is
     // the half-landed update itself, the on-disk bytes win and the
@@ -1077,18 +1161,28 @@ bool raid6_array::resync_journaled_stripe(
     // Parity columns need no classification: re-encoding from data below
     // resolves any parity tear or corruption either way.
     for (std::uint32_t col = 0; col < map_.n(); ++col) {
-        if (col == pc || col == qc) continue;
+        if (col == pc || col == qc || col == lost) continue;
         const strip_location loc = map_.locate(stripe, col);
         if (regions_[loc.disk].verify(loc.offset, buf.strip(col))) continue;
         ctr_.inc<&array_stats::checksum_mismatches>();
+        const std::uint32_t one[] = {col};
         if ((mask >> col) & 1) {
             regions_[loc.disk].record(loc.offset, buf.strip(col));
-        } else if (!heal_journaled_column(stripe, buf, col)) {
+        } else if (!heal_journaled_column(stripe, cols, col) ||
+                   !store_columns(stripe, buf, one)) {
             return false;
         }
     }
-    // Data is the source of truth; rebuild both parity columns (a parity
-    // target's stale or unread bytes are simply overwritten).
+    // The lost column is only reconstructed (into scratch): its disk is
+    // unavailable.
+    if (lost != map_.n() && !heal_journaled_column(stripe, cols, lost)) {
+        return false;
+    }
+    // Data is the source of truth; re-encode both parity columns into
+    // scratch (a parity target's stale or unread bytes are simply
+    // replaced).
+    cols[pc] = scratch(pc);
+    cols[qc] = scratch(qc);
     code_.encode(buf);
     const std::uint32_t parity_cols[] = {pc, qc};
     if (!store_columns(stripe, buf, parity_cols) || !powered_) return false;
@@ -1097,12 +1191,17 @@ bool raid6_array::resync_journaled_stripe(
 }
 
 bool raid6_array::heal_journaled_column(std::size_t stripe,
-                                        const codes::stripe_view& buf,
+                                        std::span<std::byte*> cols,
                                         std::uint32_t col) {
     const std::uint32_t pc = code_.p_column();
     const std::uint32_t qc = code_.q_column();
     const strip_location loc = map_.locate(stripe, col);
-    codes::stripe_buffer tmp = make_stripe_buffer();
+    // Each candidate decodes the column into its scratch strip, and the
+    // parity it reconstructs alongside into a strip of its own, over the
+    // stripe's columns as they are.
+    std::vector<std::byte*> tmp(cols.begin(), cols.end());
+    util::aligned_buffer parity(map_.strip_size());
+    tmp[col] = scratch(col);
     // Parity may itself be torn, so try each subset that still has enough
     // intact parity to reconstruct the column ({c}: both parities fine,
     // {c,P}: P torn, {c,Q}: Q torn) and accept the first candidate the
@@ -1111,21 +1210,22 @@ bool raid6_array::heal_journaled_column(std::size_t stripe,
     const std::vector<std::vector<std::uint32_t>> candidates = {
         {col}, {col, pc}, {col, qc}};
     for (const std::vector<std::uint32_t>& erased : candidates) {
-        codes::copy_stripe(tmp.view(), buf);
-        code_.decode(tmp.view(), erased);
-        if (!regions_[loc.disk].verify(loc.offset, tmp.view().strip(col))) {
+        tmp[pc] = cols[pc];
+        tmp[qc] = cols[qc];
+        if (erased.size() == 2) tmp[erased[1]] = parity.data();
+        code_.decode(as_stripe(tmp), erased);
+        if (!regions_[loc.disk].verify(loc.offset,
+                                       {scratch(col), map_.strip_size()})) {
             continue;
         }
-        std::memcpy(buf.strip(col).data(), tmp.view().strip(col).data(),
-                    map_.strip_size());
-        const std::uint32_t one[] = {col};
-        return store_columns(stripe, buf, one);
+        cols[col] = scratch(col);
+        return true;
     }
     return false;
 }
 
 bool raid6_array::load_and_decode(std::size_t stripe,
-                                  const codes::stripe_view& buf) {
+                                  std::vector<std::byte*>& cols) {
     // Trace-only: degraded full-stripe decodes show up as distinct spans
     // inside the surrounding raid.read / raid.write_small span.
     obs::timed_span span(obs_, nullptr, "raid.degraded_read");
@@ -1133,8 +1233,8 @@ bool raid6_array::load_and_decode(std::size_t stripe,
         // Verified read: checksum mismatches demote columns to erasures,
         // the optimal decoder reconstructs them, reconstructions are
         // re-verified, and repairs are written back (read-repair).
-        const stripe_recovery rec =
-            load_stripe_verified(stripe, buf, /*writeback=*/true);
+        stripe_recovery rec = load_stripe_verified(
+            stripe, /*writeback=*/true, {}, /*host_read=*/true);
         if (!rec.ok) return false;
         if (!rec.erased.empty()) {
             ctr_.inc<&array_stats::degraded_stripe_reads>();
@@ -1142,15 +1242,23 @@ bool raid6_array::load_and_decode(std::size_t stripe,
         if (!rec.healed.empty()) {
             ctr_.inc<&array_stats::reads_self_healed>();
         }
+        cols = std::move(rec.cols);
         return true;
     }
-    std::vector<std::uint32_t> erased;
+    std::vector<const std::byte*> views;
     std::vector<io_status> statuses;
-    if (!load_stripe(stripe, buf, erased, &statuses) ||
-        !settle_torn_stripe(stripe, &buf, statuses, {})) {
+    load_views(stripe, map_.n(), 0, views, statuses);
+    assemble(views, cols);
+    std::vector<std::uint32_t> erased;
+    for (std::uint32_t col = 0; col < map_.n(); ++col) {
+        if (statuses[col] != io_status::ok) erased.push_back(col);
+    }
+    if (erased.size() > 2 ||
+        !settle_torn_stripe(stripe, cols, statuses, {}, /*host_read=*/true)) {
         return false;
     }
     if (erased.empty()) return true;
+    const codes::stripe_view buf = as_stripe(cols);
     code_.decode(buf, erased);
     ctr_.inc<&array_stats::degraded_stripe_reads>();
     // Heal-on-read: a column that was unreadable on an *online* disk is a
@@ -1175,26 +1283,30 @@ bool raid6_array::read_element_degraded(std::size_t stripe, std::uint32_t row,
     LIBERATION_EXPECTS(out.size() == elem && col < map_.k());
     // Row parity of a journaled stripe may be torn: no reconstruction
     // here, the full-stripe path re-syncs the stripe or refuses.
-    if (!settle_torn_stripe(stripe, nullptr, {}, {})) return false;
-    util::aligned_buffer acc(elem), tmp(elem);
+    if (!settle_torn_stripe(stripe, {}, {}, {})) return false;
 
-    const auto read_elem = [&](std::uint32_t c, std::uint32_t r,
-                               std::span<std::byte> dst) {
+    // The row's parity element and its other data elements, viewed where
+    // they sit and verified there: XOR-ing a silently corrupt survivor
+    // into the reconstruction would *manufacture* corruption in a column
+    // that was merely erased.
+    const std::size_t in_strip = static_cast<std::size_t>(row) * elem;
+    std::vector<const std::byte*> srcs;
+    srcs.reserve(map_.k());
+    const auto view_elem = [&](std::uint32_t c) {
         const strip_location loc = map_.locate(stripe, c);
-        // Verified: XOR-ing a silently corrupt survivor into the
-        // reconstruction would *manufacture* corruption in a column that
-        // was merely erased.
-        return verified_disk_read(
-                   loc.disk, loc.offset + static_cast<std::size_t>(r) * elem,
-                   dst) == io_status::ok;
+        const std::byte* at = nullptr;
+        if (verified_disk_view(loc.disk, loc.offset + in_strip, elem, at,
+                               scratch(c) + in_strip) != io_status::ok) {
+            return false;
+        }
+        srcs.push_back(at);
+        return true;
     };
-
-    if (!read_elem(code_.p_column(), row, acc.span())) return false;
+    if (!view_elem(code_.p_column())) return false;
     for (std::uint32_t j = 0; j < map_.k(); ++j) {
-        if (j == col) continue;
-        if (!read_elem(j, row, tmp.span())) return false;
-        xorops::xor_into(acc.data(), tmp.data(), elem);
+        if (j != col && !view_elem(j)) return false;
     }
+    xorops::xor_many(out.data(), srcs.data(), srcs.size(), elem);
     if (verify_reads_) {
         // End-to-end check: the reconstructed element must match the
         // *erased* column's own stored checksum before it is served. A
@@ -1202,13 +1314,10 @@ bool raid6_array::read_element_degraded(std::size_t stripe, std::uint32_t row,
         // back to the full-stripe path, whose classification can repair
         // the metadata.
         const strip_location loc = map_.locate(stripe, col);
-        if (!regions_[loc.disk].verify(
-                loc.offset + static_cast<std::size_t>(row) * elem,
-                acc.span())) {
+        if (!regions_[loc.disk].verify(loc.offset + in_strip, out)) {
             return false;
         }
     }
-    std::memcpy(out.data(), acc.data(), elem);
     ctr_.inc<&array_stats::degraded_element_reads>();
     return true;
 }
@@ -1256,19 +1365,15 @@ bool raid6_array::read(std::span<const read_piece> pieces) {
     // Timed after service_events: the rebuild batch a host op services is
     // accounted to the rebuild-window family, not to read latency.
     obs::timed_span span(obs_, hist_read_, "raid.read");
-    // Verify-on-read widens unaligned chunks to whole checksum blocks, so
-    // the fast path stages them through a strip-sized scratch buffer.
-    util::aligned_buffer vbuf(verify_reads_ ? map_.strip_size() : 0);
     // Pieces split the extent only at stripe boundaries, and the read
     // works stripe by stripe: piece by piece is the same I/O.
     for (const read_piece& pc : pieces) {
-        if (!read_extent(pc.addr, pc.host, vbuf)) return false;
+        if (!read_extent(pc.addr, pc.host)) return false;
     }
     return true;
 }
 
-bool raid6_array::read_extent(std::size_t addr, std::span<std::byte> out,
-                              util::aligned_buffer& vbuf) {
+bool raid6_array::read_extent(std::size_t addr, std::span<std::byte> out) {
     std::size_t done = 0;
     while (done < out.size()) {
         const std::size_t a = addr + done;
@@ -1277,7 +1382,9 @@ bool raid6_array::read_extent(std::size_t addr, std::span<std::byte> out,
         const std::size_t span_len = std::min(
             out.size() - done, map_.stripe_data_size() - in_stripe);
 
-        // Fast path: per-column direct reads.
+        // Fast path: per-column direct views, copied once into the host
+        // buffer. Verify-on-read checks whole checksum blocks, so it
+        // widens each chunk's view to them, checked where it sits.
         bool degraded = false;
         std::size_t off = in_stripe;
         std::size_t copied = 0;
@@ -1287,31 +1394,25 @@ bool raid6_array::read_extent(std::size_t addr, std::span<std::byte> out,
             const std::size_t chunk =
                 std::min(span_len - copied, map_.strip_size() - in_strip);
             const strip_location loc = map_.locate(stripe, col);
-            io_status st;
+            std::size_t lo = in_strip;
+            std::size_t hi = in_strip + chunk;
             if (verify_reads_) {
-                const std::size_t lo = in_strip - in_strip % integrity_block_;
-                const std::size_t hi =
-                    (in_strip + chunk + integrity_block_ - 1) /
-                    integrity_block_ * integrity_block_;
-                const std::span<std::byte> w(vbuf.data(), hi - lo);
-                st = latmon_.enabled()
-                         ? read_chunk_failslow(stripe, col, lo, w)
-                         : verified_disk_read(loc.disk, loc.offset + lo, w);
-                if (st == io_status::ok) {
-                    std::memcpy(out.data() + done + copied,
-                                vbuf.data() + (in_strip - lo), chunk);
-                }
-            } else {
-                const std::span<std::byte> w =
-                    out.subspan(done + copied, chunk);
-                st = latmon_.enabled()
-                         ? read_chunk_failslow(stripe, col, in_strip, w)
-                         : disk_read(loc.disk, loc.offset + in_strip, w);
+                lo -= lo % integrity_block_;
+                hi = (hi + integrity_block_ - 1) / integrity_block_ *
+                     integrity_block_;
             }
+            const std::byte* bytes = nullptr;
+            const io_status st =
+                latmon_.enabled()
+                    ? read_chunk_failslow(stripe, col, lo, hi - lo, bytes)
+                    : verified_disk_view(loc.disk, loc.offset + lo, hi - lo,
+                                         bytes, read_scratch_.data());
             if (st != io_status::ok) {
                 degraded = true;
                 break;
             }
+            std::memcpy(out.data() + done + copied, bytes + (in_strip - lo),
+                        chunk);
             copied += chunk;
             off += chunk;
         }
@@ -1361,8 +1462,8 @@ bool raid6_array::read_extent(std::size_t addr, std::span<std::byte> out,
                 }
             }
             if (!element_path) {
-                codes::stripe_buffer buf = make_stripe_buffer();
-                if (!load_and_decode(stripe, buf.view())) {
+                std::vector<std::byte*> cols;
+                if (!load_and_decode(stripe, cols)) {
                     if (verify_reads_) {
                         note_unrecoverable_read(stripe);
                     }
@@ -1376,8 +1477,7 @@ bool raid6_array::read_extent(std::size_t addr, std::span<std::byte> out,
                     const std::size_t in_strip = o % map_.strip_size();
                     const std::size_t chunk =
                         std::min(span_len - i, map_.strip_size() - in_strip);
-                    std::memcpy(out.data() + done + i,
-                                buf.view().strip(col).data() + in_strip,
+                    std::memcpy(out.data() + done + i, cols[col] + in_strip,
                                 chunk);
                     i += chunk;
                 }
@@ -1568,7 +1668,7 @@ bool raid6_array::write_partial(std::size_t stripe, std::size_t in_stripe,
     // carry the tear forward under a cleared entry, and the fallback's
     // load re-syncs the stripe first (or refuses the write).
     util::aligned_buffer old_e(elem), new_e(elem), delta(elem), par(elem);
-    bool fast_ok = settle_torn_stripe(stripe, nullptr, {}, {});
+    bool fast_ok = settle_torn_stripe(stripe, {}, {}, {});
     for (const touch& t : plan) {
         if (!fast_ok) break;
         const auto [ddisk, doff] = elem_offset(t.col, t.row);
@@ -1670,10 +1770,14 @@ bool raid6_array::write_partial(std::size_t stripe, std::size_t in_stripe,
     // (from a crash, or a rollback that failed above) is re-synced by the
     // load, or the load refuses: the write then fails loudly and the
     // stripe stays journaled for recover_write_hole().
-    codes::stripe_buffer buf = make_stripe_buffer();
     const stripe_recovery rec =
-        load_stripe_verified(stripe, buf.view(), /*writeback=*/false);
+        load_stripe_verified(stripe, /*writeback=*/false);
     if (!rec.ok) return false;
+    codes::stripe_buffer buf = make_stripe_buffer();
+    for (std::uint32_t c = 0; c < map_.n(); ++c) {
+        std::memcpy(buf.view().strip(c).data(), rec.cols[c],
+                    map_.strip_size());
+    }
     if (!rec.erased.empty()) {
         ctr_.inc<&array_stats::degraded_stripe_reads>();
         for (const std::uint32_t col : rec.erased) {

@@ -410,9 +410,15 @@ public:
 
     /// All disk reads funnel through here: retry policy, health
     /// accounting, health tripping, and masking of not-yet-rebuilt extents
-    /// on promoted spares (io_status::rebuilding).
+    /// on promoted spares (io_status::rebuilding). disk_read is disk_view
+    /// plus one copy into `out`.
     io_status disk_read(std::uint32_t d, std::size_t offset,
                         std::span<std::byte> out);
+    /// The view twin of disk_read: the same masking, retries and health
+    /// accounting, and on ok `out` points at the extent on slot `d`'s
+    /// medium (see vdisk::view: read-only, valid within the op).
+    io_status disk_view(std::uint32_t d, std::size_t offset, std::size_t len,
+                        const std::byte*& out);
 
     /// Patrol read: walk every stripe, reconstruct unreadable strips
     /// (latent sector errors) and rewrite them in place. Plain reads only
@@ -485,11 +491,13 @@ public:
 
     // ---- stripe-granular interface (rebuild / scrub engines) ----------
 
-    /// Load every readable strip of `stripe` into `dst` (codeword column
+    /// Copy every readable strip of `stripe` into `dst` (codeword column
     /// order) and report which columns are unavailable. When `statuses` is
     /// non-null it receives the per-column io_status (so callers can tell
     /// transient from latent unavailability). Returns false if more than
-    /// two columns are gone.
+    /// two columns are gone. For callers that want their own copy; the
+    /// array's own loads (load_stripe_verified, the degraded read) decode
+    /// from views of the strips where they sit.
     [[nodiscard]] bool load_stripe(std::size_t stripe,
                                    const codes::stripe_view& dst,
                                    std::vector<std::uint32_t>& erased,
@@ -512,9 +520,9 @@ public:
                        std::span<const std::uint32_t> cols,
                        const std::uint32_t* const* col_crcs = nullptr);
 
-    /// Result of load_stripe_verified(). When ok, `buf` holds a fully
+    /// Result of load_stripe_verified(). When ok, `cols` is a fully
     /// decoded, checksum-verified stripe; `erased` are the columns that
-    /// were unavailable (decoded in the buffer), `healed` the columns whose
+    /// were unavailable (decoded into scratch), `healed` the columns whose
     /// checksums exposed silent corruption (decoded, and rewritten when
     /// writeback was requested), `meta_repaired` the columns whose *stored
     /// checksums* turned out to be the damaged side (data verified fine
@@ -522,6 +530,13 @@ public:
     struct stripe_recovery {
         bool ok = false;
         bool verified = false;  ///< checksum classification actually ran
+        /// The stripe, column by column in codeword order (as_stripe()
+        /// makes it a stripe view): a column read as it is points at its
+        /// strip on the medium, every column the recovery wrote (erasures,
+        /// healed columns, re-encoded parity) at array-owned scratch.
+        /// Read-only to the caller, and valid until the array's next
+        /// stripe load.
+        std::vector<std::byte*> cols;
         std::vector<std::uint32_t> erased;
         std::vector<io_status> statuses;
         std::vector<std::uint32_t> healed;
@@ -536,7 +551,7 @@ public:
         std::vector<std::uint8_t> crc_valid;
     };
 
-    /// Checksum-first stripe recovery: load every readable strip, demote
+    /// Checksum-first stripe recovery: view every readable strip, demote
     /// checksum-mismatching columns to erasures, decode with the optimal
     /// decoder, re-verify reconstructions against their stored checksums
     /// (mismatch with all-verified inputs means the *metadata* was stale —
@@ -544,21 +559,35 @@ public:
     /// and optionally write repairs back. `extra_erasures` pre-declares
     /// columns the caller already distrusts (rebuild targets). A journaled
     /// stripe is re-synced first, or refused (see settle_torn_stripe).
+    /// `host_read`: the stripe is loaded to serve a host read, which may
+    /// have a journaled stripe's one lost data column recovered (see
+    /// resync_journaled_stripe).
     [[nodiscard]] stripe_recovery load_stripe_verified(
-        std::size_t stripe, const codes::stripe_view& buf, bool writeback,
-        std::span<const std::uint32_t> extra_erasures = {});
+        std::size_t stripe, bool writeback,
+        std::span<const std::uint32_t> extra_erasures = {},
+        bool host_read = false);
 
     /// The classification half of load_stripe_verified() for callers that
-    /// already hold the stripe bytes (the aio stripe_loader prefetches
-    /// whole windows): `buf` holds every column as read, `statuses` the
-    /// per-column read results (non-ok = erased). Behaves exactly like
-    /// load_stripe_verified() from that point on — checksum-first suspect
-    /// demotion, optimal decode, reconstruction re-verify, metadata
-    /// repair, optional writeback.
+    /// already hold the stripe's views (the aio stripe_loader prefetches
+    /// whole windows): `views[col]` points at each strip as read (null
+    /// when not ok), `statuses` the per-column read results (non-ok =
+    /// erased). Behaves exactly like load_stripe_verified() from that
+    /// point on — checksum-first suspect demotion, optimal decode,
+    /// reconstruction re-verify, metadata repair, optional writeback.
+    /// Nothing is written through a view: every column the recovery
+    /// writes is first pointed at scratch, and every change to the medium
+    /// goes through disk_write.
     [[nodiscard]] stripe_recovery verify_loaded_stripe(
-        std::size_t stripe, const codes::stripe_view& buf, bool writeback,
-        std::span<const std::uint32_t> extra_erasures,
-        std::vector<io_status> statuses);
+        std::size_t stripe, std::span<const std::byte* const> views,
+        bool writeback, std::span<const std::uint32_t> extra_erasures,
+        std::vector<io_status> statuses, bool host_read = false);
+
+    /// A stripe view over column pointers in codeword order, with this
+    /// array's geometry (e.g. a stripe_recovery's `cols`).
+    [[nodiscard]] codes::stripe_view as_stripe(
+        std::span<std::byte* const> cols) const noexcept {
+        return {cols, map_.rows(), map_.element_size()};
+    }
 
     // ---- async I/O pipeline ------------------------------------------
 
@@ -591,9 +620,39 @@ private:
     /// sampled at export.
     void update_health_gauges() noexcept;
 
-    /// Degraded path: load + decode a full stripe into `buf`.
+    /// Degraded path: load + decode a full stripe; `cols` receives its
+    /// columns as in stripe_recovery::cols.
     [[nodiscard]] bool load_and_decode(std::size_t stripe,
-                                       const codes::stripe_view& buf);
+                                       std::vector<std::byte*>& cols);
+
+    /// Submit a view of every column of `stripe` but `skip` (n: none)
+    /// through the aio engine — per-disk batching, merging, retries,
+    /// health and masking apply as to any read — and fill `views[col]`
+    /// (null unless ok) and `statuses[col]` (`skip` reads as
+    /// io_status::rebuilding, an erasure).
+    void load_views(std::size_t stripe, std::uint32_t skip,
+                    std::uint32_t flags, std::vector<const std::byte*>& views,
+                    std::vector<io_status>& statuses);
+    /// Point `cols` at a loaded stripe: a column that read ok at its view
+    /// (kernel_bytes), every other column at its scratch strip.
+    void assemble(std::span<const std::byte* const> views,
+                  std::vector<std::byte*>& cols);
+    /// Column `col`'s scratch strip: where decodes, heals and re-encodes
+    /// write (array-owned, reused load after load).
+    [[nodiscard]] std::byte* scratch(std::uint32_t col) noexcept {
+        return scratch_[col].data();
+    }
+    /// The bytes of a view as the coding and CRC kernels may read them:
+    /// the view itself, or its copy in `scratch` when the element size
+    /// rules out reading it in place (xorops::reads_in_place).
+    const std::byte* kernel_bytes(const std::byte* view, std::size_t len,
+                                  std::byte* scratch) const noexcept;
+    /// disk_view, then — with verify-on-read — the checksum check, both on
+    /// kernel_bytes (copied into `scratch` when needed): `out` receives
+    /// the checked bytes, a mismatch is io_status::checksum_mismatch.
+    io_status verified_disk_view(std::uint32_t d, std::size_t offset,
+                                 std::size_t len, const std::byte*& out,
+                                 std::byte* scratch);
 
     /// Small-read fast path: reconstruct one data element via its row
     /// parity (k reads) instead of decoding the whole stripe
@@ -605,9 +664,8 @@ private:
                                              std::span<std::byte> out);
 
     /// Read [addr, addr+out.size()) stripe by stripe: the body of read(),
-    /// after its per-op prologue. `vbuf` is the verify-on-read scratch.
-    [[nodiscard]] bool read_extent(std::size_t addr, std::span<std::byte> out,
-                                   util::aligned_buffer& vbuf);
+    /// after its per-op prologue.
+    [[nodiscard]] bool read_extent(std::size_t addr, std::span<std::byte> out);
 
     /// Write a run of consecutive aligned full stripes, starting at
     /// `first`, whose data bytes are at `stripes[i]` (one pointer per
@@ -647,32 +705,34 @@ private:
 
     // ---- fail-slow tolerance (latency_monitor.hpp) ---------------------
 
-    /// disk_read in deferred-time-charge mode: the policy reports the
+    /// disk_view in deferred-time-charge mode: the policy reports the
     /// virtual cost in `latency_us` but does not advance the clock — the
     /// hedged read path charges whichever leg of the race is served.
-    io_status disk_read_deferred(std::uint32_t d, std::size_t offset,
-                                 std::span<std::byte> out,
+    io_status disk_view_deferred(std::uint32_t d, std::size_t offset,
+                                 std::size_t len, const std::byte*& out,
                                  std::uint64_t& latency_us);
 
-    /// Fail-slow-aware chunk read on the fast path: `strip_lo` is the
-    /// byte offset inside codeword column `col`'s strip, `dst` both the
-    /// destination and the read length. Routes around quarantined disks
-    /// via decode, hedges reads that outlive the adaptive deadline, and
-    /// feeds the latency monitor. Checksum-verifies exactly like
-    /// verified_disk_read when verify-on-read is enabled.
+    /// Fail-slow-aware chunk read on the fast path: the `len` bytes at
+    /// `strip_lo` inside codeword column `col`'s strip. Routes around
+    /// quarantined disks via decode, hedges reads that outlive the
+    /// adaptive deadline, and feeds the latency monitor. `out` receives
+    /// the served leg's bytes (a view, or the decode in scratch),
+    /// checksum-verified exactly like verified_disk_view when
+    /// verify-on-read is enabled.
     io_status read_chunk_failslow(std::size_t stripe, std::uint32_t col,
-                                  std::size_t strip_lo,
-                                  std::span<std::byte> dst);
+                                  std::size_t strip_lo, std::size_t len,
+                                  const std::byte*& out);
 
-    /// Reconstruction read-set for one column range: submit every other
+    /// Reconstruction read-set for one column range: view every other
     /// column's strip through the aio engine (flag_verify), decode the
-    /// missing column, verify the requested range against its stored
-    /// checksum, and copy it into `dst`. False when the stripe cannot be
-    /// decoded or the reconstruction fails verification.
+    /// missing column into scratch, and verify the requested range against
+    /// its stored checksum; `out` points at it. False when the stripe
+    /// cannot be decoded or the reconstruction fails verification.
     [[nodiscard]] bool reconstruct_column_range(std::size_t stripe,
                                                 std::uint32_t col,
                                                 std::size_t strip_lo,
-                                                std::span<std::byte> dst);
+                                                std::size_t len,
+                                                const std::byte*& out);
 
     /// Promote spares for every failed disk (auto_failover). Starts or
     /// extends the background rebuild session.
@@ -727,54 +787,61 @@ private:
 
     /// disk_read + checksum verification (verify-on-read mode only):
     /// bytes that read fine but fail their stored CRC come back as
-    /// io_status::checksum_mismatch so callers demote the column.
+    /// io_status::checksum_mismatch so callers demote the column, and
+    /// `out` is filled only on ok (verified_disk_view plus one copy).
     io_status verified_disk_read(std::uint32_t d, std::size_t offset,
                                  std::span<std::byte> out);
 
     /// The torn-stripe rule, and its only home: nothing is reconstructed
     /// from a journaled stripe's parity (an interrupted update may have
     /// torn it) until the stripe is re-synced. True = decode as usual: the
-    /// stripe is not journaled, or resync_journaled_stripe made `buf` (as
-    /// loaded; read results in `statuses`) consistent, re-encoding any
-    /// parity `targets`. False = the stripe stays journaled and nothing
-    /// may be decoded from it (always so when `buf` is null: there is
-    /// nothing to re-sync).
+    /// stripe is not journaled, or resync_journaled_stripe made the stripe
+    /// in `cols` (as assembled; read results in `statuses`) consistent,
+    /// re-encoding any parity `targets` (and, for a `host_read`,
+    /// recovering one lost data column). False = the stripe stays
+    /// journaled and nothing may be decoded from it (always so when `cols`
+    /// is empty: there is nothing to re-sync).
     [[nodiscard]] bool settle_torn_stripe(
-        std::size_t stripe, const codes::stripe_view* buf,
+        std::size_t stripe, std::span<std::byte*> cols,
         std::span<const io_status> statuses,
-        std::span<const std::uint32_t> targets);
+        std::span<const std::uint32_t> targets, bool host_read = false);
     /// The hybrid rebuild's element-level plan reads parity directly, so
     /// it asks the rule before it runs.
     friend rebuild_result rebuild_single_disk_hybrid(raid6_array& array,
                                                      std::uint32_t disk);
 
-    /// Re-sync one journaled stripe held in `buf` (read results in
-    /// `statuses`): classify every checksum-mismatching data column as
-    /// torn (targeted by the in-flight update — accept the on-disk bytes)
-    /// or corrupt (untargeted — recover via checksum-guided candidate
-    /// decode), then re-encode both parities from data, store them and
-    /// clear the journal entry. Every data column must be readable and
-    /// none a target; a parity column may be missing only as a target.
-    /// False leaves the stripe journaled.
+    /// Re-sync one journaled stripe whose columns are `cols` (read
+    /// results in `statuses`): classify every checksum-mismatching data
+    /// column as torn (targeted by the in-flight update — accept the
+    /// on-disk bytes) or corrupt (untargeted — recover via checksum-guided
+    /// candidate decode and store), then re-encode both parities from data
+    /// into scratch, store them and clear the journal entry. Every data
+    /// column must be readable and none a target — except that for a
+    /// `host_read` one unavailable data column the update was not writing
+    /// is recovered by candidate decode into scratch; a parity column may
+    /// be missing only as a target. False leaves the stripe journaled.
     [[nodiscard]] bool resync_journaled_stripe(
-        std::size_t stripe, const codes::stripe_view& buf,
+        std::size_t stripe, std::span<std::byte*> cols,
         std::span<const io_status> statuses,
-        std::span<const std::uint32_t> targets);
+        std::span<const std::uint32_t> targets, bool host_read);
 
-    /// Corruption recovery for an *untargeted* column of a torn stripe:
-    /// parity may itself be torn, so try decoding the column from each
-    /// parity subset ({c}, {c,P}, {c,Q}) and accept the first candidate
-    /// matching the column's stored checksum.
+    /// Recovery of an *untargeted* column of a torn stripe (corrupt or
+    /// lost): parity may itself be torn, so try decoding the column from
+    /// each parity subset ({c}, {c,P}, {c,Q}) into scratch and accept the
+    /// first candidate matching the column's stored checksum; `cols[col]`
+    /// then points at it.
     [[nodiscard]] bool heal_journaled_column(std::size_t stripe,
-                                             const codes::stripe_view& buf,
+                                             std::span<std::byte*> cols,
                                              std::uint32_t col);
 
     /// Adapter plugging the array's I/O funnel in as the aio engine's
-    /// execution backend: reads/writes keep their retry, health, masking,
-    /// and power-loss semantics no matter which path submitted them.
+    /// execution backend: reads, views and writes keep their retry,
+    /// health, masking, and power-loss semantics no matter which path
+    /// submitted them.
     struct disk_backend final : aio::io_backend {
         explicit disk_backend(raid6_array& a) noexcept : owner(a) {}
         io_status execute(const aio::io_desc& d) override;
+        io_status view(const aio::io_desc& d, const std::byte*& out) override;
         raid6_array& owner;
     };
 
@@ -801,6 +868,13 @@ private:
     std::vector<integrity::integrity_region> regions_;
     bool verify_reads_;
     std::size_t integrity_block_;
+    /// xorops::reads_in_place(element size): the kernels read views where
+    /// they sit; otherwise kernel_bytes copies them into scratch first.
+    bool in_place_;
+    /// One scratch strip per column (see scratch()), plus a strip for the
+    /// fast path's kernel_bytes copies (empty while in_place_).
+    std::vector<util::aligned_buffer> scratch_;
+    util::aligned_buffer read_scratch_;
     /// Atomic: armed and read on the caller's thread, while a volume
     /// shard's writes run on its dispatcher.
     std::atomic<bool> powered_{true};

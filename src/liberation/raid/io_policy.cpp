@@ -72,6 +72,13 @@ io_result io_policy::read(vdisk& disk, std::size_t offset,
                io_kind::read, defer_time_charge);
 }
 
+io_result io_policy::view(vdisk& disk, std::size_t offset, std::size_t len,
+                          const std::byte*& out, bool defer_time_charge) {
+    return run(
+        [&](std::uint64_t* svc) { return disk.view(offset, len, out, svc); },
+        io_kind::read, defer_time_charge);
+}
+
 io_result io_policy::write(vdisk& disk, std::size_t offset,
                            std::span<const std::byte> in,
                            bool defer_time_charge) {

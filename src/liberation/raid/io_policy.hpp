@@ -134,6 +134,10 @@ public:
     io_result write(vdisk& disk, std::size_t offset,
                     std::span<const std::byte> in,
                     bool defer_time_charge = false);
+    /// read() without the copy: the same retries, charges and counters,
+    /// and on ok `out` points at the bytes on the medium (vdisk::view).
+    io_result view(vdisk& disk, std::size_t offset, std::size_t len,
+                   const std::byte*& out, bool defer_time_charge = false);
 
     [[nodiscard]] io_policy_stats stats() const noexcept {
         return ctr_.snapshot();

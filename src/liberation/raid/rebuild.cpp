@@ -51,9 +51,9 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
     };
 
     // Commit tail of the verified rebuild: reconstructed targets plus
-    // healed survivors go back to disk, or the stripe is failed.
+    // healed survivors go back to disk from the recovery's scratch, or the
+    // stripe is failed.
     const auto commit_recovered = [&](std::size_t s,
-                                      const codes::stripe_view& v,
                                       const raid6_array::stripe_recovery& rec) {
         if (!rec.ok) {
             note_failure(s);
@@ -80,7 +80,7 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
                 }
             }
         }
-        if (!array.store_columns(s, v, commit,
+        if (!array.store_columns(s, array.as_stripe(rec.cols), commit,
                                  crc_ptrs.empty() ? nullptr
                                                   : crc_ptrs.data())) {
             note_failure(s);
@@ -90,14 +90,14 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
     };
 
     // Verified rebuild, one window of stripes at a time: batched
-    // multi-stripe reads through the submission queue (one merged
-    // transfer per surviving disk per window), long-lived slot buffers
-    // instead of a fresh stripe_buffer per stripe, and no reads at all for
-    // the rebuild targets. Checksum-suspect survivors are demoted to
-    // erasures alongside the targets, and every reconstructed strip is
-    // re-verified against its stored checksum before it is committed to
-    // the replacement (a rebuild must never lay corrupt bytes onto fresh
-    // hardware). A journaled stripe is re-synced by the verification when
+    // multi-stripe views through the submission queue (one merged
+    // transfer per surviving disk per window), survivors decoded where
+    // they sit with only the targets and suspects in scratch, and no
+    // reads at all for the rebuild targets. Checksum-suspect survivors
+    // are demoted to erasures alongside the targets, and every
+    // reconstructed strip is re-verified against its stored checksum
+    // before it is committed to the replacement (a rebuild must never lay
+    // corrupt bytes onto fresh hardware). A journaled stripe is re-synced by the verification when
     // only parity is targeted, and refused otherwise.
     aio::stripe_loader loader(array.aio_engine(), array.map());
     loader.run(
@@ -110,13 +110,13 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
             return false;
         },
         /*process=*/
-        [&](std::size_t s, const codes::stripe_view& v,
+        [&](std::size_t s, std::span<const std::byte* const> views,
             std::vector<io_status>& statuses) {
             const raid6_array::stripe_recovery rec =
-                array.verify_loaded_stripe(s, v, /*writeback=*/false,
+                array.verify_loaded_stripe(s, views, /*writeback=*/false,
                                            target_columns(s),
                                            std::move(statuses));
-            commit_recovered(s, v, rec);
+            commit_recovered(s, rec);
         });
 
     result.seconds = timer.seconds();
@@ -170,7 +170,7 @@ rebuild_result rebuild_single_disk_hybrid(raid6_array& array,
         // and healed, a journaled stripe is re-synced or refused, and the
         // reconstruction is verified before the store below commits it.
         bool full =
-            col >= map.k() || !array.settle_torn_stripe(s, nullptr, {}, {});
+            col >= map.k() || !array.settle_torn_stripe(s, {}, {}, {});
         if (!full) {
             if (!planned[col]) {
                 plans[col] = core::plan_hybrid_rebuild(g, col);
@@ -212,20 +212,22 @@ rebuild_result rebuild_single_disk_hybrid(raid6_array& array,
                 }
             }
         }
+        raid6_array::stripe_recovery rec;
         if (full) {
             // Also the path for a checksum disagreement somewhere in the
             // element chain: the classification sorts out whether data or
             // metadata is the damaged side (it repairs either).
             const std::uint32_t extra[] = {col};
-            const raid6_array::stripe_recovery rec = array.load_stripe_verified(
-                s, buf.view(), /*writeback=*/true, extra);
+            rec = array.load_stripe_verified(s, /*writeback=*/true, extra);
             if (!rec.ok) {
                 note_failure(s);
                 continue;
             }
         }
 
-        if (!array.store_columns(s, buf.view(), rebuilt_cols)) {
+        if (!array.store_columns(s,
+                                 full ? array.as_stripe(rec.cols) : buf.view(),
+                                 rebuilt_cols)) {
             note_failure(s);
             continue;
         }

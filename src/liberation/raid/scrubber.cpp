@@ -1,5 +1,6 @@
 #include "liberation/raid/scrubber.hpp"
 
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -13,7 +14,6 @@ namespace {
 // Accounting tail of the scrub loop: everything that happens to one
 // stripe after its verified load.
 void account_stripe(raid6_array& array, scrub_summary& summary, std::size_t s,
-                    const codes::stripe_view& v,
                     const raid6_array::stripe_recovery& rec) {
     const std::uint32_t k = array.map().k();
     const std::size_t strip = array.map().strip_size();
@@ -93,6 +93,19 @@ void account_stripe(raid6_array& array, scrub_summary& summary, std::size_t s,
         // the cross-check bucket, not the scrub-throughput figure.
         summary.scrub_bytes_crosscheck +=
             static_cast<std::size_t>(array.map().n()) * strip;
+        // The survivors are views of the medium, and the parity fallback
+        // corrects in place: only a stripe whose parity disagrees is
+        // copied (rare), and its correction is stored from the copy.
+        if (core::stripe_consistent(array.as_stripe(rec.cols),
+                                    array.code().geom())) {
+            ++summary.clean;
+            return;
+        }
+        codes::stripe_buffer copy = array.make_stripe_buffer();
+        const codes::stripe_view v = copy.view();
+        for (std::uint32_t c = 0; c < array.map().n(); ++c) {
+            std::memcpy(v.strip(c).data(), rec.cols[c], strip);
+        }
         const core::scrub_report report =
             core::scrub_stripe(v, array.code().geom());
         switch (report.status) {
@@ -150,7 +163,7 @@ scrub_summary scrub_array(raid6_array& array) {
     aio::stripe_loader loader(array.aio_engine(), array.map());
     loader.run(
         0, stripes, /*skip_column=*/nullptr,
-        [&](std::size_t s, const codes::stripe_view& v,
+        [&](std::size_t s, std::span<const std::byte* const> views,
             std::vector<io_status>& statuses) {
             ++summary.stripes_scanned;
             if (array.journal().is_dirty(s)) {
@@ -160,9 +173,9 @@ scrub_summary scrub_array(raid6_array& array) {
             obs::timed_span span(hub, &stripe_hist, "scrub.stripe",
                                  "scrub");
             const raid6_array::stripe_recovery rec =
-                array.verify_loaded_stripe(s, v, /*writeback=*/true, {},
+                array.verify_loaded_stripe(s, views, /*writeback=*/true, {},
                                            std::move(statuses));
-            account_stripe(array, summary, s, v, rec);
+            account_stripe(array, summary, s, rec);
         });
     array.note_scrub_bytes(summary.scrub_bytes_single_pass,
                            summary.scrub_bytes_crosscheck);

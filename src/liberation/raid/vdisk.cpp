@@ -140,9 +140,17 @@ void vdisk::clear_latency_profile() {
 
 io_status vdisk::read(std::size_t offset, std::span<std::byte> out,
                       std::uint64_t* service_us) {
+    const std::byte* at = nullptr;
+    const io_status st = view(offset, out.size(), at, service_us);
+    if (st == io_status::ok) std::memcpy(out.data(), at, out.size());
+    return st;
+}
+
+io_status vdisk::view(std::size_t offset, std::size_t len,
+                      const std::byte*& out, std::uint64_t* service_us) {
     if (service_us != nullptr) *service_us = 0;
     if (!online()) return io_status::disk_failed;
-    if (!extent_ok(offset, out.size())) return io_status::out_of_range;
+    if (!extent_ok(offset, len)) return io_status::out_of_range;
     // Taken whether or not the caller wants the number: the latency
     // stream must advance identically on every path touching the medium.
     const std::uint64_t svc = take_service_latency();
@@ -151,12 +159,12 @@ io_status vdisk::read(std::size_t offset, std::span<std::byte> out,
         transient_reads_.fetch_add(1, std::memory_order_relaxed);
         return io_status::transient_error;
     }
-    if (!extent_readable(offset, out.size())) {
+    if (!extent_readable(offset, len)) {
         return io_status::unreadable_sector;
     }
-    std::memcpy(out.data(), medium_ + offset, out.size());
+    out = medium_ + offset;
     reads_.fetch_add(1, std::memory_order_relaxed);
-    bytes_read_.fetch_add(out.size(), std::memory_order_relaxed);
+    bytes_read_.fetch_add(len, std::memory_order_relaxed);
     return io_status::ok;
 }
 

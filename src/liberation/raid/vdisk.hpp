@@ -121,6 +121,16 @@ public:
     /// is slow whether or not the op ultimately succeeds.
     io_status read(std::size_t offset, std::span<std::byte> out,
                    std::uint64_t* service_us = nullptr);
+    /// A read that moves no bytes. The op's status is decided exactly as
+    /// read() decides it — online check, range check, fail-slow draw,
+    /// transient draw, latent-sector check, counters, in that order (read()
+    /// is view() plus one copy) — and on ok `out` points at the extent
+    /// where it sits on the medium. A view lives only within the op that
+    /// took it: it is read-only (every change to the medium goes through
+    /// write()), and it shows whatever the medium holds later, so a write,
+    /// replace() or unmap_medium() of the disk ends it.
+    io_status view(std::size_t offset, std::size_t len, const std::byte*& out,
+                   std::uint64_t* service_us = nullptr);
     io_status write(std::size_t offset, std::span<const std::byte> in,
                     std::uint64_t* service_us = nullptr);
 

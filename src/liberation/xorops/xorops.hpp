@@ -137,6 +137,19 @@ void xor_many_into_crc32c_blocks(std::byte* dst, const std::byte* const* srcs,
 // a source (for xor_many/xor_many_into: only sources among the first
 // max_fused_sources(), i.e. within the first fused pass).
 
+/// True when regions made of `element_size`-byte elements may be handed to
+/// the kernels where they sit — in a host buffer or on a mapped medium —
+/// rather than only inside a library-owned aligned_buffer. A kernel may
+/// issue full-width loads over an element's tail (the aligned_buffer
+/// contract), which stays inside the element only when its size is a
+/// multiple of the 64-byte load quantum; otherwise a load at the end of a
+/// host allocation or of a mapping could cross past it, and the caller
+/// copies into its own buffer first. The one predicate for every such
+/// choice (the stripe writer's zero-copy data, the array's views).
+[[nodiscard]] constexpr bool reads_in_place(std::size_t element_size) noexcept {
+    return element_size % 64 == 0;
+}
+
 /// dst[i] ^= src[i] for n bytes (dst == src is allowed and zeroes dst).
 void xor_into(std::byte* dst, const std::byte* src, std::size_t n) noexcept;
 

@@ -327,6 +327,44 @@ TEST(WriteHole, DegradedReadOfTornStripeNeverReturnsWrongBytes) {
     }
 }
 
+TEST(WriteHole, DegradedReadRecoversTornStripesUntargetedDeadColumn) {
+    // The dead column is one the torn small write was not writing, so its
+    // stored checksum still vouches for its bytes: the read re-syncs the
+    // stripe, recovering the column from the parity subset that checksum
+    // accepts, and serves the written bytes. The entry is retired, so a
+    // rebuild of the dead disk then restores the whole array.
+    for (const tear_kind kind : {tear_kind::power_loss,
+                                 tear_kind::failed_rollback}) {
+        for (const bool whole_strip : {false, true}) {
+            raid6_array a(cfg());
+            const auto data = pattern(a.capacity(), 17);
+            ASSERT_TRUE(a.write(0, data));
+            const std::uint32_t dead = tear_stripe0_with_dead_column(a, kind);
+            ASSERT_TRUE(a.journal().is_dirty(0));
+
+            const std::size_t strip = a.map().strip_size();
+            const std::size_t addr = a.map().column_of_disk(0, dead) * strip;
+            std::vector<std::byte> out(whole_strip ? strip : 50);
+            SCOPED_TRACE(testing::Message()
+                         << "rollback=" << (kind == tear_kind::failed_rollback)
+                         << " len=" << out.size());
+            ASSERT_TRUE(a.read(addr, out));
+            EXPECT_TRUE(std::equal(out.begin(), out.end(),
+                                   data.begin() + static_cast<long>(addr)));
+            EXPECT_FALSE(a.journal().is_dirty(0));
+
+            a.replace_disk(dead);
+            const std::uint32_t disks[] = {dead};
+            EXPECT_TRUE(rebuild_disks(a, disks).success);
+            EXPECT_EQ(a.journal().size(), 0u);
+            EXPECT_EQ(torn_stripes(a), 0u);
+            std::vector<std::byte> all(a.capacity());
+            ASSERT_TRUE(a.read(0, all));
+            EXPECT_EQ(all, data);
+        }
+    }
+}
+
 TEST(WriteHole, RebuildOfTornStripesParityColumnResyncsIt) {
     // Rebuilding a torn stripe's P column needs no parity at all: the
     // data columns are all readable, so the rebuild re-syncs the stripe
