@@ -1,7 +1,9 @@
-// CRC32C kernel throughput — software slice-by-8 vs the hardware
-// instruction path — and the end-to-end cost of verify-on-read: the same
-// sequential full-device read workload against two arrays that differ only
-// in array_config::verify_reads. The delta is what the integrity layer
+// CRC32C kernel throughput — the fold (VPCLMULQDQ), three-lane (crc32
+// instruction) and software (slice-by-8) paths side by side, on hot data
+// and on a cold span larger than the last-level cache — and the
+// end-to-end cost of verify-on-read: the same sequential full-device read
+// workload against two arrays that differ only in
+// array_config::verify_reads. The delta is what the integrity layer
 // charges the hot read path (one checksum pass per strip plus the bounce
 // buffer).
 #include <cstdio>
@@ -16,21 +18,27 @@
 
 namespace {
 
-double crc_gbps(liberation::integrity::crc32c_impl impl,
-                std::span<const std::byte> buf, double seconds = 0.15) {
-    namespace integrity = liberation::integrity;
+namespace integrity = liberation::integrity;
+
+/// GB/s of crc32c() pinned to `impl` over `block`-byte calls that walk
+/// `span` front to back (span == block: the same hot block every call).
+double crc_gbps(integrity::crc32c_impl impl, std::span<const std::byte> span,
+                std::size_t block, double seconds = 0.15) {
     integrity::force_impl(impl);
-    std::uint32_t sink = integrity::crc32c(buf);  // warm-up + page-in
+    std::uint32_t sink = integrity::crc32c(span);  // warm-up + page-in
     double best = 0.0;
     for (int trial = 0; trial < 3; ++trial) {
-        std::uint64_t iters = 0;
+        std::uint64_t bytes = 0;
         liberation::util::stopwatch timer;
         do {
-            sink ^= integrity::crc32c(buf);
-            ++iters;
+            for (std::size_t off = 0; off + block <= span.size();
+                 off += block) {
+                sink ^= integrity::crc32c(span.data() + off, block);
+            }
+            bytes += span.size() / block * block;
         } while (timer.seconds() < seconds / 3);
         best = std::max(best, liberation::util::throughput_gbps(
-                                  iters * buf.size(), timer.seconds()));
+                                  bytes, timer.seconds()));
     }
     // Keep the checksum observable so the loop cannot be elided.
     if (sink == 0xdeadbeef) std::printf("\n");
@@ -70,31 +78,46 @@ double read_gbps(bool verify, double seconds = 0.3) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    namespace integrity = liberation::integrity;
+    using integrity::crc32c_impl;
     bench::reporter rep(argc, argv, "crc32c");
     const bool hw = integrity::hardware_available();
-    rep.banner("CRC32C kernel and verify-on-read overhead\n");
-    rep.banner(std::string("hardware CRC32C: ") +
-               (hw ? "available" : "not available (rows report 0)") + "\n");
+    const bool fold = integrity::fold_available();
+    rep.banner("CRC32C kernels and verify-on-read overhead\n");
+    rep.banner(std::string("three-lane crc32: ") +
+               (hw ? "available" : "not available (column reports 0)") +
+               "; fold (VPCLMULQDQ): " +
+               (fold ? "available" : "not available (column reports 0)") +
+               "\n");
 
     liberation::util::xoshiro256 rng(bench::kSeed);
-    std::vector<std::byte> buf(1u << 20);
+    // The cold span is well past any last-level cache: every block
+    // streams in from memory, the way a checksum sweep over a freshly
+    // written stripe or a mapped medium sees it.
+    std::vector<std::byte> buf(std::size_t{128} << 20);
     rng.fill(buf);
+    const auto three = [&](std::span<const std::byte> span,
+                           std::size_t block) -> std::vector<double> {
+        return {crc_gbps(crc32c_impl::software, span, block),
+                hw ? crc_gbps(crc32c_impl::hardware, span, block) : 0.0,
+                fold ? crc_gbps(crc32c_impl::fold, span, block) : 0.0};
+    };
 
-    rep.section("(kernel throughput, GB/s)", "kernel");
-    rep.header({"bytes", "software", "hardware"});
+    rep.section("(hot: one block, repeated; GB/s)", "hot");
+    rep.header({"bytes", "software", "three_lane", "fold"});
     for (const std::size_t n : {64u, 512u, 4096u, 65536u, 1048576u}) {
-        const std::span<const std::byte> s(buf.data(), n);
-        const double sw = crc_gbps(integrity::crc32c_impl::software, s);
-        const double hws =
-            hw ? crc_gbps(integrity::crc32c_impl::hardware, s) : 0.0;
-        rep.row(static_cast<std::uint32_t>(n), {sw, hws}, "%14.3f");
+        rep.row(static_cast<std::uint32_t>(n),
+                three(std::span<const std::byte>(buf.data(), n), n),
+                "%14.3f");
     }
+    rep.section("(cold: 4 KiB blocks across a 128 MiB span; GB/s)", "cold");
+    rep.header({"bytes", "software", "three_lane", "fold"});
+    rep.row(4096, three(buf, 4096), "%14.3f");
 
     // Restore runtime dispatch to its natural choice before the end-to-end
     // read benchmark — that is what production reads pay.
-    integrity::force_impl(hw ? integrity::crc32c_impl::hardware
-                             : integrity::crc32c_impl::software);
+    integrity::force_impl(fold ? crc32c_impl::fold
+                               : hw ? crc32c_impl::hardware
+                                    : crc32c_impl::software);
 
     rep.section("(array sequential read, GB/s; k=4, 4 KiB elements)",
                 "verified-read");

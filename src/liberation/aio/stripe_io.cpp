@@ -71,12 +71,11 @@ stripe_writer::stripe_writer(queue_pair& qp, const raid::stripe_map& map,
       map_(map),
       window_(std::max<std::size_t>(1, qp.config().queue_depth)),
       zero_copy_(xorops::reads_in_place(map.element_size())),
-      crc_block_(crc_block),
       strip_blocks_(map.strip_size() / crc_block),
       parity_stage_(window_ * 2 * map.strip_size()),
       data_stage_(zero_copy_ ? 0 : window_ * map.k() * map.strip_size()),
       ptrs_(window_ * map.n()),
-      crcs_(window_ * map.n() * strip_blocks_) {
+      crcs_(window_ * 2 * strip_blocks_) {
     LIBERATION_EXPECTS(crc_block != 0 && map.strip_size() % crc_block == 0);
 }
 
@@ -92,17 +91,10 @@ std::span<std::byte* const> stripe_writer::stage(std::size_t slot,
             // The backend only reads write payloads; the host span stays
             // logically const.
             cols[c] = const_cast<std::byte*>(src);
-            // Zero-copy leaves no staging traversal to fuse into; the
-            // checksum sweep here is the column's single extra pass (the
-            // integrity layer then installs, never re-reads).
-            xorops::crc32c_blocks(src, strip, crc_block_,
-                                  column_crcs(slot, c));
         } else {
             std::byte* dst =
                 data_stage_.data() + (slot * k + c) * strip;
-            // Fused: the checksum rides the staging copy.
-            xorops::copy_crc32c_blocks(dst, src, strip, crc_block_,
-                                       column_crcs(slot, c));
+            xorops::copy(dst, src, strip);
             cols[c] = dst;
         }
     }
@@ -125,7 +117,7 @@ void stripe_writer::submit_columns(std::size_t stripe, std::size_t slot,
         d.data = cols[c];
         d.len = strip;
         d.user_data = stripe;
-        d.crcs = column_crcs(slot, c);
+        d.crcs = c < map_.k() ? nullptr : parity_crcs(slot, c - map_.k());
         qp_.submit(d);
     }
 }

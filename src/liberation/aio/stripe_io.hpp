@@ -14,10 +14,10 @@
 //   * stripe_writer — pipelines full-stripe writes. Data columns are
 //     submitted zero-copy straight from the host's buffer (when
 //     xorops::reads_in_place allows it; otherwise they are staged into
-//     reused slots), with their checksum words computed in
-//     the same pass; parity is encoded into writer-owned staging slots
-//     *after* the data submissions are already in flight, and follows
-//     them into the same drain window.
+//     reused slots) and carry no checksum words: the copy onto the medium
+//     computes them as the bytes land. Parity is encoded, with its words,
+//     into writer-owned staging slots *after* the data submissions are
+//     already in flight, and follows them into the same drain window.
 //
 // Both windows are the queue_pair's queue depth; depth 1 is a window of
 // one stripe, run through the same code.
@@ -86,14 +86,13 @@ private:
 /// Journaling, write-failure policy, and stats stay with the caller.
 class stripe_writer {
 public:
-    /// Checksums are staged with the data, one CRC32C per `crc_block`
-    /// bytes (>= 1, must divide the strip size): stage() computes each
-    /// data column's words inside the staging copy (or in one sweep of
-    /// the host bytes in zero-copy mode), submit_columns() attaches the
-    /// words to every write via io_desc::crcs, and the caller encodes
-    /// parity with its fused encode_crc into column_crcs(slot, k) /
-    /// column_crcs(slot, k+1) — so the integrity layer installs
-    /// precomputed words instead of re-reading every strip on completion.
+    /// Parity checksums are staged with parity, one CRC32C per
+    /// `crc_block` bytes (>= 1, must divide the strip size): the caller
+    /// encodes parity with its fused encode_crc into parity_crcs(slot, 0)
+    /// / parity_crcs(slot, 1), and submit_columns() attaches them to the
+    /// parity writes via io_desc::crcs. Data writes carry none
+    /// (io_desc::crcs null): the landing copy computes their words, so no
+    /// column is swept just for its checksum.
     stripe_writer(queue_pair& qp, const raid::stripe_map& map,
                   std::size_t crc_block);
 
@@ -112,13 +111,12 @@ public:
     /// stay valid until the next drain().
     std::span<std::byte* const> stage(std::size_t slot, const std::byte* host);
 
-    /// Checksum words of window slot `slot`, column `col` (one per
-    /// crc_block of the strip, strip byte order). Data columns are filled
-    /// by stage(); parity columns are the caller's to fill (encode_crc)
-    /// before submitting them.
-    [[nodiscard]] std::uint32_t* column_crcs(std::size_t slot,
-                                             std::uint32_t col) noexcept {
-        return crcs_.data() + (slot * map_.n() + col) * strip_blocks_;
+    /// Checksum words of window slot `slot`, parity column `j` (0 = P,
+    /// 1 = Q; one per crc_block of the strip, strip byte order): the
+    /// caller's to fill (encode_crc) before submitting the parity.
+    [[nodiscard]] std::uint32_t* parity_crcs(std::size_t slot,
+                                             std::uint32_t j) noexcept {
+        return crcs_.data() + (slot * 2 + j) * strip_blocks_;
     }
 
     /// Submit the write for columns [begin_col, end_col) of window slot
@@ -142,12 +140,11 @@ private:
     const raid::stripe_map& map_;
     std::size_t window_;
     bool zero_copy_;
-    std::size_t crc_block_;              ///< bytes per checksum word
     std::size_t strip_blocks_;           ///< checksum words per strip
     util::aligned_buffer parity_stage_;  ///< window x 2 strips
     util::aligned_buffer data_stage_;    ///< window x k strips (copy mode)
     std::vector<std::byte*> ptrs_;       ///< window x n column pointers
-    std::vector<std::uint32_t> crcs_;    ///< window x n x strip_blocks_
+    std::vector<std::uint32_t> crcs_;    ///< window x 2 x strip_blocks_
 };
 
 }  // namespace liberation::aio

@@ -6,6 +6,10 @@
 #include <iterator>
 #include <optional>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #if defined(__aarch64__) && defined(__linux__)
 #include <sys/auxv.h>
 #ifndef HWCAP_CRC32
@@ -120,6 +124,177 @@ __attribute__((target("sse4.2"))) void lanes_hardware(
 
 bool detect_hardware() noexcept { return __builtin_cpu_supports("sse4.2"); }
 
+// ---------------------------------------------------------------------------
+// Fold path: carry-less-multiply folding (Gopal et al., "Fast CRC
+// Computation for Generic Polynomials Using PCLMULQDQ", Intel 2009) on
+// 512-bit registers. Four accumulators hold 256 consecutive bytes; each
+// loop step multiplies every 128-bit lane forward by x^2048 and XORs in the
+// lane 256 bytes further on, so the message stays congruent (mod P) to
+// what the accumulators hold. At the end the accumulators fold into one
+// 128-bit lane V, and the raw state is V·x^32 mod P — exactly what two
+// crc32 instructions compute from V's two qwords.
+//
+// Frame: a 128-bit lane loaded little-endian is the polynomial whose
+// highest coefficient is bit 0 of byte 0 (the reflected convention). For
+// a lane with qwords q0 (earlier) and q1, lane·x^D = q0·x^(D+64) + q1·x^D;
+// a carry-less product of reflected operands lands one degree up, so the
+// multipliers are x^(D+63) and x^(D-1) mod P, each a 32-bit remainder in
+// the high half of its qword.
+
+/// x^e mod P in the raw-state representation (bit i = coefficient of
+/// x^(31-i)), evaluated at compile time for the fold constants.
+constexpr std::uint32_t xpow_mod(std::size_t e) noexcept {
+    std::uint32_t r = 0x80000000u;  // x^0
+    for (std::size_t i = 0; i < e; ++i)
+        r = (r >> 1) ^ ((r & 1u) != 0 ? kPolyReflected : 0u);
+    return r;
+}
+
+/// The multiplier pair that advances a 128-bit lane by D bits.
+template <std::size_t D>
+struct fold_by {
+    static constexpr std::uint64_t q0 = std::uint64_t{xpow_mod(D + 63)} << 32;
+    static constexpr std::uint64_t q1 = std::uint64_t{xpow_mod(D - 1)} << 32;
+};
+
+enum class fold_store : std::uint8_t { none, copy, stream };
+
+#define LIBERATION_FOLD_TARGET \
+    __attribute__((target("avx512f,avx512vl,vpclmulqdq,pclmul,sse4.2")))
+
+/// One crc32 chain over [src, src+n), word- then byte-wise, copying to
+/// dst with regular stores unless S is none: the fold path's head, tail
+/// and short inputs.
+template <fold_store S>
+LIBERATION_FOLD_TARGET std::uint32_t chain_raw(std::uint32_t crc,
+                                               std::byte* dst,
+                                               const std::byte* src,
+                                               std::size_t n) noexcept {
+    std::size_t i = 0;
+    std::uint64_t c = crc;
+    for (; i + 8 <= n; i += 8) {
+        std::uint64_t w;
+        std::memcpy(&w, src + i, 8);
+        if constexpr (S != fold_store::none) std::memcpy(dst + i, &w, 8);
+        c = _mm_crc32_u64(c, w);
+    }
+    auto c32 = static_cast<std::uint32_t>(c);
+    for (; i < n; ++i) {
+        if constexpr (S != fold_store::none) dst[i] = src[i];
+        c32 = _mm_crc32_u8(c32, std::to_integer<unsigned char>(src[i]));
+    }
+    return c32;
+}
+
+template <fold_store S>
+LIBERATION_FOLD_TARGET inline __m512i fold_load(std::byte* dst,
+                                                const std::byte* src) noexcept {
+    const __m512i v = _mm512_loadu_si512(src);
+    if constexpr (S == fold_store::copy) _mm512_storeu_si512(dst, v);
+    if constexpr (S == fold_store::stream)
+        _mm512_stream_si512(reinterpret_cast<__m512i*>(dst), v);
+    return v;
+}
+
+template <std::size_t D>
+LIBERATION_FOLD_TARGET inline __m512i fold512(__m512i x,
+                                              __m512i next) noexcept {
+    constexpr auto q0 = static_cast<long long>(fold_by<D>::q0);
+    constexpr auto q1 = static_cast<long long>(fold_by<D>::q1);
+    const __m512i k = _mm512_set_epi64(q1, q0, q1, q0, q1, q0, q1, q0);
+    return _mm512_ternarylogic_epi64(_mm512_clmulepi64_epi128(x, k, 0x00),
+                                     _mm512_clmulepi64_epi128(x, k, 0x11),
+                                     next, 0x96);
+}
+
+template <std::size_t D>
+LIBERATION_FOLD_TARGET inline __m128i fold128(__m128i x,
+                                              __m128i next) noexcept {
+    const __m128i k = _mm_set_epi64x(static_cast<long long>(fold_by<D>::q1),
+                                     static_cast<long long>(fold_by<D>::q0));
+    return _mm_ternarylogic_epi64(_mm_clmulepi64_si128(x, k, 0x00),
+                                  _mm_clmulepi64_si128(x, k, 0x11), next,
+                                  0x96);
+}
+
+/// The raw chain of [src, src+n) continued from raw state `crc`; S
+/// selects whether the bytes are also copied to dst, and how (with S
+/// none, dst is only offset, never written: callers pass src). Streaming
+/// stores need a 64-byte-aligned destination, so a stream copy runs its
+/// head up to that boundary through the chain first. The stream is not
+/// fenced here: the caller fences once per medium write.
+template <fold_store S>
+LIBERATION_FOLD_TARGET std::uint32_t fold_raw(std::uint32_t crc,
+                                              std::byte* dst,
+                                              const std::byte* src,
+                                              std::size_t n) noexcept {
+    constexpr fold_store kTailStore =
+        S == fold_store::none ? fold_store::none : fold_store::copy;
+    if constexpr (S == fold_store::stream) {
+        const std::size_t head = std::min(
+            n, (64 - (reinterpret_cast<std::uintptr_t>(dst) & 63)) & 63);
+        crc = chain_raw<kTailStore>(crc, dst, src, head);
+        dst += head;
+        src += head;
+        n -= head;
+    }
+    if (n < 256) return chain_raw<kTailStore>(crc, dst, src, n);
+    __m512i x0 = _mm512_xor_si512(fold_load<S>(dst, src),
+                                  _mm512_castsi128_si512(_mm_cvtsi32_si128(
+                                      static_cast<int>(crc))));
+    __m512i x1 = fold_load<S>(dst + 64, src + 64);
+    __m512i x2 = fold_load<S>(dst + 128, src + 128);
+    __m512i x3 = fold_load<S>(dst + 192, src + 192);
+    std::size_t i = 256;
+    for (; i + 256 <= n; i += 256) {
+        x0 = fold512<2048>(x0, fold_load<S>(dst + i, src + i));
+        x1 = fold512<2048>(x1, fold_load<S>(dst + i + 64, src + i + 64));
+        x2 = fold512<2048>(x2, fold_load<S>(dst + i + 128, src + i + 128));
+        x3 = fold512<2048>(x3, fold_load<S>(dst + i + 192, src + i + 192));
+    }
+    // 4 x 512 -> 512 -> 128 bits: each lane advances by its distance to
+    // the last lane of the last 256-byte block.
+    x3 = fold512<1536>(x0, fold512<1024>(x1, fold512<512>(x2, x3)));
+    // (maskz extracts: the plain ones trip g++ 12's uninitialized-value
+    // warning inside its own header.)
+    __m128i v = _mm512_maskz_extracti32x4_epi32(0xf, x3, 3);
+    v = fold128<128>(_mm512_maskz_extracti32x4_epi32(0xf, x3, 2), v);
+    v = fold128<256>(_mm512_maskz_extracti32x4_epi32(0xf, x3, 1), v);
+    v = fold128<384>(_mm512_maskz_extracti32x4_epi32(0xf, x3, 0), v);
+    std::uint64_t c = _mm_crc32_u64(
+        0, static_cast<std::uint64_t>(_mm_cvtsi128_si64(v)));
+    c = _mm_crc32_u64(c, static_cast<std::uint64_t>(_mm_extract_epi64(v, 1)));
+    return chain_raw<kTailStore>(static_cast<std::uint32_t>(c), dst + i,
+                                 src + i, n - i);
+}
+
+#undef LIBERATION_FOLD_TARGET
+
+/// Three lanes through the fold, each its own raw chain. Lanes under 256
+/// bytes would each run one latency-bound crc32 chain, so short blocks
+/// take the interleaved three-lane sweep instead (same lane values).
+template <fold_store S>
+void lanes_fold(std::byte* dst, const std::byte* src, std::size_t n,
+                std::uint32_t lanes[3]) noexcept {
+    const std::size_t lane = crc32c_lane_bytes(n);
+    if (lane < 256) {
+        if constexpr (S != fold_store::none) std::memcpy(dst, src, n);
+        lanes_hardware(src, n, lanes);
+        return;
+    }
+    lanes[0] = fold_raw<S>(0, dst, src, lane);
+    lanes[1] = fold_raw<S>(0, dst + lane, src + lane, lane);
+    lanes[2] = fold_raw<S>(0, dst + 2 * lane, src + 2 * lane, n - 2 * lane);
+}
+
+bool detect_fold() noexcept {
+    return __builtin_cpu_supports("sse4.2") &&
+           __builtin_cpu_supports("pclmul") &&
+           __builtin_cpu_supports("avx512f") &&
+           __builtin_cpu_supports("avx512vl") &&
+           __builtin_cpu_supports("vpclmulqdq");
+}
+
 #elif defined(__aarch64__)
 
 __attribute__((target("+crc"))) void lanes_hardware(
@@ -163,6 +338,8 @@ bool detect_hardware() noexcept {
 #endif
 }
 
+bool detect_fold() noexcept { return false; }
+
 #else
 
 void lanes_hardware(const std::byte* src, std::size_t n,
@@ -172,14 +349,20 @@ void lanes_hardware(const std::byte* src, std::size_t n,
 
 bool detect_hardware() noexcept { return false; }
 
+bool detect_fold() noexcept { return false; }
+
 #endif
+
+crc32c_impl best_impl() noexcept {
+    if (detect_fold()) return crc32c_impl::fold;
+    return detect_hardware() ? crc32c_impl::hardware : crc32c_impl::software;
+}
 
 // Dispatch state. CPU detection must not run during static initialization
 // (other translation units' constructors may checksum), so the atomic is a
 // lazy magic static.
 std::atomic<crc32c_impl>& impl_slot() noexcept {
-    static std::atomic<crc32c_impl> slot{
-        detect_hardware() ? crc32c_impl::hardware : crc32c_impl::software};
+    static std::atomic<crc32c_impl> slot{best_impl()};
     return slot;
 }
 
@@ -194,7 +377,14 @@ bool hardware_available() noexcept {
     return available;
 }
 
+bool fold_available() noexcept {
+    static const bool available = detect_fold();
+    return available;
+}
+
 void force_impl(crc32c_impl impl) noexcept {
+    if (impl == crc32c_impl::fold && !fold_available())
+        impl = crc32c_impl::hardware;
     if (impl == crc32c_impl::hardware && !hardware_available())
         impl = crc32c_impl::software;
     impl_slot().store(impl, std::memory_order_relaxed);
@@ -212,11 +402,27 @@ std::uint32_t crc32c_hardware(const std::byte* data, std::size_t n,
     return crc32c_combiner_for(n).combine(lanes, seed);
 }
 
+std::uint32_t crc32c_fold(const std::byte* data, std::size_t n,
+                          std::uint32_t seed) noexcept {
+#if defined(__x86_64__)
+    return ~fold_raw<fold_store::none>(~seed, const_cast<std::byte*>(data),
+                                       data, n);
+#else
+    return crc32c_hardware(data, n, seed);
+#endif
+}
+
 std::uint32_t crc32c(const std::byte* data, std::size_t n,
                      std::uint32_t seed) noexcept {
-    return active_impl() == crc32c_impl::hardware
-               ? crc32c_hardware(data, n, seed)
-               : crc32c_software(data, n, seed);
+    switch (active_impl()) {
+        case crc32c_impl::fold:
+            return crc32c_fold(data, n, seed);
+        case crc32c_impl::hardware:
+            return crc32c_hardware(data, n, seed);
+        case crc32c_impl::software:
+            break;
+    }
+    return crc32c_software(data, n, seed);
 }
 
 void crc32c_lanes_software(const std::byte* src, std::size_t n,
@@ -231,6 +437,25 @@ void crc32c_lanes_hardware(const std::byte* src, std::size_t n,
                            std::uint32_t lanes[3]) noexcept {
     lanes_hardware(src, n, lanes);
 }
+
+#if defined(__x86_64__)
+
+void crc32c_lanes_fold(const std::byte* src, std::size_t n,
+                       std::uint32_t lanes[3]) noexcept {
+    lanes_fold<fold_store::none>(const_cast<std::byte*>(src), src, n, lanes);
+}
+
+void crc32c_copy_lanes_fold(std::byte* dst, const std::byte* src,
+                            std::size_t n, std::uint32_t lanes[3],
+                            bool stream) noexcept {
+    if (stream) {
+        lanes_fold<fold_store::stream>(dst, src, n, lanes);
+    } else {
+        lanes_fold<fold_store::copy>(dst, src, n, lanes);
+    }
+}
+
+#endif
 
 // ---------------------------------------------------------------------------
 // Lane combiner: GF(2) matrix algebra over the 32-bit raw CRC state.

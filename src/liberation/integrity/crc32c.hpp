@@ -2,14 +2,20 @@
 // layer, mirroring the xorops kernel conventions (plain-pointer kernels,
 // span-flavoured overloads, runtime-dispatched implementations).
 //
-// Two implementations sit behind one entry point:
-//   * software — slice-by-8 table lookup, portable, ~1-2 GiB/s; the
-//     reference the hardware path is tested against;
+// Three implementations sit behind one entry point, the best one the CPU
+// reports chosen at runtime:
+//   * fold — carry-less-multiply folding (x86 VPCLMULQDQ on 512-bit
+//     registers, with AVX-512VL): four accumulators fold 256 bytes per
+//     step and two crc32 instructions finish, so a sweep runs at memory
+//     speed rather than at the crc32 unit's;
 //   * hardware — the SSE4.2 `crc32` instruction (x86) or the ARMv8 CRC
-//     extension, selected at runtime when the CPU reports support. It is
-//     the three-lane sweep of the fused xorops kernels
-//     (crc32c_lanes_hardware) stitched by a cached crc32c_lane_combiner,
-//     so metadata CRCs run the same kernel as the data path.
+//     extension: the three-lane sweep (crc32c_lanes_hardware) stitched by
+//     a cached crc32c_lane_combiner;
+//   * software — slice-by-8 table lookup, portable, ~1-2 GiB/s; the
+//     reference both others are tested against.
+// The fused xorops kernels sweep through the same kernels (the avx512 tier
+// through the fold where the CPU has it), so metadata CRCs and the data
+// path share one checksum engine.
 //
 // The polynomial is the Castagnoli one (0x1EDC6F41, reflected 0x82F63B78),
 // i.e. the CRC used by iSCSI, ext4 metadata and btrfs — chosen over
@@ -29,17 +35,22 @@
 
 namespace liberation::integrity {
 
-enum class crc32c_impl : std::uint8_t { software, hardware };
+enum class crc32c_impl : std::uint8_t { software, hardware, fold };
 
-/// The implementation crc32c() currently dispatches to. Hardware is picked
-/// automatically when the CPU supports it.
+/// The implementation crc32c() currently dispatches to: fold where the
+/// CPU supports it, else hardware where it supports that, else software.
 [[nodiscard]] crc32c_impl active_impl() noexcept;
 
-/// True when this CPU can run the hardware path.
+/// True when this CPU can run the hardware (crc32 instruction) path.
 [[nodiscard]] bool hardware_available() noexcept;
 
+/// True when this CPU can run the fold path (x86 VPCLMULQDQ, AVX-512F/VL,
+/// PCLMUL and SSE4.2).
+[[nodiscard]] bool fold_available() noexcept;
+
 /// Pin the dispatched implementation (tests and the crc32c bench compare
-/// the two paths). Forcing hardware requires hardware_available().
+/// the paths). An unavailable fold degrades to hardware, an unavailable
+/// hardware to software.
 void force_impl(crc32c_impl impl) noexcept;
 
 /// CRC32C of [data, data+n), continuing from `seed` (0 = fresh stream).
@@ -52,13 +63,16 @@ void force_impl(crc32c_impl impl) noexcept;
 }
 
 /// The individual kernels, exposed for cross-validation and benchmarking.
-/// crc32c_hardware() must only be called when hardware_available().
+/// crc32c_hardware() must only be called when hardware_available(),
+/// crc32c_fold() only when fold_available().
 [[nodiscard]] std::uint32_t crc32c_software(const std::byte* data,
                                             std::size_t n,
                                             std::uint32_t seed = 0) noexcept;
 [[nodiscard]] std::uint32_t crc32c_hardware(const std::byte* data,
                                             std::size_t n,
                                             std::uint32_t seed = 0) noexcept;
+[[nodiscard]] std::uint32_t crc32c_fold(const std::byte* data, std::size_t n,
+                                        std::uint32_t seed = 0) noexcept;
 
 // ---------------------------------------------------------------------------
 // Lane kernels and lane algebra of the hardware crc32c() and of the fused
@@ -78,14 +92,26 @@ void force_impl(crc32c_impl impl) noexcept;
 }
 
 /// The lane sweep: lanes[0]/[1]/[2] receive the raw CRC chains (each
-/// seeded 0) of [0,L)/[L,2L)/[2L,n) of [src, src+n). Both kernels compute
-/// identical lanes; the hardware one interleaves three crc32 chains and
-/// must only be called when hardware_available(). Every fused xorops tier
-/// checksums through one of these two.
+/// seeded 0) of [0,L)/[L,2L)/[2L,n) of [src, src+n). Every kernel
+/// computes identical lanes: the hardware one interleaves three crc32
+/// chains (only when hardware_available()), the fold one folds each lane
+/// in turn (only when fold_available(); x86-64 builds only). Every fused
+/// xorops tier checksums through one of these.
 void crc32c_lanes_software(const std::byte* src, std::size_t n,
                            std::uint32_t lanes[3]) noexcept;
 void crc32c_lanes_hardware(const std::byte* src, std::size_t n,
                            std::uint32_t lanes[3]) noexcept;
+#if defined(__x86_64__)
+void crc32c_lanes_fold(const std::byte* src, std::size_t n,
+                       std::uint32_t lanes[3]) noexcept;
+/// The fold sweep inside a copy: dst = src, and `lanes` are those of the
+/// bytes moved, read once for both jobs. With `stream` the destination is
+/// written with streaming (cache-bypassing) stores, left unfenced: the
+/// caller issues one store fence before anyone may rely on the bytes.
+void crc32c_copy_lanes_fold(std::byte* dst, const std::byte* src,
+                            std::size_t n, std::uint32_t lanes[3],
+                            bool stream) noexcept;
+#endif
 
 /// Stitches the three raw lane chains of one fixed-size block back into
 /// the block's standard CRC32C. The stitch multiplies each lane CRC by

@@ -97,6 +97,15 @@ public:
         std::copy(crcs.begin(), crcs.end(), crcs_.data() + offset / block_);
     }
 
+    /// The stored words of the blocks a write of `size` bytes at `offset`
+    /// covers, for a writer that computes them as the bytes land
+    /// (raid6_array::disk_write hands them to vdisk::write). Block-aligned,
+    /// like record().
+    [[nodiscard]] std::uint32_t* slots(std::size_t offset, std::size_t size) {
+        check_range(offset, size);
+        return crcs_.data() + offset / block_;
+    }
+
     /// True iff precomputed per-block checksums (from a fused read
     /// traversal) all match the stored values for the covered range.
     [[nodiscard]] bool matches(std::size_t offset,

@@ -251,14 +251,12 @@ io_status raid6_array::disk_view(std::uint32_t d, std::size_t offset,
 io_status raid6_array::disk_write(std::uint32_t disk, std::size_t offset,
                                   std::span<const std::byte> in,
                                   const std::uint32_t* crcs) {
-    // Fused writes hand over the checksums their producing traversal
-    // already computed; everyone else pays one sweep of the buffer here.
-    const auto update_region = [&] {
+    // Fused writes hand over the words their producing traversal already
+    // computed; the others' words are in the region by the time this runs.
+    const auto install_words = [&] {
         if (crcs != nullptr) {
             regions_[disk].install(offset,
                                    {crcs, in.size() / integrity_block_});
-        } else {
-            regions_[disk].record(offset, in);
         }
         persist_checksums(disk, offset, in.size());
     };
@@ -276,20 +274,31 @@ io_status raid6_array::disk_write(std::uint32_t disk, std::size_t offset,
             // classifiable) on replay. The persisted superblock models the
             // same NVRAM domain, so the record-ahead checksum is flushed
             // there too — powered off or not.
-            update_region();
+            if (crcs == nullptr) regions_[disk].record(offset, in);
+            install_words();
             return io_status::ok;  // the host never learns; the bits are gone
         }
     } while (!write_budget_.compare_exchange_weak(budget, budget - 1,
                                                   std::memory_order_relaxed));
-    const io_result r = policy_.write(*disks_[disk], offset, in);
+    // Whole strips are not read back soon, so they bypass the cache; the
+    // stores are fenced inside the write, before any word below is
+    // installed or persisted. Words the caller does not hold are computed
+    // by the landing copy straight into the region's slots — written only
+    // if the bytes land, so a failed write leaves the old words
+    // authoritative.
+    write_landing how;
+    how.stream = in.size() % map_.strip_size() == 0;
+    if (crcs == nullptr) {
+        how.crcs = regions_[disk].slots(offset, in.size());
+        how.crc_block = integrity_block_;
+    }
+    const io_result r = policy_.write(*disks_[disk], offset, in, how);
     note_io(disk, io_kind::write, r);
-    // A failed write never reaches the medium, so the old checksum stays
-    // authoritative; only landed bytes update the region.
     if (r.status == io_status::ok) {
         // Paranoid mode: the landed bytes (already in the mapped file)
         // reach stable storage before the write completes.
         if (store_ && store_->config().sync_data) (void)store_->flush(disk);
-        update_region();
+        install_words();
     }
     return r.status;
 }
@@ -892,8 +901,12 @@ raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
     // true erasures). Before declaring data loss, consider that the
     // *metadata* may be the damaged side: decode only the true erasures
     // and cross-check parity against data. If the codeword is consistent,
-    // the bytes on disk are mutually corroborated by both parities and
-    // every "suspect" checksum is stale — refresh them all.
+    // the bytes on disk are mutually corroborated by parity and every
+    // "suspect" checksum is stale — refresh them all. The cross-check
+    // needs redundancy left over after the decode: two true erasures use
+    // up both parities, so the decoded codeword is consistent by
+    // construction and would vouch for rotten bytes. Refuse instead.
+    if (rec.erased.size() > 1) return rec;
     if (!rec.erased.empty()) code_.decode(buf, rec.erased);
     if (core::stripe_consistent(buf, code_.geom())) {
         for (const std::uint32_t col : crc_bad) {
@@ -1554,9 +1567,9 @@ bool raid6_array::write_full_stripes(
     // One span/sample for the whole pipelined run (it is one host op);
     // per-request latencies live in the aio_* stage histograms.
     obs::timed_span span(obs_, hist_write_full_, "raid.write_full_stripes");
-    // Data CRCs ride the staging pass, parity CRCs the fused encode
-    // below, and every submission carries its words for the integrity
-    // layer to install on completion.
+    // Parity CRCs ride the fused encode below and the parity submissions
+    // carry them for the integrity layer to install; data CRCs are
+    // computed by the copy that lands each data column on its medium.
     aio::stripe_writer& writer = *full_writer_;
     const std::size_t count = stripes.size();
     const std::uint32_t k = map_.k();
@@ -1603,8 +1616,8 @@ bool raid6_array::write_full_stripes(
             writer.submit_columns(s, i, cols, 0, k);
             const codes::stripe_view v(cols, map_.rows(),
                                        map_.element_size());
-            code_.encode_crc(v, integrity_block_, writer.column_crcs(i, k),
-                             writer.column_crcs(i, k + 1));
+            code_.encode_crc(v, integrity_block_, writer.parity_crcs(i, 0),
+                             writer.parity_crcs(i, 1));
             writer.submit_columns(s, i, cols, k, n);
         }
         writer.drain();

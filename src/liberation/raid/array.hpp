@@ -684,9 +684,14 @@ private:
     /// (once the budget runs out the write is dropped on the floor and the
     /// array goes dark), then the retry policy and health accounting.
     /// `crcs` non-null = the caller already holds the per-block CRC32C of
-    /// `in` (computed inside the traversal that produced the bytes); the
-    /// integrity region installs the words instead of re-reading the
-    /// buffer. Requires a block-aligned extent, exactly like record().
+    /// `in` (computed inside the traversal that produced the bytes) and
+    /// the integrity region installs them; null = the copy onto the medium
+    /// computes them as the bytes land. A write of whole strips (a stripe
+    /// writer column, a store_columns commit) lands with streaming stores,
+    /// fenced before the words are installed and persisted; an element
+    /// write (the small-write path, whose neighbours are read next) keeps
+    /// regular stores. Requires a block-aligned extent, exactly like
+    /// record().
     io_status disk_write(std::uint32_t disk, std::size_t offset,
                          std::span<const std::byte> in,
                          const std::uint32_t* crcs = nullptr);

@@ -81,9 +81,10 @@ io_result io_policy::view(vdisk& disk, std::size_t offset, std::size_t len,
 
 io_result io_policy::write(vdisk& disk, std::size_t offset,
                            std::span<const std::byte> in,
-                           bool defer_time_charge) {
-    return run([&](std::uint64_t* svc) { return disk.write(offset, in, svc); },
-               io_kind::write, defer_time_charge);
+                           const write_landing& how, bool defer_time_charge) {
+    return run(
+        [&](std::uint64_t* svc) { return disk.write(offset, in, svc, how); },
+        io_kind::write, defer_time_charge);
 }
 
 }  // namespace liberation::raid

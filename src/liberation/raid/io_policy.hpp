@@ -133,6 +133,7 @@ public:
                    bool defer_time_charge = false);
     io_result write(vdisk& disk, std::size_t offset,
                     std::span<const std::byte> in,
+                    const write_landing& how = {},
                     bool defer_time_charge = false);
     /// read() without the copy: the same retries, charges and counters,
     /// and on ok `out` points at the bytes on the medium (vdisk::view).

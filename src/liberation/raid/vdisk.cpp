@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "liberation/util/assert.hpp"
+#include "liberation/xorops/xorops.hpp"
 
 namespace liberation::raid {
 
@@ -169,7 +170,7 @@ io_status vdisk::view(std::size_t offset, std::size_t len,
 }
 
 io_status vdisk::write(std::size_t offset, std::span<const std::byte> in,
-                       std::uint64_t* service_us) {
+                       std::uint64_t* service_us, const write_landing& how) {
     if (service_us != nullptr) *service_us = 0;
     if (!online()) return io_status::disk_failed;
     if (!extent_ok(offset, in.size())) return io_status::out_of_range;
@@ -179,7 +180,12 @@ io_status vdisk::write(std::size_t offset, std::span<const std::byte> in,
         transient_writes_.fetch_add(1, std::memory_order_relaxed);
         return io_status::transient_error;  // nothing hit the medium
     }
-    std::memcpy(medium_ + offset, in.data(), in.size());
+    if (how.crcs != nullptr) {
+        xorops::land_crc32c_blocks(medium_ + offset, in.data(), in.size(),
+                                   how.stream, how.crc_block, how.crcs);
+    } else {
+        xorops::land(medium_ + offset, in.data(), in.size(), how.stream);
+    }
     // A rewrite heals fully covered latent sectors (like a real remap).
     if (!bad_sectors_.empty() && !in.empty()) {
         const std::size_t first_full = (offset + sector_size_ - 1) / sector_size_;

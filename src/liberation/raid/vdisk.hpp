@@ -82,6 +82,17 @@ struct latency_profile {
     [[nodiscard]] bool enabled() const noexcept { return kind != shape::none; }
 };
 
+/// How vdisk::write() lands its bytes on the medium (the bytes and the
+/// counters are the same either way).
+struct write_landing {
+    /// Streaming (cache-bypassing) stores, fenced before write() returns.
+    bool stream = false;
+    /// Non-null: receives one CRC32C per `crc_block` bytes of what landed,
+    /// computed inside the copy. Written only when the write lands.
+    std::uint32_t* crcs = nullptr;
+    std::size_t crc_block = 0;
+};
+
 /// Snapshot of a disk's I/O counters. Counters are atomic: the thread
 /// running the array's I/O (the caller, or a volume shard's dispatcher)
 /// updates them while another thread, such as a metrics scrape, reads
@@ -132,7 +143,8 @@ public:
     io_status view(std::size_t offset, std::size_t len, const std::byte*& out,
                    std::uint64_t* service_us = nullptr);
     io_status write(std::size_t offset, std::span<const std::byte> in,
-                    std::uint64_t* service_us = nullptr);
+                    std::uint64_t* service_us = nullptr,
+                    const write_landing& how = {});
 
     // ---- medium (see raid/persist/) -----------------------------------
 

@@ -72,6 +72,21 @@ struct kernel_table {
     void (*xor_many_crc3)(std::byte* dst, const std::byte* const* srcs,
                           std::size_t m, std::size_t n, bool acc,
                           std::uint32_t lanes[3]) noexcept;
+
+    /// Medium landings (xorops::land): dst = src with streaming
+    /// (cache-bypassing) destination stores, left unfenced — the
+    /// dispatcher fences once per landing. Null in tiers without
+    /// streaming stores (scalar, neon): the dispatcher copies with
+    /// regular stores.
+    void (*copy_nt)(std::byte* dst, const std::byte* src,
+                    std::size_t n) noexcept;
+
+    /// copy_nt with the checksum lanes of the bytes moved computed inside
+    /// the copy (copy_crc3's contract, streaming stores). Null where the
+    /// tier has none: the dispatcher runs copy_nt and then crc3 over the
+    /// still-cached source.
+    void (*copy_crc3_nt)(std::byte* dst, const std::byte* src, std::size_t n,
+                         std::uint32_t lanes[3]) noexcept;
 };
 
 const kernel_table& scalar_table() noexcept;

@@ -126,7 +126,8 @@ const kernel_table& scalar_table() noexcept {
         "scalar",          xor_into_scalar,  xor2_scalar,
         xor_many_scalar,   /*xor_many_nt=*/nullptr,
         integrity::crc32c_lanes_software, copy_crc3_scalar,
-        xor_many_crc3_scalar};
+        xor_many_crc3_scalar,
+        /*copy_nt=*/nullptr, /*copy_crc3_nt=*/nullptr};
     return table;
 }
 

@@ -256,6 +256,38 @@ __attribute__((target("avx512f"))) void xor_many_nt_avx512(
     xor_many_tail(dst, srcs, m, i, n, acc);
 }
 
+/// Streaming copies for medium landings: the same head peel as the
+/// streaming reductions, but unfenced (xorops::land fences once).
+__attribute__((target("avx2"))) void copy_nt_avx2(std::byte* dst,
+                                                  const std::byte* src,
+                                                  std::size_t n) noexcept {
+    std::size_t head =
+        (32 - (reinterpret_cast<std::uintptr_t>(dst) & 31)) & 31;
+    if (head > n) head = n;
+    std::memcpy(dst, src, head);
+    std::size_t i = head;
+    for (; i + 32 <= n; i += 32) {
+        _mm256_stream_si256(
+            reinterpret_cast<__m256i*>(dst + i),
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i)));
+    }
+    std::memcpy(dst + i, src + i, n - i);
+}
+
+__attribute__((target("avx512f"))) void copy_nt_avx512(
+    std::byte* dst, const std::byte* src, std::size_t n) noexcept {
+    std::size_t head =
+        (64 - (reinterpret_cast<std::uintptr_t>(dst) & 63)) & 63;
+    if (head > n) head = n;
+    std::memcpy(dst, src, head);
+    std::size_t i = head;
+    for (; i + 64 <= n; i += 64) {
+        _mm512_stream_si512(reinterpret_cast<__m512i*>(dst + i),
+                            _mm512_loadu_si512(src + i));
+    }
+    std::memcpy(dst + i, src + i, n - i);
+}
+
 // ---------------------------------------------------------------------------
 // Fused CRC sweeps over the three lane chains of the crc32c_lane_bytes()
 // split (three chains hide the crc32 instruction's 3-cycle latency). The
@@ -423,6 +455,27 @@ __attribute__((target("avx512f,sse4.2"))) void copy_crc3_avx512(
     lanes[2] = c2w;
 }
 
+// The avx512 tier's checksum engine where the CPU has VPCLMULQDQ: every
+// lane is folded (integrity::crc32c_lanes_fold), still the raw chain of
+// its segment, so the lanes match every other tier's bit for bit.
+
+void copy_crc3_fold(std::byte* dst, const std::byte* src, std::size_t n,
+                    std::uint32_t lanes[3]) noexcept {
+    integrity::crc32c_copy_lanes_fold(dst, src, n, lanes, /*stream=*/false);
+}
+
+void copy_crc3_nt_fold(std::byte* dst, const std::byte* src, std::size_t n,
+                       std::uint32_t lanes[3]) noexcept {
+    integrity::crc32c_copy_lanes_fold(dst, src, n, lanes, /*stream=*/true);
+}
+
+void xor_many_crc3_fold(std::byte* dst, const std::byte* const* srcs,
+                        std::size_t m, std::size_t n, bool acc,
+                        std::uint32_t lanes[3]) noexcept {
+    xor_many_avx512(dst, srcs, m, n, acc);
+    integrity::crc32c_lanes_fold(dst, n, lanes);
+}
+
 #endif  // __x86_64__
 
 }  // namespace
@@ -433,30 +486,44 @@ const kernel_table& avx2_table() noexcept {
         "avx2",     xor_into_avx2,  xor2_avx2,
         xor_many_avx2, xor_many_nt_avx2,
         integrity::crc32c_lanes_hardware, copy_crc3_avx2,
-        xor_many_crc3_avx2};
+        xor_many_crc3_avx2,
+        copy_nt_avx2, /*copy_crc3_nt=*/nullptr};
 #else
     // i386 has no 64-bit crc32 instruction; the dispatcher falls back to
     // the scalar tier's software fused sweeps.
     static const kernel_table table{
         "avx2",     xor_into_avx2,  xor2_avx2,
         xor_many_avx2, xor_many_nt_avx2,
-        nullptr,    nullptr,        nullptr};
+        nullptr,    nullptr,        nullptr,
+        copy_nt_avx2, nullptr};
 #endif
     return table;
 }
 
 const kernel_table& avx512_table() noexcept {
 #if defined(__x86_64__)
-    static const kernel_table table{
+    static const kernel_table three_lane{
         "avx512",   xor_into_avx512,  xor2_avx512,
         xor_many_avx512, xor_many_nt_avx512,
         integrity::crc32c_lanes_hardware, copy_crc3_avx512,
-        xor_many_crc3_avx512};
+        xor_many_crc3_avx512,
+        copy_nt_avx512, /*copy_crc3_nt=*/nullptr};
+    static const kernel_table fold{
+        "avx512",   xor_into_avx512,  xor2_avx512,
+        xor_many_avx512, xor_many_nt_avx512,
+        integrity::crc32c_lanes_fold, copy_crc3_fold,
+        xor_many_crc3_fold,
+        copy_nt_avx512, copy_crc3_nt_fold};
+    // Chosen by CPUID like the tier itself: AVX-512F cores without
+    // VPCLMULQDQ keep the three-lane crc32 sweep.
+    static const kernel_table& table =
+        integrity::fold_available() ? fold : three_lane;
 #else
     static const kernel_table table{
         "avx512",   xor_into_avx512,  xor2_avx512,
         xor_many_avx512, xor_many_nt_avx512,
-        nullptr,    nullptr,          nullptr};
+        nullptr,    nullptr,          nullptr,
+        copy_nt_avx512, nullptr};
 #endif
     return table;
 }

@@ -189,6 +189,26 @@ void copy_crc3_pass(const detail::kernel_table& t, std::byte* dst,
     }
 }
 
+/// copy_crc3_pass with streaming stores; requires t.copy_nt.
+void copy_crc3_nt_pass(const detail::kernel_table& t, std::byte* dst,
+                       const std::byte* src, std::size_t n,
+                       std::uint32_t lanes[3]) noexcept {
+    if (t.copy_crc3_nt != nullptr) {
+        t.copy_crc3_nt(dst, src, n, lanes);
+    } else {
+        t.copy_nt(dst, src, n);
+        crc3_pass(t, src, n, lanes);
+    }
+}
+
+/// Publishes streaming stores: everything stored before it is globally
+/// visible before anything stored after it.
+void store_fence() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_sfence();
+#endif
+}
+
 void xor_many_crc3_pass(const detail::kernel_table& t, std::byte* dst,
                         const std::byte* const* srcs, std::size_t m,
                         std::size_t n, bool acc,
@@ -214,6 +234,34 @@ void combine3(const integrity::crc32c_lane_combiner& comb,
     for (int i = 0; i < 3; ++i) {
         const std::uint32_t whole[3] = {0, 0, lanes[i]};
         crcs[i] = comb.combine(whole);
+    }
+}
+
+/// Per-block CRCs of an n-byte region through a lane sweep:
+/// `sweep(offset, len, lanes)` covers [offset, offset+len) — three blocks
+/// at a time where the block size allows, else one — and the lanes are
+/// stitched into crcs. The shared body of the checksum-only, copy and
+/// landing entries.
+template <typename Sweep>
+void crc_blocks(std::size_t n, std::size_t block, std::uint32_t* crcs,
+                Sweep&& sweep) noexcept {
+    if (n == 0) return;
+    LIBERATION_EXPECTS(block > 0 && n % block == 0);
+    const integrity::crc32c_lane_combiner& comb =
+        integrity::crc32c_combiner_for(block);
+    const std::size_t nblocks = n / block;
+    std::size_t b = 0;
+    if (groupable(block)) {
+        for (; b + 3 <= nblocks; b += 3) {
+            std::uint32_t lanes[3];
+            sweep(b * block, 3 * block, lanes);
+            combine3(comb, lanes, crcs + b);
+        }
+    }
+    for (; b < nblocks; ++b) {
+        std::uint32_t lanes[3];
+        sweep(b * block, block, lanes);
+        crcs[b] = comb.combine(lanes);
     }
 }
 
@@ -401,49 +449,47 @@ void xor_many_into(std::byte* dst, const std::byte* const* srcs,
 
 void crc32c_blocks(const std::byte* src, std::size_t n, std::size_t block,
                    std::uint32_t* crcs) noexcept {
-    if (n == 0) return;
-    LIBERATION_EXPECTS(block > 0 && n % block == 0);
     const detail::kernel_table& t = table();
-    const integrity::crc32c_lane_combiner& comb =
-        integrity::crc32c_combiner_for(block);
-    const std::size_t nblocks = n / block;
-    std::size_t b = 0;
-    if (groupable(block)) {
-        for (; b + 3 <= nblocks; b += 3) {
-            std::uint32_t lanes[3];
-            crc3_pass(t, src + b * block, 3 * block, lanes);
-            combine3(comb, lanes, crcs + b);
-        }
+    crc_blocks(n, block, crcs,
+               [&](std::size_t off, std::size_t len, std::uint32_t lanes[3]) {
+                   crc3_pass(t, src + off, len, lanes);
+               });
+}
+
+void land(std::byte* dst, const std::byte* src, std::size_t n,
+          bool stream) noexcept {
+    const detail::kernel_table& t = table();
+    if (stream && t.copy_nt != nullptr) {
+        t.copy_nt(dst, src, n);
+        store_fence();
+    } else {
+        std::memcpy(dst, src, n);
     }
-    for (; b < nblocks; ++b) {
-        std::uint32_t lanes[3];
-        crc3_pass(t, src + b * block, block, lanes);
-        crcs[b] = comb.combine(lanes);
+}
+
+void land_crc32c_blocks(std::byte* dst, const std::byte* src, std::size_t n,
+                        bool stream, std::size_t block,
+                        std::uint32_t* crcs) noexcept {
+    const detail::kernel_table& t = table();
+    if (stream && t.copy_nt != nullptr) {
+        crc_blocks(
+            n, block, crcs,
+            [&](std::size_t off, std::size_t len, std::uint32_t lanes[3]) {
+                copy_crc3_nt_pass(t, dst + off, src + off, len, lanes);
+            });
+        store_fence();
+    } else {
+        crc_blocks(
+            n, block, crcs,
+            [&](std::size_t off, std::size_t len, std::uint32_t lanes[3]) {
+                copy_crc3_pass(t, dst + off, src + off, len, lanes);
+            });
     }
 }
 
 void copy_crc32c_blocks(std::byte* dst, const std::byte* src, std::size_t n,
                         std::size_t block, std::uint32_t* crcs) noexcept {
-    if (n == 0) return;
-    LIBERATION_EXPECTS(block > 0 && n % block == 0);
-    const detail::kernel_table& t = table();
-    const integrity::crc32c_lane_combiner& comb =
-        integrity::crc32c_combiner_for(block);
-    const std::size_t nblocks = n / block;
-    std::size_t b = 0;
-    if (groupable(block)) {
-        for (; b + 3 <= nblocks; b += 3) {
-            std::uint32_t lanes[3];
-            copy_crc3_pass(t, dst + b * block, src + b * block, 3 * block,
-                           lanes);
-            combine3(comb, lanes, crcs + b);
-        }
-    }
-    for (; b < nblocks; ++b) {
-        std::uint32_t lanes[3];
-        copy_crc3_pass(t, dst + b * block, src + b * block, block, lanes);
-        crcs[b] = comb.combine(lanes);
-    }
+    land_crc32c_blocks(dst, src, n, /*stream=*/false, block, crcs);
     ++g_stats.copy_ops;
     g_stats.bytes_copied += n;
 }

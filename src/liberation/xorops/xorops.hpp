@@ -132,6 +132,24 @@ void xor_many_into_crc32c_blocks(std::byte* dst, const std::byte* const* srcs,
                                  std::uint32_t* crcs) noexcept;
 
 // ---------------------------------------------------------------------------
+// Medium landings: the copy that puts a write's bytes on a disk's medium
+// (raid::vdisk::write). Landing is I/O, not coding work, so neither entry
+// is counted.
+
+/// dst = src. With `stream` the destination is written with streaming
+/// (cache-bypassing) stores where the tier has them, and a store fence is
+/// issued before returning: the bytes are globally visible before the
+/// caller acts on the write (e.g. installs and persists its checksums).
+void land(std::byte* dst, const std::byte* src, std::size_t n,
+          bool stream) noexcept;
+
+/// land() that also computes crcs[b] = CRC32C of block b of the bytes
+/// moved, inside the copy (n must be a multiple of block).
+void land_crc32c_blocks(std::byte* dst, const std::byte* src, std::size_t n,
+                        bool stream, std::size_t block,
+                        std::uint32_t* crcs) noexcept;
+
+// ---------------------------------------------------------------------------
 // Region kernels. All accept arbitrary (sector-offset) pointers and any
 // size. Regions must not partially overlap; dst may coincide exactly with
 // a source (for xor_many/xor_many_into: only sources among the first

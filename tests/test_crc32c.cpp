@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -80,6 +81,83 @@ TEST(Crc32c, EveryLengthAndSeedMatchesSliceBy8) {
     }
 }
 
+// ---- fold kernel -------------------------------------------------------
+
+constexpr std::size_t kFoldMaxLen = 3 * 4096 + 257;
+
+TEST(Crc32c, FoldMatchesSliceBy8AtEveryLengthAndOffset) {
+    if (!fold_available()) GTEST_SKIP() << "no VPCLMULQDQ/AVX-512VL";
+    util::xoshiro256 rng(4);
+    std::vector<std::byte> buf(kFoldMaxLen + 64);
+    rng.fill(buf);
+    for (std::size_t off = 0; off < 64; ++off) {
+        const std::byte* p = buf.data() + off;
+        const auto seed = static_cast<std::uint32_t>(rng.next());
+        // The reference advances one byte per length, so the sweep stays
+        // linear in kFoldMaxLen per offset.
+        std::uint32_t ref = seed;
+        for (std::size_t n = 0; n <= kFoldMaxLen; ++n) {
+            ASSERT_EQ(crc32c_fold(p, n, seed), ref)
+                << "off=" << off << " n=" << n;
+            if (n < kFoldMaxLen) ref = crc32c_software(p + n, 1, ref);
+        }
+    }
+}
+
+#if defined(__x86_64__)
+
+TEST(Crc32c, FoldLanesMatchThreeLaneAndSoftwareLanes) {
+    if (!fold_available()) GTEST_SKIP() << "no VPCLMULQDQ/AVX-512VL";
+    util::xoshiro256 rng(5);
+    std::vector<std::byte> buf(kFoldMaxLen + 64);
+    rng.fill(buf);
+    // Every length covers lanes of 255, 256 and 257 bytes (the fold's
+    // threshold) and third lanes of every remainder.
+    for (std::size_t n = 0; n <= kFoldMaxLen; ++n) {
+        const std::byte* p = buf.data() + n % 64;
+        std::uint32_t sw[3], hw[3], fold[3];
+        crc32c_lanes_software(p, n, sw);
+        crc32c_lanes_fold(p, n, fold);
+        ASSERT_TRUE(std::equal(fold, fold + 3, sw)) << "n=" << n;
+        if (hardware_available()) {
+            crc32c_lanes_hardware(p, n, hw);
+            ASSERT_TRUE(std::equal(fold, fold + 3, hw)) << "n=" << n;
+        }
+    }
+}
+
+TEST(Crc32c, FoldCopyMovesTheBytesAndMatchesTheSweep) {
+    if (!fold_available()) GTEST_SKIP() << "no VPCLMULQDQ/AVX-512VL";
+    util::xoshiro256 rng(6);
+    constexpr std::size_t kPad = 64;
+    std::vector<std::byte> src(kFoldMaxLen + 64);
+    rng.fill(src);
+    for (const bool stream : {false, true}) {
+        for (const std::size_t n :
+             {0u, 1u, 63u, 255u, 256u, 257u, 767u, 768u, 1000u, 4096u,
+              3u * 4096u + 64u, 3u * 4096u + 257u}) {
+            for (std::size_t doff = 0; doff < 64; doff += 7) {
+                const std::byte* s = src.data() + (n + doff) % 64;
+                std::vector<std::byte> dst(kPad + n + kPad, std::byte{0x5a});
+                auto expected = dst;
+                std::copy(s, s + n,
+                          expected.begin() +
+                              static_cast<std::ptrdiff_t>(kPad + doff));
+                std::uint32_t got[3], want[3];
+                crc32c_copy_lanes_fold(dst.data() + kPad + doff, s, n, got,
+                                       stream);
+                crc32c_lanes_software(s, n, want);
+                ASSERT_EQ(dst, expected)
+                    << "stream=" << stream << " n=" << n << " doff=" << doff;
+                ASSERT_TRUE(std::equal(got, got + 3, want))
+                    << "stream=" << stream << " n=" << n << " doff=" << doff;
+            }
+        }
+    }
+}
+
+#endif
+
 TEST(Crc32c, ForceImplPinsDispatch) {
     const crc32c_impl original = active_impl();
     force_impl(crc32c_impl::software);
@@ -93,6 +171,17 @@ TEST(Crc32c, ForceImplPinsDispatch) {
         // Forcing hardware without support silently stays on software.
         force_impl(crc32c_impl::hardware);
         EXPECT_EQ(active_impl(), crc32c_impl::software);
+    }
+    force_impl(crc32c_impl::fold);
+    if (fold_available()) {
+        EXPECT_EQ(active_impl(), crc32c_impl::fold);
+        EXPECT_EQ(crc_str("123456789"), 0xE3069283u);
+        // The fold is the natural choice wherever it runs.
+        EXPECT_EQ(original, crc32c_impl::fold);
+    } else {
+        // An unavailable fold degrades to the best path the CPU has.
+        EXPECT_EQ(active_impl(), hardware_available() ? crc32c_impl::hardware
+                                                      : crc32c_impl::software);
     }
     force_impl(original);
 }

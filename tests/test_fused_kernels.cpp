@@ -200,6 +200,49 @@ TEST_P(FusedImplSweep, NonTemporalEquivalence) {
     EXPECT_EQ(cached, streamed);
 }
 
+// Medium landings: with and without streaming stores, at every
+// destination alignment and for lengths that are not multiples of 64, the
+// destination receives exactly the source bytes (guard bytes around it
+// unchanged), the words equal a separate sweep's, and nothing is counted.
+TEST_P(FusedImplSweep, LandingCopiesAndChecksumsInOnePass) {
+    xorops::impl_scope scope(GetParam());
+    constexpr std::size_t kPad = 64;
+    struct shape {
+        std::size_t n, block;
+    };
+    for (const shape sh : {shape{16, 16}, shape{240, 16}, shape{1000, 8},
+                           shape{3 * 4096 + 24, 12312},
+                           shape{5 * 4096, 512}, shape{20480, 4096}}) {
+        const auto src = random_bytes(sh.n + 63, 1700 + sh.n);
+        for (const bool stream : {false, true}) {
+            for (std::size_t doff = 0; doff < 64; doff += 5) {
+                const std::byte* s = src.data() + doff % 7;
+                auto dst = random_bytes(kPad + sh.n + kPad, 1800 + doff);
+                auto expected = dst;
+                std::memcpy(expected.data() + kPad + doff, s, sh.n);
+                std::vector<std::uint32_t> got(sh.n / sh.block, 0u);
+                xorops::counting_scope counts;
+                xorops::land_crc32c_blocks(dst.data() + kPad + doff, s, sh.n,
+                                           stream, sh.block, got.data());
+                EXPECT_EQ(counts.copies(), 0u);
+                ASSERT_EQ(dst, expected) << "n=" << sh.n << " doff=" << doff
+                                         << " stream=" << stream;
+                ASSERT_EQ(got, reference_crcs(s, sh.n, sh.block))
+                    << "n=" << sh.n << " doff=" << doff
+                    << " stream=" << stream;
+
+                auto plain = random_bytes(kPad + sh.n + kPad, 1900 + doff);
+                auto plain_expected = plain;
+                std::memcpy(plain_expected.data() + kPad + doff, s, sh.n);
+                xorops::land(plain.data() + kPad + doff, s, sh.n, stream);
+                ASSERT_EQ(plain, plain_expected)
+                    << "n=" << sh.n << " doff=" << doff
+                    << " stream=" << stream;
+            }
+        }
+    }
+}
+
 std::string impl_param_name(
     const ::testing::TestParamInfo<xorops::xor_impl>& info) {
     return xorops::impl_name(info.param);

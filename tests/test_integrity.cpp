@@ -151,6 +151,49 @@ TEST(VerifiedRead, StaleChecksumMetadataIsRepairedNotTrusted) {
     EXPECT_EQ(a.stats().checksum_mismatches, mismatches);
 }
 
+TEST(VerifiedRead, TwoErasuresPlusRotRefusesAndKeepsTheWords) {
+    // Two failed disks use up both parities, so a decode of them from
+    // everything else is consistent by construction, rotten strip
+    // included. The metadata-repair cross-check means nothing there: the
+    // read must refuse, and neither it nor a scrub may re-install the
+    // rotten strip's checksum words over the true ones.
+    array_config c;
+    c.k = 4;
+    c.p = 5;
+    c.element_size = 4096;
+    c.sector_size = 4096;
+    c.stripes = 8;
+    raid6_array a(c);
+    const auto data = pattern(a.capacity(), 16);
+    ASSERT_TRUE(a.write(0, data));
+
+    constexpr std::size_t stripe = 7;
+    const std::uint32_t rotten_col = 1;
+    a.disk(a.map().locate(stripe, 0).disk).fail();
+    a.disk(a.map().locate(stripe, 2).disk).fail();
+    corrupt(a, stripe, rotten_col, 17);
+
+    const auto loc = a.map().locate(stripe, rotten_col);
+    const std::size_t blocks = a.map().strip_size() / a.integrity_block();
+    const std::size_t first = loc.offset / a.integrity_block();
+    std::vector<std::uint32_t> words;
+    for (std::size_t b = 0; b < blocks; ++b)
+        words.push_back(a.integrity(loc.disk).stored(first + b));
+
+    const std::size_t stripe_bytes = a.map().stripe_data_size();
+    std::vector<std::byte> out(stripe_bytes);
+    const auto repaired = a.stats().checksum_metadata_repaired;
+    EXPECT_FALSE(a.read(stripe * stripe_bytes, out));
+    EXPECT_EQ(a.stats().checksum_metadata_repaired, repaired);
+
+    const scrub_summary sum = scrub_array(a);
+    EXPECT_EQ(sum.repaired_metadata, 0u);
+    EXPECT_EQ(a.stats().checksum_metadata_repaired, repaired);
+    for (std::size_t b = 0; b < blocks; ++b)
+        EXPECT_EQ(a.integrity(loc.disk).stored(first + b), words[b])
+            << "block " << b;
+}
+
 TEST(Rebuild, VerifiesReconstructionsAgainstCorruptSurvivor) {
     // Silent corruption on a survivor during rebuild: without checksums
     // the reconstruction would splice the rot into the replacement disk.

@@ -6,6 +6,11 @@
 //     a disk write the disk counted;
 //   * the coding and CRC kernels never load past the end of a mapping, even
 //     when the element size leaves a partial vector tail.
+// Writes land on the medium through one copy that also checksums what it
+// moves (streaming stores for whole strips): the MediumWrites tests hold
+// that every installed checksum word is the CRC32C of the bytes that
+// landed, and that a write dropped by power loss records the words of the
+// intended bytes without touching the medium.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "liberation/integrity/crc32c.hpp"
 #include "liberation/raid/persist/mount.hpp"
 #include "liberation/raid/rebuild.hpp"
 #include "liberation/raid/scrubber.hpp"
@@ -269,5 +275,128 @@ TEST(MediumViews, TailLoadsStayInsideTheMapping) {
     ASSERT_TRUE(a->read(0, out));
     EXPECT_EQ(out, data);
 }
+
+// ---- MediumWrites -----------------------------------------------------
+
+/// Every checksum word the array holds equals the CRC32C of the block on
+/// the medium it describes.
+void expect_words_match_medium(const raid6_array& a) {
+    const std::size_t block = a.integrity_block();
+    std::vector<std::byte> bytes(a.map().disk_capacity());
+    for (std::uint32_t d = 0; d < a.disk_count(); ++d) {
+        a.disk(d).peek(0, bytes);
+        std::size_t bad = 0;
+        for (std::size_t b = 0; b < bytes.size() / block; ++b) {
+            if (a.integrity(d).stored(b) !=
+                integrity::crc32c(bytes.data() + b * block, block)) {
+                ++bad;
+            }
+        }
+        EXPECT_EQ(bad, 0u) << "disk " << d;
+    }
+}
+
+struct medium_case {
+    const char* name;
+    std::size_t element_size;
+    std::size_t sector_size;
+    std::size_t stripes;
+};
+
+class MediumWrites : public ::testing::TestWithParam<medium_case> {
+protected:
+    [[nodiscard]] array_config config() const {
+        array_config c;
+        c.k = 4;
+        c.p = 5;
+        c.element_size = GetParam().element_size;
+        c.sector_size = GetParam().sector_size;
+        c.stripes = GetParam().stripes;
+        return c;
+    }
+};
+
+TEST_P(MediumWrites, InstalledWordsAreTheLandedBytes) {
+    auto a = make_mapped_array(config(), std::string("words-") +
+                                             GetParam().name);
+    ASSERT_NE(a, nullptr);
+    const auto data = pattern(a->capacity(), 11);
+    ASSERT_TRUE(a->write(0, data));  // full-stripe writes
+    expect_words_match_medium(*a);
+    // Element writes (the small-write path) land with regular stores and
+    // also checksum inside their copy.
+    const auto patch = pattern(3 * a->map().element_size() + 5, 12);
+    ASSERT_TRUE(a->write(a->map().element_size() + 1, patch));
+    expect_words_match_medium(*a);
+
+    // Two-disk rebuild: every strip of both replacements is committed by
+    // store_columns with the words its verification captured.
+    const std::uint32_t dead0 = a->map().locate(0, 0).disk;
+    const std::uint32_t dead1 = a->map().locate(0, a->code().q_column()).disk;
+    a->fail_disk(dead0);
+    a->fail_disk(dead1);
+    a->replace_disk(dead0);
+    a->replace_disk(dead1);
+    const std::uint32_t disks[] = {dead0, dead1};
+    ASSERT_TRUE(rebuild_disks(*a, disks).success);
+    expect_words_match_medium(*a);
+
+    // Heal: a rotten data strip of the last stripe (the last bytes of its
+    // mapping) is rewritten by the read that finds it.
+    const std::size_t last = a->map().stripes() - 1;
+    const strip_location rot = a->map().locate(last, 1);
+    util::xoshiro256 rng(13);
+    a->disk(rot.disk).inject_silent_corruption(rot.offset,
+                                               a->map().strip_size(), rng);
+    auto expected = data;
+    std::copy(patch.begin(), patch.end(),
+              expected.begin() +
+                  static_cast<long>(a->map().element_size() + 1));
+    std::vector<std::byte> out(a->capacity());
+    ASSERT_TRUE(a->read(0, out));
+    EXPECT_EQ(out, expected);
+    EXPECT_GE(a->stats().reads_self_healed, 1u);
+    expect_words_match_medium(*a);
+    EXPECT_EQ(scrub_array(*a).clean, a->map().stripes());
+}
+
+TEST_P(MediumWrites, PowerLossRecordsIntendedWordsAndLeavesTheMedium) {
+    auto a = make_mapped_array(config(), std::string("lost-") +
+                                             GetParam().name);
+    ASSERT_NE(a, nullptr);
+    ASSERT_TRUE(a->write(0, pattern(a->capacity(), 14)));
+    const media before = snapshot(*a);
+
+    // The budget is spent before the first disk write, a data column's:
+    // every column of the stripe is dropped, each one's words recorded.
+    const std::size_t stripe = 1;
+    const std::size_t stripe_bytes = a->map().stripe_data_size();
+    const auto intended = pattern(stripe_bytes, 15);
+    a->simulate_power_loss_after(0);
+    (void)a->write(stripe * stripe_bytes, intended);
+    EXPECT_EQ(snapshot(*a).bytes, before.bytes);
+
+    const std::size_t block = a->integrity_block();
+    const std::size_t strip = a->map().strip_size();
+    for (std::uint32_t col = 0; col < a->map().k(); ++col) {
+        const strip_location loc = a->map().locate(stripe, col);
+        for (std::size_t b = 0; b < strip / block; ++b) {
+            EXPECT_EQ(a->integrity(loc.disk).stored(loc.offset / block + b),
+                      integrity::crc32c(
+                          intended.data() + col * strip + b * block, block))
+                << "column " << col << " block " << b;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, MediumWrites,
+    // 48-byte elements on 512-byte sectors checksum 16-byte blocks, and
+    // 256 stripes of 5 x 48 bytes end each mapping on a page boundary.
+    ::testing::Values(medium_case{"e48s512", 48, 512, 256},
+                      medium_case{"e4096s512", 4096, 512, 8}),
+    [](const ::testing::TestParamInfo<medium_case>& info) {
+        return std::string(info.param.name);
+    });
 
 }  // namespace
