@@ -1,11 +1,166 @@
 #include "liberation/aio/stripe_io.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
+#include <exception>
+#include <memory>
+#include <mutex>
+#include <thread>
 
 #include "liberation/util/assert.hpp"
 #include "liberation/xorops/xorops.hpp"
 
 namespace liberation::aio {
+
+namespace {
+
+// One window's compute: items [0, count) are claimed in order by the
+// window's caller and by any helper that joins it.
+struct window_job {
+    window_job(std::size_t n, const std::function<void(std::size_t)>& fn)
+        : count(n), compute(fn), done(new std::atomic<bool>[n]) {
+        for (std::size_t i = 0; i < n; ++i) done[i] = false;
+    }
+
+    const std::size_t count;
+    const std::function<void(std::size_t)>& compute;
+    std::atomic<std::size_t> next{0};
+    std::unique_ptr<std::atomic<bool>[]> done;
+    std::size_t users = 0;     ///< helpers inside it (pool mutex)
+    std::atomic<bool> failed{false};
+    std::exception_ptr error;  ///< first compute failure (pool mutex)
+};
+
+// The process's compute helpers. Idle helpers sleep on work_cv_; a caller
+// posts its window, works on it itself, and withdraws it before
+// returning, so progress never depends on a helper being free.
+class helper_pool {
+public:
+    static helper_pool& shared() {
+        static helper_pool pool;
+        return pool;
+    }
+
+    helper_pool(const helper_pool&) = delete;
+    helper_pool& operator=(const helper_pool&) = delete;
+
+    ~helper_pool() {
+        {
+            const std::lock_guard<std::mutex> l(mu_);
+            stop_ = true;
+        }
+        work_cv_.notify_all();
+        for (std::thread& t : threads_) t.join();
+    }
+
+    std::size_t started() {
+        const std::lock_guard<std::mutex> l(mu_);
+        return threads_.size();
+    }
+
+    /// compute(i) for every i in [0, count) on the caller and up to
+    /// `helpers` helpers; commit(i) on the caller, in order, once items
+    /// <= i are computed.
+    void run(std::size_t count, std::size_t helpers,
+             const std::function<void(std::size_t)>& compute,
+             const std::function<void(std::size_t)>& commit) {
+        window_job job(count, compute);
+        const bool posted = helpers > 0 && count > 1;
+        if (posted) {
+            {
+                const std::lock_guard<std::mutex> l(mu_);
+                while (threads_.size() < helpers) {
+                    threads_.emplace_back([this] { helper_main(); });
+                }
+                jobs_.push_back(&job);
+            }
+            work_cv_.notify_all();
+        }
+        {
+            // However the walk ends, no helper may still hold the job.
+            struct withdraw {
+                helper_pool& pool;
+                window_job& job;
+                bool posted;
+                ~withdraw() {
+                    if (!posted) return;
+                    std::unique_lock<std::mutex> l(pool.mu_);
+                    pool.jobs_.erase(std::find(pool.jobs_.begin(),
+                                               pool.jobs_.end(), &job));
+                    pool.done_cv_.wait(l, [&] { return job.users == 0; });
+                }
+            } guard{*this, job, posted};
+            for (std::size_t i = 0; i < count; ++i) {
+                // Help with the window until item i is computed.
+                while (!job.done[i].load(std::memory_order_acquire)) {
+                    if (work_one(job)) continue;
+                    std::unique_lock<std::mutex> l(mu_);
+                    done_cv_.wait(l, [&] {
+                        return job.done[i].load(std::memory_order_acquire);
+                    });
+                }
+                if (job.failed.load(std::memory_order_acquire)) break;
+                commit(i);
+            }
+        }
+        if (job.error) std::rethrow_exception(job.error);
+    }
+
+private:
+    helper_pool() = default;
+
+    /// Claim and compute the job's next item; false when none is left.
+    bool work_one(window_job& job) {
+        const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= job.count) return false;
+        try {
+            job.compute(i);
+        } catch (...) {
+            const std::lock_guard<std::mutex> l(mu_);
+            if (!job.error) job.error = std::current_exception();
+            job.failed.store(true, std::memory_order_release);
+        }
+        {
+            const std::lock_guard<std::mutex> l(mu_);
+            job.done[i].store(true, std::memory_order_release);
+        }
+        done_cv_.notify_all();
+        return true;
+    }
+
+    void helper_main() {
+        std::unique_lock<std::mutex> l(mu_);
+        for (;;) {
+            window_job* job = nullptr;
+            work_cv_.wait(l, [&] {
+                const auto open = std::find_if(
+                    jobs_.begin(), jobs_.end(), [](const window_job* j) {
+                        return j->next.load(std::memory_order_relaxed) <
+                               j->count;
+                    });
+                job = open == jobs_.end() ? nullptr : *open;
+                return job != nullptr || stop_;
+            });
+            if (job == nullptr) return;
+            ++job->users;
+            l.unlock();
+            while (work_one(*job)) {
+            }
+            l.lock();
+            if (--job->users == 0) done_cv_.notify_all();
+        }
+    }
+
+    std::mutex mu_;
+    std::condition_variable work_cv_;  ///< helpers: a job was posted
+    std::condition_variable done_cv_;  ///< callers: an item or user done
+    std::vector<window_job*> jobs_;
+    std::vector<std::thread> threads_;
+    bool stop_ = false;
+};
+
+}  // namespace
 
 // ---- stripe_loader ----------------------------------------------------
 
@@ -13,12 +168,20 @@ stripe_loader::stripe_loader(queue_pair& qp, const raid::stripe_map& map)
     : qp_(qp),
       map_(map),
       window_(std::max<std::size_t>(1, qp.config().queue_depth)),
+      helpers_(std::min<std::size_t>(
+                   std::max(1u, std::thread::hardware_concurrency()),
+                   window_) -
+               1),
       statuses_(window_),
       views_(window_ * map.n()) {}
 
+std::size_t stripe_loader::helpers_started() {
+    return helper_pool::shared().started();
+}
+
 void stripe_loader::run(std::size_t first, std::size_t last,
                         const column_filter& skip_column,
-                        const process_fn& process) {
+                        const stripe_fn& compute, const stripe_fn& commit) {
     const std::uint32_t n = map_.n();
     for (std::size_t w0 = first; w0 < last; w0 += window_) {
         const std::size_t w1 = std::min(w0 + window_, last);
@@ -55,11 +218,19 @@ void stripe_loader::run(std::size_t first, std::size_t last,
         }
         qp_.clear_completions();
 
-        // Consumption pass, in stripe order.
-        for (std::size_t s = w0; s < w1; ++s) {
-            const std::size_t slot = s - w0;
-            process(s, {views_.data() + slot * n, n}, statuses_[slot]);
-        }
+        // Consumption: the window's computes in parallel, its commits in
+        // stripe order on this thread.
+        const std::span<const std::byte* const> all(views_);
+        helper_pool::shared().run(
+            w1 - w0, helpers_,
+            [&](std::size_t slot) {
+                compute(w0 + slot, slot, all.subspan(slot * n, n),
+                        statuses_[slot]);
+            },
+            [&](std::size_t slot) {
+                commit(w0 + slot, slot, all.subspan(slot * n, n),
+                       statuses_[slot]);
+            });
     }
 }
 

@@ -8,8 +8,16 @@
 //     reads: no byte is copied and the loader owns no buffers. A window's
 //     strips on one disk are consecutive on the medium, so the queue_pair
 //     coalesces them into one transfer per disk; each completed view
-//     points at its strip where it sits, and the consumer gets one view
-//     per column, valid for the window (the consumer's op).
+//     points at its strip where it sits, valid for the window. The
+//     consumer comes in two halves. The per-stripe *compute* (verify,
+//     decode, re-verify) runs for every stripe of the window at once, on
+//     the calling thread plus helper threads shared by the whole process;
+//     it must touch only its own stripe's bytes, checksum words and slot
+//     scratch, plus relaxed counters. The ordered *commit* (every write,
+//     persist, heal and accounting step) runs on the calling thread in
+//     stripe order: stripe s commits as soon as stripes <= s are
+//     computed. So every fault draw, write and journal change happens in
+//     the order a serial walk makes it.
 //
 //   * stripe_writer — pipelines full-stripe writes. Data columns are
 //     submitted zero-copy straight from the host's buffer (when
@@ -46,12 +54,18 @@ public:
     /// a window fills every disk's in-flight ring exactly once.
     stripe_loader(queue_pair& qp, const raid::stripe_map& map);
 
-    /// Per-stripe consumer: `views[col]` points at column `col`'s strip
-    /// on the medium (null unless its view completed ok; read-only, valid
-    /// only during the call), `statuses` the per-column io_status of this
-    /// stripe's views. The vector may be moved from.
-    using process_fn = std::function<void(
-        std::size_t stripe, std::span<const std::byte* const> views,
+    /// Stripes per window; a stripe's window slot is its index in it.
+    [[nodiscard]] std::size_t window() const noexcept { return window_; }
+
+    /// One half of the consumer: `slot` is the stripe's window slot,
+    /// `views[col]` points at column `col`'s strip on the medium (null
+    /// unless its view completed ok; read-only, valid until the window's
+    /// last commit returns), `statuses` the per-column io_status of this
+    /// stripe's views. The compute may move from the vector; the commit
+    /// then sees what it left.
+    using stripe_fn = std::function<void(
+        std::size_t stripe, std::size_t slot,
+        std::span<const std::byte* const> views,
         std::vector<raid::io_status>& statuses)>;
     /// Column filter: true = do not read this column; its status is
     /// reported as io_status::rebuilding (an erasure), exactly what the
@@ -60,15 +74,26 @@ public:
         std::function<bool(std::size_t stripe, std::uint32_t col)>;
 
     /// Walk stripes [first, last): prefetch each window with one drain,
-    /// then invoke `process` per stripe in order. `skip_column` may be
-    /// null.
+    /// run `compute` for every stripe of it in parallel (the calling
+    /// thread plus min(hardware threads, window) - 1 shared helpers,
+    /// started on first use; a window of one starts none), and `commit`
+    /// each stripe on the calling thread in stripe order once it and
+    /// every stripe before it are computed. `skip_column` may be null.
+    /// An exception thrown by a compute is rethrown here, after the
+    /// window's helpers have let go of it.
     void run(std::size_t first, std::size_t last,
-             const column_filter& skip_column, const process_fn& process);
+             const column_filter& skip_column, const stripe_fn& compute,
+             const stripe_fn& commit);
+
+    /// Helper threads the process has started so far (they are shared by
+    /// every loader and live until exit).
+    [[nodiscard]] static std::size_t helpers_started();
 
 private:
     queue_pair& qp_;
     const raid::stripe_map& map_;
     std::size_t window_;
+    std::size_t helpers_;  ///< min(hardware threads, window) - 1
     std::vector<std::vector<raid::io_status>> statuses_;  ///< per slot
     std::vector<const std::byte*> views_;  ///< window x n, slot-major
 };

@@ -47,12 +47,10 @@ raid6_array::raid6_array(const array_config& cfg, bool allocate_members)
     LIBERATION_EXPECTS(map_.n() <= 64);
     disks_.reserve(map_.n());
     regions_.reserve(map_.n());
-    scratch_.reserve(map_.n());
     for (std::uint32_t d = 0; d < map_.n(); ++d) {
         disks_.push_back(std::make_unique<vdisk>(
             d, map_.disk_capacity(), cfg.sector_size, allocate_members));
         regions_.emplace_back(map_.disk_capacity(), integrity_block_);
-        scratch_.emplace_back(map_.strip_size());
     }
     spares_.reserve(cfg.hot_spares);
     for (std::uint32_t s = 0; s < cfg.hot_spares; ++s) {
@@ -121,6 +119,8 @@ void raid6_array::rebuild_aio_engine(const aio::aio_config& acfg) {
     aio_engine_ = std::make_unique<aio::queue_pair>(backend_, map_.n(), acfg);
     full_writer_ = std::make_unique<aio::stripe_writer>(*aio_engine_, map_,
                                                         integrity_block_);
+    scratch_.clear();
+    reserve_scratch(1);
     // Checksum verification as a completion-stage decorator: it sees the
     // final status of the execution stage, so transient errors have
     // already been retried (a mismatch, by contrast, is never retried —
@@ -175,7 +175,6 @@ void raid6_array::add_data_disk() {
     // The new column is blank (all zeros), which is exactly what a fresh
     // integrity region describes.
     regions_.emplace_back(map_.disk_capacity(), integrity_block_);
-    scratch_.emplace_back(map_.strip_size());
     health_.add_disk();
     latmon_.add_disk();
     add_slot_counters(map_.n() - 1);
@@ -694,7 +693,7 @@ void raid6_array::load_views(std::size_t stripe, std::uint32_t skip,
 }
 
 void raid6_array::assemble(std::span<const std::byte* const> views,
-                           std::vector<std::byte*>& cols) {
+                           std::vector<std::byte*>& cols, std::size_t slot) {
     cols.resize(map_.n());
     for (std::uint32_t col = 0; col < map_.n(); ++col) {
         // A view stays read-only although the stripe view's columns are
@@ -703,8 +702,9 @@ void raid6_array::assemble(std::span<const std::byte* const> views,
         // its scratch strip first.
         cols[col] = views[col] != nullptr
                         ? const_cast<std::byte*>(kernel_bytes(
-                              views[col], map_.strip_size(), scratch(col)))
-                        : scratch(col);
+                              views[col], map_.strip_size(),
+                              scratch(col, slot)))
+                        : scratch(col, slot);
     }
 }
 
@@ -757,7 +757,56 @@ raid6_array::stripe_recovery raid6_array::load_stripe_verified(
 raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
     std::size_t stripe, std::span<const std::byte* const> views,
     bool writeback, std::span<const std::uint32_t> extra_erasures,
-    std::vector<io_status> statuses, bool host_read) {
+    std::vector<io_status> statuses, bool host_read, std::size_t slot) {
+    stripe_recovery rec =
+        begin_recovery(views, extra_erasures, std::move(statuses), slot);
+    if (rec.erased.size() <= 2 &&
+        settle_torn_stripe(stripe, rec.cols, rec.statuses, extra_erasures,
+                           host_read, slot)) {
+        classify_and_decode(stripe, views, rec, slot);
+        if (writeback) write_back(stripe, rec);
+    }
+    return rec;
+}
+
+raid6_array::stripe_recovery raid6_array::recover_loaded_stripe(
+    std::size_t stripe, std::span<const std::byte* const> views,
+    std::span<const std::uint32_t> extra_erasures,
+    std::vector<io_status> statuses, std::size_t slot) {
+    stripe_recovery rec =
+        begin_recovery(views, extra_erasures, std::move(statuses), slot);
+    if (rec.erased.size() <= 2) classify_and_decode(stripe, views, rec, slot);
+    return rec;
+}
+
+void raid6_array::reserve_scratch(std::size_t slots) {
+    // A scratch strip per column per stripe_loader window slot: the
+    // loader's computes run in parallel, each in its own slot.
+    for (std::size_t i = scratch_.size(); i < slots * map_.n(); ++i) {
+        scratch_.emplace_back(map_.strip_size());
+    }
+}
+
+void raid6_array::write_back(std::size_t stripe, const stripe_recovery& rec) {
+    if (rec.repairs.empty()) return;
+    std::vector<const std::uint32_t*> crc_ptrs(map_.n(), nullptr);
+    const std::size_t bps = map_.strip_size() / integrity_block_;
+    for (const std::uint32_t col : rec.repairs) {
+        // Heal-on-read of latent sector errors, as load_and_decode always
+        // did.
+        if (rec.statuses[col] == io_status::unreadable_sector) {
+            ctr_.inc<&array_stats::media_errors_recovered>();
+        }
+        crc_ptrs[col] = rec.crcs.data() + col * bps;
+        const std::uint32_t one[] = {col};
+        store_columns(stripe, as_stripe(rec.cols), one, crc_ptrs.data());
+    }
+}
+
+raid6_array::stripe_recovery raid6_array::begin_recovery(
+    std::span<const std::byte* const> views,
+    std::span<const std::uint32_t> extra_erasures,
+    std::vector<io_status> statuses, std::size_t slot) {
     LIBERATION_EXPECTS(statuses.size() == map_.n() &&
                        views.size() == map_.n());
     stripe_recovery rec;
@@ -765,7 +814,6 @@ raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
     for (std::uint32_t col = 0; col < map_.n(); ++col) {
         if (rec.statuses[col] != io_status::ok) rec.erased.push_back(col);
     }
-    const bool loadable = rec.erased.size() <= 2;
     for (const std::uint32_t col : extra_erasures) {
         if (std::find(rec.erased.begin(), rec.erased.end(), col) ==
             rec.erased.end()) {
@@ -775,14 +823,18 @@ raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
     std::sort(rec.erased.begin(), rec.erased.end());
     // Survivors are decoded from where they sit; every erasure (an extra
     // one may have read fine) is reconstructed into its scratch strip.
-    assemble(views, rec.cols);
-    for (const std::uint32_t col : rec.erased) rec.cols[col] = scratch(col);
-    const codes::stripe_view buf = as_stripe(rec.cols);
-    if (!loadable || rec.erased.size() > 2 ||
-        !settle_torn_stripe(stripe, rec.cols, rec.statuses, extra_erasures,
-                            host_read)) {
-        return rec;
+    assemble(views, rec.cols, slot);
+    for (const std::uint32_t col : rec.erased) {
+        rec.cols[col] = scratch(col, slot);
     }
+    return rec;
+}
+
+void raid6_array::classify_and_decode(std::size_t stripe,
+                                      std::span<const std::byte* const> views,
+                                      stripe_recovery& rec,
+                                      std::size_t slot) {
+    const codes::stripe_view buf = as_stripe(rec.cols);
     rec.verified = true;
 
     const auto is_erased = [&](std::uint32_t col) {
@@ -792,19 +844,13 @@ raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
     // Every verification below captures the words its fused sweep
     // computed: a column that is later written back (heal, rebuild
     // commit) hands them to the store instead of being traversed again.
+    // A column's words are marked valid only once they describe its
+    // *current* bytes (a decode can invalidate a capture).
     const std::size_t bps = map_.strip_size() / integrity_block_;
     rec.crcs.resize(static_cast<std::size_t>(map_.n()) * bps);
     rec.crc_valid.assign(map_.n(), 0);
     const auto col_crc = [&](std::uint32_t col) {
         return rec.crcs.data() + static_cast<std::size_t>(col) * bps;
-    };
-    // store_columns-shaped pointer table over the captured words; entries
-    // are published only once the words describe the column's *current*
-    // bytes (a decode can invalidate a capture).
-    std::vector<const std::uint32_t*> crc_ptrs(map_.n(), nullptr);
-    const auto publish_crc = [&](std::uint32_t col) {
-        rec.crc_valid[col] = 1;
-        crc_ptrs[col] = col_crc(col);
     };
 
     // Checksum-first classification: every available column whose bytes
@@ -819,7 +865,7 @@ raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
             crc_bad.push_back(col);
             rec.statuses[col] = io_status::checksum_mismatch;
         } else {
-            publish_crc(col);
+            rec.crc_valid[col] = 1;
         }
     }
     if (!crc_bad.empty()) {
@@ -837,11 +883,14 @@ raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
         // A suspect's view stays the on-disk bytes while the decode
         // writes its reconstruction into scratch, so the two can be
         // compared.
-        for (const std::uint32_t col : crc_bad) rec.cols[col] = scratch(col);
+        for (const std::uint32_t col : crc_bad) {
+            rec.cols[col] = scratch(col, slot);
+        }
         if (!suspects.empty()) code_.decode(buf, suspects);
 
         for (const std::uint32_t col : crc_bad) {
             const strip_location loc = map_.locate(stripe, col);
+            rec.crc_valid[col] = 1;
             if (std::memcmp(views[col], buf.strip(col).data(),
                             map_.strip_size()) == 0) {
                 // Parity reproduced the on-disk bytes exactly: the data
@@ -849,7 +898,6 @@ raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
                 // damaged side. Refresh the metadata from the words the
                 // classification sweep computed over these very bytes.
                 regions_[loc.disk].install(loc.offset, {col_crc(col), bps});
-                publish_crc(col);
                 rec.meta_repaired.push_back(col);
                 ctr_.inc<&array_stats::checksum_metadata_repaired>();
                 continue;
@@ -864,12 +912,8 @@ raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
                 regions_[loc.disk].install(loc.offset, {col_crc(col), bps});
                 ctr_.inc<&array_stats::checksum_metadata_repaired>();
             }
-            publish_crc(col);
             rec.healed.push_back(col);
-            if (writeback) {
-                const std::uint32_t one[] = {col};
-                store_columns(stripe, buf, one, crc_ptrs.data());
-            }
+            rec.repairs.push_back(col);
         }
         for (const std::uint32_t col : rec.erased) {
             // Verify every reconstructed column before anyone trusts it.
@@ -883,18 +927,13 @@ raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
                 rec.meta_repaired.push_back(col);
                 ctr_.inc<&array_stats::checksum_metadata_repaired>();
             }
-            publish_crc(col);
-            if (writeback &&
-                rec.statuses[col] == io_status::unreadable_sector) {
-                // Heal-on-read of latent sector errors, as load_and_decode
-                // always did.
-                ctr_.inc<&array_stats::media_errors_recovered>();
-                const std::uint32_t one[] = {col};
-                store_columns(stripe, buf, one, crc_ptrs.data());
+            rec.crc_valid[col] = 1;
+            if (rec.statuses[col] == io_status::unreadable_sector) {
+                rec.repairs.push_back(col);
             }
         }
         rec.ok = true;
-        return rec;
+        return;
     }
 
     // More checksum suspects than the two-erasure decode budget (plus any
@@ -906,7 +945,7 @@ raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
     // needs redundancy left over after the decode: two true erasures use
     // up both parities, so the decoded codeword is consistent by
     // construction and would vouch for rotten bytes. Refuse instead.
-    if (rec.erased.size() > 1) return rec;
+    if (rec.erased.size() > 1) return;
     if (!rec.erased.empty()) code_.decode(buf, rec.erased);
     if (core::stripe_consistent(buf, code_.geom())) {
         for (const std::uint32_t col : crc_bad) {
@@ -914,7 +953,7 @@ raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
             // the ones the classification sweep captured words for.
             const strip_location loc = map_.locate(stripe, col);
             regions_[loc.disk].install(loc.offset, {col_crc(col), bps});
-            publish_crc(col);
+            rec.crc_valid[col] = 1;
             rec.meta_repaired.push_back(col);
             rec.statuses[col] = io_status::ok;
             ctr_.inc<&array_stats::checksum_metadata_repaired>();
@@ -927,11 +966,10 @@ raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
                 rec.meta_repaired.push_back(col);
                 ctr_.inc<&array_stats::checksum_metadata_repaired>();
             }
-            publish_crc(col);
+            rec.crc_valid[col] = 1;
         }
         rec.ok = true;
     }
-    return rec;
 }
 
 bool raid6_array::journal_mark(std::size_t stripe, std::uint64_t cols,
@@ -1114,7 +1152,7 @@ std::size_t raid6_array::recover_write_hole() {
         load_views(s, map_.n(), 0, views, statuses);
         assemble(views, cols);
         if (resync_journaled_stripe(s, cols, statuses, {},
-                                    /*host_read=*/false)) {
+                                    /*host_read=*/false, /*slot=*/0)) {
             ++resynced;
         }
     }
@@ -1125,16 +1163,17 @@ bool raid6_array::settle_torn_stripe(std::size_t stripe,
                                      std::span<std::byte*> cols,
                                      std::span<const io_status> statuses,
                                      std::span<const std::uint32_t> targets,
-                                     bool host_read) {
+                                     bool host_read, std::size_t slot) {
     if (!journal_.is_dirty(stripe)) return true;
     return !cols.empty() && resync_journaled_stripe(stripe, cols, statuses,
-                                                    targets, host_read);
+                                                    targets, host_read, slot);
 }
 
 bool raid6_array::resync_journaled_stripe(
     std::size_t stripe, std::span<std::byte*> cols,
     std::span<const io_status> statuses,
-    std::span<const std::uint32_t> targets, bool host_read) {
+    std::span<const std::uint32_t> targets, bool host_read,
+    std::size_t slot) {
     const std::uint32_t pc = code_.p_column();
     const std::uint32_t qc = code_.q_column();
     const std::uint64_t mask = journal_.columns(stripe);
@@ -1181,21 +1220,22 @@ bool raid6_array::resync_journaled_stripe(
         const std::uint32_t one[] = {col};
         if ((mask >> col) & 1) {
             regions_[loc.disk].record(loc.offset, buf.strip(col));
-        } else if (!heal_journaled_column(stripe, cols, col) ||
+        } else if (!heal_journaled_column(stripe, cols, col, slot) ||
                    !store_columns(stripe, buf, one)) {
             return false;
         }
     }
     // The lost column is only reconstructed (into scratch): its disk is
     // unavailable.
-    if (lost != map_.n() && !heal_journaled_column(stripe, cols, lost)) {
+    if (lost != map_.n() &&
+        !heal_journaled_column(stripe, cols, lost, slot)) {
         return false;
     }
     // Data is the source of truth; re-encode both parity columns into
     // scratch (a parity target's stale or unread bytes are simply
     // replaced).
-    cols[pc] = scratch(pc);
-    cols[qc] = scratch(qc);
+    cols[pc] = scratch(pc, slot);
+    cols[qc] = scratch(qc, slot);
     code_.encode(buf);
     const std::uint32_t parity_cols[] = {pc, qc};
     if (!store_columns(stripe, buf, parity_cols) || !powered_) return false;
@@ -1205,7 +1245,7 @@ bool raid6_array::resync_journaled_stripe(
 
 bool raid6_array::heal_journaled_column(std::size_t stripe,
                                         std::span<std::byte*> cols,
-                                        std::uint32_t col) {
+                                        std::uint32_t col, std::size_t slot) {
     const std::uint32_t pc = code_.p_column();
     const std::uint32_t qc = code_.q_column();
     const strip_location loc = map_.locate(stripe, col);
@@ -1214,7 +1254,7 @@ bool raid6_array::heal_journaled_column(std::size_t stripe,
     // stripe's columns as they are.
     std::vector<std::byte*> tmp(cols.begin(), cols.end());
     util::aligned_buffer parity(map_.strip_size());
-    tmp[col] = scratch(col);
+    tmp[col] = scratch(col, slot);
     // Parity may itself be torn, so try each subset that still has enough
     // intact parity to reconstruct the column ({c}: both parities fine,
     // {c,P}: P torn, {c,Q}: Q torn) and accept the first candidate the
@@ -1227,11 +1267,11 @@ bool raid6_array::heal_journaled_column(std::size_t stripe,
         tmp[qc] = cols[qc];
         if (erased.size() == 2) tmp[erased[1]] = parity.data();
         code_.decode(as_stripe(tmp), erased);
-        if (!regions_[loc.disk].verify(loc.offset,
-                                       {scratch(col), map_.strip_size()})) {
+        if (!regions_[loc.disk].verify(
+                loc.offset, {scratch(col, slot), map_.strip_size()})) {
             continue;
         }
-        cols[col] = scratch(col);
+        cols[col] = scratch(col, slot);
         return true;
     }
     return false;

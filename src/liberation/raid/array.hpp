@@ -533,14 +533,17 @@ public:
         /// The stripe, column by column in codeword order (as_stripe()
         /// makes it a stripe view): a column read as it is points at its
         /// strip on the medium, every column the recovery wrote (erasures,
-        /// healed columns, re-encoded parity) at array-owned scratch.
-        /// Read-only to the caller, and valid until the array's next
-        /// stripe load.
+        /// healed columns, re-encoded parity) at the scratch of the
+        /// recovery's window slot. Read-only to the caller, and valid until
+        /// that slot's next stripe load.
         std::vector<std::byte*> cols;
         std::vector<std::uint32_t> erased;
         std::vector<io_status> statuses;
         std::vector<std::uint32_t> healed;
         std::vector<std::uint32_t> meta_repaired;
+        /// What a writeback stores (write_back()), in order: the healed
+        /// columns, then the erasures that were unreadable sectors.
+        std::vector<std::uint32_t> repairs;
         /// Per-column CRC32C words captured by the verification sweeps
         /// (the fused sweep produces the verdict *and* these in one
         /// traversal): columns with crc_valid[col] != 0 hold
@@ -577,10 +580,37 @@ public:
     /// Nothing is written through a view: every column the recovery
     /// writes is first pointed at scratch, and every change to the medium
     /// goes through disk_write.
+    /// `slot` is the aio stripe_loader window slot whose scratch the
+    /// recovery writes (0 outside the loader).
     [[nodiscard]] stripe_recovery verify_loaded_stripe(
         std::size_t stripe, std::span<const std::byte* const> views,
         bool writeback, std::span<const std::uint32_t> extra_erasures,
-        std::vector<io_status> statuses, bool host_read = false);
+        std::vector<io_status> statuses, bool host_read = false,
+        std::size_t slot = 0);
+
+    /// The per-stripe compute of verify_loaded_stripe(), for the aio
+    /// stripe_loader's parallel half: classification, decode, re-verify
+    /// and metadata repair, into window slot `slot`'s scratch. It touches
+    /// only this stripe's bytes and checksum words, the slot's scratch and
+    /// relaxed counters — no fault draw, no write, no persist, no journal,
+    /// disk-state or health access — so windows of stripes may run it on
+    /// several threads at once. The stripe must not be journaled (the
+    /// caller picks those out and runs verify_loaded_stripe() in their
+    /// commit); a writeback is write_back() in the commit.
+    [[nodiscard]] stripe_recovery recover_loaded_stripe(
+        std::size_t stripe, std::span<const std::byte* const> views,
+        std::span<const std::uint32_t> extra_erasures,
+        std::vector<io_status> statuses, std::size_t slot);
+
+    /// Give window slots [0, slots) their scratch (slot 0 always has it):
+    /// a stripe_loader consumer calls this on its own thread before the
+    /// walk, so an array that never rebuilds or scrubs keeps one slot.
+    void reserve_scratch(std::size_t slots);
+
+    /// The commit of a writeback recovery: store `rec.repairs` (healed
+    /// columns, then latent-sector erasures, which count as
+    /// media_errors_recovered) from the recovery's scratch.
+    void write_back(std::size_t stripe, const stripe_recovery& rec);
 
     /// A stripe view over column pointers in codeword order, with this
     /// array's geometry (e.g. a stripe_recovery's `cols`).
@@ -634,14 +664,28 @@ private:
                     std::uint32_t flags, std::vector<const std::byte*>& views,
                     std::vector<io_status>& statuses);
     /// Point `cols` at a loaded stripe: a column that read ok at its view
-    /// (kernel_bytes), every other column at its scratch strip.
+    /// (kernel_bytes), every other column at its scratch strip in `slot`.
     void assemble(std::span<const std::byte* const> views,
-                  std::vector<std::byte*>& cols);
-    /// Column `col`'s scratch strip: where decodes, heals and re-encodes
-    /// write (array-owned, reused load after load).
-    [[nodiscard]] std::byte* scratch(std::uint32_t col) noexcept {
-        return scratch_[col].data();
+                  std::vector<std::byte*>& cols, std::size_t slot = 0);
+    /// Column `col`'s scratch strip in window slot `slot`: where decodes,
+    /// heals and re-encodes write (array-owned, reused load after load;
+    /// slot 0 serves every path outside the aio stripe_loader).
+    [[nodiscard]] std::byte* scratch(std::uint32_t col,
+                                     std::size_t slot = 0) noexcept {
+        return scratch_[slot * map_.n() + col].data();
     }
+    /// verify_loaded_stripe()'s first step: the erasures (read failures
+    /// plus `extra_erasures`, sorted) and `cols` assembled in `slot`, each
+    /// erasure at its scratch strip.
+    [[nodiscard]] stripe_recovery begin_recovery(
+        std::span<const std::byte* const> views,
+        std::span<const std::uint32_t> extra_erasures,
+        std::vector<io_status> statuses, std::size_t slot);
+    /// recover_loaded_stripe()'s body after begin_recovery(), for a stripe
+    /// with at most two erasures that is not journaled (or was re-synced).
+    void classify_and_decode(std::size_t stripe,
+                             std::span<const std::byte* const> views,
+                             stripe_recovery& rec, std::size_t slot);
     /// The bytes of a view as the coding and CRC kernels may read them:
     /// the view itself, or its copy in `scratch` when the element size
     /// rules out reading it in place (xorops::reads_in_place).
@@ -786,8 +830,8 @@ private:
     void persist_watermarks();
 
     /// (Re)build the aio engine for the current disk count, register
-    /// the checksum-verify completion stage on it, and build the
-    /// full-stripe writer over it.
+    /// the checksum-verify completion stage on it, build the full-stripe
+    /// writer over it, and reset the scratch to slot 0's.
     void rebuild_aio_engine(const aio::aio_config& acfg);
 
     /// disk_read + checksum verification (verify-on-read mode only):
@@ -809,7 +853,8 @@ private:
     [[nodiscard]] bool settle_torn_stripe(
         std::size_t stripe, std::span<std::byte*> cols,
         std::span<const io_status> statuses,
-        std::span<const std::uint32_t> targets, bool host_read = false);
+        std::span<const std::uint32_t> targets, bool host_read = false,
+        std::size_t slot = 0);
     /// The hybrid rebuild's element-level plan reads parity directly, so
     /// it asks the rule before it runs.
     friend rebuild_result rebuild_single_disk_hybrid(raid6_array& array,
@@ -825,10 +870,12 @@ private:
     /// `host_read` one unavailable data column the update was not writing
     /// is recovered by candidate decode into scratch; a parity column may
     /// be missing only as a target. False leaves the stripe journaled.
+    /// Scratch is window slot `slot`'s.
     [[nodiscard]] bool resync_journaled_stripe(
         std::size_t stripe, std::span<std::byte*> cols,
         std::span<const io_status> statuses,
-        std::span<const std::uint32_t> targets, bool host_read);
+        std::span<const std::uint32_t> targets, bool host_read,
+        std::size_t slot);
 
     /// Recovery of an *untargeted* column of a torn stripe (corrupt or
     /// lost): parity may itself be torn, so try decoding the column from
@@ -837,7 +884,8 @@ private:
     /// then points at it.
     [[nodiscard]] bool heal_journaled_column(std::size_t stripe,
                                              std::span<std::byte*> cols,
-                                             std::uint32_t col);
+                                             std::uint32_t col,
+                                             std::size_t slot);
 
     /// Adapter plugging the array's I/O funnel in as the aio engine's
     /// execution backend: reads, views and writes keep their retry,
@@ -876,8 +924,9 @@ private:
     /// xorops::reads_in_place(element size): the kernels read views where
     /// they sit; otherwise kernel_bytes copies them into scratch first.
     bool in_place_;
-    /// One scratch strip per column (see scratch()), plus a strip for the
-    /// fast path's kernel_bytes copies (empty while in_place_).
+    /// One scratch strip per column per aio window slot, slot-major (see
+    /// scratch()), plus a strip for the fast path's kernel_bytes copies
+    /// (empty while in_place_).
     std::vector<util::aligned_buffer> scratch_;
     util::aligned_buffer read_scratch_;
     /// Atomic: armed and read on the caller's thread, while a volume

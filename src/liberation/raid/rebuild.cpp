@@ -97,9 +97,23 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
     // are demoted to erasures alongside the targets, and every
     // reconstructed strip is re-verified against its stored checksum
     // before it is committed to the replacement (a rebuild must never lay
-    // corrupt bytes onto fresh hardware). A journaled stripe is re-synced by the verification when
-    // only parity is targeted, and refused otherwise.
+    // corrupt bytes onto fresh hardware). The window's stripes are
+    // verified and decoded in parallel; their commits land in stripe
+    // order on this thread.
+    //
+    // A journaled stripe is re-synced when only parity is targeted, and
+    // refused otherwise — all inside its commit, since the re-sync
+    // writes. The journaled stripes are picked out here, before the
+    // loader starts: only a re-sync clears an entry, and only its own
+    // stripe's, so the computes never need to read the journal.
+    const std::vector<std::size_t> journaled = array.journal().dirty_stripes();
+    const auto is_journaled = [&](std::size_t s) {
+        return std::find(journaled.begin(), journaled.end(), s) !=
+               journaled.end();
+    };
     aio::stripe_loader loader(array.aio_engine(), array.map());
+    array.reserve_scratch(loader.window());
+    std::vector<raid6_array::stripe_recovery> recs(loader.window());
     loader.run(
         first, last,
         /*skip_column=*/
@@ -109,14 +123,24 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
             }
             return false;
         },
-        /*process=*/
-        [&](std::size_t s, std::span<const std::byte* const> views,
+        /*compute=*/
+        [&](std::size_t s, std::size_t slot,
+            std::span<const std::byte* const> views,
             std::vector<io_status>& statuses) {
-            const raid6_array::stripe_recovery rec =
-                array.verify_loaded_stripe(s, views, /*writeback=*/false,
-                                           target_columns(s),
-                                           std::move(statuses));
-            commit_recovered(s, rec);
+            if (is_journaled(s)) return;
+            recs[slot] = array.recover_loaded_stripe(
+                s, views, target_columns(s), std::move(statuses), slot);
+        },
+        /*commit=*/
+        [&](std::size_t s, std::size_t slot,
+            std::span<const std::byte* const> views,
+            std::vector<io_status>& statuses) {
+            if (is_journaled(s)) {
+                recs[slot] = array.verify_loaded_stripe(
+                    s, views, /*writeback=*/false, target_columns(s),
+                    std::move(statuses), /*host_read=*/false, slot);
+            }
+            commit_recovered(s, recs[slot]);
         });
 
     result.seconds = timer.seconds();

@@ -1,5 +1,6 @@
 #include "liberation/raid/scrubber.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -12,9 +13,11 @@ namespace liberation::raid {
 namespace {
 
 // Accounting tail of the scrub loop: everything that happens to one
-// stripe after its verified load.
+// stripe after its verified load and write-back. `consistent` is the
+// compute's parity cross-check of a stripe the checksums call clean.
 void account_stripe(raid6_array& array, scrub_summary& summary, std::size_t s,
-                    const raid6_array::stripe_recovery& rec) {
+                    const raid6_array::stripe_recovery& rec,
+                    bool consistent) {
     const std::uint32_t k = array.map().k();
     const std::size_t strip = array.map().strip_size();
     if (rec.verified) {
@@ -96,8 +99,7 @@ void account_stripe(raid6_array& array, scrub_summary& summary, std::size_t s,
         // The survivors are views of the medium, and the parity fallback
         // corrects in place: only a stripe whose parity disagrees is
         // copied (rare), and its correction is stored from the copy.
-        if (core::stripe_consistent(array.as_stripe(rec.cols),
-                                    array.code().geom())) {
+        if (consistent) {
             ++summary.clean;
             return;
         }
@@ -149,33 +151,60 @@ scrub_summary scrub_array(raid6_array& array) {
     // One pass-level trace span plus a per-stripe latency histogram. The
     // histogram reference is resolved once per pass (registry lookups
     // take a mutex; the stripe loop must not). The per-stripe sample
-    // covers verification and repair only — the loads were prefetched a
-    // window ahead and show up in the aio_* stage histograms instead.
+    // covers the stripe's ordered commit (write-back, parity-fallback
+    // repair, accounting) — the loads were prefetched a window ahead and
+    // show up in the aio_* stage histograms, and the verification runs
+    // in the window's parallel compute.
     obs::hub& hub = array.obs();
     obs::latency_histogram& stripe_hist =
         hub.metrics().get_histogram("raid_scrub_stripe_ns");
     obs::timed_span pass_span(hub, nullptr, "raid.scrub_pass", "scrub");
 
     // The loader fetches a whole window of stripes ahead of
-    // verification, one merged transfer per disk, while the accounting
-    // below consumes them in stripe order. Journaled (torn) stripes are
-    // counted and left to write-hole recovery.
+    // verification, one merged transfer per disk. The window's stripes
+    // are verified, decoded and parity cross-checked in parallel; the
+    // write-backs and the accounting below consume them in stripe order
+    // on this thread. Journaled (torn) stripes are counted and left to
+    // write-hole recovery: picked out before the loader starts (a scrub
+    // journals nothing), so the computes never read the journal.
+    const std::vector<std::size_t> journaled = array.journal().dirty_stripes();
+    const auto is_journaled = [&](std::size_t s) {
+        return std::find(journaled.begin(), journaled.end(), s) !=
+               journaled.end();
+    };
     aio::stripe_loader loader(array.aio_engine(), array.map());
+    array.reserve_scratch(loader.window());
+    std::vector<raid6_array::stripe_recovery> recs(loader.window());
+    std::vector<std::uint8_t> consistent(loader.window());
     loader.run(
         0, stripes, /*skip_column=*/nullptr,
-        [&](std::size_t s, std::span<const std::byte* const> views,
+        /*compute=*/
+        [&](std::size_t s, std::size_t slot,
+            std::span<const std::byte* const> views,
             std::vector<io_status>& statuses) {
+            if (is_journaled(s)) return;
+            raid6_array::stripe_recovery& rec = recs[slot];
+            rec = array.recover_loaded_stripe(s, views, {},
+                                              std::move(statuses), slot);
+            consistent[slot] =
+                rec.ok && rec.erased.empty() && rec.healed.empty() &&
+                rec.meta_repaired.empty() &&
+                core::stripe_consistent(array.as_stripe(rec.cols),
+                                        array.code().geom());
+        },
+        /*commit=*/
+        [&](std::size_t s, std::size_t slot,
+            std::span<const std::byte* const>, std::vector<io_status>&) {
             ++summary.stripes_scanned;
-            if (array.journal().is_dirty(s)) {
+            if (is_journaled(s)) {
                 ++summary.skipped_torn;
                 return;
             }
             obs::timed_span span(hub, &stripe_hist, "scrub.stripe",
                                  "scrub");
-            const raid6_array::stripe_recovery rec =
-                array.verify_loaded_stripe(s, views, /*writeback=*/true, {},
-                                           std::move(statuses));
-            account_stripe(array, summary, s, rec);
+            array.write_back(s, recs[slot]);
+            account_stripe(array, summary, s, recs[slot],
+                           consistent[slot] != 0);
         });
     array.note_scrub_bytes(summary.scrub_bytes_single_pass,
                            summary.scrub_bytes_crosscheck);

@@ -44,14 +44,6 @@ struct kernel_table {
     void (*xor_many)(std::byte* dst, const std::byte* const* srcs,
                      std::size_t m, std::size_t n, bool acc) noexcept;
 
-    /// xor_many with non-temporal (cache-bypassing) destination stores,
-    /// for destinations too large to profit from cache residency. Same
-    /// contract as xor_many; issues a store fence before returning. Null
-    /// in tiers without a streaming-store path (scalar, neon) — the
-    /// dispatcher falls back to xor_many.
-    void (*xor_many_nt)(std::byte* dst, const std::byte* const* srcs,
-                        std::size_t m, std::size_t n, bool acc) noexcept;
-
     /// Fused CRC sweeps. All three produce the raw (inverted-state) CRC32C
     /// lane chains of one region per the integrity::crc32c_lane_bytes()
     /// split — lanes[0]/[1]/[2] cover [0,L)/[L,2L)/[2L,n), each chain

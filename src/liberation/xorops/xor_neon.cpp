@@ -97,7 +97,7 @@ void xor_many_crc3_neon(std::byte* dst, const std::byte* const* srcs,
 const kernel_table& neon_table() noexcept {
     static constexpr kernel_table table{
         "neon",        xor_into_neon, xor2_neon,
-        xor_many_neon, /*xor_many_nt=*/nullptr,
+        xor_many_neon,
         crc3_neon,     copy_crc3_neon, xor_many_crc3_neon,
         /*copy_nt=*/nullptr, /*copy_crc3_nt=*/nullptr};
     return table;

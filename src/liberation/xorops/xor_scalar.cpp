@@ -124,7 +124,7 @@ void xor_many_crc3_scalar(std::byte* dst, const std::byte* const* srcs,
 const kernel_table& scalar_table() noexcept {
     static constexpr kernel_table table{
         "scalar",          xor_into_scalar,  xor2_scalar,
-        xor_many_scalar,   /*xor_many_nt=*/nullptr,
+        xor_many_scalar,
         integrity::crc32c_lanes_software, copy_crc3_scalar,
         xor_many_crc3_scalar,
         /*copy_nt=*/nullptr, /*copy_crc3_nt=*/nullptr};

@@ -190,74 +190,9 @@ __attribute__((target("avx512f"))) void xor_many_avx512(
     xor_many_tail(dst, srcs, m, i, n, acc);
 }
 
-// ---------------------------------------------------------------------------
-// Non-temporal variants: identical reductions, but the destination is
-// written with streaming stores that bypass the cache hierarchy — for
-// destinations too large to profit from residency, this avoids the
-// read-for-ownership of every destination line (a full extra read stream)
-// and the eviction of still-useful data. Streaming stores require an
-// aligned destination, so a short head is peeled off through the portable
-// tail, and an sfence publishes the WC buffers before returning.
-
-__attribute__((target("avx2"))) void xor_many_nt_avx2(
-    std::byte* dst, const std::byte* const* srcs, std::size_t m, std::size_t n,
-    bool acc) noexcept {
-    std::size_t head =
-        (32 - (reinterpret_cast<std::uintptr_t>(dst) & 31)) & 31;
-    if (head > n) head = n;
-    if (head != 0) xor_many_tail(dst, srcs, m, 0, head, acc);
-    std::size_t i = head;
-    for (; i + 32 <= n; i += 32) {
-        __m256i a0;
-        std::size_t s;
-        if (acc) {
-            a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-            s = 0;
-        } else {
-            a0 = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(srcs[0] + i));
-            s = 1;
-        }
-        for (; s < m; ++s) {
-            a0 = _mm256_xor_si256(
-                a0, _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i*>(srcs[s] + i)));
-        }
-        _mm256_stream_si256(reinterpret_cast<__m256i*>(dst + i), a0);
-    }
-    _mm_sfence();
-    xor_many_tail(dst, srcs, m, i, n, acc);
-}
-
-__attribute__((target("avx512f"))) void xor_many_nt_avx512(
-    std::byte* dst, const std::byte* const* srcs, std::size_t m, std::size_t n,
-    bool acc) noexcept {
-    std::size_t head =
-        (64 - (reinterpret_cast<std::uintptr_t>(dst) & 63)) & 63;
-    if (head > n) head = n;
-    if (head != 0) xor_many_tail(dst, srcs, m, 0, head, acc);
-    std::size_t i = head;
-    for (; i + 64 <= n; i += 64) {
-        __m512i a0;
-        std::size_t s;
-        if (acc) {
-            a0 = _mm512_loadu_si512(dst + i);
-            s = 0;
-        } else {
-            a0 = _mm512_loadu_si512(srcs[0] + i);
-            s = 1;
-        }
-        for (; s < m; ++s) {
-            a0 = _mm512_xor_si512(a0, _mm512_loadu_si512(srcs[s] + i));
-        }
-        _mm512_stream_si512(reinterpret_cast<__m512i*>(dst + i), a0);
-    }
-    _mm_sfence();
-    xor_many_tail(dst, srcs, m, i, n, acc);
-}
-
-/// Streaming copies for medium landings: the same head peel as the
-/// streaming reductions, but unfenced (xorops::land fences once).
+/// Streaming copies for medium landings: streaming stores need an aligned
+/// destination, so a short head is peeled off with regular stores; the
+/// copy is unfenced (xorops::land fences once).
 __attribute__((target("avx2"))) void copy_nt_avx2(std::byte* dst,
                                                   const std::byte* src,
                                                   std::size_t n) noexcept {
@@ -484,7 +419,7 @@ const kernel_table& avx2_table() noexcept {
 #if defined(__x86_64__)
     static const kernel_table table{
         "avx2",     xor_into_avx2,  xor2_avx2,
-        xor_many_avx2, xor_many_nt_avx2,
+        xor_many_avx2,
         integrity::crc32c_lanes_hardware, copy_crc3_avx2,
         xor_many_crc3_avx2,
         copy_nt_avx2, /*copy_crc3_nt=*/nullptr};
@@ -493,7 +428,7 @@ const kernel_table& avx2_table() noexcept {
     // the scalar tier's software fused sweeps.
     static const kernel_table table{
         "avx2",     xor_into_avx2,  xor2_avx2,
-        xor_many_avx2, xor_many_nt_avx2,
+        xor_many_avx2,
         nullptr,    nullptr,        nullptr,
         copy_nt_avx2, nullptr};
 #endif
@@ -504,13 +439,13 @@ const kernel_table& avx512_table() noexcept {
 #if defined(__x86_64__)
     static const kernel_table three_lane{
         "avx512",   xor_into_avx512,  xor2_avx512,
-        xor_many_avx512, xor_many_nt_avx512,
+        xor_many_avx512,
         integrity::crc32c_lanes_hardware, copy_crc3_avx512,
         xor_many_crc3_avx512,
         copy_nt_avx512, /*copy_crc3_nt=*/nullptr};
     static const kernel_table fold{
         "avx512",   xor_into_avx512,  xor2_avx512,
-        xor_many_avx512, xor_many_nt_avx512,
+        xor_many_avx512,
         integrity::crc32c_lanes_fold, copy_crc3_fold,
         xor_many_crc3_fold,
         copy_nt_avx512, copy_crc3_nt_fold};
@@ -521,7 +456,7 @@ const kernel_table& avx512_table() noexcept {
 #else
     static const kernel_table table{
         "avx512",   xor_into_avx512,  xor2_avx512,
-        xor_many_avx512, xor_many_nt_avx512,
+        xor_many_avx512,
         nullptr,    nullptr,          nullptr,
         copy_nt_avx512, nullptr};
 #endif

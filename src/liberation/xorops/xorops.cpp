@@ -10,10 +10,6 @@
 #include "liberation/util/assert.hpp"
 #include "liberation/xorops/xor_kernels.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
-
 namespace liberation::xorops {
 
 namespace {
@@ -102,70 +98,6 @@ std::atomic<xor_impl>& impl_slot() noexcept {
 
 const detail::kernel_table& table() noexcept {
     return table_for(impl_slot().load(std::memory_order_relaxed));
-}
-
-// ---------------------------------------------------------------------------
-// Streaming-store threshold.
-
-std::size_t startup_nt_threshold() noexcept {
-    const char* env = std::getenv("LIBERATION_XOR_NT_THRESHOLD");
-    if (env != nullptr && *env != '\0') {
-        char* end = nullptr;
-        const unsigned long long v = std::strtoull(env, &end, 10);
-        std::size_t scale = 1;
-        if (end != env) {
-            switch (*end) {
-                case 'k':
-                case 'K':
-                    scale = std::size_t{1} << 10;
-                    ++end;
-                    break;
-                case 'm':
-                case 'M':
-                    scale = std::size_t{1} << 20;
-                    ++end;
-                    break;
-                case 'g':
-                case 'G':
-                    scale = std::size_t{1} << 30;
-                    ++end;
-                    break;
-                default:
-                    break;
-            }
-        }
-        if (end != env && *end == '\0') {
-            return static_cast<std::size_t>(v) * scale;
-        }
-        std::fprintf(stderr,
-                     "liberation: malformed LIBERATION_XOR_NT_THRESHOLD '%s' "
-                     "(expected bytes, optionally K/M/G-suffixed); using "
-                     "default\n",
-                     env);
-    }
-    // Streaming stores only pay off once the destination stops fitting in
-    // the cache hierarchy: below the LLC size the regular stores hit cache
-    // and streaming just forfeits residency.
-#if defined(_SC_LEVEL3_CACHE_SIZE)
-    const long llc = sysconf(_SC_LEVEL3_CACHE_SIZE);
-    if (llc > 0) return static_cast<std::size_t>(llc);
-#endif
-    return std::size_t{32} << 20;
-}
-
-std::atomic<std::size_t>& nt_threshold_slot() noexcept {
-    static std::atomic<std::size_t> slot{startup_nt_threshold()};
-    return slot;
-}
-
-/// Streaming-store route: tier has a streaming path, streaming is enabled,
-/// and the region is at/above the threshold. Callers additionally restrict
-/// this to single-pass operations.
-bool use_nt(const detail::kernel_table& t, std::size_t n) noexcept {
-    if (t.xor_many_nt == nullptr) return false;
-    const std::size_t thr =
-        nt_threshold_slot().load(std::memory_order_relaxed);
-    return thr != 0 && n >= thr;
 }
 
 // ---------------------------------------------------------------------------
@@ -374,35 +306,15 @@ bool impl_from_name(const char* name, xor_impl& out) noexcept {
 
 std::size_t max_fused_sources() noexcept { return detail::max_fan_in; }
 
-std::size_t nt_threshold() noexcept {
-    return nt_threshold_slot().load(std::memory_order_relaxed);
-}
-
-void set_nt_threshold(std::size_t bytes) noexcept {
-    nt_threshold_slot().store(bytes, std::memory_order_relaxed);
-}
-
 void xor_into(std::byte* dst, const std::byte* src, std::size_t n) noexcept {
-    const detail::kernel_table& t = table();
-    if (use_nt(t, n)) {
-        const std::byte* srcs[1] = {src};
-        t.xor_many_nt(dst, srcs, 1, n, /*acc=*/true);
-    } else {
-        t.xor_into(dst, src, n);
-    }
+    table().xor_into(dst, src, n);
     ++g_stats.xor_ops;
     g_stats.bytes_xored += n;
 }
 
 void xor2(std::byte* dst, const std::byte* a, const std::byte* b,
           std::size_t n) noexcept {
-    const detail::kernel_table& t = table();
-    if (use_nt(t, n)) {
-        const std::byte* srcs[2] = {a, b};
-        t.xor_many_nt(dst, srcs, 2, n, /*acc=*/false);
-    } else {
-        t.xor2(dst, a, b, n);
-    }
+    table().xor2(dst, a, b, n);
     ++g_stats.xor_ops;
     g_stats.bytes_xored += n;
 }
@@ -412,17 +324,10 @@ void xor_many(std::byte* dst, const std::byte* const* srcs, std::size_t nsrc,
     LIBERATION_EXPECTS(nsrc >= 1);
     const detail::kernel_table& t = table();
     std::size_t pass = std::min(nsrc, detail::max_fan_in);
-    // Streaming stores only for single-pass reductions: a multi-pass
-    // destination is re-read by every later pass, exactly the access
-    // pattern streaming stores punish.
-    if (pass == nsrc && use_nt(t, n)) {
-        t.xor_many_nt(dst, srcs, pass, n, /*acc=*/false);
-    } else {
-        t.xor_many(dst, srcs, pass, n, /*acc=*/false);
-        for (std::size_t off = pass; off < nsrc; off += pass) {
-            pass = std::min(nsrc - off, detail::max_fan_in);
-            t.xor_many(dst, srcs + off, pass, n, /*acc=*/true);
-        }
+    t.xor_many(dst, srcs, pass, n, /*acc=*/false);
+    for (std::size_t off = pass; off < nsrc; off += pass) {
+        pass = std::min(nsrc - off, detail::max_fan_in);
+        t.xor_many(dst, srcs + off, pass, n, /*acc=*/true);
     }
     ++g_stats.copy_ops;
     g_stats.bytes_copied += n;
@@ -434,14 +339,10 @@ void xor_many_into(std::byte* dst, const std::byte* const* srcs,
                    std::size_t nsrc, std::size_t n) noexcept {
     if (nsrc == 0) return;
     const detail::kernel_table& t = table();
-    if (nsrc <= detail::max_fan_in && use_nt(t, n)) {
-        t.xor_many_nt(dst, srcs, nsrc, n, /*acc=*/true);
-    } else {
-        for (std::size_t off = 0; off < nsrc;) {
-            const std::size_t pass = std::min(nsrc - off, detail::max_fan_in);
-            t.xor_many(dst, srcs + off, pass, n, /*acc=*/true);
-            off += pass;
-        }
+    for (std::size_t off = 0; off < nsrc;) {
+        const std::size_t pass = std::min(nsrc - off, detail::max_fan_in);
+        t.xor_many(dst, srcs + off, pass, n, /*acc=*/true);
+        off += pass;
     }
     g_stats.xor_ops += nsrc;
     g_stats.bytes_xored += nsrc * n;

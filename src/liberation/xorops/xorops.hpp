@@ -81,25 +81,6 @@ void force_impl(xor_impl impl) noexcept;
 [[nodiscard]] std::size_t max_fused_sources() noexcept;
 
 // ---------------------------------------------------------------------------
-// Non-temporal store routing. Destinations at or above the threshold are
-// written with streaming (cache-bypassing) stores when the dispatched tier
-// has a streaming path and the operation is a single fused pass — beyond
-// the last-level cache a regular store costs a hidden read-for-ownership
-// of every destination line, which streaming stores elide. Multi-pass
-// reductions never stream (later passes re-read the destination), and the
-// fused XOR+CRC kernels never stream (the checksum sweep wants the block
-// cache-hot).
-
-/// Current byte threshold for streaming stores. 0 = disabled. Defaults to
-/// the LLC size when the OS reports one (else 32 MiB); the environment
-/// variable LIBERATION_XOR_NT_THRESHOLD overrides the default at startup
-/// (plain bytes, or with a K/M/G suffix; "0" disables).
-[[nodiscard]] std::size_t nt_threshold() noexcept;
-
-/// Override the streaming-store threshold at runtime (0 disables).
-void set_nt_threshold(std::size_t bytes) noexcept;
-
-// ---------------------------------------------------------------------------
 // Fused XOR+CRC32C traversals. Each call covers one region of n bytes
 // treated as n/block fixed-size checksum blocks (n must be a multiple of
 // block): the region is produced / read exactly as by the non-fused

@@ -172,34 +172,6 @@ TEST_P(FusedImplSweep, XorManyIntoCrcZeroSources) {
     EXPECT_EQ(counts.copies(), 0u);
 }
 
-// The NT-store routed paths must stay bit-identical to the cached paths.
-TEST_P(FusedImplSweep, NonTemporalEquivalence) {
-    xorops::impl_scope scope(GetParam());
-    const std::size_t saved = xorops::nt_threshold();
-    const std::size_t n = 65536 + 61;  // ragged: head peel + NT body + tail
-    const auto a = random_bytes(n, 1600);
-    const auto b = random_bytes(n, 1601);
-    std::vector<const std::byte*> srcs{a.data(), b.data()};
-
-    auto run = [&](std::size_t threshold) {
-        xorops::set_nt_threshold(threshold);
-        auto into = random_bytes(n, 1602);
-        xorops::xor_into(into.data(), a.data(), n);
-        std::vector<std::byte> two(n);
-        xorops::xor2(two.data(), a.data(), b.data(), n);
-        std::vector<std::byte> many(n);
-        xorops::xor_many(many.data(), srcs.data(), 2, n);
-        auto macc = random_bytes(n, 1603);
-        xorops::xor_many_into(macc.data(), srcs.data(), 2, n);
-        return std::tuple{into, two, many, macc};
-    };
-
-    const auto cached = run(0);    // 0 disables streaming
-    const auto streamed = run(1);  // every region beyond threshold
-    xorops::set_nt_threshold(saved);
-    EXPECT_EQ(cached, streamed);
-}
-
 // Medium landings: with and without streaming stores, at every
 // destination alignment and for lengths that are not multiples of 64, the
 // destination receives exactly the source bytes (guard bytes around it

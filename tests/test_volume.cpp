@@ -8,6 +8,7 @@
 // poll-then-sleep hand-off.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -18,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "liberation/aio/stripe_io.hpp"
 #include "liberation/util/rng.hpp"
 #include "liberation/volume/chaos.hpp"
 #include "liberation/volume/manifest.hpp"
@@ -387,6 +389,62 @@ TEST(VolumeFaults, RebuildsOneShardWhileWritingTheOthers) {
     std::vector<std::byte> out(vol.capacity());
     ASSERT_TRUE(vol.read(0, out));
     EXPECT_EQ(out, data);
+}
+
+TEST(Rebuild, TwoShardHotSpareRebuildsShareTheHelpers) {
+    // One failed disk per shard, hot spares promoted, and both shards'
+    // background rebuild batches running on their own threads (the
+    // caller's leg and the other shard's dispatcher) at the same time as
+    // host I/O: both verify and decode through the process's shared
+    // loader helpers, while each shard's commits stay on its thread.
+    volume_config cfg = small_volume(2);
+    cfg.shard.stripes = 64;
+    cfg.shard.hot_spares = 1;
+    cfg.shard.io_queue_depth = 8;
+    cfg.shard.rebuild_batch_stripes = 16;  // two loader windows a batch
+    volume vol(cfg);
+    std::vector<std::byte> shadow = pattern_bytes(vol.capacity(), 29);
+    ASSERT_TRUE(vol.write(0, shadow));
+
+    vol.shard(0).fail_disk(1);
+    vol.shard(1).fail_disk(4);
+    util::xoshiro256 rng(31);
+    std::vector<std::byte> buf(4 * vol.chunk_bytes());
+    for (int op = 0; op < 200; ++op) {
+        // Every op spans both shards (chunk_stripes = 1).
+        const std::size_t len = vol.chunk_bytes() + 1 +
+                                rng.next_below(buf.size() - vol.chunk_bytes());
+        const std::size_t addr = rng.next_below(vol.capacity() - len + 1);
+        const std::span<std::byte> io(buf.data(), len);
+        if (rng.next_below(2) == 0) {
+            rng.fill(io);
+            ASSERT_TRUE(vol.write(addr, io));
+            std::memcpy(shadow.data() + addr, buf.data(), len);
+        } else {
+            ASSERT_TRUE(vol.read(addr, io));
+            ASSERT_EQ(std::memcmp(buf.data(), shadow.data() + addr, len), 0)
+                << "op " << op;
+        }
+    }
+    vol.drain_background_rebuilds();
+    EXPECT_FALSE(vol.rebuild_active());
+    for (std::uint32_t s = 0; s < 2; ++s) {
+        EXPECT_EQ(vol.shard(s).stats().spares_promoted, 1u);
+        EXPECT_EQ(vol.shard(s).stats().rebuilds_completed, 1u);
+        EXPECT_EQ(vol.shard(s).stats().rebuild_stripes_failed, 0u);
+    }
+    std::vector<std::byte> out(vol.capacity());
+    ASSERT_TRUE(vol.read(0, out));
+    EXPECT_EQ(out, shadow);
+
+    // min(hardware threads, window) - 1 helpers, shared by both shards
+    // (no loader in this test binary has a window above 8).
+    const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+    const std::size_t cap = std::min<std::size_t>(hw, 8) - 1;
+    EXPECT_LE(liberation::aio::stripe_loader::helpers_started(), cap);
+    if (cap > 0) {
+        EXPECT_GT(liberation::aio::stripe_loader::helpers_started(), 0u);
+    }
 }
 
 // ---------------------------------------------------------------------
