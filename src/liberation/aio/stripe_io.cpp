@@ -173,16 +173,19 @@ stripe_loader::stripe_loader(queue_pair& qp, const raid::stripe_map& map)
                    window_) -
                1),
       statuses_(window_),
-      views_(window_ * map.n()) {}
+      views_(window_ * map.n()),
+      rows_(static_cast<std::size_t>(map.n()) * map.rows()) {}
 
 std::size_t stripe_loader::helpers_started() {
     return helper_pool::shared().started();
 }
 
 void stripe_loader::run(std::size_t first, std::size_t last,
-                        const column_filter& skip_column,
-                        const stripe_fn& compute, const stripe_fn& commit) {
+                        const row_select& select, const stripe_fn& compute,
+                        const stripe_fn& commit) {
     const std::uint32_t n = map_.n();
+    const std::uint32_t rows = map_.rows();
+    const std::size_t elem = map_.element_size();
     for (std::size_t w0 = first; w0 < last; w0 += window_) {
         const std::size_t w1 = std::min(w0 + window_, last);
 
@@ -191,30 +194,42 @@ void stripe_loader::run(std::size_t first, std::size_t last,
         // the medium — one merged transfer per disk.
         for (std::size_t s = w0; s < w1; ++s) {
             const std::size_t slot = s - w0;
-            statuses_[slot].assign(n, raid::io_status::ok);
+            // A column with no row selected is not read on purpose (e.g. a
+            // rebuild target): it reports the erasure the array would have
+            // reported for its masked strip.
+            statuses_[slot].assign(n, raid::io_status::rebuilding);
+            std::fill(rows_.begin(), rows_.end(), std::uint8_t{1});
+            if (select) select(s, slot, rows_);
             for (std::uint32_t col = 0; col < n; ++col) {
                 views_[slot * n + col] = nullptr;
-                if (skip_column && skip_column(s, col)) {
-                    // Not read on purpose (e.g. a rebuild target):
-                    // reported as the erasure the array would have
-                    // reported for its masked strip.
-                    statuses_[slot][col] = raid::io_status::rebuilding;
-                    continue;
-                }
+                const std::uint8_t* sel = rows_.data() + col * rows;
                 const raid::strip_location loc = map_.locate(s, col);
-                io_desc d;
-                d.disk = loc.disk;
-                d.kind = op_kind::view;
-                d.offset = loc.offset;
-                d.len = map_.strip_size();
-                d.user_data = slot * n + col;
-                qp_.submit(d);
+                for (std::uint32_t r0 = 0, r1 = 0; r0 < rows; r0 = r1) {
+                    while (r1 < rows && sel[r1] == sel[r0]) ++r1;
+                    if (sel[r0] == 0) continue;  // a gap
+                    statuses_[slot][col] = raid::io_status::ok;
+                    io_desc d;
+                    d.disk = loc.disk;
+                    d.kind = op_kind::view;
+                    d.offset = loc.offset + r0 * elem;
+                    d.len = (r1 - r0) * elem;
+                    d.user_data = (slot * n + col) * rows + r0;
+                    qp_.submit(d);
+                }
             }
         }
         qp_.drain();
         for (const io_cqe& c : qp_.completions()) {
-            statuses_[c.user_data / n][c.user_data % n] = c.status;
-            views_[c.user_data] = c.data;
+            // The column's first failing view decides its status; views
+            // of one strip are slices of it on the medium, so the strip
+            // starts r0 elements before a view of row r0.
+            const std::size_t at = c.user_data / rows;
+            raid::io_status& st = statuses_[at / n][at % n];
+            if (st != raid::io_status::ok) continue;
+            st = c.status;
+            views_[at] = c.status == raid::io_status::ok
+                             ? c.data - (c.user_data % rows) * elem
+                             : nullptr;
         }
         qp_.clear_completions();
 

@@ -3,19 +3,20 @@
 // Two state machines turn stripe-granular work into batched per-disk
 // submissions:
 //
-//   * stripe_loader — window-prefetches whole stripes for sequential
-//     consumers (rebuild slices, scrub passes). It submits views, not
-//     reads: no byte is copied and the loader owns no buffers. A window's
-//     strips on one disk are consecutive on the medium, so the queue_pair
-//     coalesces them into one transfer per disk; each completed view
-//     points at its strip where it sits, valid for the window. The
-//     consumer comes in two halves. The per-stripe *compute* (verify,
-//     decode, re-verify) runs for every stripe of the window at once, on
-//     the calling thread plus helper threads shared by the whole process;
-//     it must touch only its own stripe's bytes, checksum words and slot
-//     scratch, plus relaxed counters. The ordered *commit* (every write,
-//     persist, heal and accounting step) runs on the calling thread in
-//     stripe order: stripe s commits as soon as stripes <= s are
+//   * stripe_loader — window-prefetches stripes for sequential consumers
+//     (rebuild slices, scrub passes). It submits views, not reads: no
+//     byte is copied and the loader owns no buffers. A column is one view
+//     per run of the rows the consumer selects (all: one strip view). A
+//     window's strips on one disk are consecutive on the medium, so the
+//     queue_pair coalesces them into one transfer per disk; each
+//     completed view points at its bytes where they sit, valid for the
+//     window. The consumer comes in two halves. The per-stripe *compute*
+//     (verify, decode, re-verify) runs for every stripe of the window at
+//     once, on the calling thread plus helper threads shared by the whole
+//     process; it must touch only its own stripe's bytes, checksum words
+//     and slot scratch, plus relaxed counters. The ordered *commit* (every
+//     write, persist, heal and accounting step) runs on the calling thread
+//     in stripe order: stripe s commits as soon as stripes <= s are
 //     computed. So every fault draw, write and journal change happens in
 //     the order a serial walk makes it.
 //
@@ -59,31 +60,34 @@ public:
 
     /// One half of the consumer: `slot` is the stripe's window slot,
     /// `views[col]` points at column `col`'s strip on the medium (null
-    /// unless its view completed ok; read-only, valid until the window's
-    /// last commit returns), `statuses` the per-column io_status of this
-    /// stripe's views. The compute may move from the vector; the commit
-    /// then sees what it left.
+    /// unless all its views completed ok; read-only, valid until the
+    /// window's last commit returns; only selected rows may be read),
+    /// `statuses` each column's first non-ok view status (else ok). The
+    /// compute may move from the vector; the commit then sees what it
+    /// left.
     using stripe_fn = std::function<void(
         std::size_t stripe, std::size_t slot,
         std::span<const std::byte* const> views,
         std::vector<raid::io_status>& statuses)>;
-    /// Column filter: true = do not read this column; its status is
-    /// reported as io_status::rebuilding (an erasure), exactly what the
+    /// Row selection of one stripe, called on the calling thread just
+    /// before its views are submitted: `rows[col * R + r]` (R = rows per
+    /// strip) arrives as 1 for every row; clearing a flag leaves that
+    /// element unviewed. A column with no row left is not viewed at all,
+    /// and reports io_status::rebuilding (an erasure), exactly what the
     /// array reports for a rebuild target's masked strip.
-    using column_filter =
-        std::function<bool(std::size_t stripe, std::uint32_t col)>;
+    using row_select = std::function<void(
+        std::size_t stripe, std::size_t slot, std::span<std::uint8_t> rows)>;
 
     /// Walk stripes [first, last): prefetch each window with one drain,
     /// run `compute` for every stripe of it in parallel (the calling
     /// thread plus min(hardware threads, window) - 1 shared helpers,
     /// started on first use; a window of one starts none), and `commit`
     /// each stripe on the calling thread in stripe order once it and
-    /// every stripe before it are computed. `skip_column` may be null.
-    /// An exception thrown by a compute is rethrown here, after the
-    /// window's helpers have let go of it.
-    void run(std::size_t first, std::size_t last,
-             const column_filter& skip_column, const stripe_fn& compute,
-             const stripe_fn& commit);
+    /// every stripe before it are computed. `select` may be null (every
+    /// row of every column). An exception thrown by a compute is rethrown
+    /// here, after the window's helpers have let go of it.
+    void run(std::size_t first, std::size_t last, const row_select& select,
+             const stripe_fn& compute, const stripe_fn& commit);
 
     /// Helper threads the process has started so far (they are shared by
     /// every loader and live until exit).
@@ -96,6 +100,7 @@ private:
     std::size_t helpers_;  ///< min(hardware threads, window) - 1
     std::vector<std::vector<raid::io_status>> statuses_;  ///< per slot
     std::vector<const std::byte*> views_;  ///< window x n, slot-major
+    std::vector<std::uint8_t> rows_;       ///< one stripe's row selection
 };
 
 /// Pipelined full-stripe writer (see file comment). The caller drives the

@@ -11,8 +11,11 @@
 // reads means faster rebuild and less interference with foreground I/O).
 //
 // The planner greedily flips per-row choices (row vs anti-diagonal) until
-// the read-set size stops shrinking. For k = p this saves ~20-25% of reads,
-// consistent with the known bound for RDP-like geometries.
+// the cost stops falling: elements read plus one per run of consecutive
+// rows read in a column, since each run is one disk I/O. At k = p it reads
+// 24-25% fewer elements than an all-rows rebuild, close to the known bound
+// for RDP-like geometries; counting runs gives up ~1 element of that for
+// far fewer I/Os (k = 6, p = 7: 7.8 runs instead of 12.7).
 #pragma once
 
 #include <cstdint>
@@ -23,32 +26,24 @@
 
 namespace liberation::core {
 
-/// One element that must be read: column (may be k for P, k+1 for Q) and
-/// row within the strip.
-struct element_ref {
-    std::uint32_t col = 0;
-    std::uint32_t row = 0;
-
-    [[nodiscard]] bool operator==(const element_ref&) const noexcept = default;
-    [[nodiscard]] bool operator<(const element_ref& o) const noexcept {
-        return col != o.col ? col < o.col : row < o.row;
-    }
-};
-
 struct hybrid_plan {
     std::uint32_t column = 0;          ///< the erased data column
     std::vector<bool> via_row;         ///< per row: true = row parity
-    std::vector<element_ref> reads;    ///< distinct elements to read, sorted
+    /// The elements to read, column-major over the k + 2 codeword columns
+    /// (k is P, k + 1 is Q): read_rows[col * p + row] = 1 when read.
+    std::vector<std::uint8_t> read_rows;
+    std::size_t reads = 0;             ///< elements to read
     std::size_t baseline_reads = 0;    ///< all-rows rebuild read count (k*p)
 
     [[nodiscard]] double savings() const noexcept {
         if (baseline_reads == 0) return 0.0;
-        return 1.0 - static_cast<double>(reads.size()) /
+        return 1.0 - static_cast<double>(reads) /
                          static_cast<double>(baseline_reads);
     }
 };
 
-/// Plan the read-minimizing rebuild of data column l (l < k).
+/// Plan the I/O-minimizing rebuild of data column l (l < k): fewest
+/// elements read plus runs of them (see the file comment).
 [[nodiscard]] hybrid_plan plan_hybrid_rebuild(const geometry& g,
                                               std::uint32_t l);
 

@@ -171,6 +171,7 @@ void raid6_array::add_data_disk() {
     map_ = stripe_map(new_k, map_.rows(), map_.element_size(), map_.stripes(),
                       parity_layout::parity_first);
     code_ = core::liberation_optimal_code(new_k, code_.p());
+    plans_.clear();  // planned for the old geometry
     LIBERATION_EXPECTS(map_.n() <= 64);
     // The new column is blank (all zeros), which is exactly what a fresh
     // integrity region describes.
@@ -776,6 +777,61 @@ raid6_array::stripe_recovery raid6_array::recover_loaded_stripe(
     stripe_recovery rec =
         begin_recovery(views, extra_erasures, std::move(statuses), slot);
     if (rec.erased.size() <= 2) classify_and_decode(stripe, views, rec, slot);
+    return rec;
+}
+
+const core::hybrid_plan& raid6_array::rebuild_plan(std::uint32_t col) {
+    LIBERATION_EXPECTS(col < map_.k());
+    plans_.resize(map_.k());
+    if (!plans_[col]) {
+        plans_[col] = core::plan_hybrid_rebuild(code_.geom(), col);
+    }
+    return *plans_[col];
+}
+
+raid6_array::stripe_recovery raid6_array::rebuild_planned_column(
+    std::size_t stripe, std::span<const std::byte* const> views,
+    std::span<const io_status> statuses, const core::hybrid_plan& plan,
+    std::size_t slot) {
+    stripe_recovery rec;
+    rec.cols.resize(map_.n());
+    for (std::uint32_t col = 0; col < map_.n(); ++col) {
+        rec.cols[col] = in_place_ && views[col] != nullptr
+                            ? const_cast<std::byte*>(views[col])
+                            : scratch(col, slot);
+    }
+    // Each run of plan rows is verified where it sits (or in its scratch
+    // rows, when the kernels may not read it in place) with one sweep:
+    // the checksum kernels interleave the blocks of a run.
+    const std::size_t elem = map_.element_size();
+    const std::uint32_t rows = map_.rows();
+    for (std::uint32_t col = 0; col < map_.n(); ++col) {
+        const std::uint8_t* sel = plan.read_rows.data() + col * rows;
+        const strip_location loc = map_.locate(stripe, col);
+        for (std::uint32_t r0 = 0, r1 = 0; r0 < rows; r0 = r1) {
+            while (r1 < rows && sel[r1] == sel[r0]) ++r1;
+            if (sel[r0] == 0) continue;
+            if (statuses[col] != io_status::ok) return rec;
+            const std::size_t off = r0 * elem;
+            const std::size_t len = (r1 - r0) * elem;
+            const std::byte* at =
+                kernel_bytes(views[col] + off, len, rec.cols[col] + off);
+            if (!regions_[loc.disk].verify(loc.offset + off, {at, len})) {
+                return rec;
+            }
+        }
+    }
+    const codes::stripe_view buf = as_stripe(rec.cols);
+    core::rebuild_column_hybrid(buf, code_.geom(), plan);
+    const std::uint32_t l = plan.column;
+    const std::size_t bps = map_.strip_size() / integrity_block_;
+    rec.crcs.resize(static_cast<std::size_t>(map_.n()) * bps);
+    rec.crc_valid.assign(map_.n(), 0);
+    const strip_location target = map_.locate(stripe, l);
+    rec.ok = regions_[target.disk].verify_capture(
+        target.offset, buf.strip(l), rec.crcs.data() + l * bps);
+    rec.crc_valid[l] = 1;
+    rec.erased = {l};
     return rec;
 }
 

@@ -31,11 +31,13 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "liberation/aio/queue_pair.hpp"
 #include "liberation/codes/stripe.hpp"
 #include "liberation/obs/obs.hpp"
+#include "liberation/core/hybrid_rebuild.hpp"
 #include "liberation/core/liberation_optimal_code.hpp"
 #include "liberation/integrity/integrity_region.hpp"
 #include "liberation/raid/health.hpp"
@@ -55,8 +57,6 @@ namespace persist {
 class store;
 struct mounter;
 }  // namespace persist
-
-struct rebuild_result;
 
 struct array_config {
     std::uint32_t k = 4;            ///< data disks
@@ -408,6 +408,15 @@ public:
     /// Run the background rebuild to completion (no-op when idle).
     void drain_background_rebuild();
 
+    /// True when any strip of [offset, offset+len) on disk `d` lies in a
+    /// stripe the background rebuild has not reached yet — reads there
+    /// must be treated as erasures, not trusted (the spare is still
+    /// blank). Extent-aware so coalesced multi-strip reads are masked
+    /// whenever any covered strip is; the aio split-retry then localizes
+    /// the mask to the strips that deserve it.
+    [[nodiscard]] bool rebuild_masked(std::uint32_t d, std::size_t offset,
+                                      std::size_t len) const noexcept;
+
     /// All disk reads funnel through here: retry policy, health
     /// accounting, health tripping, and masking of not-yet-rebuilt extents
     /// on promoted spares (io_status::rebuilding). disk_read is disk_view
@@ -602,6 +611,21 @@ public:
         std::span<const std::uint32_t> extra_erasures,
         std::vector<io_status> statuses, std::size_t slot);
 
+    /// The I/O-optimal rebuild plan of data column `col` for the current
+    /// geometry (core/hybrid_rebuild.hpp), computed on first use and kept
+    /// until add_data_disk. Call it on the array's own thread.
+    [[nodiscard]] const core::hybrid_plan& rebuild_plan(std::uint32_t col);
+
+    /// recover_loaded_stripe() for a stripe whose one erasure is
+    /// plan.column, from views of the plan's elements: each is verified
+    /// where it sits, and the column rebuilt into slot `slot`'s scratch and
+    /// verified. Any failed view or mismatch leaves the result !ok and
+    /// repairs nothing: the caller then recovers the whole stripe.
+    [[nodiscard]] stripe_recovery rebuild_planned_column(
+        std::size_t stripe, std::span<const std::byte* const> views,
+        std::span<const io_status> statuses, const core::hybrid_plan& plan,
+        std::size_t slot);
+
     /// Give window slots [0, slots) their scratch (slot 0 always has it):
     /// a stripe_loader consumer calls this on its own thread before the
     /// walk, so an array that never rebuilds or scrubs keeps one slot.
@@ -740,15 +764,6 @@ private:
                          std::span<const std::byte> in,
                          const std::uint32_t* crcs = nullptr);
 
-    /// True when any strip of [offset, offset+len) on disk `d` lies in a
-    /// stripe the background rebuild has not reached yet — reads there
-    /// must be treated as erasures, not trusted (the spare is still
-    /// blank). Extent-aware so coalesced multi-strip reads are masked
-    /// whenever any covered strip is; the aio split-retry then localizes
-    /// the mask to the strips that deserve it.
-    [[nodiscard]] bool rebuild_masked(std::uint32_t d, std::size_t offset,
-                                      std::size_t len) const noexcept;
-
     /// Record a policy-mediated I/O outcome; trips the disk on threshold.
     void note_io(std::uint32_t d, io_kind kind, const io_result& r);
 
@@ -855,11 +870,6 @@ private:
         std::span<const io_status> statuses,
         std::span<const std::uint32_t> targets, bool host_read = false,
         std::size_t slot = 0);
-    /// The hybrid rebuild's element-level plan reads parity directly, so
-    /// it asks the rule before it runs.
-    friend rebuild_result rebuild_single_disk_hybrid(raid6_array& array,
-                                                     std::uint32_t disk);
-
     /// Re-sync one journaled stripe whose columns are `cols` (read
     /// results in `statuses`): classify every checksum-mismatching data
     /// column as torn (targeted by the in-flight update — accept the
@@ -929,6 +939,8 @@ private:
     /// (empty while in_place_).
     std::vector<util::aligned_buffer> scratch_;
     util::aligned_buffer read_scratch_;
+    /// rebuild_plan()'s plans, one slot per data column.
+    std::vector<std::optional<core::hybrid_plan>> plans_;
     /// Atomic: armed and read on the caller's thread, while a volume
     /// shard's writes run on its dispatcher.
     std::atomic<bool> powered_{true};

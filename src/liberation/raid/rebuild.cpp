@@ -1,11 +1,9 @@
 #include "liberation/raid/rebuild.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "liberation/aio/stripe_io.hpp"
-#include "liberation/core/hybrid_rebuild.hpp"
 #include "liberation/util/assert.hpp"
 #include "liberation/util/timer.hpp"
 
@@ -101,6 +99,11 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
     // verified and decoded in parallel; their commits land in stripe
     // order on this thread.
     //
+    // A lone data-column target with every other member readable views
+    // only its plan's elements (core/hybrid_rebuild.hpp); if any fails to
+    // view or verify, or the column fails its stored words, the commit
+    // recovers the whole stripe, which localizes the damage.
+    //
     // A journaled stripe is re-synced when only parity is targeted, and
     // refused otherwise — all inside its commit, since the re-sync
     // writes. The journaled stripes are picked out here, before the
@@ -111,25 +114,51 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
         return std::find(journaled.begin(), journaled.end(), s) !=
                journaled.end();
     };
-    aio::stripe_loader loader(array.aio_engine(), array.map());
+    const stripe_map& map = array.map();
+    const auto plan_for = [&](std::size_t s) -> const core::hybrid_plan* {
+        if (replaced_disks.size() != 1 || is_journaled(s)) return nullptr;
+        const std::uint32_t target = map.column_of_disk(s, replaced_disks[0]);
+        if (target >= map.k()) return nullptr;
+        for (std::uint32_t col = 0; col < map.n(); ++col) {
+            const strip_location at = map.locate(s, col);
+            if (col != target &&
+                (!array.disk(at.disk).online() ||
+                 array.rebuild_masked(at.disk, at.offset, map.strip_size()))) {
+                return nullptr;
+            }
+        }
+        return &array.rebuild_plan(target);
+    };
+    aio::stripe_loader loader(array.aio_engine(), map);
     array.reserve_scratch(loader.window());
     std::vector<raid6_array::stripe_recovery> recs(loader.window());
+    std::vector<const core::hybrid_plan*> plans(loader.window());
     loader.run(
         first, last,
-        /*skip_column=*/
-        [&](std::size_t s, std::uint32_t col) {
-            for (const std::uint32_t d : replaced_disks) {
-                if (array.map().column_of_disk(s, d) == col) return true;
+        /*select=*/
+        [&](std::size_t s, std::size_t slot, std::span<std::uint8_t> rows) {
+            plans[slot] = plan_for(s);
+            if (plans[slot] != nullptr) {
+                std::copy(plans[slot]->read_rows.begin(),
+                          plans[slot]->read_rows.end(), rows.begin());
+                return;
             }
-            return false;
+            for (const std::uint32_t d : replaced_disks) {
+                const std::uint32_t col = map.column_of_disk(s, d);
+                std::fill_n(rows.begin() + col * map.rows(), map.rows(), 0);
+            }
         },
         /*compute=*/
         [&](std::size_t s, std::size_t slot,
             std::span<const std::byte* const> views,
             std::vector<io_status>& statuses) {
-            if (is_journaled(s)) return;
-            recs[slot] = array.recover_loaded_stripe(
-                s, views, target_columns(s), std::move(statuses), slot);
+            if (plans[slot] != nullptr) {
+                recs[slot] = array.rebuild_planned_column(
+                    s, views, statuses, *plans[slot], slot);
+            } else if (!is_journaled(s)) {
+                recs[slot] = array.recover_loaded_stripe(
+                    s, views, target_columns(s), std::move(statuses), slot);
+            }
         },
         /*commit=*/
         [&](std::size_t s, std::size_t slot,
@@ -139,6 +168,9 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
                 recs[slot] = array.verify_loaded_stripe(
                     s, views, /*writeback=*/false, target_columns(s),
                     std::move(statuses), /*host_read=*/false, slot);
+            } else if (plans[slot] != nullptr && !recs[slot].ok) {
+                recs[slot] = array.load_stripe_verified(
+                    s, /*writeback=*/false, target_columns(s));
             }
             commit_recovered(s, recs[slot]);
         });
@@ -159,109 +191,6 @@ rebuild_result fail_replace_rebuild(raid6_array& array, std::uint32_t disk) {
     array.replace_disk(disk);
     const std::uint32_t disks[] = {disk};
     return rebuild_disks(array, disks);
-}
-
-rebuild_result rebuild_single_disk_hybrid(raid6_array& array,
-                                          std::uint32_t disk) {
-    rebuild_result result;
-    util::stopwatch timer;
-    const auto& map = array.map();
-    const auto& code = array.code();
-    const core::geometry& g = code.geom();
-    const std::size_t elem = map.element_size();
-
-    // Plans depend only on which codeword column is missing; memoize the
-    // k possible data-column plans across stripes.
-    std::vector<core::hybrid_plan> plans(map.k());
-    std::vector<bool> planned(map.k(), false);
-
-    codes::stripe_buffer buf = array.make_stripe_buffer();
-    util::aligned_buffer elem_buf(elem);
-
-    const auto note_failure = [&](std::size_t s) {
-        ++result.stripes_failed;
-        result.first_failed_stripe =
-            std::min(result.first_failed_stripe, s);
-    };
-
-    for (std::size_t s = 0; s < map.stripes(); ++s) {
-        const std::uint32_t col = map.column_of_disk(s, disk);
-        const std::uint32_t rebuilt_cols[] = {col};
-
-        // Parity columns, and stripes the torn-stripe rule keeps the
-        // element plan away from (it reads parity directly), take the
-        // full checksum-verified recovery: corrupt survivors are localized
-        // and healed, a journaled stripe is re-synced or refused, and the
-        // reconstruction is verified before the store below commits it.
-        bool full =
-            col >= map.k() || !array.settle_torn_stripe(s, {}, {}, {});
-        if (!full) {
-            if (!planned[col]) {
-                plans[col] = core::plan_hybrid_rebuild(g, col);
-                planned[col] = true;
-            }
-            const auto& plan = plans[col];
-            bool ok = true;
-            for (const auto& r : plan.reads) {
-                const strip_location loc = map.locate(s, r.col);
-                const std::size_t off =
-                    loc.offset + static_cast<std::size_t>(r.row) * elem;
-                if (array.disk_read(loc.disk, off, elem_buf.span()) !=
-                    io_status::ok) {
-                    ok = false;
-                    break;
-                }
-                // Feeding a silently corrupt survivor element into the
-                // hybrid XOR chain would reconstruct garbage; divert to
-                // the full-stripe path, which can localize the damage.
-                if (!array.integrity(loc.disk).verify(off, elem_buf.span())) {
-                    full = true;
-                    break;
-                }
-                std::memcpy(buf.view().element(r.row, r.col), elem_buf.data(),
-                            elem);
-            }
-            if (!ok) {
-                note_failure(s);
-                continue;
-            }
-            if (!full) {
-                core::rebuild_column_hybrid(buf.view(), g, plans[col]);
-                // Verify the reconstruction against the *target's* stored
-                // checksums before committing it to the replacement.
-                const strip_location tloc = map.locate(s, col);
-                if (!array.integrity(tloc.disk).verify(tloc.offset,
-                                                       buf.view().strip(col))) {
-                    full = true;
-                }
-            }
-        }
-        raid6_array::stripe_recovery rec;
-        if (full) {
-            // Also the path for a checksum disagreement somewhere in the
-            // element chain: the classification sorts out whether data or
-            // metadata is the damaged side (it repairs either).
-            const std::uint32_t extra[] = {col};
-            rec = array.load_stripe_verified(s, /*writeback=*/true, extra);
-            if (!rec.ok) {
-                note_failure(s);
-                continue;
-            }
-        }
-
-        if (!array.store_columns(s,
-                                 full ? array.as_stripe(rec.cols) : buf.view(),
-                                 rebuilt_cols)) {
-            note_failure(s);
-            continue;
-        }
-        ++result.stripes_rebuilt;
-        ++result.columns_rebuilt;
-        result.bytes_written += map.strip_size();
-    }
-    result.seconds = timer.seconds();
-    result.success = result.stripes_failed == 0;
-    return result;
 }
 
 }  // namespace liberation::raid

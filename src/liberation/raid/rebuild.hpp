@@ -2,7 +2,11 @@
 // stripe, using the optimal Liberation decoder. The surviving columns are
 // window-prefetched through the array's aio stripe_loader on the thread
 // that runs the rebuild; io_queue_depth sets the window, and depth 1 is a
-// window of one stripe.
+// window of one stripe. A stripe whose one target is a data column, with
+// every other member readable and no journal entry, views only the
+// elements of the column's I/O-optimal row/anti-diagonal plan
+// (core/hybrid_rebuild.hpp) and falls back to the whole stripe when any
+// of them, or the reconstruction, fails verification.
 //
 // This is where decoding throughput (paper Figs. 12-13) translates into an
 // operational metric: rebuild time under one- and two-disk failures.
@@ -52,13 +56,5 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
 
 /// Convenience: fail + replace + rebuild one disk.
 rebuild_result fail_replace_rebuild(raid6_array& array, std::uint32_t disk);
-
-/// I/O-optimal single-disk rebuild: reads only the elements named by the
-/// hybrid row/anti-diagonal plan (core/hybrid_rebuild.hpp) instead of the
-/// full surviving stripe — ~20-25% fewer bytes read at k = p. Requires
-/// every other disk to be healthy. `bytes_read` of the disks' stats shows
-/// the saving against rebuild_disks.
-rebuild_result rebuild_single_disk_hybrid(raid6_array& array,
-                                          std::uint32_t disk);
 
 }  // namespace liberation::raid

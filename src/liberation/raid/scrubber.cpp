@@ -177,7 +177,7 @@ scrub_summary scrub_array(raid6_array& array) {
     std::vector<raid6_array::stripe_recovery> recs(loader.window());
     std::vector<std::uint8_t> consistent(loader.window());
     loader.run(
-        0, stripes, /*skip_column=*/nullptr,
+        0, stripes, /*select=*/nullptr,
         /*compute=*/
         [&](std::size_t s, std::size_t slot,
             std::span<const std::byte* const> views,

@@ -8,10 +8,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "liberation/aio/queue_pair.hpp"
 #include "liberation/aio/ring.hpp"
+#include "liberation/aio/stripe_io.hpp"
 #include "liberation/raid/array.hpp"
 #include "liberation/raid/rebuild.hpp"
 #include "liberation/raid/scrubber.hpp"
@@ -319,6 +322,151 @@ TEST(AioDecorators, ChecksumMismatchIsNotRetried) {
     EXPECT_GE(a.stats().checksum_mismatches, 1u);
     // Re-reading rotten bytes cannot un-rot them: no retry was spent.
     EXPECT_EQ(a.io_stats().retries, retries_before);
+}
+
+// ---- stripe_loader row selections -----------------------------------
+
+// What one loader walk saw: each column's view (as the bytes of its
+// selected rows; empty when null) and status, stripe-major.
+struct loaded {
+    std::vector<std::vector<std::byte>> bytes;
+    std::vector<io_status> statuses;
+};
+
+// Walk stripes [0, stripes) with `select` (null = every row); a selected
+// element's bytes are read through the view.
+loaded load_with(raid6_array& a, std::size_t stripes,
+                 const aio::stripe_loader::row_select& select) {
+    aio::stripe_loader loader(a.aio_engine(), a.map());
+    const std::uint32_t n = a.map().n();
+    const std::uint32_t rows = a.map().rows();
+    const std::size_t elem = a.map().element_size();
+    loaded out;
+    out.bytes.resize(stripes * n);
+    out.statuses.resize(stripes * n);
+    std::vector<std::vector<std::uint8_t>> sel(loader.window());
+    loader.run(
+        0, stripes,
+        [&](std::size_t s, std::size_t slot, std::span<std::uint8_t> r) {
+            if (select) select(s, slot, r);
+            sel[slot].assign(r.begin(), r.end());
+        },
+        [&](std::size_t s, std::size_t slot,
+            std::span<const std::byte* const> views,
+            std::vector<io_status>& statuses) {
+            for (std::uint32_t col = 0; col < n; ++col) {
+                out.statuses[s * n + col] = statuses[col];
+                if (views[col] == nullptr) continue;
+                for (std::uint32_t r = 0; r < rows; ++r) {
+                    if (sel[slot][col * rows + r] == 0) continue;
+                    const std::byte* e = views[col] + r * elem;
+                    out.bytes[s * n + col].insert(out.bytes[s * n + col].end(),
+                                                  e, e + elem);
+                }
+            }
+        },
+        [](std::size_t, std::size_t, std::span<const std::byte* const>,
+           std::vector<io_status>&) {});
+    return out;
+}
+
+// The medium's bytes of `rows` (ascending) of column `col` in stripe `s`.
+std::vector<std::byte> medium_rows(raid6_array& a, std::size_t s,
+                                   std::uint32_t col,
+                                   std::initializer_list<std::uint32_t> rows) {
+    const strip_location loc = a.map().locate(s, col);
+    const std::size_t elem = a.map().element_size();
+    std::vector<std::byte> out;
+    for (const std::uint32_t r : rows) {
+        std::vector<std::byte> e(elem);
+        a.disk(loc.disk).peek(loc.offset + r * elem, e);
+        out.insert(out.end(), e.begin(), e.end());
+    }
+    return out;
+}
+
+// Stripe 0, p = 5 rows: column 0 views rows {0, 1, 3} (two runs),
+// column 1 nothing, every other column its whole strip.
+void select_gaps(std::size_t s, std::size_t, std::span<std::uint8_t> rows) {
+    if (s != 0) return;
+    rows[2] = 0;
+    rows[4] = 0;
+    std::fill_n(rows.begin() + 5, 5, std::uint8_t{0});
+}
+
+TEST(AioStripeLoader, SelectionWithGapsSubmitsOneViewPerRun) {
+    raid6_array a(aio_config_with_depth(1));
+    ASSERT_TRUE(a.write(0, pattern_bytes(a.capacity(), 31)));
+    const std::uint32_t n = a.map().n();
+    const auto submitted = a.aio_engine().stats().submitted;
+    const loaded got = load_with(a, 1, select_gaps);
+    // Two views for column 0, none for column 1, one per other column.
+    EXPECT_EQ(a.aio_engine().stats().submitted - submitted, 2 + (n - 2));
+    EXPECT_EQ(got.statuses[0], io_status::ok);
+    EXPECT_EQ(got.bytes[0], medium_rows(a, 0, 0, {0, 1, 3}));
+    EXPECT_EQ(got.statuses[1], io_status::rebuilding);
+    EXPECT_TRUE(got.bytes[1].empty());
+    for (std::uint32_t col = 2; col < n; ++col) {
+        EXPECT_EQ(got.statuses[col], io_status::ok);
+        EXPECT_EQ(got.bytes[col], medium_rows(a, 0, col, {0, 1, 2, 3, 4}));
+    }
+}
+
+TEST(AioStripeLoader, FailingRunFailsItsWholeColumn) {
+    raid6_array a(aio_config_with_depth(1));
+    ASSERT_TRUE(a.write(0, pattern_bytes(a.capacity(), 32)));
+    // Row 3 of column 0 is unreadable: the run {0, 1} views fine, the run
+    // {3} fails, and the column reports the failure with no view.
+    const strip_location loc = a.map().locate(0, 0);
+    a.disk(loc.disk).inject_latent_error(loc.offset + 3 * 256, 256);
+    const loaded got = load_with(a, 1, select_gaps);
+    EXPECT_EQ(got.statuses[0], io_status::unreadable_sector);
+    EXPECT_TRUE(got.bytes[0].empty());
+    for (std::uint32_t col = 2; col < a.map().n(); ++col) {
+        EXPECT_EQ(got.statuses[col], io_status::ok);
+    }
+}
+
+// Every liberation_aio_* and liberation_io_* counter of the array's hub.
+std::vector<std::string> aio_io_counters(raid6_array& a) {
+    std::vector<std::string> out;
+    std::istringstream text(a.obs().metrics_text());
+    for (std::string line; std::getline(text, line);) {
+        const bool ours = line.rfind("liberation_aio_", 0) == 0 ||
+                          line.rfind("liberation_io_", 0) == 0;
+        if (ours && line.find("_total") != std::string::npos) {
+            out.push_back(line);
+        }
+    }
+    return out;
+}
+
+TEST(AioStripeLoader, AllRowsSelectionSubmitsAsWholeStrips) {
+    // Scrub and two-target rebuilds select every row of a column: each is
+    // one whole-strip view, exactly as with no selection at all — same
+    // ops, same merges, same counters.
+    raid6_array plain(aio_config_with_depth(8));
+    raid6_array selected(aio_config_with_depth(8));
+    const auto data = pattern_bytes(plain.capacity(), 33);
+    ASSERT_TRUE(plain.write(0, data));
+    ASSERT_TRUE(selected.write(0, data));
+    const std::size_t stripes = plain.map().stripes();
+    const std::uint32_t n = plain.map().n();
+    const aio::aio_stats before = plain.aio_engine().stats();
+    const loaded a = load_with(plain, stripes, nullptr);
+    // One view per strip; a window's strips on one disk merge into one
+    // transfer.
+    const aio::aio_stats after = plain.aio_engine().stats();
+    EXPECT_EQ(after.submitted - before.submitted, stripes * n);
+    EXPECT_EQ(after.merges - before.merges, stripes * n - stripes / 8 * n);
+    const loaded b = load_with(
+        selected, stripes,
+        [](std::size_t, std::size_t, std::span<std::uint8_t> rows) {
+            std::fill(rows.begin(), rows.end(), std::uint8_t{1});
+        });
+    EXPECT_EQ(a.statuses, b.statuses);
+    EXPECT_EQ(a.bytes, b.bytes);
+    EXPECT_EQ(aio_io_counters(plain), aio_io_counters(selected));
 }
 
 // ---- array stripe paths: window of 8 vs window of 1 ------------------

@@ -536,14 +536,16 @@ TEST(Rebuild, ReportsFirstFailedStripeInsteadOfTotalLoss) {
     ASSERT_TRUE(a.write(0, pattern_bytes(a.capacity(), 29)));
 
     // While disk 2 is being rebuilt, stripe 5 has latent errors on two
-    // *other* columns: that stripe alone is beyond two erasures.
+    // *other* columns: that stripe alone is beyond two erasures. They
+    // cover the whole strips, so a single-column rebuild that reads only
+    // its plan's elements still meets them.
     a.fail_disk(2);
     a.replace_disk(2);
     std::uint32_t injected = 0;
     for (std::uint32_t col = 0; col < a.map().n() && injected < 2; ++col) {
         const auto loc = a.map().locate(5, col);
         if (loc.disk == 2) continue;
-        a.disk(loc.disk).inject_latent_error(loc.offset, 16);
+        a.disk(loc.disk).inject_latent_error(loc.offset, a.map().strip_size());
         ++injected;
     }
     ASSERT_EQ(injected, 2u);
