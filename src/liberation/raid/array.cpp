@@ -366,7 +366,8 @@ bool raid6_array::reconstruct_column_range(std::size_t stripe,
     // retry/health/masking semantics are identical to any other read.
     std::vector<const std::byte*> views;
     std::vector<io_status> statuses;
-    load_views(stripe, col, aio::flag_verify, views, statuses);
+    const std::uint32_t skip[] = {col};
+    load_views(stripe, skip, aio::flag_verify, views, statuses);
     std::vector<std::uint32_t> erased;
     for (std::uint32_t c = 0; c < map_.n(); ++c) {
         if (statuses[c] != io_status::ok) erased.push_back(c);
@@ -656,7 +657,8 @@ void raid6_array::drain_background_rebuild() {
 
 // ---- stripe-granular interface ---------------------------------------
 
-void raid6_array::load_views(std::size_t stripe, std::uint32_t skip,
+void raid6_array::load_views(std::size_t stripe,
+                             std::span<const std::uint32_t> skip,
                              std::uint32_t flags,
                              std::vector<const std::byte*>& views,
                              std::vector<io_status>& statuses) {
@@ -669,7 +671,7 @@ void raid6_array::load_views(std::size_t stripe, std::uint32_t skip,
     // trace tree.
     const std::size_t base = aio_engine_->completions().size();
     for (std::uint32_t col = 0; col < map_.n(); ++col) {
-        if (col == skip) {
+        if (std::find(skip.begin(), skip.end(), col) != skip.end()) {
             statuses[col] = io_status::rebuilding;
             continue;
         }
@@ -715,7 +717,7 @@ bool raid6_array::load_stripe(std::size_t stripe, const codes::stripe_view& dst,
     std::vector<const std::byte*> views;
     std::vector<io_status> st;
     // No flag_verify — checksum policy stays with the caller.
-    load_views(stripe, map_.n(), 0, views, st);
+    load_views(stripe, {}, 0, views, st);
     erased.clear();
     for (std::uint32_t col = 0; col < map_.n(); ++col) {
         if (views[col] == nullptr) {
@@ -746,26 +748,25 @@ bool raid6_array::store_columns(std::size_t stripe,
 }
 
 raid6_array::stripe_recovery raid6_array::load_stripe_verified(
-    std::size_t stripe, bool writeback,
-    std::span<const std::uint32_t> extra_erasures, bool host_read) {
+    std::size_t stripe, std::span<const std::uint32_t> extra_erasures,
+    bool host_read) {
     std::vector<const std::byte*> views;
     std::vector<io_status> statuses;
-    load_views(stripe, map_.n(), 0, views, statuses);
-    return verify_loaded_stripe(stripe, views, writeback, extra_erasures,
+    load_views(stripe, extra_erasures, 0, views, statuses);
+    return verify_loaded_stripe(stripe, views, extra_erasures,
                                 std::move(statuses), host_read);
 }
 
 raid6_array::stripe_recovery raid6_array::verify_loaded_stripe(
     std::size_t stripe, std::span<const std::byte* const> views,
-    bool writeback, std::span<const std::uint32_t> extra_erasures,
+    std::span<const std::uint32_t> extra_erasures,
     std::vector<io_status> statuses, bool host_read, std::size_t slot) {
     stripe_recovery rec =
         begin_recovery(views, extra_erasures, std::move(statuses), slot);
     if (rec.erased.size() <= 2 &&
         settle_torn_stripe(stripe, rec.cols, rec.statuses, extra_erasures,
                            host_read, slot)) {
-        classify_and_decode(stripe, views, rec, slot);
-        if (writeback) write_back(stripe, rec);
+        classify_and_decode(stripe, views, extra_erasures, rec, slot);
     }
     return rec;
 }
@@ -776,7 +777,9 @@ raid6_array::stripe_recovery raid6_array::recover_loaded_stripe(
     std::vector<io_status> statuses, std::size_t slot) {
     stripe_recovery rec =
         begin_recovery(views, extra_erasures, std::move(statuses), slot);
-    if (rec.erased.size() <= 2) classify_and_decode(stripe, views, rec, slot);
+    if (rec.erased.size() <= 2) {
+        classify_and_decode(stripe, views, extra_erasures, rec, slot);
+    }
     return rec;
 }
 
@@ -794,6 +797,7 @@ raid6_array::stripe_recovery raid6_array::rebuild_planned_column(
     std::span<const io_status> statuses, const core::hybrid_plan& plan,
     std::size_t slot) {
     stripe_recovery rec;
+    rec.statuses.assign(statuses.begin(), statuses.end());
     rec.cols.resize(map_.n());
     for (std::uint32_t col = 0; col < map_.n(); ++col) {
         rec.cols[col] = in_place_ && views[col] != nullptr
@@ -832,6 +836,7 @@ raid6_array::stripe_recovery raid6_array::rebuild_planned_column(
         target.offset, buf.strip(l), rec.crcs.data() + l * bps);
     rec.crc_valid[l] = 1;
     rec.erased = {l};
+    rec.repairs = {l};
     return rec;
 }
 
@@ -843,20 +848,19 @@ void raid6_array::reserve_scratch(std::size_t slots) {
     }
 }
 
-void raid6_array::write_back(std::size_t stripe, const stripe_recovery& rec) {
-    if (rec.repairs.empty()) return;
+bool raid6_array::write_back(std::size_t stripe, const stripe_recovery& rec) {
+    if (rec.repairs.empty()) return true;
     std::vector<const std::uint32_t*> crc_ptrs(map_.n(), nullptr);
     const std::size_t bps = map_.strip_size() / integrity_block_;
     for (const std::uint32_t col : rec.repairs) {
-        // Heal-on-read of latent sector errors, as load_and_decode always
-        // did.
+        // Heal of a latent sector error: the rewrite remaps the sector.
         if (rec.statuses[col] == io_status::unreadable_sector) {
             ctr_.inc<&array_stats::media_errors_recovered>();
         }
         crc_ptrs[col] = rec.crcs.data() + col * bps;
-        const std::uint32_t one[] = {col};
-        store_columns(stripe, as_stripe(rec.cols), one, crc_ptrs.data());
     }
+    return store_columns(stripe, as_stripe(rec.cols), rec.repairs,
+                         crc_ptrs.data());
 }
 
 raid6_array::stripe_recovery raid6_array::begin_recovery(
@@ -886,10 +890,10 @@ raid6_array::stripe_recovery raid6_array::begin_recovery(
     return rec;
 }
 
-void raid6_array::classify_and_decode(std::size_t stripe,
-                                      std::span<const std::byte* const> views,
-                                      stripe_recovery& rec,
-                                      std::size_t slot) {
+void raid6_array::classify_and_decode(
+    std::size_t stripe, std::span<const std::byte* const> views,
+    std::span<const std::uint32_t> extra_erasures, stripe_recovery& rec,
+    std::size_t slot) {
     const codes::stripe_view buf = as_stripe(rec.cols);
     rec.verified = true;
 
@@ -907,6 +911,27 @@ void raid6_array::classify_and_decode(std::size_t stripe,
     rec.crc_valid.assign(map_.n(), 0);
     const auto col_crc = [&](std::uint32_t col) {
         return rec.crcs.data() + static_cast<std::size_t>(col) * bps;
+    };
+    // Verify a decoded erasure before anyone trusts it. All decode inputs
+    // verified, so a mismatch here means the stored checksum is stale
+    // (e.g. corrupted metadata or a blank replacement disk's region) —
+    // refresh it. An unreadable sector or a caller's target is then a
+    // repair; any other erasure (an offline member, a transient error
+    // that left the bytes intact) is only decoded.
+    const auto verify_erasure = [&](std::uint32_t col) {
+        const strip_location loc = map_.locate(stripe, col);
+        if (!regions_[loc.disk].verify_capture(loc.offset, buf.strip(col),
+                                               col_crc(col))) {
+            regions_[loc.disk].install(loc.offset, {col_crc(col), bps});
+            rec.meta_repaired.push_back(col);
+            ctr_.inc<&array_stats::checksum_metadata_repaired>();
+        }
+        rec.crc_valid[col] = 1;
+        if (rec.statuses[col] == io_status::unreadable_sector ||
+            std::find(extra_erasures.begin(), extra_erasures.end(), col) !=
+                extra_erasures.end()) {
+            rec.repairs.push_back(col);
+        }
     };
 
     // Checksum-first classification: every available column whose bytes
@@ -971,23 +996,8 @@ void raid6_array::classify_and_decode(std::size_t stripe,
             rec.healed.push_back(col);
             rec.repairs.push_back(col);
         }
-        for (const std::uint32_t col : rec.erased) {
-            // Verify every reconstructed column before anyone trusts it.
-            // All decode inputs verified, so a mismatch here means the
-            // stored checksum is stale (e.g. corrupted metadata or a
-            // blank replacement disk's region) — refresh it.
-            const strip_location loc = map_.locate(stripe, col);
-            if (!regions_[loc.disk].verify_capture(loc.offset, buf.strip(col),
-                                                   col_crc(col))) {
-                regions_[loc.disk].install(loc.offset, {col_crc(col), bps});
-                rec.meta_repaired.push_back(col);
-                ctr_.inc<&array_stats::checksum_metadata_repaired>();
-            }
-            rec.crc_valid[col] = 1;
-            if (rec.statuses[col] == io_status::unreadable_sector) {
-                rec.repairs.push_back(col);
-            }
-        }
+        for (const std::uint32_t col : rec.erased) verify_erasure(col);
+        std::sort(rec.repairs.begin(), rec.repairs.end());
         rec.ok = true;
         return;
     }
@@ -1014,16 +1024,7 @@ void raid6_array::classify_and_decode(std::size_t stripe,
             rec.statuses[col] = io_status::ok;
             ctr_.inc<&array_stats::checksum_metadata_repaired>();
         }
-        for (const std::uint32_t col : rec.erased) {
-            const strip_location loc = map_.locate(stripe, col);
-            if (!regions_[loc.disk].verify_capture(loc.offset, buf.strip(col),
-                                                   col_crc(col))) {
-                regions_[loc.disk].install(loc.offset, {col_crc(col), bps});
-                rec.meta_repaired.push_back(col);
-                ctr_.inc<&array_stats::checksum_metadata_repaired>();
-            }
-            rec.crc_valid[col] = 1;
-        }
+        for (const std::uint32_t col : rec.erased) verify_erasure(col);
         rec.ok = true;
     }
 }
@@ -1185,19 +1186,6 @@ bool raid6_array::unmount() {
     return ok;
 }
 
-std::size_t raid6_array::resilver() {
-    std::size_t healed = 0;
-    std::vector<std::byte*> cols;
-    for (std::size_t s = 0; s < map_.stripes(); ++s) {
-        const auto before =
-            ctr_.at<&array_stats::media_errors_recovered>().value();
-        if (!load_and_decode(s, cols)) continue;  // > 2 unavailable
-        healed += ctr_.at<&array_stats::media_errors_recovered>().value() -
-                  before;
-    }
-    return healed;
-}
-
 std::size_t raid6_array::recover_write_hole() {
     LIBERATION_EXPECTS(powered_);
     std::size_t resynced = 0;
@@ -1205,7 +1193,7 @@ std::size_t raid6_array::recover_write_hole() {
     std::vector<io_status> statuses;
     std::vector<std::byte*> cols;
     for (const std::size_t s : journal_.dirty_stripes()) {
-        load_views(s, map_.n(), 0, views, statuses);
+        load_views(s, {}, 0, views, statuses);
         assemble(views, cols);
         if (resync_journaled_stripe(s, cols, statuses, {},
                                     /*host_read=*/false, /*slot=*/0)) {
@@ -1342,9 +1330,10 @@ bool raid6_array::load_and_decode(std::size_t stripe,
         // Verified read: checksum mismatches demote columns to erasures,
         // the optimal decoder reconstructs them, reconstructions are
         // re-verified, and repairs are written back (read-repair).
-        stripe_recovery rec = load_stripe_verified(
-            stripe, /*writeback=*/true, {}, /*host_read=*/true);
+        stripe_recovery rec =
+            load_stripe_verified(stripe, {}, /*host_read=*/true);
         if (!rec.ok) return false;
+        write_back(stripe, rec);
         if (!rec.erased.empty()) {
             ctr_.inc<&array_stats::degraded_stripe_reads>();
         }
@@ -1356,7 +1345,7 @@ bool raid6_array::load_and_decode(std::size_t stripe,
     }
     std::vector<const std::byte*> views;
     std::vector<io_status> statuses;
-    load_views(stripe, map_.n(), 0, views, statuses);
+    load_views(stripe, {}, 0, views, statuses);
     assemble(views, cols);
     std::vector<std::uint32_t> erased;
     for (std::uint32_t col = 0; col < map_.n(); ++col) {
@@ -1879,8 +1868,7 @@ bool raid6_array::write_partial(std::size_t stripe, std::size_t in_stripe,
     // (from a crash, or a rollback that failed above) is re-synced by the
     // load, or the load refuses: the write then fails loudly and the
     // stripe stays journaled for recover_write_hole().
-    const stripe_recovery rec =
-        load_stripe_verified(stripe, /*writeback=*/false);
+    const stripe_recovery rec = load_stripe_verified(stripe);
     if (!rec.ok) return false;
     codes::stripe_buffer buf = make_stripe_buffer();
     for (std::uint32_t c = 0; c < map_.n(); ++c) {

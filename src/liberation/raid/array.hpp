@@ -429,13 +429,6 @@ public:
     io_status disk_view(std::uint32_t d, std::size_t offset, std::size_t len,
                         const std::byte*& out);
 
-    /// Patrol read: walk every stripe, reconstruct unreadable strips
-    /// (latent sector errors) and rewrite them in place. Plain reads only
-    /// touch data columns, so parity-strip media errors are only ever
-    /// found — and healed — here. Returns the number of strips healed;
-    /// stripes with more than two unavailable columns are skipped.
-    std::size_t resilver();
-
     // ---- write-hole protection (see intent_log.hpp) -------------------
 
     /// Drop every disk write after the next `disk_writes` ones, simulating
@@ -532,10 +525,10 @@ public:
     /// Result of load_stripe_verified(). When ok, `cols` is a fully
     /// decoded, checksum-verified stripe; `erased` are the columns that
     /// were unavailable (decoded into scratch), `healed` the columns whose
-    /// checksums exposed silent corruption (decoded, and rewritten when
-    /// writeback was requested), `meta_repaired` the columns whose *stored
-    /// checksums* turned out to be the damaged side (data verified fine
-    /// once decoded — the metadata was refreshed).
+    /// checksums exposed silent corruption (decoded into scratch),
+    /// `meta_repaired` the columns whose *stored checksums* turned out to
+    /// be the damaged side (data verified fine once decoded — the metadata
+    /// was refreshed).
     struct stripe_recovery {
         bool ok = false;
         bool verified = false;  ///< checksum classification actually ran
@@ -550,33 +543,37 @@ public:
         std::vector<io_status> statuses;
         std::vector<std::uint32_t> healed;
         std::vector<std::uint32_t> meta_repaired;
-        /// What a writeback stores (write_back()), in order: the healed
-        /// columns, then the erasures that were unreadable sectors.
+        /// What write_back() stores, in column order: the healed
+        /// columns, the erasures that were unreadable sectors and the
+        /// caller's extra erasures (rebuild targets). An erasure that is
+        /// none of these (an offline member, a transient error that left
+        /// the bytes intact) is decoded but never written.
         std::vector<std::uint32_t> repairs;
         /// Per-column CRC32C words captured by the verification sweeps
         /// (the fused sweep produces the verdict *and* these in one
         /// traversal): columns with crc_valid[col] != 0 hold
-        /// strip_size/integrity_block words at crcs[col * blocks]. Commit
-        /// paths (rebuild writeback) hand them to store_columns so
-        /// disk_write installs instead of re-traversing the strip.
+        /// strip_size/integrity_block words at crcs[col * blocks].
+        /// write_back() hands them to store_columns so disk_write
+        /// installs instead of re-traversing the strip.
         std::vector<std::uint32_t> crcs;
         std::vector<std::uint8_t> crc_valid;
     };
 
-    /// Checksum-first stripe recovery: view every readable strip, demote
-    /// checksum-mismatching columns to erasures, decode with the optimal
-    /// decoder, re-verify reconstructions against their stored checksums
-    /// (mismatch with all-verified inputs means the *metadata* was stale —
-    /// it is refreshed, never trusted over a parity-consistent decode),
-    /// and optionally write repairs back. `extra_erasures` pre-declares
-    /// columns the caller already distrusts (rebuild targets). A journaled
-    /// stripe is re-synced first, or refused (see settle_torn_stripe).
-    /// `host_read`: the stripe is loaded to serve a host read, which may
-    /// have a journaled stripe's one lost data column recovered (see
-    /// resync_journaled_stripe).
+    /// Checksum-first stripe recovery: view every strip but the
+    /// `extra_erasures` (columns the caller already distrusts, such as a
+    /// blank rebuild target: never read, they report
+    /// io_status::rebuilding), demote checksum-mismatching columns to
+    /// erasures, decode with the optimal decoder and re-verify
+    /// reconstructions against their stored checksums (mismatch with
+    /// all-verified inputs means the *metadata* was stale — it is
+    /// refreshed, never trusted over a parity-consistent decode). Nothing
+    /// is stored: a caller that keeps the repairs passes the result to
+    /// write_back(). A journaled stripe is re-synced first, or refused
+    /// (see settle_torn_stripe). `host_read`: the stripe is loaded to
+    /// serve a host read, which may have a journaled stripe's one lost
+    /// data column recovered (see resync_journaled_stripe).
     [[nodiscard]] stripe_recovery load_stripe_verified(
-        std::size_t stripe, bool writeback,
-        std::span<const std::uint32_t> extra_erasures = {},
+        std::size_t stripe, std::span<const std::uint32_t> extra_erasures = {},
         bool host_read = false);
 
     /// The classification half of load_stripe_verified() for callers that
@@ -585,7 +582,7 @@ public:
     /// when not ok), `statuses` the per-column read results (non-ok =
     /// erased). Behaves exactly like load_stripe_verified() from that
     /// point on — checksum-first suspect demotion, optimal decode,
-    /// reconstruction re-verify, metadata repair, optional writeback.
+    /// reconstruction re-verify, metadata repair.
     /// Nothing is written through a view: every column the recovery
     /// writes is first pointed at scratch, and every change to the medium
     /// goes through disk_write.
@@ -593,7 +590,7 @@ public:
     /// recovery writes (0 outside the loader).
     [[nodiscard]] stripe_recovery verify_loaded_stripe(
         std::size_t stripe, std::span<const std::byte* const> views,
-        bool writeback, std::span<const std::uint32_t> extra_erasures,
+        std::span<const std::uint32_t> extra_erasures,
         std::vector<io_status> statuses, bool host_read = false,
         std::size_t slot = 0);
 
@@ -605,7 +602,7 @@ public:
     /// disk-state or health access — so windows of stripes may run it on
     /// several threads at once. The stripe must not be journaled (the
     /// caller picks those out and runs verify_loaded_stripe() in their
-    /// commit); a writeback is write_back() in the commit.
+    /// commit); storing the repairs is write_back() in the commit.
     [[nodiscard]] stripe_recovery recover_loaded_stripe(
         std::size_t stripe, std::span<const std::byte* const> views,
         std::span<const std::uint32_t> extra_erasures,
@@ -619,8 +616,9 @@ public:
     /// recover_loaded_stripe() for a stripe whose one erasure is
     /// plan.column, from views of the plan's elements: each is verified
     /// where it sits, and the column rebuilt into slot `slot`'s scratch and
-    /// verified. Any failed view or mismatch leaves the result !ok and
-    /// repairs nothing: the caller then recovers the whole stripe.
+    /// verified; its one repair is plan.column. Any failed view or
+    /// mismatch leaves the result !ok: the caller then recovers the whole
+    /// stripe.
     [[nodiscard]] stripe_recovery rebuild_planned_column(
         std::size_t stripe, std::span<const std::byte* const> views,
         std::span<const io_status> statuses, const core::hybrid_plan& plan,
@@ -631,10 +629,12 @@ public:
     /// walk, so an array that never rebuilds or scrubs keeps one slot.
     void reserve_scratch(std::size_t slots);
 
-    /// The commit of a writeback recovery: store `rec.repairs` (healed
-    /// columns, then latent-sector erasures, which count as
-    /// media_errors_recovered) from the recovery's scratch.
-    void write_back(std::size_t stripe, const stripe_recovery& rec);
+    /// The one commit of a recovery (scrub, read-repair, rebuild): store
+    /// `rec.repairs` in column order from the recovery's scratch, with the
+    /// words its verification captured. A latent-sector erasure counts as
+    /// media_errors_recovered. Returns false when a repair does not land
+    /// (an offline member, a failed write, the power gone).
+    bool write_back(std::size_t stripe, const stripe_recovery& rec);
 
     /// A stripe view over column pointers in codeword order, with this
     /// array's geometry (e.g. a stripe_recovery's `cols`).
@@ -679,12 +679,12 @@ private:
     [[nodiscard]] bool load_and_decode(std::size_t stripe,
                                        std::vector<std::byte*>& cols);
 
-    /// Submit a view of every column of `stripe` but `skip` (n: none)
+    /// Submit a view of every column of `stripe` but the `skip` columns
     /// through the aio engine — per-disk batching, merging, retries,
     /// health and masking apply as to any read — and fill `views[col]`
-    /// (null unless ok) and `statuses[col]` (`skip` reads as
+    /// (null unless ok) and `statuses[col]` (a `skip` column reads as
     /// io_status::rebuilding, an erasure).
-    void load_views(std::size_t stripe, std::uint32_t skip,
+    void load_views(std::size_t stripe, std::span<const std::uint32_t> skip,
                     std::uint32_t flags, std::vector<const std::byte*>& views,
                     std::vector<io_status>& statuses);
     /// Point `cols` at a loaded stripe: a column that read ok at its view
@@ -707,8 +707,10 @@ private:
         std::vector<io_status> statuses, std::size_t slot);
     /// recover_loaded_stripe()'s body after begin_recovery(), for a stripe
     /// with at most two erasures that is not journaled (or was re-synced).
+    /// `extra_erasures` (begin_recovery's) join the repairs.
     void classify_and_decode(std::size_t stripe,
                              std::span<const std::byte* const> views,
+                             std::span<const std::uint32_t> extra_erasures,
                              stripe_recovery& rec, std::size_t slot);
     /// The bytes of a view as the coding and CRC kernels may read them:
     /// the view itself, or its copy in `scratch` when the element size

@@ -23,17 +23,6 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
         &array.obs().metrics().get_histogram("raid_rebuild_window_ns"),
         "rebuild.window", "rebuild");
 
-    const auto note_failure = [&](std::size_t s) {
-        ++result.stripes_failed;
-        result.first_failed_stripe = std::min(result.first_failed_stripe, s);
-    };
-    const auto note_rebuilt = [&](std::size_t cols) {
-        ++result.stripes_rebuilt;
-        result.columns_rebuilt += cols;
-        result.bytes_written +=
-            static_cast<std::uint64_t>(cols) * array.map().strip_size();
-    };
-
     // Which codeword columns live on the replaced disks in this stripe?
     // The replaced disks read back zeros (blank), so they are not
     // reported as unavailable — they are unioned in as logical
@@ -46,45 +35,6 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
         }
         std::sort(cols.begin(), cols.end());
         return cols;
-    };
-
-    // Commit tail of the verified rebuild: reconstructed targets plus
-    // healed survivors go back to disk from the recovery's scratch, or the
-    // stripe is failed.
-    const auto commit_recovered = [&](std::size_t s,
-                                      const raid6_array::stripe_recovery& rec) {
-        if (!rec.ok) {
-            note_failure(s);
-            return;
-        }
-        std::vector<std::uint32_t> commit = rec.erased;
-        for (const std::uint32_t c : rec.healed) {
-            if (std::find(commit.begin(), commit.end(), c) == commit.end()) {
-                commit.push_back(c);
-            }
-        }
-        std::sort(commit.begin(), commit.end());
-        // The verification sweep that re-checked every reconstruction
-        // captured its checksum words; the commit hands them over so the
-        // integrity layer installs instead of re-reading each strip.
-        const std::uint32_t n = array.map().n();
-        std::vector<const std::uint32_t*> crc_ptrs;
-        if (rec.crc_valid.size() == n && n != 0) {
-            const std::size_t bps = rec.crcs.size() / n;
-            crc_ptrs.assign(n, nullptr);
-            for (std::uint32_t c = 0; c < n; ++c) {
-                if (rec.crc_valid[c] != 0) {
-                    crc_ptrs[c] = rec.crcs.data() + c * bps;
-                }
-            }
-        }
-        if (!array.store_columns(s, array.as_stripe(rec.cols), commit,
-                                 crc_ptrs.empty() ? nullptr
-                                                  : crc_ptrs.data())) {
-            note_failure(s);
-            return;
-        }
-        note_rebuilt(commit.size());
     };
 
     // Verified rebuild, one window of stripes at a time: batched
@@ -102,7 +52,13 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
     // A lone data-column target with every other member readable views
     // only its plan's elements (core/hybrid_rebuild.hpp); if any fails to
     // view or verify, or the column fails its stored words, the commit
-    // recovers the whole stripe, which localizes the damage.
+    // recovers the whole stripe from every member but the blank target,
+    // which localizes the damage.
+    //
+    // Every commit is write_back(): the targets, plus any survivor whose
+    // rot or unreadable sector the decode healed, go back to disk from
+    // the recovery's scratch with the words its verification captured,
+    // or the stripe is failed.
     //
     // A journaled stripe is re-synced when only parity is targeted, and
     // refused otherwise — all inside its commit, since the re-sync
@@ -164,15 +120,25 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
         [&](std::size_t s, std::size_t slot,
             std::span<const std::byte* const> views,
             std::vector<io_status>& statuses) {
+            raid6_array::stripe_recovery& rec = recs[slot];
             if (is_journaled(s)) {
-                recs[slot] = array.verify_loaded_stripe(
-                    s, views, /*writeback=*/false, target_columns(s),
-                    std::move(statuses), /*host_read=*/false, slot);
-            } else if (plans[slot] != nullptr && !recs[slot].ok) {
-                recs[slot] = array.load_stripe_verified(
-                    s, /*writeback=*/false, target_columns(s));
+                rec = array.verify_loaded_stripe(s, views, target_columns(s),
+                                                 std::move(statuses),
+                                                 /*host_read=*/false, slot);
+            } else if (plans[slot] != nullptr && !rec.ok) {
+                rec = array.load_stripe_verified(s, target_columns(s));
             }
-            commit_recovered(s, recs[slot]);
+            if (rec.ok && array.write_back(s, rec)) {
+                ++result.stripes_rebuilt;
+                result.columns_rebuilt += rec.repairs.size();
+                result.bytes_written +=
+                    static_cast<std::uint64_t>(rec.repairs.size()) *
+                    map.strip_size();
+            } else {
+                ++result.stripes_failed;
+                result.first_failed_stripe =
+                    std::min(result.first_failed_stripe, s);
+            }
         });
 
     result.seconds = timer.seconds();

@@ -590,10 +590,10 @@ chaos_report run_chaos_campaign(const chaos_config& cfg) {
     }
     rep.phases.workload_s = phase_clock.seconds();
 
-    // Settle: drain every shard's rebuild, disarm every fault stream,
-    // recover write holes, then heal what is left (latent sectors on
-    // strips the workload never re-read, including parity strips only
-    // resilver visits).
+    // Settle: drain every shard's rebuild, disarm every fault stream and
+    // recover write holes. What is left (latent sectors and rot on strips
+    // the workload never re-read, parity strips included) is the settle
+    // scrub's.
     phase_clock.restart();
     vol->drain_background_rebuilds();
     for (std::uint32_t s = 0; s < nshards; ++s) {
@@ -605,7 +605,6 @@ chaos_report run_chaos_campaign(const chaos_config& cfg) {
         for (int t = 0; t < 16 && a.journal().size() != 0; ++t) {
             rep.resynced_stripes += a.recover_write_hole();
         }
-        rep.resilver_healed += a.resilver();
     }
     rep.phases.settle_s = phase_clock.seconds();
 

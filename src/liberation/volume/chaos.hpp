@@ -121,7 +121,7 @@ struct chaos_config {
 struct chaos_phase_times {
     double fill_s = 0.0;          ///< initial fill + shadow copy
     double workload_s = 0.0;      ///< the op loop, fault injection included
-    double settle_s = 0.0;        ///< rebuild drain, write-hole recovery, resilver
+    double settle_s = 0.0;        ///< rebuild drain, write-hole recovery
     double settle_scrub_s = 0.0;  ///< the post-settle healing scrubs
     double final_verify_s = 0.0;  ///< shadow compare + per-stripe checksum sweep
     double final_scrub_s = 0.0;   ///< the parity-consistency scrubs
@@ -160,7 +160,6 @@ struct chaos_report {
     std::size_t integrity_corruptions_injected = 0;  ///< checksum flips
     std::size_t power_losses = 0;       ///< in-place reboots (non-persist)
     std::size_t resynced_stripes = 0;   ///< write-hole recovery
-    std::size_t resilver_healed = 0;
     /// Corrupt columns the post-fail-stop scrub repaired on *degraded*
     /// stripes.
     std::size_t degraded_scrub_repairs = 0;

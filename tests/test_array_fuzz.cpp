@@ -38,7 +38,7 @@ TEST_P(ArrayFuzz, ThousandOpsAgainstShadowModel) {
     // Full-array read: verifies against the shadow AND (via the array's
     // heal-on-read) rewrites any latent sectors, restoring full redundancy.
     const auto full_check = [&] {
-        a.resilver();  // parity-strip media errors only heal here
+        scrub_array(a);  // parity-strip media errors only heal here
         std::vector<std::byte> all(a.capacity());
         ASSERT_TRUE(a.read(0, all));
         ASSERT_EQ(all, shadow);
@@ -113,7 +113,7 @@ TEST_P(ArrayFuzz, ThousandOpsAgainstShadowModel) {
     }
 
     // Final: heal everything and do a full compare.
-    if (!failed.empty() && latent_pending) a.resilver();
+    if (!failed.empty() && latent_pending) scrub_array(a);
     if (!failed.empty()) {
         for (const auto d : failed) a.replace_disk(d);
         ASSERT_TRUE(rebuild_disks(a, failed).success);

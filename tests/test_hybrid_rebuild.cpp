@@ -271,11 +271,11 @@ protected:
         const std::uint32_t disks[] = {kDisk};
         return raid::rebuild_disks(a_, disks);
     }
-    /// Stripe s_ viewed twice: its plan, then every strip of it (the
-    /// whole-stripe recovery views the blank target too).
+    /// Stripe s_ viewed twice: its plan, then every strip of it but the
+    /// blank target (the whole-stripe recovery never reads its target).
     std::uint64_t fallback_bytes() {
         return planned_bytes(a_, kDisk, 0, kStripes) +
-               a_.map().n() * a_.map().strip_size();
+               (a_.map().n() - 1) * a_.map().strip_size();
     }
     std::uint64_t read_since() { return bytes_read(a_) - before_; }
     void expect_reads_back() {
@@ -298,11 +298,14 @@ TEST_F(HybridRebuildFallback, UnreadablePlanElementIsDecodedAndHealed) {
     // recovery decodes two erasures and rewrites the survivor's strip.
     const raid::strip_location bad = planned();
     a_.disk(bad.disk).inject_latent_error(bad.offset, kElem);
+    const std::uint64_t healed = a_.stats().media_errors_recovered;
     const raid::rebuild_result r = rebuild();
     EXPECT_TRUE(r.success);
     EXPECT_EQ(r.stripes_failed, 0u);
     EXPECT_EQ(r.columns_rebuilt, kStripes + 1);  // the survivor too
     EXPECT_EQ(a_.disk(bad.disk).latent_error_count(), 0u);
+    // The heal is counted as on scrub and read-repair.
+    EXPECT_EQ(a_.stats().media_errors_recovered, healed + 1);
     // A failed view reads nothing: neither the plan's run of rows that
     // holds the bad element nor, in the fallback, the survivor's strip.
     const std::size_t p = a_.map().rows();

@@ -163,6 +163,67 @@ TEST(Rebuild, RebuildWithConcurrentLatentErrorOnSurvivor) {
     EXPECT_EQ(out, data);
 }
 
+TEST(Rebuild, OneOfTwoFailedMembersRebuildsWithoutFalseFailures) {
+    // Two members down, one replaced: each stripe decodes both erasures
+    // but stores only the target. The member still offline is not a
+    // repair, so it fails no stripe, by the operator's rebuild or by the
+    // background one onto a hot spare.
+    array_config cfg = config(4, 8);
+    cfg.element_size = 512;
+    cfg.sector_size = 512;
+    const std::size_t stripes = cfg.stripes;
+    const auto survivors_written = [](const raid6_array& a) {
+        std::uint64_t total = 0;
+        for (const std::uint32_t d : {0u, 3u, 4u, 5u}) {
+            total += a.disk(d).stats().bytes_written;
+        }
+        return total;
+    };
+    const auto expect_survives_third_loss =
+        [](raid6_array& a, const std::vector<std::byte>& data) {
+            a.fail_disk(3);
+            std::vector<std::byte> out(a.capacity());
+            ASSERT_TRUE(a.read(0, out));
+            EXPECT_EQ(out, data);
+        };
+    {
+        SCOPED_TRACE("rebuild_disks");
+        raid6_array a(cfg);
+        const auto data = pattern_bytes(a.capacity(), 44);
+        ASSERT_TRUE(a.write(0, data));
+        a.fail_disk(1);
+        a.fail_disk(2);
+        a.replace_disk(1);
+        const std::uint64_t written = survivors_written(a);
+        const std::uint32_t disks[] = {1};
+        const rebuild_result r = rebuild_disks(a, disks);
+        EXPECT_TRUE(r.success);
+        EXPECT_EQ(r.stripes_failed, 0u);
+        EXPECT_EQ(r.stripes_rebuilt, stripes);
+        EXPECT_EQ(r.columns_rebuilt, stripes);
+        EXPECT_EQ(survivors_written(a), written);
+        expect_survives_third_loss(a, data);
+    }
+    {
+        SCOPED_TRACE("background rebuild onto a hot spare");
+        cfg.hot_spares = 1;
+        raid6_array a(cfg);
+        const auto data = pattern_bytes(a.capacity(), 45);
+        ASSERT_TRUE(a.write(0, data));
+        const std::uint64_t written = survivors_written(a);
+        a.fail_disk(1);
+        a.fail_disk(2);
+        a.drain_background_rebuild();
+        EXPECT_EQ(a.stats().spares_promoted, 1u);
+        EXPECT_EQ(a.stats().rebuilds_completed, 1u);
+        EXPECT_EQ(a.stats().rebuild_stripes_failed, 0u);
+        EXPECT_EQ(a.disk(1).stats().bytes_written,
+                  stripes * a.map().strip_size());
+        EXPECT_EQ(survivors_written(a), written);
+        expect_survives_third_loss(a, data);
+    }
+}
+
 TEST(Scrub, CleanArray) {
     raid6_array a(config());
     ASSERT_TRUE(a.write(0, pattern_bytes(a.capacity(), 5)));
@@ -233,7 +294,7 @@ TEST(Scrub, ScrubsDegradedStripes) {
 TEST(Resilver, HealsParityStripLatentErrors) {
     // Plain reads only touch data columns, so a latent error in a P or Q
     // strip is invisible to the workload — and silently costs redundancy.
-    // Only the resilver patrol walks parity strips and heals them.
+    // Only the scrub patrol walks parity strips and heals them.
     raid6_array a(config());
     const auto data = pattern_bytes(a.capacity(), 13);
     ASSERT_TRUE(a.write(0, data));
@@ -252,10 +313,16 @@ TEST(Resilver, HealsParityStripLatentErrors) {
                   a.disk(q_loc.disk).latent_error_count(),
               2u);
 
-    EXPECT_EQ(a.resilver(), 2u);  // exactly the two bad strips rewritten
+    // A patrol's heals: the latent sectors its scrub rewrote.
+    const auto patrol = [&] {
+        const std::uint64_t before = a.stats().media_errors_recovered;
+        (void)scrub_array(a);
+        return a.stats().media_errors_recovered - before;
+    };
+    EXPECT_EQ(patrol(), 2u);  // exactly the two bad strips rewritten
     EXPECT_EQ(a.disk(p_loc.disk).latent_error_count(), 0u);
     EXPECT_EQ(a.disk(q_loc.disk).latent_error_count(), 0u);
-    EXPECT_EQ(a.resilver(), 0u);  // second patrol finds nothing
+    EXPECT_EQ(patrol(), 0u);  // second patrol finds nothing
 
     // Redundancy is actually restored: both stripes survive a double
     // failure that includes the previously-unreadable parity disks.
@@ -476,10 +543,13 @@ void expect_outcome(const window_outcome& got, const window_outcome& want) {
 }
 
 TEST(Rebuild, MixedDamageWindowCommitsAsTheSerialWalk) {
-    // Serial walk: every stripe rebuilt; the rotten survivor is healed
-    // alongside the target (18 columns); the torn stripe is re-synced. Cut
-    // after 6 writes: stripes 0-3 landed, and the torn stripe's re-sync
-    // found the power gone, so it failed and stays journaled. The walk
+    // Serial walk: every stripe rebuilt; the rotten survivor and the
+    // unreadable sector are healed alongside the target (18 columns; the
+    // sector's heal counts as media_errors_recovered); a stripe whose plan
+    // element is damaged is recovered whole without viewing its blank
+    // target; the torn stripe is re-synced. Cut after 6 writes: stripes
+    // 0-3 landed, and the torn stripe's re-sync found the power gone, so
+    // it failed and stays journaled. The walk
     // runs at qd 1 (a window of one stripe, the serial walk itself) and at
     // qd 8 with the same outcome; only the hub's counters differ, since
     // aio batching, merging and split retries depend on the window.
@@ -491,14 +561,14 @@ TEST(Rebuild, MixedDamageWindowCommitsAsTheSerialWalk) {
     const want serial[] = {
         {16, 18, 0, rebuild_result::npos,
          {0xffffu, 0, 0, 0x707818be18ca4a46ULL, 0x26d7d7fe78db87c6ULL,
-          0xd98c7d8a54fdc5f2ULL, 0x2b585ed0c0b7a2f4ULL,
-          0x79fc350d87fd3811ULL},
-         0xbcf9a13341e69ac2ULL},
+          0xd98c7d8a54fdc5f2ULL, 0x0de6c8c502f70ad5ULL,
+          0xa3cf133818f9d7b6ULL},
+         0x69703d80841d8c70ULL},
         {15, 17, 1, kTorn,
          {0xfu, 1, 0, 0x24195bc411d3d564ULL, 0x26d7d7fe78db87c6ULL,
-          0x290e16f479413212ULL, 0x2b585ed0c0b7a2f4ULL,
-          0x4baa8b411b9e2f8dULL},
-         0x9ba221cd56d641ffULL},
+          0x290e16f479413212ULL, 0x0de6c8c502f70ad5ULL,
+          0x962caf41441a3bfaULL},
+         0x6a02930f90bc995dULL},
     };
     for (const std::size_t qd : {1u, 8u}) {
         for (const bool cut : {false, true}) {

@@ -276,10 +276,10 @@ void print_report(const chaos_config& cfg, const chaos_report& rep,
                 rep.power_losses, rep.latent_errors_injected,
                 rep.corruptions_injected, rep.integrity_corruptions_injected);
     std::printf("  recovery: spares-promoted=%llu rebuilds-completed=%llu "
-                "stripes-resynced=%zu resilver-healed=%zu rebuild-stalls=%llu\n",
+                "stripes-resynced=%zu rebuild-stalls=%llu\n",
                 static_cast<ull>(rep.spares_promoted),
                 static_cast<ull>(rep.rebuilds_completed),
-                rep.resynced_stripes, rep.resilver_healed,
+                rep.resynced_stripes,
                 static_cast<ull>(t.rebuild_sessions_stalled));
     std::printf("  io policy: retries=%llu masked=%llu exhausted=%llu "
                 "backoff-us=%llu\n",
