@@ -1,16 +1,17 @@
 // Silent data corruption demo, in two acts.
 //
-// Act 1 (verify_reads off, the seed behavior): bit-rot flips bits on one
-// disk without any I/O error, a plain read happily returns the rotten
-// bytes, and the background scrub locates the corrupt column from the P/Q
-// syndrome fingerprint and repairs it in place (the single-column error
-// correction the paper claims in Section I; construction in DESIGN.md §5).
+// Act 1 (the patrol): bit-rot flips bits on several disks without any I/O
+// error, and the background scrub — before any host read touches the
+// damage — locates each corrupt column and repairs it in place: its
+// CRC32C integrity domain pinpoints the column, with the P/Q syndrome
+// fingerprint of the paper's single-column error correction (Section I;
+// construction in DESIGN.md §5) as the fallback.
 //
-// Act 2 (verify_reads on, the default): every strip is checked against its
-// CRC32C integrity domain on the way to the host, so the same bit-rot is
-// caught *at read time* — the column is demoted to an erasure, optimally
-// decoded, re-verified, and written back (read-repair). No rotten byte is
-// ever served.
+// Act 2 (the read path): every strip is checked against its integrity
+// domain on the way to the host, so the same bit-rot is caught *at read
+// time* — the column is demoted to an erasure, optimally decoded,
+// re-verified, and written back (read-repair). No rotten byte is ever
+// served.
 #include <cstdio>
 #include <vector>
 
@@ -47,7 +48,6 @@ int main() {
     cfg.k = 6;  // p = 7, 8 disks
     cfg.element_size = 2048;
     cfg.stripes = 32;
-    cfg.verify_reads = false;  // act 1: the seed behavior
 
     raid6_array array(cfg);
     util::xoshiro256 rng(99);
@@ -58,21 +58,16 @@ int main() {
                 array.capacity() >> 20);
 
     // Bit-rot: flip bits inside three different stripes, plus one parity
-    // strip. With verify_reads off, reads still "succeed" — nothing
-    // notices until a scrub.
+    // strip. No I/O error is raised; nothing notices until the damage is
+    // read or scrubbed.
     const std::vector<hit> hits = {
         {2, 1}, {11, 4}, {17, array.code().p_column()}, {25, 3}};
     inject(array, hits, rng);
 
-    // A plain unverified read happily returns the rotten bytes.
-    std::vector<std::byte> readback(array.capacity());
-    if (!array.read(0, readback)) return 1;
-    std::printf("unverified read returned %s data (no I/O errors!)\n",
-                readback == image ? "clean (unexpected)" : "CORRUPT");
-
-    // Scrub: verify every stripe, localize, repair. (The checksum-first
-    // scrubber pinpoints the columns from their integrity domains; the
-    // parity cross-check remains as fallback — either way, all four heal.)
+    // Scrub before any read: verify every stripe, localize, repair. (The
+    // checksum-first scrubber pinpoints the columns from their integrity
+    // domains; the parity cross-check remains as fallback — either way,
+    // all four heal.)
     const auto summary = scrub_array(array);
     std::printf("\nscrub: %zu stripes scanned, %zu clean, %zu data repairs, "
                 "%zu parity repairs, %zu uncorrectable\n",
@@ -84,19 +79,21 @@ int main() {
         return 1;
     }
 
+    // The read after the scrub meets no rot: it catches no mismatch.
+    const auto caught = array.stats().checksum_mismatches;
+    std::vector<std::byte> readback(array.capacity());
     if (!array.read(0, readback)) return 1;
-    if (readback != image) {
+    if (readback != image || array.stats().checksum_mismatches != caught) {
         std::printf("DATA STILL CORRUPT AFTER SCRUB\n");
         return 1;
     }
     std::printf("post-scrub read matches the original image — bit-rot "
                 "healed with no redundancy lost\n");
 
-    // ---- Act 2: verify-on-read (the default) -------------------------
-    cfg.verify_reads = true;
+    // ---- Act 2: verify-on-read ----------------------------------------
     raid6_array verified(cfg);
     if (!verified.write(0, image)) return 1;
-    std::printf("\nsecond array with verify_reads on (the default)\n");
+    std::printf("\nsecond array: the same rot, read before any scrub\n");
     inject(verified, hits, rng);
 
     // The same rotten bytes never reach the host: each mismatching strip

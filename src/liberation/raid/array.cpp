@@ -31,7 +31,6 @@ raid6_array::raid6_array(const array_config& cfg, bool allocate_members)
       code_(cfg.k, effective_p(cfg)),
       sector_size_(cfg.sector_size),
       journal_(cfg.intent_log_entries),
-      verify_reads_(cfg.verify_reads),
       integrity_block_(std::gcd(cfg.sector_size, map_.element_size())),
       in_place_(xorops::reads_in_place(map_.element_size())),
       read_scratch_(in_place_ ? 0 : map_.strip_size()),
@@ -45,6 +44,8 @@ raid6_array::raid6_array(const array_config& cfg, bool allocate_members)
       next_disk_id_(map_.n() + cfg.hot_spares) {
     // Intent-log column masks are 64-bit (see intent_log::mark).
     LIBERATION_EXPECTS(map_.n() <= 64);
+    // Every host read is verified; there is no unverified mode to select.
+    LIBERATION_EXPECTS(cfg.verify_reads);
     disks_.reserve(map_.n());
     regions_.reserve(map_.n());
     for (std::uint32_t d = 0; d < map_.n(); ++d) {
@@ -129,7 +130,7 @@ void raid6_array::rebuild_aio_engine(const aio::aio_config& acfg) {
     aio_engine_->add_completion_stage(
         [this](const aio::io_desc& d, io_status st) {
             if (st != io_status::ok || d.kind == aio::op_kind::write ||
-                (d.flags & aio::flag_verify) == 0 || !verify_reads_) {
+                (d.flags & aio::flag_verify) == 0) {
                 return st;
             }
             const std::byte* bytes =
@@ -330,7 +331,7 @@ io_status raid6_array::verified_disk_view(std::uint32_t d, std::size_t offset,
     const io_status st = disk_view(d, offset, len, at);
     if (st != io_status::ok) return st;
     out = kernel_bytes(at, len, scratch);
-    if (verify_reads_ && !regions_[d].verify(offset, {out, len})) {
+    if (!regions_[d].verify(offset, {out, len})) {
         ctr_.inc<&array_stats::checksum_mismatches>();
         return io_status::checksum_mismatch;
     }
@@ -380,8 +381,7 @@ bool raid6_array::reconstruct_column_range(std::size_t stripe,
     // End-to-end gate: the reconstruction must match the *hedged-around*
     // column's own stored checksum before it is served in its place.
     const strip_location loc = map_.locate(stripe, col);
-    if (verify_reads_ &&
-        !regions_[loc.disk].verify(loc.offset + strip_lo, {got, len})) {
+    if (!regions_[loc.disk].verify(loc.offset + strip_lo, {got, len})) {
         return false;
     }
     out = got;
@@ -421,7 +421,7 @@ io_status raid6_array::read_chunk_failslow(std::size_t stripe,
     // The direct leg as served: checksum-verified like verified_disk_view.
     const auto serve_direct = [&] {
         out = kernel_bytes(direct, len, read_scratch_.data());
-        if (verify_reads_ && !regions_[d].verify(offset, {out, len})) {
+        if (!regions_[d].verify(offset, {out, len})) {
             ctr_.inc<&array_stats::checksum_mismatches>();
             return io_status::checksum_mismatch;
         }
@@ -859,6 +859,7 @@ bool raid6_array::write_back(std::size_t stripe, const stripe_recovery& rec) {
         }
         crc_ptrs[col] = rec.crcs.data() + col * bps;
     }
+    ctr_.inc<&array_stats::corrupt_columns_healed>(rec.healed.size());
     return store_columns(stripe, as_stripe(rec.cols), rec.repairs,
                          crc_ptrs.data());
 }
@@ -1326,51 +1327,19 @@ bool raid6_array::load_and_decode(std::size_t stripe,
     // Trace-only: degraded full-stripe decodes show up as distinct spans
     // inside the surrounding raid.read / raid.write_small span.
     obs::timed_span span(obs_, nullptr, "raid.degraded_read");
-    if (verify_reads_) {
-        // Verified read: checksum mismatches demote columns to erasures,
-        // the optimal decoder reconstructs them, reconstructions are
-        // re-verified, and repairs are written back (read-repair).
-        stripe_recovery rec =
-            load_stripe_verified(stripe, {}, /*host_read=*/true);
-        if (!rec.ok) return false;
-        write_back(stripe, rec);
-        if (!rec.erased.empty()) {
-            ctr_.inc<&array_stats::degraded_stripe_reads>();
-        }
-        if (!rec.healed.empty()) {
-            ctr_.inc<&array_stats::reads_self_healed>();
-        }
-        cols = std::move(rec.cols);
-        return true;
+    // Checksum mismatches demote columns to erasures, the optimal decoder
+    // reconstructs them, reconstructions are re-verified, and repairs are
+    // written back (read-repair).
+    stripe_recovery rec = load_stripe_verified(stripe, {}, /*host_read=*/true);
+    if (!rec.ok) return false;
+    write_back(stripe, rec);
+    if (!rec.erased.empty()) {
+        ctr_.inc<&array_stats::degraded_stripe_reads>();
     }
-    std::vector<const std::byte*> views;
-    std::vector<io_status> statuses;
-    load_views(stripe, {}, 0, views, statuses);
-    assemble(views, cols);
-    std::vector<std::uint32_t> erased;
-    for (std::uint32_t col = 0; col < map_.n(); ++col) {
-        if (statuses[col] != io_status::ok) erased.push_back(col);
+    if (!rec.healed.empty()) {
+        ctr_.inc<&array_stats::reads_self_healed>();
     }
-    if (erased.size() > 2 ||
-        !settle_torn_stripe(stripe, cols, statuses, {}, /*host_read=*/true)) {
-        return false;
-    }
-    if (erased.empty()) return true;
-    const codes::stripe_view buf = as_stripe(cols);
-    code_.decode(buf, erased);
-    ctr_.inc<&array_stats::degraded_stripe_reads>();
-    // Heal-on-read: a column that was unreadable on an *online* disk is a
-    // latent sector error. Rewrite the reconstructed strip so the medium
-    // remaps it (md's read-error rewrite) — otherwise the bad sector lies
-    // in wait and turns the next double failure into a triple. Columns
-    // erased for other reasons need no heal: transient errors left the
-    // data intact, and rebuilding columns are the background session's job.
-    for (const std::uint32_t col : erased) {
-        if (statuses[col] != io_status::unreadable_sector) continue;
-        ctr_.inc<&array_stats::media_errors_recovered>();
-        const std::uint32_t one[] = {col};
-        store_columns(stripe, buf, one);
-    }
+    cols = std::move(rec.cols);
     return true;
 }
 
@@ -1405,17 +1374,12 @@ bool raid6_array::read_element_degraded(std::size_t stripe, std::uint32_t row,
         if (j != col && !view_elem(j)) return false;
     }
     xorops::xor_many(out.data(), srcs.data(), srcs.size(), elem);
-    if (verify_reads_) {
-        // End-to-end check: the reconstructed element must match the
-        // *erased* column's own stored checksum before it is served. A
-        // mismatch (e.g. the target's metadata is itself damaged) falls
-        // back to the full-stripe path, whose classification can repair
-        // the metadata.
-        const strip_location loc = map_.locate(stripe, col);
-        if (!regions_[loc.disk].verify(loc.offset + in_strip, out)) {
-            return false;
-        }
-    }
+    // End-to-end check: the reconstructed element must match the *erased*
+    // column's own stored checksum before it is served. A mismatch (e.g.
+    // the target's metadata is itself damaged) falls back to the
+    // full-stripe path, whose classification can repair the metadata.
+    const strip_location loc = map_.locate(stripe, col);
+    if (!regions_[loc.disk].verify(loc.offset + in_strip, out)) return false;
     ctr_.inc<&array_stats::degraded_element_reads>();
     return true;
 }
@@ -1492,13 +1456,10 @@ bool raid6_array::read_extent(std::size_t addr, std::span<std::byte> out) {
             const std::size_t chunk =
                 std::min(span_len - copied, map_.strip_size() - in_strip);
             const strip_location loc = map_.locate(stripe, col);
-            std::size_t lo = in_strip;
-            std::size_t hi = in_strip + chunk;
-            if (verify_reads_) {
-                lo -= lo % integrity_block_;
-                hi = (hi + integrity_block_ - 1) / integrity_block_ *
-                     integrity_block_;
-            }
+            const std::size_t lo = in_strip - in_strip % integrity_block_;
+            const std::size_t hi =
+                (in_strip + chunk + integrity_block_ - 1) / integrity_block_ *
+                integrity_block_;
             const std::byte* bytes = nullptr;
             const io_status st =
                 latmon_.enabled()
@@ -1562,9 +1523,7 @@ bool raid6_array::read_extent(std::size_t addr, std::span<std::byte> out) {
             if (!element_path) {
                 std::vector<std::byte*> cols;
                 if (!load_and_decode(stripe, cols)) {
-                    if (verify_reads_) {
-                        note_unrecoverable_read(stripe);
-                    }
+                    note_unrecoverable_read(stripe);
                     return false;
                 }
                 // Gather the requested bytes from the rebuilt stripe.
@@ -1736,6 +1695,7 @@ bool raid6_array::write_partial(std::size_t stripe, std::size_t in_stripe,
         std::size_t in_elem;   ///< first modified byte within the element
         std::size_t src_off;   ///< offset into `in`
         std::size_t chunk;
+        std::uint32_t slot = 0;  ///< the element's place in the write order
     };
     std::vector<touch> plan;
     for (std::size_t i = 0; i < in.size();) {
@@ -1754,108 +1714,103 @@ bool raid6_array::write_partial(std::size_t stripe, std::size_t in_stripe,
                          loc.offset + static_cast<std::size_t>(row) * elem};
     };
 
-    // Validate phase: the update-optimal path needs every touched data
-    // element and every parity element it patches to be readable. Nothing
-    // is mutated until validation passes, so the stripe never ends up
-    // half-updated before the reconstruct-write fallback below runs.
-    // Reads are verified: XOR-patching parity with a delta computed from
-    // silently corrupt old bytes would bake the corruption into parity
-    // permanently. A checksum mismatch here simply demotes the write to
-    // the reconstruct-write fallback, whose classification heals it. So
-    // does a journaled stripe: patching parity that may be torn would
-    // carry the tear forward under a cleared entry, and the fallback's
-    // load re-syncs the stripe first (or refuses the write).
-    util::aligned_buffer old_e(elem), new_e(elem), delta(elem), par(elem);
-    bool fast_ok = settle_torn_stripe(stripe, {}, {}, {});
-    for (const touch& t : plan) {
-        if (!fast_ok) break;
-        const auto [ddisk, doff] = elem_offset(t.col, t.row);
-        fast_ok = verified_disk_read(ddisk, doff, old_e.span()) == io_status::ok;
+    // Every element the update-optimal path rewrites, in write order: per
+    // touched data element, the parity elements it patches that no earlier
+    // touch listed (in update_targets order), then the data element. A
+    // one-element write lands P, Q (and an extra-bit Q) before its data; a
+    // parity element two touches patch is written once, with both deltas.
+    constexpr std::uint32_t unlisted = ~std::uint32_t{0};
+    std::vector<std::pair<std::uint32_t, std::size_t>> at;  // disk, offset
+    std::vector<std::uint32_t> parity_slot(2 * std::size_t{map_.rows()},
+                                           unlisted);
+    const auto slot_of = [&](const core::parity_element& pe) -> std::uint32_t& {
+        return parity_slot[(pe.col == pc ? 0 : map_.rows()) + pe.row];
+    };
+    for (touch& t : plan) {
         for (const core::parity_element& pe :
              core::update_targets(g, t.row, t.col)) {
-            if (!fast_ok) break;
-            const auto [pdisk, poff] = elem_offset(pe.col, pe.row);
-            fast_ok = verified_disk_read(pdisk, poff, par.span()) ==
-                      io_status::ok;
+            std::uint32_t& slot = slot_of(pe);
+            if (slot != unlisted) continue;
+            slot = static_cast<std::uint32_t>(at.size());
+            at.push_back(elem_offset(pe.col, pe.row));
         }
+        t.slot = static_cast<std::uint32_t>(at.size());
+        at.push_back(elem_offset(t.col, t.row));
+    }
+    const std::size_t count = at.size();
+
+    // Validate phase, the only read: the update-optimal path needs every
+    // element it rewrites to be readable, and keeps the verified old bytes
+    // for the whole write. Nothing is mutated until validation passes, so
+    // the stripe never ends up half-updated before the reconstruct-write
+    // fallback below runs. Reads are verified: XOR-patching parity with a
+    // delta computed from silently corrupt old bytes would bake the
+    // corruption into parity permanently. A checksum mismatch here simply
+    // demotes the write to the fallback, whose classification heals it.
+    // So does a journaled stripe: patching parity that may be torn would
+    // carry the tear forward under a cleared entry, and the fallback's
+    // load re-syncs the stripe first (or refuses the write).
+    util::aligned_buffer bytes((2 * count + 1) * elem);
+    const auto kept = [&](std::size_t i) { return bytes.data() + i * elem; };
+    const auto fresh = [&](std::size_t i) {
+        return bytes.data() + (count + i) * elem;
+    };
+    std::byte* const delta = fresh(count);
+    bool fast_ok = settle_torn_stripe(stripe, {}, {}, {});
+    for (std::size_t i = 0; fast_ok && i < count; ++i) {
+        fast_ok = verified_disk_read(at[i].first, at[i].second,
+                                     {kept(i), elem}) == io_status::ok;
     }
 
     if (fast_ok) {
-        // Apply phase. Validation makes failures rare, but transient
-        // faults or a health trip can still strike between phases. Each
-        // touched element updates its 2-3 parity elements and then the
-        // data element; on a mid-apply failure the landed patches of the
-        // in-flight element are rolled back by XOR-ing the same delta out
-        // again (exact, because a failed vdisk write never reaches the
-        // medium) — completed elements are self-consistent, so a
-        // successful rollback leaves the whole stripe consistent and its
-        // journal entry is cleared. A failed rollback leaves the entry:
-        // the stripe is torn, and the fallback's load re-syncs it or
-        // refuses.
+        // Each element's new bytes: the host's bytes spliced into a data
+        // element, every delta of the touches that patch it XOR-ed into a
+        // parity element.
+        std::memcpy(fresh(0), kept(0), count * elem);
+        for (const touch& t : plan) {
+            std::byte* const d = fresh(t.slot);
+            std::memcpy(d + t.in_elem, in.data() + t.src_off, t.chunk);
+            xorops::xor2(delta, kept(t.slot), d, elem);
+            std::byte* dsts[3];
+            std::size_t n = 0;
+            for (const core::parity_element& pe :
+                 core::update_targets(g, t.row, t.col)) {
+                dsts[n++] = fresh(slot_of(pe));
+            }
+            xorops::xor_broadcast(dsts, n, delta, elem);
+        }
+
+        // Apply phase: writes only, each element once. Validation makes
+        // failures rare, but transient faults or a health trip can still
+        // strike between phases. On a mid-apply failure every landed
+        // element is restored from its kept old bytes (exact, because a
+        // failed vdisk write never reaches the medium), so a complete
+        // restore leaves the stripe as it was and its journal entry is
+        // cleared. A failed restore leaves the entry: the stripe is torn,
+        // and the fallback's load re-syncs it or refuses.
         std::uint64_t touch_mask = (std::uint64_t{1} << pc) |
                                    (std::uint64_t{1} << qc);
         for (const touch& t : plan) touch_mask |= std::uint64_t{1} << t.col;
         if (!journal_mark(stripe, touch_mask)) return false;
-        bool applied = true;
-        struct landed_patch {
-            std::uint32_t disk;
-            std::size_t offset;
-        };
-        std::vector<landed_patch> landed;
-        const auto patch = [&](const core::parity_element& pe) {
-            const auto [pdisk, poff] = elem_offset(pe.col, pe.row);
-            if (verified_disk_read(pdisk, poff, par.span()) != io_status::ok) {
-                return false;
-            }
-            xorops::xor_into(par.data(), delta.data(), elem);
-            if (disk_write(pdisk, poff, par.span()) != io_status::ok) {
-                return false;
-            }
-            landed.push_back({pdisk, poff});
-            return true;
-        };
-        for (const touch& t : plan) {
-            landed.clear();
-            const auto [ddisk, doff] = elem_offset(t.col, t.row);
-            const core::update_set targets =
-                core::update_targets(g, t.row, t.col);
-            bool touch_ok =
-                verified_disk_read(ddisk, doff, old_e.span()) == io_status::ok;
-            if (touch_ok) {
-                std::memcpy(new_e.data(), old_e.data(), elem);
-                std::memcpy(new_e.data() + t.in_elem, in.data() + t.src_off,
-                            t.chunk);
-                xorops::xor2(delta.data(), old_e.data(), new_e.data(), elem);
-                touch_ok =
-                    std::all_of(targets.begin(), targets.end(), patch) &&
-                    disk_write(ddisk, doff, new_e.span()) == io_status::ok;
-            }
-            if (!touch_ok) {
-                bool exact = true;
-                for (const landed_patch& u : landed) {
-                    if (disk_read(u.disk, u.offset, par.span()) !=
-                        io_status::ok) {
-                        exact = false;
-                        break;
-                    }
-                    xorops::xor_into(par.data(), delta.data(), elem);
-                    if (disk_write(u.disk, u.offset, par.span()) !=
-                        io_status::ok) {
-                        exact = false;
-                        break;
-                    }
-                }
-                if (exact) journal_clear(stripe);
-                applied = false;
-                break;
-            }
-            ctr_.inc<&array_stats::parity_elements_updated>(targets.size());
+        std::size_t landed = 0;
+        while (landed < count &&
+               disk_write(at[landed].first, at[landed].second,
+                          {fresh(landed), elem}) == io_status::ok) {
+            ++landed;
         }
-        if (applied) {
+        if (landed == count) {
             journal_clear(stripe);
+            ctr_.inc<&array_stats::parity_elements_updated>(count -
+                                                            plan.size());
             ctr_.inc<&array_stats::small_writes>();
             return true;
         }
+        bool exact = true;
+        for (std::size_t i = 0; i < landed && exact; ++i) {
+            exact = disk_write(at[i].first, at[i].second, {kept(i), elem}) ==
+                    io_status::ok;
+        }
+        if (exact) journal_clear(stripe);
         // Power died mid-apply: nothing more lands, and the stripe stays
         // journaled for replay after the reboot.
         if (!powered_) return true;
@@ -1865,7 +1820,7 @@ bool raid6_array::write_partial(std::size_t stripe, std::size_t in_stripe,
     // (checksum-verified — a silently corrupt column must not be
     // re-encoded into fresh parity), splice the new bytes, re-encode,
     // write everything that is still online. A stripe left journaled
-    // (from a crash, or a rollback that failed above) is re-synced by the
+    // (from a crash, or a restore that failed above) is re-synced by the
     // load, or the load refuses: the write then fails loudly and the
     // stripe stays journaled for recover_write_hole().
     const stripe_recovery rec = load_stripe_verified(stripe);

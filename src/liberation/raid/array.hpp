@@ -87,10 +87,12 @@ struct array_config {
     latency_config latency{};
 
     // ---- end-to-end integrity ----------------------------------------
-    /// Verify every host read against the per-disk checksum regions; a
-    /// mismatch demotes the column to an erasure, the stripe is decoded,
+    /// Every host read is verified against the per-disk checksum regions;
+    /// a mismatch demotes the column to an erasure, the stripe is decoded,
     /// the recovered bytes are re-verified, and the repair is written back
-    /// (read-repair). Scrub and rebuild verification are always on.
+    /// (read-repair). There is no unverified mode: false is refused by the
+    /// constructor. The field stays only until its last assignment in the
+    /// stack bench is gone.
     bool verify_reads = true;
     /// Intent-log capacity in stripes; 0 = unbounded. When the log is
     /// full, writes that would need a new entry fail loudly
@@ -137,6 +139,7 @@ struct array_stats {
     std::uint64_t rebuild_sessions_stalled = 0; ///< > 2 losses, operator needed
     std::uint64_t checksum_mismatches = 0;      ///< blocks failing their CRC
     std::uint64_t reads_self_healed = 0;        ///< stripes repaired on read
+    std::uint64_t corrupt_columns_healed = 0;   ///< rot rewritten by write_back
     std::uint64_t reads_unrecoverable = 0;      ///< verified reads refused
     std::uint64_t checksum_metadata_repaired = 0;  ///< stale/damaged CRCs fixed
     std::uint64_t writes_rejected_log_full = 0; ///< intent log at capacity
@@ -189,6 +192,10 @@ inline constexpr obs::counter_def<array_stats> kArrayCounters[] = {
      &array_stats::checksum_mismatches},
     {"raid_reads_self_healed_total", "stripes repaired on read",
      &array_stats::reads_self_healed},
+    {"raid_corrupt_columns_healed_total",
+     "silently corrupt columns rewritten from a verified reconstruction by "
+     "scrub, read-repair or rebuild (columns)",
+     &array_stats::corrupt_columns_healed},
     {"raid_reads_unrecoverable_total", "verified reads refused",
      &array_stats::reads_unrecoverable},
     {"raid_checksum_metadata_repaired_total",
@@ -314,7 +321,6 @@ public:
 
     // ---- end-to-end integrity ----------------------------------------
 
-    [[nodiscard]] bool verify_reads() const noexcept { return verify_reads_; }
     /// Checksum granularity: gcd(sector_size, element_size), so every
     /// element-aligned disk I/O is block-aligned.
     [[nodiscard]] std::size_t integrity_block() const noexcept {
@@ -632,7 +638,8 @@ public:
     /// The one commit of a recovery (scrub, read-repair, rebuild): store
     /// `rec.repairs` in column order from the recovery's scratch, with the
     /// words its verification captured. A latent-sector erasure counts as
-    /// media_errors_recovered. Returns false when a repair does not land
+    /// media_errors_recovered, a healed (silently corrupt) column as
+    /// corrupt_columns_healed. Returns false when a repair does not land
     /// (an offline member, a failed write, the power gone).
     bool write_back(std::size_t stripe, const stripe_recovery& rec);
 
@@ -717,9 +724,9 @@ private:
     /// rules out reading it in place (xorops::reads_in_place).
     const std::byte* kernel_bytes(const std::byte* view, std::size_t len,
                                   std::byte* scratch) const noexcept;
-    /// disk_view, then — with verify-on-read — the checksum check, both on
-    /// kernel_bytes (copied into `scratch` when needed): `out` receives
-    /// the checked bytes, a mismatch is io_status::checksum_mismatch.
+    /// disk_view, then the checksum check, both on kernel_bytes (copied
+    /// into `scratch` when needed): `out` receives the checked bytes, a
+    /// mismatch is io_status::checksum_mismatch.
     io_status verified_disk_view(std::uint32_t d, std::size_t offset,
                                  std::size_t len, const std::byte*& out,
                                  std::byte* scratch);
@@ -783,8 +790,7 @@ private:
     /// quarantined disks via decode, hedges reads that outlive the
     /// adaptive deadline, and feeds the latency monitor. `out` receives
     /// the served leg's bytes (a view, or the decode in scratch),
-    /// checksum-verified exactly like verified_disk_view when
-    /// verify-on-read is enabled.
+    /// checksum-verified exactly like verified_disk_view.
     io_status read_chunk_failslow(std::size_t stripe, std::uint32_t col,
                                   std::size_t strip_lo, std::size_t len,
                                   const std::byte*& out);
@@ -851,10 +857,10 @@ private:
     /// writer over it, and reset the scratch to slot 0's.
     void rebuild_aio_engine(const aio::aio_config& acfg);
 
-    /// disk_read + checksum verification (verify-on-read mode only):
-    /// bytes that read fine but fail their stored CRC come back as
-    /// io_status::checksum_mismatch so callers demote the column, and
-    /// `out` is filled only on ok (verified_disk_view plus one copy).
+    /// disk_read + checksum verification: bytes that read fine but fail
+    /// their stored CRC come back as io_status::checksum_mismatch so
+    /// callers demote the column, and `out` is filled only on ok
+    /// (verified_disk_view plus one copy).
     io_status verified_disk_read(std::uint32_t d, std::size_t offset,
                                  std::span<std::byte> out);
 
@@ -931,7 +937,6 @@ private:
     obs::gauge* gauge_journal_ = nullptr;
     intent_log journal_;
     std::vector<integrity::integrity_region> regions_;
-    bool verify_reads_;
     std::size_t integrity_block_;
     /// xorops::reads_in_place(element size): the kernels read views where
     /// they sit; otherwise kernel_bytes copies them into scratch first.

@@ -197,7 +197,6 @@ mounted_array mounter::mount(const mount_options& opts) {
     acfg.io_retry = opts.io_retry;
     acfg.health = opts.health;
     acfg.latency = opts.latency;
-    acfg.verify_reads = opts.verify_reads;
     acfg.intent_log_entries = auth->intent_capacity;
     acfg.io_queue_depth = opts.io_queue_depth;
     acfg.obs_virtual_time = opts.obs_virtual_time;

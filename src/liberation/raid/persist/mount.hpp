@@ -57,7 +57,6 @@ namespace liberation::raid::persist {
 struct mount_options {
     store_config store;
     std::size_t io_queue_depth = 8;
-    bool verify_reads = true;
     io_policy_config io_retry{};
     health_config health{};
     /// Fail-slow tolerance (hedged reads, quarantine). Thresholds are

@@ -70,9 +70,9 @@ struct scrub_summary {
 /// repair of up to two bad columns per stripe (including on degraded
 /// stripes), metadata repair when the stored checksum is the damaged side,
 /// and a parity cross-check fallback on stripes the checksum layer calls
-/// clean. Repairs are written back to the disks. Runs regardless of
-/// array_config::verify_reads — scrubbing is the patrol that catches what
-/// the read path never touches.
+/// clean. Repairs are written back to the disks. Host reads verify only
+/// what they touch; scrubbing is the patrol that catches what the read
+/// path never touches.
 scrub_summary scrub_array(raid6_array& array);
 
 }  // namespace liberation::raid

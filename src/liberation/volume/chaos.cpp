@@ -228,7 +228,6 @@ chaos_report run_chaos_campaign(const chaos_config& cfg) {
         mo.store.dir = cfg.dir;
         mo.store.sync_meta = cfg.sync_meta;
         mo.io_queue_depth = cfg.volume.shard.io_queue_depth;
-        mo.verify_reads = cfg.volume.shard.verify_reads;
         mo.io_retry = cfg.volume.shard.io_retry;
         mo.health = cfg.volume.shard.health;
         mo.latency = cfg.volume.shard.latency;
@@ -326,6 +325,17 @@ chaos_report run_chaos_campaign(const chaos_config& cfg) {
     std::size_t data_flips = 0;
     std::size_t latent_errors = 0;
     std::size_t checksum_flips = 0;
+    // Columns the harness's own scrubs healed (the degraded-stripe scrub
+    // after the fail-stop, the post-remount scrub of the mid-scrub kill):
+    // those heal the flips planted for those checks, not the corrupt_every
+    // cadence the corruption check is about.
+    std::uint64_t planted_heals = 0;
+    const auto scrub_planted = [&](raid::raid6_array& a) {
+        const std::uint64_t before = a.stats().corrupt_columns_healed;
+        const raid::scrub_summary sum = scrub_array(a);
+        planted_heals += a.stats().corrupt_columns_healed - before;
+        return sum;
+    };
     const auto rotate = [nshards](std::size_t count) {
         return static_cast<std::uint32_t>(count % nshards);
     };
@@ -394,7 +404,7 @@ chaos_report run_chaos_campaign(const chaos_config& cfg) {
                        std::to_string(s));
                 break;
             }
-            rep.degraded_scrub_repairs += scrub_array(a).repaired_on_degraded;
+            rep.degraded_scrub_repairs += scrub_planted(a).repaired_on_degraded;
         } else if (storm_pending && quiet(shard_b)) {
             const std::uint32_t victim =
                 pick_online_disk(vol->shard(shard_b), rng);
@@ -448,7 +458,7 @@ chaos_report run_chaos_campaign(const chaos_config& cfg) {
                    " disk " + std::to_string(loc.disk) + " stripe " +
                    std::to_string(s) + " corrupt and unhealed)");
             if (!kill_and_remount("mid-scrub")) return rep;
-            const raid::scrub_summary after = scrub_array(vol->shard(shard_c));
+            const raid::scrub_summary after = scrub_planted(vol->shard(shard_c));
             rep.remount_scrub_repairs += after.repaired_data +
                                          after.repaired_parity +
                                          after.repaired_metadata;
@@ -680,8 +690,13 @@ chaos_report run_chaos_campaign(const chaos_config& cfg) {
                     rep.rebuilds_completed >= losses;
     }
     if (planned_every(ev.corrupt_every)) {
+        // A flip is healed by a read, the settle scrub, or any other
+        // write_back of its stripe: a hot spare's rebuild meets it first
+        // when its stripe lies ahead of the rebuild cursor.
         events_ok = events_ok && rep.corruptions_injected >= 1 &&
-                    total.reads_self_healed + rep.settle_scrub_healed >= 1;
+                    total.reads_self_healed + rep.settle_scrub_healed +
+                            (total.corrupt_columns_healed - planted_heals) >=
+                        1;
     }
     if (planned_every(ev.corrupt_integrity_every)) {
         events_ok = events_ok && rep.integrity_corruptions_injected >= 1 &&

@@ -117,6 +117,12 @@ std::unique_ptr<volume> create_volume(const volume_config& cfg,
 mounted_volume mount_volume(const volume_mount_options& opts) {
     mounted_volume out;
     volume_mount_report& rep = out.report;
+    if (!opts.verify_reads) {
+        rep.error = "verify_reads = false is not supported: every host read "
+                    "is verified";
+        note_volume_mount_refused(rep);
+        return out;
+    }
 
     manifest_probe probe = load_manifest(opts.store.dir);
     rep.manifest_torn_slots = probe.torn_slots;
@@ -187,7 +193,6 @@ mounted_volume mount_volume(const volume_mount_options& opts) {
             mo.store.sync_meta = opts.store.sync_meta;
             mo.store.sync_data = opts.store.sync_data;
             mo.io_queue_depth = opts.io_queue_depth;
-            mo.verify_reads = opts.verify_reads;
             mo.io_retry = opts.io_retry;
             mo.health = opts.health;
             mo.latency = opts.latency;

@@ -51,6 +51,9 @@ struct volume_store_config {
 struct volume_mount_options {
     volume_store_config store;
     std::size_t io_queue_depth = 8;
+    /// Refused when false, like raid::array_config::verify_reads: every
+    /// host read is verified. The field stays only until its last
+    /// assignment in the stack bench is gone.
     bool verify_reads = true;
     raid::io_policy_config io_retry{};
     raid::health_config health{};

@@ -101,6 +101,27 @@ TEST(Chaos, CampaignReplaysBitForBitFromSeed) {
     EXPECT_EQ(a.settle_scrub_healed, b.settle_scrub_healed);
 }
 
+TEST(Chaos, RebuildHealCountsTowardTheCorruptionCheck) {
+    // `chaos_campaign --seed 18 --ops 2000`: the op-900 flip (stripe 0)
+    // lies ahead of the hot-spare rebuild of the disk the op-1000 storm
+    // trips, and that rebuild heals it through write_back before any
+    // read or the settle scrub meets it; the op-1800 flip (stripe 7) is
+    // overwritten by a full-stripe host write ten ops later. Only the
+    // rebuild's heal shows that a cadence flip was caught.
+    chaos_config cfg = default_chaos_config(18, 1, 2'000);
+    cfg.events.fail_slow_at_op = cfg.ops;  // as the CLI without --fail-slow
+    cfg.events.fail_slow_recover_at_op = cfg.ops;
+    const chaos_report rep = run_chaos_campaign(cfg);
+    EXPECT_EQ(rep.mismatches, 0u);
+    EXPECT_EQ(rep.corruptions_injected, 3u);
+    EXPECT_EQ(rep.rebuilds_completed, 2u);
+    // The degraded-stripe scrub's heal of the fail-stop's planted flip,
+    // and the rebuild's.
+    EXPECT_EQ(rep.degraded_scrub_repairs, 1u);
+    EXPECT_EQ(rep.stats.shard_total.corrupt_columns_healed, 2u);
+    EXPECT_TRUE(rep.success);
+}
+
 TEST(Chaos, DifferentSeedsStillPassButDiverge) {
     chaos_config c1 = default_chaos_config(1234, 1, 4'000);
     c1.events.fail_stop_at_op = 800;

@@ -61,8 +61,7 @@ TEST(IntegrityRegion, RecordVerifyRoundTrip) {
 }
 
 TEST(VerifiedRead, HealsSilentCorruption) {
-    raid6_array a(cfg());  // verify_reads defaults to true
-    ASSERT_TRUE(a.verify_reads());
+    raid6_array a(cfg());
     const auto data = pattern(a.capacity(), 2);
     ASSERT_TRUE(a.write(0, data));
 

@@ -238,6 +238,7 @@ TEST(ObsSeries, ArrayAndVolumeHubFamiliesArePinned) {
         "obs_spans_dropped_total counter",
         "raid_checksum_metadata_repaired_total counter",
         "raid_checksum_mismatches_total counter",
+        "raid_corrupt_columns_healed_total counter",
         "raid_deadline_exceeded_total counter",
         "raid_degraded_element_reads_total counter",
         "raid_degraded_stripe_reads_total counter",

@@ -22,6 +22,7 @@
 #include "liberation/raid/persist/mount.hpp"
 #include "liberation/raid/scrubber.hpp"
 #include "liberation/util/rng.hpp"
+#include "liberation/volume/mount.hpp"
 
 #include <dlfcn.h>
 #include <fcntl.h>
@@ -1138,6 +1139,37 @@ TEST(Persistence, DirectIoIsRefusedByName) {
     EXPECT_EQ(m.array, nullptr);
     EXPECT_NE(m.report.error.find("direct_io"), std::string::npos)
         << m.report.error;
+}
+
+TEST(Persistence, UnverifiedReadsAreRefusedByName) {
+    // Every host read is verified: an array or a volume mount asked for
+    // the unverified mode refuses instead of quietly serving unchecked
+    // bytes.
+    array_config cfg = small_config();
+    cfg.verify_reads = false;
+    EXPECT_DEATH({ raid6_array a(cfg); }, "precondition");
+
+    const std::string dir = fresh_dir("unverified-reads");
+    volume::volume_config vc;
+    vc.shard = small_config();
+    {
+        auto vol = volume::persist::create_volume(vc, {.dir = dir});
+        ASSERT_NE(vol, nullptr);
+        ASSERT_TRUE(vol->unmount());
+    }
+    volume::persist::volume_mount_options mo;
+    mo.store.dir = dir;
+    mo.verify_reads = false;
+    volume::persist::mounted_volume m = volume::persist::mount_volume(mo);
+    EXPECT_FALSE(m.report.ok);
+    EXPECT_EQ(m.vol, nullptr);
+    EXPECT_NE(m.report.error.find("verify_reads"), std::string::npos)
+        << m.report.error;
+
+    mo.verify_reads = true;
+    m = volume::persist::mount_volume(mo);
+    ASSERT_TRUE(m.report.ok) << m.report.error;
+    EXPECT_TRUE(m.vol->unmount());
 }
 
 // ---------------------------------------------------------------------

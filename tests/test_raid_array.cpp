@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "liberation/core/update.hpp"
 #include "liberation/raid/array.hpp"
 #include "liberation/util/rng.hpp"
 
@@ -24,6 +26,29 @@ std::vector<std::byte> pattern_bytes(std::size_t n, std::uint64_t seed) {
     util::xoshiro256 rng(seed);
     rng.fill(v);
     return v;
+}
+
+/// Every member's disk counters, summed.
+disk_stats disk_totals(const raid6_array& a) {
+    disk_stats t;
+    for (std::uint32_t d = 0; d < a.disk_count(); ++d) {
+        const disk_stats s = a.disk(d).stats();
+        t.reads += s.reads;
+        t.writes += s.writes;
+        t.bytes_read += s.bytes_read;
+    }
+    return t;
+}
+
+/// Every stripe's parity agrees with its data.
+void expect_every_stripe_consistent(raid6_array& a) {
+    codes::stripe_buffer buf = a.make_stripe_buffer();
+    std::vector<std::uint32_t> erased;
+    for (std::size_t s = 0; s < a.map().stripes(); ++s) {
+        ASSERT_TRUE(a.load_stripe(s, buf.view(), erased));
+        ASSERT_TRUE(erased.empty());
+        EXPECT_TRUE(a.code().verify(buf.view())) << "stripe " << s;
+    }
 }
 
 TEST(RaidArray, CapacityMatchesMap) {
@@ -78,13 +103,90 @@ TEST(RaidArray, SmallWritesKeepEveryStripeConsistent) {
         ASSERT_TRUE(a.write(off, pattern_bytes(len, 100 + i)));
     }
     // Every stripe must still verify against the code.
-    codes::stripe_buffer buf = a.make_stripe_buffer();
-    std::vector<std::uint32_t> erased;
-    for (std::size_t s = 0; s < a.map().stripes(); ++s) {
-        ASSERT_TRUE(a.load_stripe(s, buf.view(), erased));
-        ASSERT_TRUE(erased.empty());
-        EXPECT_TRUE(a.code().verify(buf.view())) << "stripe " << s;
+    expect_every_stripe_consistent(a);
+}
+
+TEST(RaidArray, SmallWriteReadsEachElementOnce) {
+    // n = 8 and 4 KiB elements, like the stack bench: an element-aligned
+    // 4 KiB write is one data element plus the parity elements it patches,
+    // and each of them is read (checksum-verified) once and written once.
+    array_config cfg;
+    cfg.k = 6;
+    cfg.element_size = 4096;
+    cfg.sector_size = 4096;
+    cfg.stripes = 4;
+    raid6_array a(cfg);
+    ASSERT_TRUE(a.write(0, pattern_bytes(a.capacity(), 15)));
+    const disk_stats d0 = disk_totals(a);
+    const array_stats a0 = a.stats();
+    ASSERT_TRUE(a.write(2 * 4096, pattern_bytes(4096, 16)));
+    const disk_stats d1 = disk_totals(a);
+    const array_stats a1 = a.stats();
+    ASSERT_EQ(a1.small_writes - a0.small_writes, 1u);
+    const std::uint64_t elements =
+        1 + a1.parity_elements_updated - a0.parity_elements_updated;
+    EXPECT_EQ(elements, 3u);
+    EXPECT_EQ(d1.reads - d0.reads, elements);
+    EXPECT_EQ(d1.bytes_read - d0.bytes_read, elements * 4096);
+    EXPECT_EQ(d1.writes - d0.writes, elements);
+    EXPECT_EQ(a1.checksum_mismatches, a0.checksum_mismatches);
+}
+
+TEST(RaidArray, SmallWriteAcrossElementsWritesSharedParityOnce) {
+    // Two address-adjacent data elements whose updates patch a common
+    // parity element: a write straddling them carries both deltas into
+    // that element and writes it once.
+    raid6_array a(small_config());
+    const auto base = pattern_bytes(a.capacity(), 17);
+    ASSERT_TRUE(a.write(0, base));
+    const std::size_t elem = a.map().element_size();
+    const std::uint32_t rows = a.map().rows();
+    const auto targets = [&](std::size_t e) {
+        return core::update_targets(a.code().geom(),
+                                    static_cast<std::uint32_t>(e % rows),
+                                    static_cast<std::uint32_t>(e / rows));
+    };
+    const auto same = [](const core::parity_element& x,
+                         const core::parity_element& y) {
+        return x.col == y.col && x.row == y.row;
+    };
+    std::size_t first = 0;
+    std::size_t shared = 0;
+    for (; first + 1 < std::size_t{a.map().k()} * rows; ++first) {
+        const core::update_set t0 = targets(first);
+        const core::update_set t1 = targets(first + 1);
+        shared = static_cast<std::size_t>(
+            std::count_if(t1.begin(), t1.end(), [&](const auto& y) {
+                return std::any_of(t0.begin(), t0.end(),
+                                   [&](const auto& x) { return same(x, y); });
+            }));
+        if (shared > 0) break;
     }
+    ASSERT_GT(shared, 0u) << "no adjacent elements share a parity element";
+    const std::size_t parity =
+        targets(first).size() + targets(first + 1).size() - shared;
+
+    // Stripe 1, so the parity columns sit on rotated disks.
+    const std::size_t addr =
+        a.map().stripe_data_size() + first * elem + elem / 2;
+    const auto fresh = pattern_bytes(elem, 18);
+    const disk_stats d0 = disk_totals(a);
+    const array_stats a0 = a.stats();
+    ASSERT_TRUE(a.write(addr, fresh));
+    const disk_stats d1 = disk_totals(a);
+    const array_stats a1 = a.stats();
+    ASSERT_EQ(a1.small_writes - a0.small_writes, 1u);
+    EXPECT_EQ(a1.parity_elements_updated - a0.parity_elements_updated, parity);
+    EXPECT_EQ(d1.writes - d0.writes, 2 + parity);
+    EXPECT_EQ(d1.reads - d0.reads, 2 + parity);
+
+    expect_every_stripe_consistent(a);
+    std::vector<std::byte> out(a.capacity());
+    ASSERT_TRUE(a.read(0, out));
+    auto want = base;
+    std::copy(fresh.begin(), fresh.end(),
+              want.begin() + static_cast<long>(addr));
+    EXPECT_EQ(out, want);
 }
 
 TEST(RaidArray, DegradedReadOneDisk) {

@@ -561,14 +561,14 @@ TEST(Rebuild, MixedDamageWindowCommitsAsTheSerialWalk) {
     const want serial[] = {
         {16, 18, 0, rebuild_result::npos,
          {0xffffu, 0, 0, 0x707818be18ca4a46ULL, 0x26d7d7fe78db87c6ULL,
-          0xd98c7d8a54fdc5f2ULL, 0x0de6c8c502f70ad5ULL,
-          0xa3cf133818f9d7b6ULL},
-         0x69703d80841d8c70ULL},
+          0xd98c7d8a54fdc5f2ULL, 0x30798cdc185c7414ULL,
+          0xb7975594c7a92acdULL},
+         0xa729f364f6bd2b7aULL},
         {15, 17, 1, kTorn,
          {0xfu, 1, 0, 0x24195bc411d3d564ULL, 0x26d7d7fe78db87c6ULL,
-          0x290e16f479413212ULL, 0x0de6c8c502f70ad5ULL,
-          0x962caf41441a3bfaULL},
-         0x6a02930f90bc995dULL},
+          0x290e16f479413212ULL, 0x30798cdc185c7414ULL,
+          0xbd9f8e58f79c9dadULL},
+         0xdbbb4c9a9e73c6f3ULL},
     };
     for (const std::size_t qd : {1u, 8u}) {
         for (const bool cut : {false, true}) {
@@ -606,11 +606,11 @@ TEST(Scrub, MixedDamageWindowCommitsAsTheSerialWalk) {
     // so its sector stays unreadable.
     const window_outcome serial[] = {
         {0xffdfu, 1, 0, 0x849d5361a01f9fc8ULL, 0xb84d071b1a63e6beULL,
-         0x3cc4342420f3b9deULL, 0x5411d6616acccb4bULL,
-         0x55bc66309e2022d7ULL},
+         0x3cc4342420f3b9deULL, 0x32c0fff4b2d1212eULL,
+         0xdeb5d7b08421f968ULL},
         {0xffdfu, 1, 1, 0x849d5361a01f9fc8ULL, 0xb84d071b1a63e6beULL,
-         0x3cc4342420f3b9deULL, 0x5411d6616acccb4bULL,
-         0xa44734818d85ff28ULL},
+         0x3cc4342420f3b9deULL, 0x32c0fff4b2d1212eULL,
+         0x05851f249757ed1bULL},
     };
     for (const bool cut : {false, true}) {
         SCOPED_TRACE(cut ? "power cut after 1 write" : "no power cut");

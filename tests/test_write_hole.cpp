@@ -296,32 +296,25 @@ TEST(WriteHole, DegradedReadOfTornStripeNeverReturnsWrongBytes) {
     // Reading the dead column means reconstructing it, and the parity of
     // row 0 is torn: the read may refuse, but it must never serve bytes
     // decoded from that parity. Both the element path (a 50 B read) and
-    // the full-stripe path (a whole-strip read) are covered, with and
-    // without verify-on-read.
+    // the full-stripe path (a whole-strip read) are covered.
     for (const tear_kind kind : {tear_kind::power_loss,
                                  tear_kind::failed_rollback}) {
-        for (const bool verify : {true, false}) {
-            for (const bool whole_strip : {false, true}) {
-                array_config c = cfg();
-                c.verify_reads = verify;
-                raid6_array a(c);
-                const auto data = pattern(a.capacity(), 17);
-                ASSERT_TRUE(a.write(0, data));
-                const std::uint32_t dead =
-                    tear_stripe0_with_dead_column(a, kind);
-                ASSERT_TRUE(a.journal().is_dirty(0));
+        for (const bool whole_strip : {false, true}) {
+            raid6_array a(cfg());
+            const auto data = pattern(a.capacity(), 17);
+            ASSERT_TRUE(a.write(0, data));
+            const std::uint32_t dead = tear_stripe0_with_dead_column(a, kind);
+            ASSERT_TRUE(a.journal().is_dirty(0));
 
-                const std::size_t strip = a.map().strip_size();
-                const std::size_t addr = a.map().column_of_disk(0, dead) * strip;
-                std::vector<std::byte> out(whole_strip ? strip : 50);
-                SCOPED_TRACE(testing::Message()
-                             << "rollback=" << (kind == tear_kind::failed_rollback)
-                             << " verify=" << verify << " len=" << out.size());
-                if (a.read(addr, out)) {
-                    EXPECT_TRUE(std::equal(out.begin(), out.end(),
-                                           data.begin() +
-                                               static_cast<long>(addr)));
-                }
+            const std::size_t strip = a.map().strip_size();
+            const std::size_t addr = a.map().column_of_disk(0, dead) * strip;
+            std::vector<std::byte> out(whole_strip ? strip : 50);
+            SCOPED_TRACE(testing::Message()
+                         << "rollback=" << (kind == tear_kind::failed_rollback)
+                         << " len=" << out.size());
+            if (a.read(addr, out)) {
+                EXPECT_TRUE(std::equal(out.begin(), out.end(),
+                                       data.begin() + static_cast<long>(addr)));
             }
         }
     }

@@ -302,11 +302,12 @@ void print_report(const chaos_config& cfg, const chaos_report& rep,
                 static_cast<ull>(t.media_errors_recovered));
     std::printf("  integrity: checksum-mismatches=%llu self-healed-reads=%llu "
                 "metadata-repaired=%llu degraded-scrub-repairs=%zu "
-                "settle-scrub-healed=%zu\n",
+                "settle-scrub-healed=%zu corrupt-columns-healed=%llu\n",
                 static_cast<ull>(t.checksum_mismatches),
                 static_cast<ull>(t.reads_self_healed),
                 static_cast<ull>(t.checksum_metadata_repaired),
-                rep.degraded_scrub_repairs, rep.settle_scrub_healed);
+                rep.degraded_scrub_repairs, rep.settle_scrub_healed,
+                static_cast<ull>(t.corrupt_columns_healed));
     std::printf("  persistence: kills=%zu remounts=%zu mount-failures=%zu "
                 "intent-replayed=%zu stale-kicked=%zu rebuilds-resumed=%zu "
                 "remount-scrub-repairs=%zu manifest-torn-slots=%zu\n",
